@@ -49,19 +49,6 @@ from .constructions import (
     saturating_strategies,
     saturating_weights,
 )
-from .oracle import (
-    LPResult,
-    LPStatus,
-    SampleEstimate,
-    behavior_from_strategy_weights,
-    classical_bound_bruteforce,
-    enumerate_deterministic,
-    max_score_lp,
-    min_negativity_lp,
-    quantum_behavior,
-    signed_sample,
-    singlet_state,
-)
 from .serialization import (
     behavior_from_csv,
     behavior_to_csv,
@@ -71,6 +58,36 @@ from .serialization import (
     model_to_json_dict,
     save_model,
 )
+
+#: Names served from `oracle`, which imports numpy and scipy; see `__getattr__`.
+_ORACLE_NAMES = frozenset({
+    "LPResult",
+    "LPStatus",
+    "SampleEstimate",
+    "behavior_from_strategy_weights",
+    "classical_bound_bruteforce",
+    "enumerate_deterministic",
+    "max_score_lp",
+    "min_negativity_lp",
+    "quantum_behavior",
+    "signed_sample",
+    "singlet_state",
+})
+
+
+def __getattr__(name: str):
+    """Serve the oracle names, importing `oracle` (numpy, scipy) on first use.
+
+    The name is looked up in `oracle` on every access rather than cached here,
+    so a caller that replaces an attribute of `quasibell.oracle` is seen
+    through the package too.
+    """
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DEFAULT_TOLERANCE",

@@ -21,12 +21,6 @@ from pathlib import Path
 from .core import DEFAULT_TOLERANCE, assemble_behavior, validate_behavior
 from .constructions import chained_saturating_model
 from .inequalities import check_quasi_bell
-from .oracle import (
-    classical_bound_bruteforce,
-    max_score_lp,
-    min_negativity_lp,
-    signed_sample,
-)
 from .serialization import (
     ModelFormatError,
     behavior_to_csv,
@@ -55,8 +49,8 @@ class RunConfig:
     output_path: Path | None
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance!r}")
         if self.output_format not in FORMATS:
             raise ValueError(f"unknown output format {self.output_format!r}")
 
@@ -82,7 +76,7 @@ def _emit(text: str, output: Path | None) -> None:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _pretty_table(behavior) -> str:
@@ -233,6 +227,8 @@ def _cmd_export(args, tol: float) -> int:
 
 
 def _cmd_sample(args, tol: float) -> int:
+    from .oracle import signed_sample
+
     model = load_model(args.model)
     behavior = assemble_behavior(model, tolerance=tol)
     validity = validate_behavior(behavior, tol)
@@ -246,6 +242,8 @@ def _cmd_sample(args, tol: float) -> int:
 
 
 def _cmd_oracle(args, tol: float) -> int:
+    from .oracle import classical_bound_bruteforce, max_score_lp, min_negativity_lp
+
     if args.oracle_command == "classical-bound":
         bound = classical_bound_bruteforce(args.n)
         _emit(_json_text({"n": args.n, "classical_bound": bound}), args.output)

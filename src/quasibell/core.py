@@ -38,10 +38,10 @@ def _check_prob_row(row, tol: float, where: str) -> None:
     if len(row) != 2:
         raise StructureError(f"{where}: expected a length-2 outcome row, got {row!r}")
     for p in row:
-        if p < -tol or p > 1 + tol:
+        if not -tol <= p <= 1 + tol:
             raise StructureError(f"{where}: probability {p!r} outside [0, 1]")
     total = row[0] + row[1]
-    if abs(total - 1) > tol:
+    if not abs(total - 1) <= tol:
         raise StructureError(f"{where}: outcome row sums to {total!r}, not 1")
 
 
@@ -120,7 +120,7 @@ class QuasiDist:
         if set(self.weights.keys()) != set(self.support):
             raise StructureError("weights keys must match support exactly")
         total = sum(self.weights[p] for p in self.support)
-        if abs(total - 1) > DEFAULT_TOLERANCE:
+        if not abs(total - 1) <= DEFAULT_TOLERANCE:
             raise StructureError(f"weights sum to {total!r}, not 1")
 
     @classmethod
@@ -193,7 +193,7 @@ class Behavior:
             if len(row) != 4:
                 raise StructureError(f"row {pair}: expected 4 outcome entries")
             total = sum(row)
-            if abs(total - 1) > self.tolerance:
+            if not abs(total - 1) <= self.tolerance:
                 raise StructureError(f"row {pair} sums to {total!r}, not 1")
 
     def row(self, x_a: int, x_b: int) -> tuple:

@@ -64,9 +64,11 @@ class LPResult:
     n_settings: int
 
     def to_json_dict(self) -> dict:
+        """JSON fields; the score and the mass are null unless the status is OPTIMAL."""
+        optimal = self.status is LPStatus.OPTIMAL
         return {
-            "optimal_score": self.optimal_score,
-            "negative_mass": self.negative_mass,
+            "optimal_score": self.optimal_score if optimal else None,
+            "negative_mass": self.negative_mass if optimal else None,
             "status": self.status.value,
             "n_settings": self.n_settings,
             "support_size": len(self.weights),

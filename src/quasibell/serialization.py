@@ -57,6 +57,11 @@ def model_to_json_dict(model: Model) -> dict:
     }
 
 
+def _is_number(value) -> bool:
+    """A JSON number; null, strings and booleans are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _party_from_dict(entry: dict, party: str) -> LocalResponse:
     if not isinstance(entry, dict):
         raise ModelFormatError(f"party {party}: expected an object")
@@ -67,8 +72,17 @@ def _party_from_dict(entry: dict, party: str) -> LocalResponse:
         settings = int(entry["settings"])
         lambdas = tuple(str(lam) for lam in entry["lambdas"])
         raw_table = entry["table"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"party {party}: missing or malformed field ({exc})") from exc
+    if not isinstance(raw_table, dict):
+        raise ModelFormatError(f"party {party}: 'table' must be an object")
+    # Checked before LocalResponse enumerates settings x lambdas, so a huge
+    # 'settings' value is refused without building its key set.
+    if len(raw_table) != settings * len(lambdas):
+        raise ModelFormatError(
+            f"party {party}: table has {len(raw_table)} rows, expected "
+            f"settings x lambdas = {settings} x {len(lambdas)}"
+        )
     table = {}
     for key, row in raw_table.items():
         x_text, _, lam = key.partition(",")
@@ -76,8 +90,11 @@ def _party_from_dict(entry: dict, party: str) -> LocalResponse:
             x = int(x_text)
         except ValueError as exc:
             raise ModelFormatError(f"party {party}: bad table key {key!r}") from exc
-        if not isinstance(row, list) or len(row) != 2:
-            raise ModelFormatError(f"party {party}: table row {key!r} must have 2 entries")
+        if not (isinstance(row, list) and len(row) == 2
+                and _is_number(row[0]) and _is_number(row[1])):
+            raise ModelFormatError(
+                f"party {party}: table row {key!r} must be 2 numbers, got {row!r}"
+            )
         table[(x, lam)] = (float(row[0]), float(row[1]))
     return LocalResponse(party=party, n_settings=settings, hidden_values=lambdas, table=table)
 
@@ -101,6 +118,8 @@ def model_from_json_dict(document: dict) -> Model:
         lam_a, sep, lam_b = key.partition(",")
         if not sep:
             raise ModelFormatError(f"dist key {key!r} must be 'lamA,lamB'")
+        if not _is_number(value):
+            raise ModelFormatError(f"dist entry {key!r} must be a number, got {value!r}")
         weights[(lam_a, lam_b)] = float(value)
     dist = QuasiDist(support=tuple(weights), weights=weights)
     return Model(response_A=response_a, response_B=response_b, dist=dist)

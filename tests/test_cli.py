@@ -9,7 +9,7 @@ import pytest
 
 from quasibell import assemble_behavior, behavior_to_csv, chsh_saturating_model
 from quasibell.cli import main
-from quasibell.serialization import save_model
+from quasibell.serialization import model_to_json_dict, save_model
 
 from conftest import random_model
 
@@ -132,6 +132,63 @@ class TestBuildVerifyExport:
         assert "parties" in err
 
 
+def _table_as_list(document):
+    document["parties"][0]["table"] = list(document["parties"][0]["table"].values())
+
+
+def _first_row(document):
+    return next(iter(document["parties"][1]["table"]))
+
+
+def _null_entry(document):
+    document["parties"][1]["table"][_first_row(document)] = [None, 1.0]
+
+
+def _string_entry(document):
+    document["parties"][1]["table"][_first_row(document)] = ["0", 1.0]
+
+
+def _settings_mismatch(document):
+    document["parties"][0]["settings"] = 3
+
+
+def _infinite_settings(document):
+    document["parties"][0]["settings"] = float("inf")  # json writes Infinity
+
+
+def _null_weight(document):
+    document["dist"][next(iter(document["dist"]))] = None
+
+
+class TestMalformedModelFiles:
+    @pytest.mark.parametrize("corrupt", [
+        _table_as_list, _null_entry, _string_entry, _settings_mismatch, _infinite_settings,
+        _null_weight,
+    ])
+    def test_exit_two_with_one_error_line(self, capsys, tmp_path, corrupt):
+        document = model_to_json_dict(chsh_saturating_model(1))
+        corrupt(document)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run(capsys, "verify", "--model", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _signalling_csv(path):
+    # Alice's outcome at x_A=0 flips with Bob's setting: no local mixture matches it.
+    path.write_text("xA,xB,P--,P-+,P+-,P++\n"
+                    "0,0,1,0,0,0\n0,1,0,0,1,0\n1,0,1,0,0,0\n1,1,1,0,0,0\n")
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestOracleCommands:
     def test_classical_bound(self, capsys):
         code, out, _ = run(capsys, "oracle", "classical-bound", "--n", "3")
@@ -160,6 +217,16 @@ class TestOracleCommands:
         payload = json.loads(out)
         assert payload["status"] == "OPTIMAL"
         assert payload["negative_mass"] <= 0.5 + 1e-8
+
+    def test_min_neg_infeasible_is_strict_json(self, capsys, tmp_path):
+        csv_path = tmp_path / "signalling.csv"
+        _signalling_csv(csv_path)
+        code, out, _ = run(capsys, "oracle", "min-neg", "--behavior", str(csv_path))
+        assert code == 0
+        payload = _strict_json(out)
+        assert payload["status"] == "INFEASIBLE"
+        assert payload["optimal_score"] is None
+        assert payload["negative_mass"] is None
 
 
 class TestSampling:
@@ -212,6 +279,25 @@ class TestConfig:
     def test_non_positive_tolerance_rejected(self, capsys):
         code, _, err = run(capsys, "--tolerance", "-1", "oracle", "classical-bound", "--n", "2")
         assert code == 2
+        assert "tolerance" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance_flag_rejected(self, capsys, tmp_path, value):
+        path = tmp_path / "model.json"
+        save_model(chsh_saturating_model(1), path)
+        code, out, err = run(capsys, "--tolerance", value, "verify", "--model", str(path))
+        assert code == 2
+        assert out == ""
+        assert "tolerance" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_env_tolerance_rejected(self, capsys, monkeypatch, tmp_path, value):
+        path = tmp_path / "model.json"
+        save_model(chsh_saturating_model(1), path)
+        monkeypatch.setenv("QUASIBELL_TOLERANCE", value)
+        code, out, err = run(capsys, "verify", "--model", str(path))
+        assert code == 2
+        assert out == ""
         assert "tolerance" in err
 
     def test_unknown_flag_exits_two(self):

@@ -95,6 +95,28 @@ class TestStructure:
             Behavior(1, 1, {(0, 0): (0.5, 0.2, 0.2, 0.2)})
 
 
+class TestNonFinite:
+    """NaN and infinities are refused where they enter, not passed on to the checks."""
+
+    def test_dist_rejects_nan_weight(self):
+        with pytest.raises(StructureError):
+            QuasiDist.diagonal({"1": math.nan, "2": 0.5})
+
+    def test_dist_rejects_opposite_infinities(self):
+        with pytest.raises(StructureError):
+            QuasiDist.diagonal({"1": math.inf, "2": -math.inf})
+
+    def test_response_rejects_nan_row(self):
+        with pytest.raises(StructureError):
+            LocalResponse("A", 1, ("1",), {(0, "1"): (math.nan, math.nan)})
+
+    def test_behavior_rejects_nan_after_first_entry(self):
+        # validate_behavior scanned past a NaN here and reported the table valid.
+        row = (0.25, 0.25, 0.25, 0.25)
+        with pytest.raises(StructureError):
+            Behavior(1, 2, {(0, 0): row, (0, 1): (0.5, math.nan, 0.25, 0.25)})
+
+
 class TestAssemble:
     def test_deterministic_positive_model_is_zero_one(self):
         strategy = SymbolStrategy(("+", "-"), ("-", "+"))

@@ -1,0 +1,89 @@
+"""numpy and scipy load only on the oracle paths.
+
+Each check runs in a fresh interpreter, because this test process has long
+since imported numpy itself.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from quasibell import chsh_saturating_model
+from quasibell.serialization import save_model
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+HEAVY_REPORT = """
+import json, sys
+print(json.dumps(sorted(m for m in ("numpy", "scipy") if m in sys.modules)))
+"""
+
+
+def run_python(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("QUASIBELL_TOLERANCE", None)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def heavy_modules_after(code: str) -> list[str]:
+    return json.loads(run_python(code + HEAVY_REPORT).splitlines()[-1])
+
+
+@pytest.mark.parametrize("module", ["quasibell", "quasibell.cli"])
+def test_import_is_pure_python(module):
+    assert heavy_modules_after(f"import {module}") == []
+
+
+@pytest.mark.parametrize("command", [
+    ["build", "--n", "3", "--negativity", "1/2", "--output", "{out}"],
+    ["verify", "--model", "{model}", "--output", "{out}"],
+    ["export", "--model", "{model}", "--output", "{out}"],
+    ["saturate", "--n", "3", "--negativity", "1", "--output", "{out}"],
+])
+def test_non_oracle_commands_are_pure_python(tmp_path, command):
+    model_path = tmp_path / "model.json"
+    save_model(chsh_saturating_model(1), model_path)
+    argv = [arg.format(model=model_path, out=tmp_path / "out") for arg in command]
+    code = f"from quasibell.cli import main\nassert main({argv!r}) == 0\n"
+    assert heavy_modules_after(code) == []
+
+
+def test_oracle_command_loads_scipy(tmp_path):
+    argv = ["oracle", "lp", "--n", "2", "--output", str(tmp_path / "out")]
+    code = f"from quasibell.cli import main\nassert main({argv!r}) == 0\n"
+    assert heavy_modules_after(code) == ["numpy", "scipy"]
+
+
+def test_every_public_name_resolves_from_a_cold_import():
+    names = json.loads(run_python(
+        "import json, quasibell\n"
+        "print(json.dumps([n for n in quasibell.__all__ if not hasattr(quasibell, n)]))"
+    ))
+    assert names == []
+
+
+def test_oracle_names_are_looked_up_in_the_oracle_module(monkeypatch):
+    import quasibell
+    import quasibell.oracle
+
+    assert quasibell.max_score_lp is quasibell.oracle.max_score_lp
+    replacement = object()
+    monkeypatch.setattr(quasibell.oracle, "max_score_lp", replacement)
+    assert quasibell.max_score_lp is replacement
+
+
+def test_unknown_name_raises_attribute_error():
+    import quasibell
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        quasibell.no_such_name
+    assert not hasattr(quasibell, "no_such_name")

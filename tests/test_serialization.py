@@ -74,6 +74,12 @@ class TestModelJson:
         with pytest.raises(ModelFormatError):
             model_from_json_dict(document)
 
+    def test_rejects_settings_not_matching_table(self):
+        document = model_to_json_dict(chsh_saturating_model(1))
+        document["parties"][1]["settings"] = 3
+        with pytest.raises(ModelFormatError, match="settings"):
+            model_from_json_dict(document)
+
     def test_rejects_comma_in_label(self):
         model = random_model_with_label_comma()
         with pytest.raises(ModelFormatError):
