@@ -15,6 +15,7 @@ ordered (--, -+, +-, ++).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
@@ -270,20 +271,29 @@ def validate_behavior(behavior: Behavior, tol: float = DEFAULT_TOLERANCE) -> Val
 
     The no-signalling figure is the largest change of any single-party
     marginal outcome probability when the other party switches settings.
+    A NaN entry is worse than any number: the report is invalid, names the
+    first NaN in row order as its worst entry, and gives a NaN no-signalling
+    figure, as does an infinite entry.  The answer does not depend on where
+    in the table the non-finite entry sits.
     """
     if tol < 0:
         raise ValueError("tolerance must be non-negative")
-    worst_pair = worst_outcomes = None
-    worst_value = None
-    worst_excess = None
+    worst_entry = None
+    worst_excess = -math.inf
     for pair in behavior.setting_pairs():
         row = behavior.table[pair]
         for outcomes, value in zip(OUTCOME_PAIRS, row):
             excess = max(-value, value - 1)
-            if worst_excess is None or excess > worst_excess:
+            # `not <=` is also true for a NaN excess; a recorded NaN stays worst.
+            if not excess <= worst_excess and worst_excess == worst_excess:
                 worst_excess = excess
-                worst_pair, worst_outcomes, worst_value = pair, outcomes, value
+                worst_entry = (pair, outcomes, value)
     is_valid = worst_excess <= tol
+    if not worst_excess < math.inf:
+        # NaN or infinite entries leave the marginals undefined.
+        return ValidityReport(
+            is_valid=False, worst_entry=worst_entry, no_signalling_violation=math.nan
+        )
 
     violation = 0
     # Alice's marginal P(y_A | x_A) must not depend on x_B.
@@ -307,6 +317,6 @@ def validate_behavior(behavior: Behavior, tol: float = DEFAULT_TOLERANCE) -> Val
 
     return ValidityReport(
         is_valid=is_valid,
-        worst_entry=(worst_pair, worst_outcomes, worst_value),
+        worst_entry=worst_entry,
         no_signalling_violation=violation,
     )

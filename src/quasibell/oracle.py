@@ -2,8 +2,10 @@
 
 Four separate routes that never share code with the model/witness path:
 
-* exhaustive enumeration of deterministic strategies (classical polytope
-  vertices) and the brute-force classical bound,
+* enumeration of deterministic strategies (classical polytope vertices)
+  and the classical bound, maximized exactly over all joint strategies:
+  for each of Alice's strategies Bob's best reply separates over his
+  settings, so the maximum costs O(2^n * n^2) rather than O(4^n * n),
 * linear programs over signed strategy mixtures (maximal score under a
   faithful-witness budget, and minimal negative mass reproducing a target
   behavior),
@@ -131,7 +133,11 @@ def _chain_coefficients(n: int) -> np.ndarray:
 
 
 def strategy_score(strategy_a: Strategy, strategy_b: Strategy, n: int) -> int:
-    """Chained-combination score of a joint deterministic strategy."""
+    """Chained-combination score of a joint deterministic strategy.
+
+    The loop form of a @ C @ b with C = `_chain_coefficients(n)`; the LP
+    builds its whole score vector from C and is tested against this.
+    """
     total = sum(strategy_a[i] * strategy_b[i] for i in range(n))
     total += sum(strategy_a[i] * strategy_b[i - 1] for i in range(1, n))
     total -= strategy_a[0] * strategy_b[n - 1]
@@ -139,33 +145,41 @@ def strategy_score(strategy_a: Strategy, strategy_b: Strategy, n: int) -> int:
 
 
 def classical_bound_bruteforce(n: int) -> float:
-    """Maximum chained score over all joint deterministic strategies.
+    """Maximum |chained score| over all joint deterministic strategies.
 
-    Exhausts all 4^n pairs (vectorized); the result is the classical bound
-    2n-2, but it is computed, not assumed.
+    The score of a pair is the bilinear form a @ C @ b.  For a fixed Alice
+    strategy a, Bob's best reply separates over his settings: b_j =
+    sign((a C)_j), or its negation for the most negative score, gives
+    max_b |a C b| = ||a C||_1.  Maximizing that over Alice's 2^n strategies
+    is therefore the exact maximum over all 4^n pairs, at O(2^n * n^2) cost
+    and O(2^n * n) memory.  The result is the classical bound 2n-2, but it
+    is computed, not assumed.
     """
     if n < 2:
         raise ValueError("chained score needs n >= 2")
     if n > _MAX_BRUTEFORCE_SETTINGS:
         raise ValueError(f"brute force limited to n <= {_MAX_BRUTEFORCE_SETTINGS}")
-    signs = np.array(enumerate_deterministic(n), dtype=np.float64)
-    scores = signs @ _chain_coefficients(n) @ signs.T
-    return float(np.max(np.abs(scores)))
+    best_replies = np.abs(_strategy_signs(n) @ _chain_coefficients(n)).sum(axis=1)
+    return float(best_replies.max())
 
 
-def _behavior_matrix(n: int, joint: list[tuple[Strategy, Strategy]]) -> np.ndarray:
-    """Rows: one per cell (x_a, x_b, y_a, y_b); columns: joint strategies."""
-    rows = []
-    for x_a in range(n):
-        for x_b in range(n):
-            for (y_a, y_b) in OUTCOME_PAIRS:
-                rows.append(
-                    [
-                        1.0 if (sa[x_a] == y_a and sb[x_b] == y_b) else 0.0
-                        for sa, sb in joint
-                    ]
-                )
-    return np.array(rows)
+def _strategy_signs(n: int) -> np.ndarray:
+    """The 2^n x n matrix of +-1 strategies, rows in `enumerate_deterministic` order."""
+    return np.array(enumerate_deterministic(n), dtype=np.float64)
+
+
+def _behavior_matrix(n: int) -> np.ndarray:
+    """Rows: one per cell (x_a, x_b, y_a, y_b); columns: joint strategies, s_a major."""
+    outcomes = np.array([-1.0, 1.0])
+    onehot = (_strategy_signs(n)[:, :, None] == outcomes).astype(np.float64)
+    # onehot[s, x, k]: strategy s answers outcome k at setting x.
+    grid = np.einsum("axp,bzq->xzpqab", onehot, onehot)
+    return grid.reshape(4 * n * n, 4**n)
+
+
+def _joint_strategies(n: int) -> list[tuple[Strategy, Strategy]]:
+    strategies = enumerate_deterministic(n)
+    return [(sa, sb) for sa in strategies for sb in strategies]
 
 
 def behavior_from_strategy_weights(
@@ -197,9 +211,7 @@ def _lp_result(res, joint, n: int, score: float | None = None) -> LPResult:
         )
     m = len(joint)
     merged = res.x[:m] - res.x[m:]
-    weights = {
-        joint[j]: float(merged[j]) for j in range(m) if abs(merged[j]) > 1e-12
-    }
+    weights = {joint[j]: float(merged[j]) for j in np.flatnonzero(np.abs(merged) > 1e-12)}
     negative_mass = float(sum(-w for w in merged if w < 0))
     return LPResult(
         optimal_score=float(score) if score is not None else float(-res.fun),
@@ -224,13 +236,13 @@ def max_score_lp(n: int, negativity_budget: float = math.inf) -> LPResult:
         raise ValueError(f"LP oracle limited to n <= {_MAX_LP_SETTINGS}")
     if negativity_budget < 0:
         raise ValueError("negativity budget must be non-negative or infinite")
-    strategies = enumerate_deterministic(n)
-    joint = [(sa, sb) for sa in strategies for sb in strategies]
+    joint = _joint_strategies(n)
     m = len(joint)
-    scores = np.array([strategy_score(sa, sb, n) for sa, sb in joint], dtype=np.float64)
+    signs = _strategy_signs(n)
+    scores = (signs @ _chain_coefficients(n) @ signs.T).ravel()
     cost = np.concatenate([-scores, scores])  # maximize scores @ (u - v)
 
-    behavior_matrix = _behavior_matrix(n, joint)
+    behavior_matrix = _behavior_matrix(n)
     # Entries >= 0: -(B_u - B_v) <= 0.
     a_ub = [np.concatenate([-behavior_matrix, behavior_matrix], axis=1)]
     b_ub = [np.zeros(behavior_matrix.shape[0])]
@@ -265,10 +277,9 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     n = target.n_settings_A
     if n > _MAX_LP_SETTINGS:
         raise ValueError(f"LP oracle limited to n <= {_MAX_LP_SETTINGS}")
-    strategies = enumerate_deterministic(n)
-    joint = [(sa, sb) for sa in strategies for sb in strategies]
+    joint = _joint_strategies(n)
     m = len(joint)
-    behavior_matrix = _behavior_matrix(n, joint)
+    behavior_matrix = _behavior_matrix(n)
     targets = []
     for x_a in range(n):
         for x_b in range(n):
@@ -387,11 +398,12 @@ def signed_sample(model: Model, shots: int, seed: int) -> SampleEstimate:
             y_a_plus = rng.random(shots) < plus_a[x_a, lam_idx]
             y_b_plus = rng.random(shots) < plus_b[x_b, lam_idx]
             cell_idx = 2 * y_a_plus.astype(np.int64) + y_b_plus.astype(np.int64)
+            signed_counts = np.bincount(cell_idx, weights=draw_signs, minlength=4)
+            counts = np.bincount(cell_idx, minlength=4)
             row = []
             for k in range(4):
-                mask = cell_idx == k
-                mean = total_variation * float(draw_signs[mask].sum()) / shots
-                abs_fraction = float(mask.sum()) / shots
+                mean = total_variation * float(signed_counts[k]) / shots
+                abs_fraction = float(counts[k]) / shots
                 variance = max(total_variation**2 * abs_fraction - mean**2, 0.0)
                 row.append(mean)
                 standard_errors[(x_a, x_b, k)] = math.sqrt(variance / shots)

@@ -69,11 +69,13 @@ def _party_from_dict(entry: dict, party: str) -> LocalResponse:
     if unknown:
         raise ModelFormatError(f"party {party}: unknown fields {sorted(unknown)}")
     try:
-        settings = int(entry["settings"])
+        settings = entry["settings"]
         lambdas = tuple(str(lam) for lam in entry["lambdas"])
         raw_table = entry["table"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ModelFormatError(f"party {party}: missing or malformed field ({exc})") from exc
+    if not isinstance(settings, int) or isinstance(settings, bool):
+        raise ModelFormatError(f"party {party}: 'settings' must be an integer, got {settings!r}")
     if not isinstance(raw_table, dict):
         raise ModelFormatError(f"party {party}: 'table' must be an object")
     # Checked before LocalResponse enumerates settings x lambdas, so a huge

@@ -156,6 +156,18 @@ def _infinite_settings(document):
     document["parties"][0]["settings"] = float("inf")  # json writes Infinity
 
 
+def _fractional_settings(document):
+    document["parties"][0]["settings"] = 2.7
+
+
+def _string_settings(document):
+    document["parties"][0]["settings"] = "2"
+
+
+def _boolean_settings(document):
+    document["parties"][0]["settings"] = True
+
+
 def _null_weight(document):
     document["dist"][next(iter(document["dist"]))] = None
 
@@ -163,7 +175,7 @@ def _null_weight(document):
 class TestMalformedModelFiles:
     @pytest.mark.parametrize("corrupt", [
         _table_as_list, _null_entry, _string_entry, _settings_mismatch, _infinite_settings,
-        _null_weight,
+        _fractional_settings, _string_settings, _boolean_settings, _null_weight,
     ])
     def test_exit_two_with_one_error_line(self, capsys, tmp_path, corrupt):
         document = model_to_json_dict(chsh_saturating_model(1))

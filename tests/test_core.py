@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasibell import (
+    OUTCOME_PAIRS,
     Behavior,
     LocalResponse,
     Model,
@@ -168,6 +170,10 @@ class TestCorrelation:
             correlation(behavior, 1, 0)
 
 
+def _same_number(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
 class TestValidate:
     @pytest.mark.parametrize("budget", [0.0, 0.5, 1.0, 1.5, 2.0])
     def test_saturating_budget_range_is_valid(self, budget):
@@ -194,6 +200,39 @@ class TestValidate:
         behavior = Behavior(1, 1, {(0, 0): (0.25, 0.25, 0.25, 0.25)})
         with pytest.raises(ValueError):
             validate_behavior(behavior, tol=-1.0)
+
+    @pytest.mark.parametrize("pair", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    @pytest.mark.parametrize("k", range(4))
+    def test_nan_anywhere_is_invalid(self, pair, k):
+        # A NaN written into the table after construction is found wherever it sits.
+        behavior = assemble_behavior(chsh_saturating_model(1))
+        row = list(behavior.table[pair])
+        row[k] = math.nan
+        behavior.table[pair] = tuple(row)
+        report = validate_behavior(behavior)
+        assert not report.is_valid
+        where, outcomes, value = report.worst_entry
+        assert (where, outcomes) == (pair, OUTCOME_PAIRS[k])
+        assert math.isnan(value)
+        assert math.isnan(report.no_signalling_violation)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_entry_is_invalid(self, value):
+        behavior = assemble_behavior(chsh_saturating_model(1))
+        behavior.table[(1, 0)] = (0.25, value, 0.25, 0.25)
+        report = validate_behavior(behavior)
+        assert not report.is_valid
+        assert report.worst_entry == ((1, 0), OUTCOME_PAIRS[1], value)
+        assert math.isnan(report.no_signalling_violation)
+
+    def test_nan_outranks_infinity_in_either_order(self):
+        for nan_pair, inf_pair in (((0, 0), (1, 1)), ((1, 1), (0, 0))):
+            behavior = assemble_behavior(chsh_saturating_model(1))
+            behavior.table[nan_pair] = (math.nan, 0.25, 0.25, 0.25)
+            behavior.table[inf_pair] = (math.inf, 0.25, 0.25, 0.25)
+            where, _, value = validate_behavior(behavior).worst_entry
+            assert where == nan_pair
+            assert math.isnan(value)
 
 
 class TestJointSupport:
@@ -255,6 +294,34 @@ class TestProperties:
                     for (la, lb) in model.dist.support
                 )
                 assert correlation(behavior, x_a, x_b) == pytest.approx(direct, abs=1e-9)
+
+    @given(
+        model=diagonal_models(n_settings=3, signed=True),
+        perm_a=st.permutations(range(3)),
+        perm_b=st.permutations(range(3)),
+        nan_at=st.none() | st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 3)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_validity_ignores_setting_labels(self, model, perm_a, perm_b, nan_at):
+        behavior = assemble_behavior(model)
+        relabelled = Behavior(
+            3,
+            3,
+            {(perm_a[x_a], perm_b[x_b]): row for (x_a, x_b), row in behavior.table.items()},
+            tolerance=behavior.tolerance,
+        )
+        if nan_at is not None:
+            x_a, x_b, k = nan_at
+            row = list(behavior.table[(x_a, x_b)])
+            row[k] = math.nan
+            behavior.table[(x_a, x_b)] = tuple(row)
+            relabelled.table[(perm_a[x_a], perm_b[x_b])] = tuple(row)
+        report = validate_behavior(behavior)
+        permuted = validate_behavior(relabelled)
+        assert permuted.is_valid == report.is_valid
+        assert _same_number(permuted.no_signalling_violation, report.no_signalling_violation)
+        excess = [max(-r.worst_entry[2], r.worst_entry[2] - 1) for r in (report, permuted)]
+        assert _same_number(*excess)
 
     @given(model=diagonal_models(n_settings=2, signed=True))
     @settings(max_examples=150, deadline=None)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from quasibell import (
+    OUTCOME_PAIRS,
     Behavior,
     LPStatus,
     assemble_behavior,
@@ -23,6 +24,7 @@ from quasibell import (
     singlet_state,
     validate_behavior,
 )
+from quasibell import oracle
 from quasibell.oracle import strategy_score
 
 from conftest import random_model
@@ -49,13 +51,58 @@ class TestEnumeration:
 
 
 class TestBruteForce:
-    @pytest.mark.parametrize("n,expected", [(2, 2.0), (3, 4.0), (5, 8.0)])
+    @pytest.mark.parametrize("n,expected", [(n, 2.0 * n - 2) for n in range(2, 13)])
     def test_classical_bound(self, n, expected):
         assert classical_bound_bruteforce(n) == expected
 
     def test_resource_guard(self):
         with pytest.raises(ValueError):
             classical_bound_bruteforce(13)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_separable_maximum_equals_exhaustive(self, n):
+        signs = np.array(enumerate_deterministic(n), dtype=np.float64)
+        exhaustive = np.abs(signs @ oracle._chain_coefficients(n) @ signs.T).max()
+        assert classical_bound_bruteforce(n) == exhaustive
+
+
+def _joint(n):
+    strategies = enumerate_deterministic(n)
+    return [(sa, sb) for sa in strategies for sb in strategies]
+
+
+class TestStrategyGrid:
+    """The array-built LP inputs equal their loop forms, bit for bit."""
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_behavior_matrix_matches_loops(self, n):
+        joint = _joint(n)
+        rows = []
+        for x_a in range(n):
+            for x_b in range(n):
+                for (y_a, y_b) in OUTCOME_PAIRS:
+                    rows.append(
+                        [
+                            1.0 if (sa[x_a] == y_a and sb[x_b] == y_b) else 0.0
+                            for sa, sb in joint
+                        ]
+                    )
+        assert np.array_equal(oracle._behavior_matrix(n), np.array(rows))
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_lp_scores_match_strategy_score(self, n, monkeypatch):
+        costs = []
+
+        def capture(cost, **kwargs):
+            costs.append(cost)
+            return linprog(cost, **kwargs)
+
+        linprog = oracle.linprog
+        monkeypatch.setattr(oracle, "linprog", capture)
+        max_score_lp(n, 1.0)
+        expected = [strategy_score(sa, sb, n) for sa, sb in _joint(n)]
+        # cost = (-scores, scores): the LP maximizes scores @ (u - v)
+        assert costs[0].tolist() == [-s for s in expected] + expected
 
 
 class TestMaxScoreLP:
@@ -258,6 +305,34 @@ class TestSignedSampling:
     def test_invalid_model_is_refused(self):
         with pytest.raises(ValueError):
             signed_sample(chsh_saturating_model(2.4, force=True), shots=10, seed=0)
+
+    def test_matches_masked_reduce(self):
+        # Reference: the per-cell masked reduce, replayed on the same seeded draws.
+        model = chsh_saturating_model(1)
+        shots, seed = 5000, 17
+        estimate = signed_sample(model, shots=shots, seed=seed)
+        points = list(model.dist.support)
+        weights = np.array([float(model.dist.weights[p]) for p in points])
+        total_variation = float(np.sum(np.abs(weights)))
+        signs = np.sign(weights)
+        signs[signs == 0] = 1.0
+        rng = np.random.default_rng(seed)
+        for x_a in range(2):
+            for x_b in range(2):
+                plus_a = np.array([float(model.response_A.table[(x_a, la)][1]) for la, _ in points])
+                plus_b = np.array([float(model.response_B.table[(x_b, lb)][1]) for _, lb in points])
+                lam_idx = rng.choice(len(points), size=shots, p=np.abs(weights) / total_variation)
+                draw_signs = signs[lam_idx]
+                y_a_plus = rng.random(shots) < plus_a[lam_idx]
+                y_b_plus = rng.random(shots) < plus_b[lam_idx]
+                cell_idx = 2 * y_a_plus.astype(np.int64) + y_b_plus.astype(np.int64)
+                for k in range(4):
+                    mask = cell_idx == k
+                    mean = total_variation * float(draw_signs[mask].sum()) / shots
+                    abs_fraction = float(mask.sum()) / shots
+                    variance = max(total_variation**2 * abs_fraction - mean**2, 0.0)
+                    assert estimate.empirical_behavior.table[(x_a, x_b)][k] == mean
+                    assert estimate.standard_errors[(x_a, x_b, k)] == math.sqrt(variance / shots)
 
     def test_rejects_non_positive_shots(self):
         with pytest.raises(ValueError):
