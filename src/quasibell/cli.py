@@ -1,10 +1,11 @@
 """Command-line front end: build, verify, saturate, export, sample, oracle.
 
-Exit codes: 0 success, 1 a checked property failed (a bound violation or an
-invalid behavior where validity is required), 2 usage or input errors.  All
-randomness is seeded; identical invocations produce identical bytes on
-stdout.  The default tolerance (1e-9) can be overridden per run with
---tolerance or the QUASIBELL_TOLERANCE environment variable.
+Exit codes: 0 success, 1 a checked property failed (a bound violation, an
+invalid behavior where validity is required, or a min-neg LP that is not
+OPTIMAL, such as the infeasible LP of a signalling behavior), 2 usage or
+input errors.  All randomness is seeded; identical invocations produce
+identical bytes on stdout.  The default tolerance (1e-9) can be overridden
+per run with --tolerance or the QUASIBELL_TOLERANCE environment variable.
 """
 
 from __future__ import annotations
@@ -242,7 +243,7 @@ def _cmd_sample(args, tol: float) -> int:
 
 
 def _cmd_oracle(args, tol: float) -> int:
-    from .oracle import classical_bound_bruteforce, max_score_lp, min_negativity_lp
+    from .oracle import LPStatus, classical_bound_bruteforce, max_score_lp, min_negativity_lp
 
     if args.oracle_command == "classical-bound":
         bound = classical_bound_bruteforce(args.n)
@@ -258,7 +259,7 @@ def _cmd_oracle(args, tol: float) -> int:
         target = load_behavior_csv(args.behavior, tolerance=tol)
         result = min_negativity_lp(target)
         _emit(_json_text(result.to_json_dict()), args.output)
-        return EXIT_OK
+        return EXIT_OK if result.status is LPStatus.OPTIMAL else EXIT_CHECK_FAILED
     if args.oracle_command == "sample":
         return _cmd_sample(args, tol)
     raise AssertionError(f"unhandled oracle command {args.oracle_command!r}")

@@ -11,6 +11,13 @@ All arithmetic is duck-typed: tables built from `float` entries stay in float,
 tables built from `fractions.Fraction` entries stay exact.  Outcomes are
 y in {-1, +1}; index 0 maps to -1 and index 1 to +1, so four-outcome rows are
 ordered (--, -+, +-, ++).
+
+Two habits keep the exact path cheap without a second code path.  Mixing
+skips every product whose Alice or Bob factor is zero (each deterministic
+row has one), which cannot change a sum's value, type or float bits.  Range
+and normalization checks test the exact condition (`0 <= p <= 1`,
+`total == 1`) first and compare against the float tolerance only when it
+fails, so exact entries are rarely converted to compare with a float.
 """
 
 from __future__ import annotations
@@ -35,15 +42,20 @@ class StructureError(ValueError):
     """A table, support, or setting index is inconsistent with its container."""
 
 
-def _check_prob_row(row, tol: float, where: str) -> None:
+def _row_error(party: str, key, problem: str) -> StructureError:
+    return StructureError(f"party {party}, (x, lambda)={key}: {problem}")
+
+
+def _check_prob_row(row, tol: float, party: str, key) -> None:
+    # Both tests of each pair are false for NaN, so NaN is refused.
     if len(row) != 2:
-        raise StructureError(f"{where}: expected a length-2 outcome row, got {row!r}")
+        raise _row_error(party, key, f"expected a length-2 outcome row, got {row!r}")
     for p in row:
-        if not -tol <= p <= 1 + tol:
-            raise StructureError(f"{where}: probability {p!r} outside [0, 1]")
+        if not (0 <= p <= 1 or -tol <= p <= 1 + tol):
+            raise _row_error(party, key, f"probability {p!r} outside [0, 1]")
     total = row[0] + row[1]
-    if not abs(total - 1) <= tol:
-        raise StructureError(f"{where}: outcome row sums to {total!r}, not 1")
+    if not (total == 1 or abs(total - 1) <= tol):
+        raise _row_error(party, key, f"outcome row sums to {total!r}, not 1")
 
 
 @dataclass(frozen=True)
@@ -78,7 +90,7 @@ class LocalResponse:
                 f"extra {sorted(map(str, extra))[:4]})"
             )
         for key, row in self.table.items():
-            _check_prob_row(row, DEFAULT_TOLERANCE, f"party {self.party}, (x, lambda)={key}")
+            _check_prob_row(row, DEFAULT_TOLERANCE, self.party, key)
 
     def prob(self, y: int, x: int, lam: Label):
         """P(y | x, lam) with y in {-1, +1}."""
@@ -121,7 +133,7 @@ class QuasiDist:
         if set(self.weights.keys()) != set(self.support):
             raise StructureError("weights keys must match support exactly")
         total = sum(self.weights[p] for p in self.support)
-        if not abs(total - 1) <= DEFAULT_TOLERANCE:
+        if not (total == 1 or abs(total - 1) <= DEFAULT_TOLERANCE):
             raise StructureError(f"weights sum to {total!r}, not 1")
 
     @classmethod
@@ -172,9 +184,10 @@ class Model:
 class Behavior:
     """Observable table P(y_A, y_B | x_A, x_B), rows ordered (--, -+, +-, ++).
 
-    Rows must be normalized within `tolerance`; entry positivity is checked
-    separately by `validate_behavior` because signed mixtures can produce
-    normalized rows with entries outside [0, 1].
+    Rows must be normalized within `tolerance`, which must be non-negative
+    and finite; entry positivity is checked separately by `validate_behavior`
+    because signed mixtures can produce normalized rows with entries outside
+    [0, 1].
     """
 
     n_settings_A: int
@@ -185,6 +198,8 @@ class Behavior:
     def __post_init__(self) -> None:
         if self.n_settings_A < 1 or self.n_settings_B < 1:
             raise StructureError("setting counts must be positive")
+        if not 0 <= self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be non-negative and finite, got {self.tolerance!r}")
         expected = {
             (xa, xb) for xa in range(self.n_settings_A) for xb in range(self.n_settings_B)
         }
@@ -194,7 +209,7 @@ class Behavior:
             if len(row) != 4:
                 raise StructureError(f"row {pair}: expected 4 outcome entries")
             total = sum(row)
-            if not abs(total - 1) <= self.tolerance:
+            if not (total == 1 or abs(total - 1) <= self.tolerance):
                 raise StructureError(f"row {pair} sums to {total!r}, not 1")
 
     def row(self, x_a: int, x_b: int) -> tuple:
@@ -236,21 +251,47 @@ def assemble_behavior(model: Model, tolerance: float = DEFAULT_TOLERANCE) -> Beh
     P_B(y_B | x_B, lam_B) * weight over the support points.  Rows are
     normalized automatically regardless of weight signs; entries may still
     fall outside [0, 1], which `validate_behavior` reports.
+
+    A product with a zero Alice or Bob factor is skipped: it is a zero, and
+    adding a zero changes neither the value nor the float bits of a sum that
+    starts at +0.0.  Each sum starts at the zero of the first support point's
+    arithmetic (`0 + a * b * w * 0`), so a cell whose products are all
+    skipped has the type the full sum would have had.  This holds whenever
+    every product shares that arithmetic, as in every model this package
+    builds or reads.
     """
     resp_a, resp_b = model.response_A, model.response_B
+    table_a, table_b = resp_a.table, resp_b.table
+    settings_a, settings_b = range(resp_a.n_settings), range(resp_b.n_settings)
     weights = model.dist.weights
+    # Per support point: its weight, Alice's rows and Bob's rows by setting.
+    points = [
+        (
+            weights[(lam_a, lam_b)],
+            [table_a[(x, lam_a)] for x in settings_a],
+            [table_b[(x, lam_b)] for x in settings_b],
+        )
+        for lam_a, lam_b in model.dist.support
+    ]
+    w, rows_a, rows_b = points[0]
+    zero = 0 + rows_a[0][0] * rows_b[0][0] * w * 0
     table: dict[tuple[int, int], tuple] = {}
-    for x_a in range(resp_a.n_settings):
-        for x_b in range(resp_b.n_settings):
-            mm = mp = pm = pp = 0
-            for (lam_a, lam_b) in model.dist.support:
-                w = weights[(lam_a, lam_b)]
-                a_minus, a_plus = resp_a.table[(x_a, lam_a)]
-                b_minus, b_plus = resp_b.table[(x_b, lam_b)]
-                mm += a_minus * b_minus * w
-                mp += a_minus * b_plus * w
-                pm += a_plus * b_minus * w
-                pp += a_plus * b_plus * w
+    for x_a in settings_a:
+        for x_b in settings_b:
+            mm = mp = pm = pp = zero
+            for w, rows_a, rows_b in points:
+                a_minus, a_plus = rows_a[x_a]
+                b_minus, b_plus = rows_b[x_b]
+                if a_minus:
+                    if b_minus:
+                        mm += a_minus * b_minus * w
+                    if b_plus:
+                        mp += a_minus * b_plus * w
+                if a_plus:
+                    if b_minus:
+                        pm += a_plus * b_minus * w
+                    if b_plus:
+                        pp += a_plus * b_plus * w
             table[(x_a, x_b)] = (mm, mp, pm, pp)
     return Behavior(
         n_settings_A=resp_a.n_settings,
@@ -278,19 +319,43 @@ def validate_behavior(behavior: Behavior, tol: float = DEFAULT_TOLERANCE) -> Val
     """
     if tol < 0:
         raise ValueError("tolerance must be non-negative")
-    worst_entry = None
-    worst_excess = -math.inf
-    for pair in behavior.setting_pairs():
-        row = behavior.table[pair]
-        for outcomes, value in zip(OUTCOME_PAIRS, row):
-            excess = max(-value, value - 1)
-            # `not <=` is also true for a NaN excess; a recorded NaN stays worst.
-            if not excess <= worst_excess and worst_excess == worst_excess:
-                worst_excess = excess
-                worst_entry = (pair, outcomes, value)
+    # The worst excess max(-value, value - 1) belongs to the smallest or the
+    # largest entry, so one comparison-only scan finds both (the first of
+    # each in row order); a NaN fails both tests and is reported at once.
+    table = behavior.table
+    pairs = behavior.setting_pairs()
+    lo = hi = table[pairs[0]][0]
+    lo_at = hi_at = (pairs[0], 0)
+    for pair in pairs:
+        for k, value in enumerate(table[pair]):
+            if not lo <= value:
+                if not value < lo:
+                    return ValidityReport(
+                        is_valid=False,
+                        worst_entry=(pair, OUTCOME_PAIRS[k], value),
+                        no_signalling_violation=math.nan,
+                    )
+                lo, lo_at = value, (pair, k)
+            elif not value <= hi:
+                hi, hi_at = value, (pair, k)
+    low_excess, high_excess = -lo, hi - 1
+    worst_excess = max(low_excess, high_excess)
+    if high_excess < low_excess or (high_excess == low_excess and lo_at < hi_at):
+        (pair, k), value = lo_at, lo
+    else:
+        (pair, k), value = hi_at, hi
+    worst_entry = (pair, OUTCOME_PAIRS[k], value)
+    if high_excess >= low_excess and hi >= 2**53:
+        # Above 2**53, `value - 1` rounds, so a smaller entry can tie the largest.
+        worst_entry = next(
+            (pair, outcomes, value)
+            for pair in pairs
+            for outcomes, value in zip(OUTCOME_PAIRS, table[pair])
+            if max(-value, value - 1) == worst_excess
+        )
     is_valid = worst_excess <= tol
     if not worst_excess < math.inf:
-        # NaN or infinite entries leave the marginals undefined.
+        # Infinite entries leave the marginals undefined.
         return ValidityReport(
             is_valid=False, worst_entry=worst_entry, no_signalling_violation=math.nan
         )

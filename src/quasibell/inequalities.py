@@ -21,7 +21,6 @@ from .core import (
     Point,
     assemble_behavior,
     correlation,
-    local_expectation,
 )
 from .witnesses import witness_chained, witness_chsh
 
@@ -104,8 +103,9 @@ def lambda_local_score(model: Model, lam, n: int):
     else:
         raise KeyError(f"hidden value {lam!r} not in the support")
     lam_a, lam_b = point
-    exp_a = [local_expectation(model.response_A, i, lam_a) for i in range(n)]
-    exp_b = [local_expectation(model.response_B, i, lam_b) for i in range(n)]
+    table_a, table_b = model.response_A.table, model.response_B.table
+    exp_a = [plus - minus for minus, plus in (table_a[(i, lam_a)] for i in range(n))]
+    exp_b = [plus - minus for minus, plus in (table_b[(i, lam_b)] for i in range(n))]
     total = sum(exp_a[i] * exp_b[i] for i in range(n))
     total += sum(exp_a[i] * exp_b[i - 1] for i in range(1, n))
     total -= exp_a[0] * exp_b[n - 1]

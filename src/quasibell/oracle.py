@@ -57,13 +57,19 @@ _LINPROG_STATUS = {0: LPStatus.OPTIMAL, 2: LPStatus.INFEASIBLE, 3: LPStatus.UNBO
 
 @dataclass(frozen=True)
 class LPResult:
-    """Solution of one of the strategy-mixture linear programs."""
+    """Solution of one of the strategy-mixture linear programs.
+
+    `iterations` and `solver_message` are HiGHS's iteration count and
+    message, kept whatever the status.
+    """
 
     optimal_score: float
     weights: dict[tuple[Strategy, Strategy], float]
     negative_mass: float
     status: LPStatus
     n_settings: int
+    iterations: int
+    solver_message: str
 
     def to_json_dict(self) -> dict:
         """JSON fields; the score and the mass are null unless the status is OPTIMAL."""
@@ -74,6 +80,8 @@ class LPResult:
             "status": self.status.value,
             "n_settings": self.n_settings,
             "support_size": len(self.weights),
+            "iterations": self.iterations,
+            "solver_message": self.solver_message,
         }
 
 
@@ -83,7 +91,8 @@ class SampleEstimate:
 
     Noise scales with the total variation weight: per-shot estimates take
     values in {-S, 0, +S} with S = sum |w|, so per-cell standard errors are
-    at most S / sqrt(shots).
+    at most S / sqrt(shots).  `effective_shots = shots / S**2` is the number
+    of unsigned shots with that error bound.
     """
 
     shots: int
@@ -91,6 +100,7 @@ class SampleEstimate:
     empirical_behavior: Behavior
     standard_errors: dict[tuple[int, int, int], float]
     total_variation_weight: float
+    effective_shots: float
 
     def to_json_dict(self) -> dict:
         rows = {}
@@ -104,6 +114,7 @@ class SampleEstimate:
             "shots": self.shots,
             "seed": self.seed,
             "total_variation_weight": self.total_variation_weight,
+            "effective_shots": self.effective_shots,
             "behavior": rows,
             "standard_errors": errs,
         }
@@ -201,6 +212,7 @@ def behavior_from_strategy_weights(
 
 def _lp_result(res, joint, n: int, score: float | None = None) -> LPResult:
     status = _LINPROG_STATUS.get(res.status, LPStatus.FAILED)
+    iterations, message = int(res.nit), str(res.message)
     if status is not LPStatus.OPTIMAL:
         return LPResult(
             optimal_score=math.nan,
@@ -208,6 +220,8 @@ def _lp_result(res, joint, n: int, score: float | None = None) -> LPResult:
             negative_mass=math.nan,
             status=status,
             n_settings=n,
+            iterations=iterations,
+            solver_message=message,
         )
     m = len(joint)
     merged = res.x[:m] - res.x[m:]
@@ -219,6 +233,8 @@ def _lp_result(res, joint, n: int, score: float | None = None) -> LPResult:
         negative_mass=negative_mass,
         status=status,
         n_settings=n,
+        iterations=iterations,
+        solver_message=message,
     )
 
 
@@ -420,4 +436,5 @@ def signed_sample(model: Model, shots: int, seed: int) -> SampleEstimate:
         empirical_behavior=empirical,
         standard_errors=standard_errors,
         total_variation_weight=total_variation,
+        effective_shots=shots / total_variation**2,
     )

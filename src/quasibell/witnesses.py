@@ -27,7 +27,6 @@ from .core import (
     QuasiDist,
     assemble_behavior,
     correlation,
-    local_expectation,
 )
 
 
@@ -103,26 +102,36 @@ def _require_settings(model: Model, needed: int) -> None:
         )
 
 
-def _bracket_contributions(model: Model, sign: int, a_setting: int, b_high: int, b_low: int):
-    """Per-point terms [2 + sign*(<A><B>_high + <A><B>_low)] * (|w| - w)."""
-    contributions: dict[Point, object] = {}
-    total = 0
+def _bracket_contributions(model: Model, a_setting: int, b_high: int, b_low: int):
+    """Per-point terms [2 +- (<A><B>_high + <A><B>_low)] * (|w| - w), both branches.
+
+    Returns (n_plus, plus_terms, n_minus, minus_terms).  The excess and the
+    product <A>(<B>_high + <B>_low) are computed once per point and shared:
+    the MINUS term `2 - t` is bit-identical to `2 + (-1 * <A>) * (...)`.
+    """
+    table_a, table_b = model.response_A.table, model.response_B.table
+    weights = model.dist.weights
+    plus: dict[Point, object] = {}
+    minus: dict[Point, object] = {}
+    n_plus = n_minus = 0
     for point in model.dist.support:
         lam_a, lam_b = point
-        w = model.dist.weights[point]
+        w = weights[point]
         excess = abs(w) - w
         if excess == 0:
-            contributions[point] = 0
+            plus[point] = minus[point] = 0
             continue
-        exp_a = local_expectation(model.response_A, a_setting, lam_a)
-        bracket = 2 + sign * exp_a * (
-            local_expectation(model.response_B, b_high, lam_b)
-            + local_expectation(model.response_B, b_low, lam_b)
-        )
-        term = bracket * excess
-        contributions[point] = term
-        total += term
-    return total, contributions
+        a_minus, a_plus = table_a[(a_setting, lam_a)]
+        high_minus, high_plus = table_b[(b_high, lam_b)]
+        low_minus, low_plus = table_b[(b_low, lam_b)]
+        spread = (a_plus - a_minus) * ((high_plus - high_minus) + (low_plus - low_minus))
+        term_plus = (2 + spread) * excess
+        term_minus = (2 - spread) * excess
+        plus[point] = term_plus
+        minus[point] = term_minus
+        n_plus += term_plus
+        n_minus += term_minus
+    return n_plus, plus, n_minus, minus
 
 
 def witness_pm(model: Model, sign: str):
@@ -134,10 +143,8 @@ def witness_pm(model: Model, sign: str):
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     _require_settings(model, 2)
-    total, _ = _bracket_contributions(
-        model, sign=+1 if sign == "+" else -1, a_setting=1, b_high=1, b_low=0
-    )
-    return total
+    n_plus, _, n_minus, _ = _bracket_contributions(model, a_setting=1, b_high=1, b_low=0)
+    return n_plus if sign == "+" else n_minus
 
 
 def witness_faithful(dist: QuasiDist):
@@ -159,8 +166,9 @@ def witness_chsh(model: Model, behavior: Behavior | None = None) -> WitnessRepor
     if behavior is None:
         behavior = assemble_behavior(model)
     discriminant = correlation(behavior, 1, 0) + correlation(behavior, 1, 1)
-    n_plus, contr_plus = _bracket_contributions(model, +1, a_setting=1, b_high=1, b_low=0)
-    n_minus, contr_minus = _bracket_contributions(model, -1, a_setting=1, b_high=1, b_low=0)
+    n_plus, contr_plus, n_minus, contr_minus = _bracket_contributions(
+        model, a_setting=1, b_high=1, b_low=0
+    )
     branch = Branch.PLUS if discriminant < 0 else Branch.MINUS
     selected, contributions = (
         (n_plus, contr_plus) if branch is Branch.PLUS else (n_minus, contr_minus)
@@ -200,10 +208,23 @@ def witness_chained_link(
     _require_settings(model, x + 1)
     if behavior is None:
         behavior = assemble_behavior(model)
+    return _link_report(
+        model, x, behavior, discriminant_alice_setting, witness_faithful(model.dist)
+    )
+
+
+def _link_report(
+    model: Model,
+    x: int,
+    behavior: Behavior,
+    discriminant_alice_setting: Literal["zero", "link"],
+    faithful,
+) -> WitnessReport:
     a_disc = 0 if discriminant_alice_setting == "zero" else x
     discriminant = correlation(behavior, a_disc, x) + correlation(behavior, a_disc, x - 1)
-    n_plus, contr_plus = _bracket_contributions(model, +1, a_setting=x, b_high=x, b_low=x - 1)
-    n_minus, contr_minus = _bracket_contributions(model, -1, a_setting=x, b_high=x, b_low=x - 1)
+    n_plus, contr_plus, n_minus, contr_minus = _bracket_contributions(
+        model, a_setting=x, b_high=x, b_low=x - 1
+    )
     branch = Branch.PLUS if discriminant < 0 else Branch.MINUS
     selected, contributions = (
         (n_plus, contr_plus) if branch is Branch.PLUS else (n_minus, contr_minus)
@@ -215,7 +236,7 @@ def witness_chained_link(
         branch=branch,
         branch_discriminant=discriminant,
         per_lambda_contributions=contributions,
-        faithful=witness_faithful(model.dist),
+        faithful=faithful,
         a_setting_bracket=x,
         a_setting_discriminant=a_disc,
         link=x,
@@ -234,8 +255,9 @@ def witness_chained(
     _require_settings(model, n)
     if behavior is None:
         behavior = assemble_behavior(model)
+    faithful = witness_faithful(model.dist)
     terms = tuple(
-        witness_chained_link(model, x, behavior, discriminant_alice_setting)
+        _link_report(model, x, behavior, discriminant_alice_setting, faithful)
         for x in range(1, n)
     )
     total = sum(term.selected for term in terms)

@@ -234,7 +234,7 @@ class TestOracleCommands:
         csv_path = tmp_path / "signalling.csv"
         _signalling_csv(csv_path)
         code, out, _ = run(capsys, "oracle", "min-neg", "--behavior", str(csv_path))
-        assert code == 0
+        assert code == 1
         payload = _strict_json(out)
         assert payload["status"] == "INFEASIBLE"
         assert payload["optimal_score"] is None

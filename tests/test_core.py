@@ -112,6 +112,22 @@ class TestNonFinite:
         with pytest.raises(StructureError):
             LocalResponse("A", 1, ("1",), {(0, "1"): (math.nan, math.nan)})
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1e-9])
+    def test_behavior_rejects_bad_tolerance(self, tolerance):
+        # A NaN tolerance used to refuse every table; the exact-hit row check
+        # would accept exactly normalized rows, so it is refused where it enters.
+        row = (0.25, 0.25, 0.25, 0.25)
+        with pytest.raises(ValueError, match="tolerance"):
+            Behavior(1, 1, {(0, 0): row}, tolerance=tolerance)
+        with pytest.raises(ValueError, match="tolerance"):
+            assemble_behavior(chsh_saturating_model(1), tolerance=tolerance)
+
+    def test_behavior_accepts_zero_tolerance_on_exact_rows(self):
+        row = (Fraction(1, 4),) * 4
+        assert Behavior(1, 1, {(0, 0): row}, tolerance=0).table[(0, 0)] == row
+        with pytest.raises(StructureError):
+            Behavior(1, 1, {(0, 0): (0.25, 0.25, 0.25, 0.2500001)}, tolerance=0)
+
     def test_behavior_rejects_nan_after_first_entry(self):
         # validate_behavior scanned past a NaN here and reported the table valid.
         row = (0.25, 0.25, 0.25, 0.25)

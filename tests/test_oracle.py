@@ -25,6 +25,7 @@ from quasibell import (
     validate_behavior,
 )
 from quasibell import oracle
+from quasibell.constructions import SymbolStrategy, model_from_strategies
 from quasibell.oracle import strategy_score
 
 from conftest import random_model
@@ -213,6 +214,29 @@ class TestMinNegativityLP:
         target = Behavior(2, 2, table)
         result = min_negativity_lp(target)
         assert result.status is LPStatus.INFEASIBLE
+        # The solver's account survives a non-optimal status.
+        assert isinstance(result.iterations, int) and result.iterations >= 0
+        assert "infeasible" in result.solver_message.lower()
+        payload = result.to_json_dict()
+        assert payload["iterations"] == result.iterations
+        assert payload["solver_message"] == result.solver_message
+
+
+class TestSolverReport:
+    def test_optimal_lp_reports_iterations_and_message(self):
+        result = max_score_lp(3, 1.0)
+        assert result.status is LPStatus.OPTIMAL
+        assert isinstance(result.iterations, int) and result.iterations > 0
+        assert "optimal" in result.solver_message.lower()
+        payload = result.to_json_dict()
+        assert payload["iterations"] == result.iterations
+        assert payload["solver_message"] == result.solver_message
+
+    def test_min_negativity_lp_reports_iterations(self):
+        result = min_negativity_lp(assemble_behavior(chsh_saturating_model(1)))
+        assert result.status is LPStatus.OPTIMAL
+        assert isinstance(result.iterations, int) and result.iterations > 0
+        assert result.solver_message
 
 
 class TestQuantumBehavior:
@@ -270,6 +294,25 @@ class TestSignedSampling:
             assert sum(row) == pytest.approx(1.0)
             for value in row:
                 assert value >= 0
+
+    def test_effective_shots_of_a_positive_model(self):
+        strategies = {
+            "1": SymbolStrategy(("+", "-"), ("-", "+")),
+            "2": SymbolStrategy(("+", "+"), ("+", "+")),
+            "3": SymbolStrategy(("-", "-"), ("+", "-")),
+        }
+        model = model_from_strategies(strategies, {"1": 0.5, "2": 0.25, "3": 0.25})
+        estimate = signed_sample(model, shots=3000, seed=1)
+        assert estimate.total_variation_weight == 1.0
+        assert estimate.effective_shots == 3000
+        assert estimate.to_json_dict()["effective_shots"] == 3000
+
+    def test_effective_shots_shrink_with_negativity(self):
+        # N = 1: S = 3 * 5/12 + 1/4 = 3/2, so S**2 = 2.25.
+        estimate = signed_sample(chsh_saturating_model(1), shots=4500, seed=1)
+        assert estimate.total_variation_weight == pytest.approx(1.5)
+        assert estimate.effective_shots == pytest.approx(4500 / 2.25)
+        assert estimate.to_json_dict()["effective_shots"] == estimate.effective_shots
 
     def test_estimates_track_the_exact_table(self):
         model = chsh_saturating_model(1)
