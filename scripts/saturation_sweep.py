@@ -36,7 +36,7 @@ def main() -> int:
             budget = 2.0 * step / (args.steps - 1)
             model = chained_saturating_model(n, budget)
             behavior = assemble_behavior(model)
-            result = check_quasi_bell(model, n)
+            result = check_quasi_bell(model, n, behavior=behavior)
             chain = witness_chained(model, n, behavior)
             links = ",".join(f"{term.selected:.3f}" for term in chain.terms)
             valid = validate_behavior(behavior).is_valid

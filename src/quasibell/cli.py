@@ -192,7 +192,7 @@ def _cmd_saturate(args, tol: float) -> int:
     if args.format == "pretty-table":
         _emit(_pretty_table(behavior), args.output)
         return EXIT_OK
-    report = check_quasi_bell(model, args.n, tol=tol)
+    report = check_quasi_bell(model, args.n, tol=tol, behavior=behavior)
     if args.n == 2:
         witness = witness_chsh(model, behavior).to_json_dict()
     else:
@@ -212,8 +212,8 @@ def _cmd_saturate(args, tol: float) -> int:
 def _cmd_verify(args, tol: float) -> int:
     model = load_model(args.model)
     n = args.n if args.n is not None else model.n_settings
-    report = check_quasi_bell(model, n, tol=tol)
     behavior = assemble_behavior(model, tolerance=tol)
+    report = check_quasi_bell(model, n, tol=tol, behavior=behavior)
     payload = report.to_json_dict()
     payload["validity"] = validate_behavior(behavior, tol).to_json_dict()
     _emit(_json_text(payload), args.output)

@@ -10,6 +10,12 @@ why 2 is also the no-signalling ceiling for these families.
 
 Build with `exact=True` to get `fractions.Fraction` weight and probability
 entries; the assembled behavior is then exact (all entries are twelfths).
+
+Deterministic rows are shared constants: every response table entry is one
+of four module-level tuples (float or `Fraction`, outcome -1 or +1).  Rows
+and their entries are immutable, so sharing them is safe, and settings that
+answer alike share row objects, which `assemble_behavior` and the checks in
+`core` use to do each distinct row's arithmetic once.
 """
 
 from __future__ import annotations
@@ -60,10 +66,17 @@ class SymbolStrategy:
         )
 
 
+#: The deterministic rows, keyed by (answers +1, exact).
+_DETERMINISTIC_ROWS = {
+    (True, False): (0.0, 1.0),
+    (False, False): (1.0, 0.0),
+    (True, True): (Fraction(0), Fraction(1)),
+    (False, True): (Fraction(1), Fraction(0)),
+}
+
+
 def _deterministic_row(sign: int, exact: bool) -> tuple:
-    one = Fraction(1) if exact else 1.0
-    zero = Fraction(0) if exact else 0.0
-    return (zero, one) if sign == +1 else (one, zero)
+    return _DETERMINISTIC_ROWS[(sign == +1, bool(exact))]
 
 
 def deterministic_strategy(

@@ -12,12 +12,17 @@ tables built from `fractions.Fraction` entries stay exact.  Outcomes are
 y in {-1, +1}; index 0 maps to -1 and index 1 to +1, so four-outcome rows are
 ordered (--, -+, +-, ++).
 
-Two habits keep the exact path cheap without a second code path.  Mixing
+Three habits keep the exact path cheap without a second code path.  Mixing
 skips every product whose Alice or Bob factor is zero (each deterministic
 row has one), which cannot change a sum's value, type or float bits.  Range
 and normalization checks test the exact condition (`0 <= p <= 1`,
 `total == 1`) first and compare against the float tolerance only when it
 fails, so exact entries are rarely converted to compare with a float.
+Shared row objects are mixed and checked once: settings whose rows are the
+same objects at every support point share one mixed cell, and every check
+skips a row that is the same object as the row before it.  Identity, not
+value equality, decides this, so a shared cell is computed from the same
+operands in the same order as each of its copies would have been.
 """
 
 from __future__ import annotations
@@ -89,8 +94,11 @@ class LocalResponse:
                 f"response table keys mismatch (missing {sorted(map(str, missing))[:4]}, "
                 f"extra {sorted(map(str, extra))[:4]})"
             )
+        previous = None
         for key, row in self.table.items():
-            _check_prob_row(row, DEFAULT_TOLERANCE, self.party, key)
+            if row is not previous:
+                _check_prob_row(row, DEFAULT_TOLERANCE, self.party, key)
+                previous = row
 
     def prob(self, y: int, x: int, lam: Label):
         """P(y | x, lam) with y in {-1, +1}."""
@@ -205,7 +213,11 @@ class Behavior:
         }
         if set(self.table.keys()) != expected:
             raise StructureError("behavior table must have exactly one row per setting pair")
+        previous = None
         for pair, row in self.table.items():
+            if row is previous:
+                continue
+            previous = row
             if len(row) != 4:
                 raise StructureError(f"row {pair}: expected 4 outcome entries")
             total = sum(row)
@@ -244,6 +256,22 @@ class ValidityReport:
         }
 
 
+def _setting_reps(points: list, side: int) -> list[int] | None:
+    """Each setting's first equivalent setting, or None when all differ.
+
+    `side` picks Alice's (1) or Bob's (2) rows from each `points` entry.
+    Two settings are equivalent when their rows are the same objects at
+    every support point.
+    """
+    # The rows stay alive in `points`, so their ids are not reused here.
+    n_settings = len(points[0][side])
+    reps: list[int] = []
+    seen: dict[tuple, int] = {}
+    for x in range(n_settings):
+        reps.append(seen.setdefault(tuple(id(point[side][x]) for point in points), x))
+    return reps if len(seen) < n_settings else None
+
+
 def assemble_behavior(model: Model, tolerance: float = DEFAULT_TOLERANCE) -> Behavior:
     """Mix the per-hidden-value response tables into the observable behavior.
 
@@ -259,6 +287,10 @@ def assemble_behavior(model: Model, tolerance: float = DEFAULT_TOLERANCE) -> Beh
     skipped has the type the full sum would have had.  This holds whenever
     every product shares that arithmetic, as in every model this package
     builds or reads.
+
+    Settings whose rows are the same objects at every support point give
+    the same cell from the same operands, so the cell is mixed once for the
+    first of them and every equivalent setting pair refers to that row.
     """
     resp_a, resp_b = model.response_A, model.response_B
     table_a, table_b = resp_a.table, resp_b.table
@@ -275,9 +307,18 @@ def assemble_behavior(model: Model, tolerance: float = DEFAULT_TOLERANCE) -> Beh
     ]
     w, rows_a, rows_b = points[0]
     zero = 0 + rows_a[0][0] * rows_b[0][0] * w * 0
+    # Equivalent settings have one row object at the first point already, so
+    # one set of ids per party settles the case with no shared rows.
+    reps_a = reps_b = None
+    if len(set(map(id, rows_a))) < len(rows_a):
+        reps_a = _setting_reps(points, 1)
+    if len(set(map(id, rows_b))) < len(rows_b):
+        reps_b = _setting_reps(points, 2)
+    cols_a = settings_a if reps_a is None else sorted(set(reps_a))
+    cols_b = settings_b if reps_b is None else sorted(set(reps_b))
     table: dict[tuple[int, int], tuple] = {}
-    for x_a in settings_a:
-        for x_b in settings_b:
+    for x_a in cols_a:
+        for x_b in cols_b:
             mm = mp = pm = pp = zero
             for w, rows_a, rows_b in points:
                 a_minus, a_plus = rows_a[x_a]
@@ -293,6 +334,14 @@ def assemble_behavior(model: Model, tolerance: float = DEFAULT_TOLERANCE) -> Beh
                     if b_plus:
                         pp += a_plus * b_plus * w
             table[(x_a, x_b)] = (mm, mp, pm, pp)
+    if reps_a is not None or reps_b is not None:
+        reps_a = settings_a if reps_a is None else reps_a
+        reps_b = settings_b if reps_b is None else reps_b
+        table = {
+            (x_a, x_b): table[(reps_a[x_a], reps_b[x_b])]
+            for x_a in settings_a
+            for x_b in settings_b
+        }
     return Behavior(
         n_settings_A=resp_a.n_settings,
         n_settings_B=resp_b.n_settings,
@@ -322,12 +371,19 @@ def validate_behavior(behavior: Behavior, tol: float = DEFAULT_TOLERANCE) -> Val
     # The worst excess max(-value, value - 1) belongs to the smallest or the
     # largest entry, so one comparison-only scan finds both (the first of
     # each in row order); a NaN fails both tests and is reported at once.
+    # A row that is the same object as the one before it holds entries the
+    # scan has already compared, so it is skipped.
     table = behavior.table
     pairs = behavior.setting_pairs()
     lo = hi = table[pairs[0]][0]
     lo_at = hi_at = (pairs[0], 0)
+    previous = None
     for pair in pairs:
-        for k, value in enumerate(table[pair]):
+        row = table[pair]
+        if row is previous:
+            continue
+        previous = row
+        for k, value in enumerate(row):
             if not lo <= value:
                 if not value < lo:
                     return ValidityReport(
@@ -360,25 +416,38 @@ def validate_behavior(behavior: Behavior, tol: float = DEFAULT_TOLERANCE) -> Val
             is_valid=False, worst_entry=worst_entry, no_signalling_violation=math.nan
         )
 
+    # A repeated row would add a copy of a marginal already in its list,
+    # which moves neither the max nor the min.  Spreads are folded into
+    # `violation` party by party, setting by setting, outcome -1 first, so
+    # ties keep the type they had with one list per outcome.
     violation = 0
+    n_a, n_b = behavior.n_settings_A, behavior.n_settings_B
     # Alice's marginal P(y_A | x_A) must not depend on x_B.
-    for x_a in range(behavior.n_settings_A):
-        for y_index in (0, 1):
-            marginals = []
-            for x_b in range(behavior.n_settings_B):
-                mm, mp, pm, pp = behavior.table[(x_a, x_b)]
-                marginals.append((mm + mp) if y_index == 0 else (pm + pp))
-            spread = max(marginals) - min(marginals)
-            violation = max(violation, spread)
+    for x_a in range(n_a):
+        minus, plus = [], []
+        previous = None
+        for x_b in range(n_b):
+            row = table[(x_a, x_b)]
+            if row is not previous:
+                previous = row
+                mm, mp, pm, pp = row
+                minus.append(mm + mp)
+                plus.append(pm + pp)
+        violation = max(violation, max(minus) - min(minus))
+        violation = max(violation, max(plus) - min(plus))
     # Bob's marginal P(y_B | x_B) must not depend on x_A.
-    for x_b in range(behavior.n_settings_B):
-        for y_index in (0, 1):
-            marginals = []
-            for x_a in range(behavior.n_settings_A):
-                mm, mp, pm, pp = behavior.table[(x_a, x_b)]
-                marginals.append((mm + pm) if y_index == 0 else (mp + pp))
-            spread = max(marginals) - min(marginals)
-            violation = max(violation, spread)
+    for x_b in range(n_b):
+        minus, plus = [], []
+        previous = None
+        for x_a in range(n_a):
+            row = table[(x_a, x_b)]
+            if row is not previous:
+                previous = row
+                mm, mp, pm, pp = row
+                minus.append(mm + pm)
+                plus.append(mp + pp)
+        violation = max(violation, max(minus) - min(minus))
+        violation = max(violation, max(plus) - min(plus))
 
     return ValidityReport(
         is_valid=is_valid,

@@ -121,15 +121,23 @@ def mixture_score(model: Model, n: int):
     return abs(total)
 
 
-def check_quasi_bell(model: Model, n: int, tol: float = DEFAULT_TOLERANCE) -> ScoreReport:
+def check_quasi_bell(
+    model: Model,
+    n: int,
+    tol: float = DEFAULT_TOLERANCE,
+    behavior: Behavior | None = None,
+) -> ScoreReport:
     """Evaluate score <= (2n-2) + witness for a model at chain length n.
 
     The n=2 path scores the CHSH combination and uses the 2-setting
     case-selected witness; longer chains use the chained score and witness.
+    `behavior` is the model's assembled behavior, if the caller already has
+    it; otherwise it is assembled here at the default tolerance.
     """
     if n < 2:
         raise ValueError("bound check needs n >= 2")
-    behavior = assemble_behavior(model)
+    if behavior is None:
+        behavior = assemble_behavior(model)
     if n == 2:
         score = chsh_score(behavior)
         witness_total = witness_chsh(model, behavior).selected

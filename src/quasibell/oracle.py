@@ -60,7 +60,9 @@ class LPResult:
     """Solution of one of the strategy-mixture linear programs.
 
     `iterations` and `solver_message` are HiGHS's iteration count and
-    message, kept whatever the status.
+    message, kept whatever the status.  `primal_residual` is the largest
+    violation of the program's constraints by the returned weights (for
+    `min_negativity_lp`, max|B w - target|), or None unless OPTIMAL.
     """
 
     optimal_score: float
@@ -70,6 +72,7 @@ class LPResult:
     n_settings: int
     iterations: int
     solver_message: str
+    primal_residual: float | None
 
     def to_json_dict(self) -> dict:
         """JSON fields; the score and the mass are null unless the status is OPTIMAL."""
@@ -82,6 +85,7 @@ class LPResult:
             "support_size": len(self.weights),
             "iterations": self.iterations,
             "solver_message": self.solver_message,
+            "primal_residual": self.primal_residual,
         }
 
 
@@ -210,7 +214,10 @@ def behavior_from_strategy_weights(
     return Behavior(n_settings_A=n, n_settings_B=n, table=table, tolerance=tolerance)
 
 
-def _lp_result(res, joint, n: int, score: float | None = None) -> LPResult:
+def _lp_result(
+    res, joint, n: int, a_eq, b_eq, a_ub=None, b_ub=None, score: float | None = None
+) -> LPResult:
+    """The LPResult of `res`, solved with the constraints `a_eq x = b_eq`, `a_ub x <= b_ub`."""
     status = _LINPROG_STATUS.get(res.status, LPStatus.FAILED)
     iterations, message = int(res.nit), str(res.message)
     if status is not LPStatus.OPTIMAL:
@@ -222,7 +229,11 @@ def _lp_result(res, joint, n: int, score: float | None = None) -> LPResult:
             n_settings=n,
             iterations=iterations,
             solver_message=message,
+            primal_residual=None,
         )
+    residual = float(np.abs(a_eq @ res.x - b_eq).max())
+    if a_ub is not None:
+        residual = max(residual, float(np.max(a_ub @ res.x - b_ub, initial=0.0)))
     m = len(joint)
     merged = res.x[:m] - res.x[m:]
     weights = {joint[j]: float(merged[j]) for j in np.flatnonzero(np.abs(merged) > 1e-12)}
@@ -235,6 +246,7 @@ def _lp_result(res, joint, n: int, score: float | None = None) -> LPResult:
         n_settings=n,
         iterations=iterations,
         solver_message=message,
+        primal_residual=residual,
     )
 
 
@@ -266,17 +278,18 @@ def max_score_lp(n: int, negativity_budget: float = math.inf) -> LPResult:
         budget_row = np.concatenate([np.zeros(m), 8.0 * np.ones(m)])
         a_ub.append(budget_row[None, :])
         b_ub.append(np.array([negativity_budget]))
-    a_eq = np.concatenate([np.ones(m), -np.ones(m)])[None, :]
+    a_ub, b_ub = np.concatenate(a_ub, axis=0), np.concatenate(b_ub)
+    a_eq, b_eq = np.concatenate([np.ones(m), -np.ones(m)])[None, :], np.array([1.0])
     res = linprog(
         cost,
-        A_ub=np.concatenate(a_ub, axis=0),
-        b_ub=np.concatenate(b_ub),
+        A_ub=a_ub,
+        b_ub=b_ub,
         A_eq=a_eq,
-        b_eq=np.array([1.0]),
+        b_eq=b_eq,
         bounds=(0, None),
         method="highs",
     )
-    return _lp_result(res, joint, n)
+    return _lp_result(res, joint, n, a_eq, b_eq, a_ub, b_ub)
 
 
 def min_negativity_lp(target: Behavior) -> LPResult:
@@ -301,16 +314,17 @@ def min_negativity_lp(target: Behavior) -> LPResult:
         for x_b in range(n):
             targets.extend(float(v) for v in target.table[(x_a, x_b)])
     a_eq = np.concatenate([behavior_matrix, -behavior_matrix], axis=1)
+    b_eq = np.array(targets)
     cost = np.concatenate([np.zeros(m), np.ones(m)])  # minimize total v
     res = linprog(
         cost,
         A_eq=a_eq,
-        b_eq=np.array(targets),
+        b_eq=b_eq,
         bounds=(0, None),
         method="highs",
     )
     score = chained_score(target, n) if res.status == 0 else None
-    return _lp_result(res, joint, n, score=score)
+    return _lp_result(res, joint, n, a_eq, b_eq, score=score)
 
 
 def _projector(angle: float, outcome: int) -> np.ndarray:

@@ -102,25 +102,38 @@ def _require_settings(model: Model, needed: int) -> None:
         )
 
 
-def _bracket_contributions(model: Model, a_setting: int, b_high: int, b_low: int):
-    """Per-point terms [2 +- (<A><B>_high + <A><B>_low)] * (|w| - w), both branches.
+def _negative_excesses(dist: QuasiDist) -> tuple[dict[Point, object], list]:
+    """Per-point excesses |w| - w, computed once for every bracket of a call.
 
-    Returns (n_plus, plus_terms, n_minus, minus_terms).  The excess and the
-    product <A>(<B>_high + <B>_low) are computed once per point and shared:
-    the MINUS term `2 - t` is bit-identical to `2 + (-1 * <A>) * (...)`.
+    Returns a {point: 0} template in support order and the (point, excess)
+    pairs whose excess is not zero; only those points contribute a term.
     """
-    table_a, table_b = model.response_A.table, model.response_B.table
-    weights = model.dist.weights
-    plus: dict[Point, object] = {}
-    minus: dict[Point, object] = {}
-    n_plus = n_minus = 0
-    for point in model.dist.support:
-        lam_a, lam_b = point
+    weights = dist.weights
+    zeros = dict.fromkeys(dist.support, 0)
+    negative = []
+    for point in dist.support:
         w = weights[point]
         excess = abs(w) - w
-        if excess == 0:
-            plus[point] = minus[point] = 0
-            continue
+        if excess != 0:
+            negative.append((point, excess))
+    return zeros, negative
+
+
+def _bracket_contributions(model: Model, excesses, a_setting: int, b_high: int, b_low: int):
+    """Per-point terms [2 +- (<A><B>_high + <A><B>_low)] * (|w| - w), both branches.
+
+    `excesses` comes from `_negative_excesses(model.dist)`.  Returns
+    (n_plus, plus_terms, n_minus, minus_terms).  The product
+    <A>(<B>_high + <B>_low) is computed once per point and shared: the MINUS
+    term `2 - t` is bit-identical to `2 + (-1 * <A>) * (...)`.
+    """
+    table_a, table_b = model.response_A.table, model.response_B.table
+    zeros, negative = excesses
+    plus: dict[Point, object] = dict(zeros)
+    minus: dict[Point, object] = dict(zeros)
+    n_plus = n_minus = 0
+    for point, excess in negative:
+        lam_a, lam_b = point
         a_minus, a_plus = table_a[(a_setting, lam_a)]
         high_minus, high_plus = table_b[(b_high, lam_b)]
         low_minus, low_plus = table_b[(b_low, lam_b)]
@@ -143,7 +156,9 @@ def witness_pm(model: Model, sign: str):
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     _require_settings(model, 2)
-    n_plus, _, n_minus, _ = _bracket_contributions(model, a_setting=1, b_high=1, b_low=0)
+    n_plus, _, n_minus, _ = _bracket_contributions(
+        model, _negative_excesses(model.dist), a_setting=1, b_high=1, b_low=0
+    )
     return n_plus if sign == "+" else n_minus
 
 
@@ -167,7 +182,7 @@ def witness_chsh(model: Model, behavior: Behavior | None = None) -> WitnessRepor
         behavior = assemble_behavior(model)
     discriminant = correlation(behavior, 1, 0) + correlation(behavior, 1, 1)
     n_plus, contr_plus, n_minus, contr_minus = _bracket_contributions(
-        model, a_setting=1, b_high=1, b_low=0
+        model, _negative_excesses(model.dist), a_setting=1, b_high=1, b_low=0
     )
     branch = Branch.PLUS if discriminant < 0 else Branch.MINUS
     selected, contributions = (
@@ -209,7 +224,12 @@ def witness_chained_link(
     if behavior is None:
         behavior = assemble_behavior(model)
     return _link_report(
-        model, x, behavior, discriminant_alice_setting, witness_faithful(model.dist)
+        model,
+        x,
+        behavior,
+        discriminant_alice_setting,
+        witness_faithful(model.dist),
+        _negative_excesses(model.dist),
     )
 
 
@@ -219,11 +239,12 @@ def _link_report(
     behavior: Behavior,
     discriminant_alice_setting: Literal["zero", "link"],
     faithful,
+    excesses,
 ) -> WitnessReport:
     a_disc = 0 if discriminant_alice_setting == "zero" else x
     discriminant = correlation(behavior, a_disc, x) + correlation(behavior, a_disc, x - 1)
     n_plus, contr_plus, n_minus, contr_minus = _bracket_contributions(
-        model, a_setting=x, b_high=x, b_low=x - 1
+        model, excesses, a_setting=x, b_high=x, b_low=x - 1
     )
     branch = Branch.PLUS if discriminant < 0 else Branch.MINUS
     selected, contributions = (
@@ -256,8 +277,9 @@ def witness_chained(
     if behavior is None:
         behavior = assemble_behavior(model)
     faithful = witness_faithful(model.dist)
+    excesses = _negative_excesses(model.dist)
     terms = tuple(
-        _link_report(model, x, behavior, discriminant_alice_setting, faithful)
+        _link_report(model, x, behavior, discriminant_alice_setting, faithful, excesses)
         for x in range(1, n)
     )
     total = sum(term.selected for term in terms)

@@ -282,6 +282,25 @@ class TestConfig:
         assert code == 0
         assert json.loads(out)["holds"] is True
 
+    def test_verify_assembles_at_the_given_tolerance(self, capsys, tmp_path):
+        # Rows off by 9e-10 under weights 50.5 and -49.5 give behavior rows
+        # that sum to 1 + 1.8e-7: refused at the default tolerance only.
+        high, low = [0.5000000009, 0.5], [0.4999999991, 0.5]
+        party = {"settings": 2, "lambdas": ["1", "2"],
+                 "table": {"0,1": high, "0,2": low, "1,1": high, "1,2": low}}
+        path = tmp_path / "loose.json"
+        path.write_text(json.dumps({"parties": [party, party],
+                                    "dist": {"1,1": 50.5, "2,2": -49.5}}))
+        code, out, err = run(capsys, "verify", "--model", str(path))
+        assert code == 2
+        assert out == ""
+        assert "sums to" in err
+        code, out, _ = run(capsys, "--tolerance", "1e-6", "verify", "--model", str(path))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["holds"] is True
+        assert payload["validity"]["is_valid"] is True
+
     def test_bad_env_tolerance(self, capsys, monkeypatch):
         monkeypatch.setenv("QUASIBELL_TOLERANCE", "not-a-number")
         code, _, err = run(capsys, "oracle", "classical-bound", "--n", "2")

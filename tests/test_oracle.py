@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from quasibell import (
     OUTCOME_PAIRS,
@@ -13,6 +14,7 @@ from quasibell import (
     LPStatus,
     assemble_behavior,
     behavior_from_strategy_weights,
+    chained_saturating_model,
     chsh_saturating_model,
     chsh_score,
     classical_bound_bruteforce,
@@ -237,6 +239,117 @@ class TestSolverReport:
         assert result.status is LPStatus.OPTIMAL
         assert isinstance(result.iterations, int) and result.iterations > 0
         assert result.solver_message
+
+    @staticmethod
+    def _assert_reproduces(result, target, n):
+        assert result.status is LPStatus.OPTIMAL
+        assert 0.0 <= result.primal_residual <= 1e-9
+        assert result.to_json_dict()["primal_residual"] == result.primal_residual
+        # The residual bounds the gap between the target and the behavior the
+        # reported weights induce (weights below 1e-12 are dropped).
+        reproduced = behavior_from_strategy_weights(n, result.weights, tolerance=1e-6)
+        gap = max(abs(got - float(want))
+                  for pair in target.setting_pairs()
+                  for got, want in zip(reproduced.table[pair], target.table[pair]))
+        assert gap <= result.primal_residual + 1e-9
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("budget", [0.0, 1.0, 2.0])
+    def test_primal_residual_on_family_targets(self, n, budget):
+        target = assemble_behavior(chained_saturating_model(n, budget))
+        self._assert_reproduces(min_negativity_lp(target), target, n)
+
+    def test_primal_residual_on_singlet_target(self):
+        target = quantum_behavior(
+            singlet_state(), [0.0, math.pi / 2], [math.pi / 4, 3 * math.pi / 4]
+        )
+        self._assert_reproduces(min_negativity_lp(target), target, 2)
+
+    def test_primal_residual_of_score_lp(self):
+        for n, budget in [(2, 1.0), (3, math.inf), (4, 0.0)]:
+            result = max_score_lp(n, budget)
+            assert result.status is LPStatus.OPTIMAL
+            assert 0.0 <= result.primal_residual <= 1e-9
+
+    def test_no_primal_residual_without_a_solution(self):
+        table = {(0, 0): (1.0, 0.0, 0.0, 0.0), (0, 1): (1.0, 0.0, 0.0, 0.0),
+                 (1, 0): (0.0, 1.0, 0.0, 0.0), (1, 1): (0.0, 1.0, 0.0, 0.0)}
+        result = min_negativity_lp(Behavior(2, 2, table))
+        assert result.status is LPStatus.INFEASIBLE
+        assert result.primal_residual is None
+        assert result.to_json_dict()["primal_residual"] is None
+
+
+def _no_signalling_max_score(n: int) -> float:
+    """Largest chained score over all no-signalling behaviors, by a direct LP.
+
+    Variables are the 4n^2 entries p(a, b | x, y) (index 0 for outcome -1),
+    constrained to be non-negative, normalized per setting pair and
+    no-signalling; the objective is the chained correlator sum.
+    """
+    def var(x, y, a, b):
+        return ((x * n + y) * 2 + a) * 2 + b
+
+    size = 4 * n * n
+    objective = np.zeros(size)
+
+    def add_correlator(x, y, sign):
+        for a in (0, 1):
+            for b in (0, 1):
+                objective[var(x, y, a, b)] += sign * (2 * a - 1) * (2 * b - 1)
+
+    for i in range(n):
+        add_correlator(i, i, +1)
+    for i in range(1, n):
+        add_correlator(i, i - 1, +1)
+    add_correlator(0, n - 1, -1)
+    rows = []
+    for x in range(n):
+        for y in range(n):
+            row = np.zeros(size)
+            for a in (0, 1):
+                for b in (0, 1):
+                    row[var(x, y, a, b)] = 1.0
+            rows.append((row, 1.0))
+    for x in range(n):
+        for a in (0, 1):
+            for y in range(1, n):
+                row = np.zeros(size)
+                for b in (0, 1):
+                    row[var(x, y, a, b)] += 1.0
+                    row[var(x, 0, a, b)] -= 1.0
+                rows.append((row, 0.0))
+    for y in range(n):
+        for b in (0, 1):
+            for x in range(1, n):
+                row = np.zeros(size)
+                for a in (0, 1):
+                    row[var(x, y, a, b)] += 1.0
+                    row[var(0, y, a, b)] -= 1.0
+                rows.append((row, 0.0))
+    res = linprog(
+        -objective,
+        A_eq=np.array([row for row, _ in rows]),
+        b_eq=np.array([rhs for _, rhs in rows]),
+        bounds=(0, None),
+        method="highs",
+    )
+    assert res.status == 0
+    return float(-res.fun)
+
+
+class TestNoSignallingCeiling:
+    """Signed mixtures reach the whole no-signalling polytope (Al-Safi and
+    Short, PRL 110, 170403, 2013), so the unbounded-budget LP over strategy
+    mixtures must match a direct LP over no-signalling behaviors."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_unbounded_budget_equals_direct_polytope_lp(self, n):
+        direct = _no_signalling_max_score(n)
+        mixture = max_score_lp(n, math.inf)
+        assert mixture.status is LPStatus.OPTIMAL
+        assert direct == pytest.approx(2 * n, abs=1e-7)
+        assert mixture.optimal_score == pytest.approx(direct, abs=1e-7)
 
 
 class TestQuantumBehavior:

@@ -1,9 +1,10 @@
 """The mixing kernel, the entry scan and the witnesses against their loop forms.
 
 Each `_ref_*` function below is the plain loop the library used before it
-skipped zero factors, scanned entries by comparison and shared witness
-terms.  Every table and report must equal its loop form entry by entry, with
-the same type, and float entries must have the same bits (`float.hex`).
+skipped zero factors, scanned entries by comparison, shared witness terms
+and mixed each distinct setting column once.  Every table and report must
+equal its loop form entry by entry, with the same type, and float entries
+must have the same bits (`float.hex`).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasibell import (
     OUTCOME_PAIRS,
@@ -39,7 +41,7 @@ from quasibell.constructions import (
     saturating_strategies,
     saturating_weights,
 )
-from quasibell.core import ValidityReport
+from quasibell.core import StructureError, ValidityReport
 from quasibell.witnesses import ChainedWitnessReport
 
 from conftest import diagonal_models, random_joint_model
@@ -405,3 +407,142 @@ class TestEntryScan:
         report = validate_behavior(behavior)
         assert report.worst_entry == ((0, 0), (-1, -1), big)
         self._assert_scan_matches(behavior)
+
+
+# -- shared row objects --------------------------------------------------------
+
+def _unshared(model: Model) -> Model:
+    """The same model with every response row a distinct tuple object."""
+    def fresh(response):
+        table = {key: (row[0], row[1]) for key, row in response.table.items()}
+        return LocalResponse(response.party, response.n_settings, response.hidden_values, table)
+
+    copy = Model(fresh(model.response_A), fresh(model.response_B), model.dist)
+    for response in (copy.response_A, copy.response_B):
+        assert len({id(row) for row in response.table.values()}) == len(response.table)
+    return copy
+
+
+def _distinct_cells(behavior: Behavior) -> int:
+    return len({id(row) for row in behavior.table.values()})
+
+
+@st.composite
+def shared_row_models(draw):
+    """Models whose rows come from a pool of a few row objects per party.
+
+    The same object then sits at several settings, at several hidden values,
+    and at some support points but not others; equal-valued rows may also be
+    distinct objects.  Rows are float or `Fraction`; weights are of the rows'
+    kind, or `Fraction` over float rows.
+    """
+    exact = draw(st.booleans())
+    fraction_weights = exact or draw(st.booleans())
+
+    def pool():
+        size = draw(st.integers(min_value=1, max_value=3))
+        if exact:
+            ks = draw(st.lists(st.integers(0, 12), min_size=size, max_size=size))
+            return [(Fraction(12 - k, 12), Fraction(k, 12)) for k in ks]
+        ps = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+        return [(1.0 - p, p) for p in ps]
+
+    def response(party, n_settings, labels):
+        rows = pool()
+        table = {
+            (x, lam): rows[draw(st.integers(0, len(rows) - 1))]
+            for lam in labels
+            for x in range(n_settings)
+        }
+        return LocalResponse(party, n_settings, labels, table)
+
+    n_a, n_b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    labels_a = tuple(f"a{i}" for i in range(draw(st.integers(1, 3))))
+    labels_b = tuple(f"b{i}" for i in range(draw(st.integers(1, 3))))
+    grid = [(lam_a, lam_b) for lam_a in labels_a for lam_b in labels_b]
+    support = tuple(draw(st.lists(st.sampled_from(grid), min_size=1,
+                                  max_size=len(grid), unique=True)))
+    if fraction_weights:
+        raw = [Fraction(k, 6) for k in draw(st.lists(st.integers(-12, 12),
+                                                      min_size=len(support) - 1,
+                                                      max_size=len(support) - 1))]
+        raw.append(1 - sum(raw, Fraction(0)))
+    else:
+        raw = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(support) - 1,
+                            max_size=len(support) - 1))
+        raw.append(1.0 - sum(raw))
+    return Model(
+        response("A", n_a, labels_a),
+        response("B", n_b, labels_b),
+        QuasiDist(support, dict(zip(support, raw))),
+    )
+
+
+class TestSharedRows:
+    """Settings whose rows are one object at every support point are mixed once."""
+
+    @given(model=shared_row_models())
+    @settings(max_examples=300, deadline=None)
+    def test_shared_row_models(self, model):
+        shared = assemble_behavior(model)
+        unshared = assemble_behavior(_unshared(model))
+        assert_identical(shared.table, unshared.table, "table")
+        assert_identical(validate_behavior(shared), validate_behavior(unshared), "validity")
+        assert_model_matches_loops(model, chains=tuple(range(2, model.n_settings + 1)))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "fraction"])
+    def test_families_mix_four_cells(self, n, exact):
+        budgets = [Fraction(0), Fraction(1, 3), Fraction(1), Fraction(2)]
+        for budget in budgets:
+            model = chained_saturating_model(n, budget if exact else float(budget), exact=exact)
+            behavior = assemble_behavior(model)
+            assert _distinct_cells(behavior) == 4
+            assert _distinct_cells(assemble_behavior(_unshared(model))) == n * n
+            assert_model_matches_loops(model, chains=(n,))
+
+    def test_mixed_weights_share_identically(self):
+        # Weights that mix Fraction and float across points: the kernel need
+        # not match the plain loop here, but shared and unshared rows agree.
+        weights = {"1": Fraction(1, 2), "2": 0.25, "3": Fraction(1, 4), "4": Fraction(0)}
+        for n in (2, 3, 6):
+            model = model_from_strategies(saturating_strategies(n), weights)
+            shared = assemble_behavior(model)
+            unshared = assemble_behavior(_unshared(model))
+            assert_identical(shared.table, unshared.table)
+            assert_identical(validate_behavior(shared), validate_behavior(unshared))
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "fraction"])
+    def test_replacing_one_shared_cell(self, n, exact):
+        model = chained_saturating_model(n, Fraction(1) if exact else 1.0, exact=exact)
+        zero, half = (Fraction(0), Fraction(1, 2)) if exact else (0.0, 0.5)
+        bad_entries = [math.nan, math.inf, -math.inf, 3 * half]
+        for pair in assemble_behavior(model).setting_pairs():
+            original = assemble_behavior(model).table[pair]
+            replacements = [(3 * half, -half, zero, zero), tuple(-v for v in original)]
+            for k in range(4):
+                for bad in bad_entries:
+                    row = list(original)
+                    row[k] = bad
+                    replacements.append(tuple(row))
+            for row in replacements:
+                behavior = assemble_behavior(model)
+                assert _distinct_cells(behavior) == 4
+                behavior.table[pair] = row
+                assert_identical(validate_behavior(behavior), _ref_validate(behavior),
+                                 f"{pair} <- {row}")
+                assert_identical(validate_behavior(behavior, 0.5),
+                                 _ref_validate(behavior, 0.5), f"{pair} <- {row}")
+
+    def test_shared_bad_rows_are_refused_at_their_first_key(self):
+        bad = (1.5, -0.5)
+        table = {(x, lam): bad for lam in ("1", "2") for x in range(3)}
+        with pytest.raises(StructureError, match=r"\(0, '1'\)"):
+            LocalResponse("A", 3, ("1", "2"), table)
+        short = (0.5, 0.5, 0.0)
+        with pytest.raises(StructureError, match=r"row \(0, 0\)"):
+            Behavior(2, 2, {(x_a, x_b): short for x_a in range(2) for x_b in range(2)})
+        unnormalized = (0.5, 0.5, 0.5, 0.0)
+        with pytest.raises(StructureError, match=r"row \(0, 0\) sums"):
+            Behavior(2, 2, {(x_a, x_b): unnormalized for x_a in range(2) for x_b in range(2)})
