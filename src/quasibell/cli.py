@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 a checked property failed (a bound violation, an
 invalid behavior where validity is required, or a min-neg LP that is not
 OPTIMAL, such as the infeasible LP of a signalling behavior), 2 usage or
-input errors.  All randomness is seeded; identical invocations produce
-identical bytes on stdout.  The default tolerance (1e-9) can be overridden
-per run with --tolerance or the QUASIBELL_TOLERANCE environment variable.
+input errors, 141 stdout closed by its reader.  All randomness is seeded;
+identical invocations produce identical bytes on stdout.  The default
+tolerance (1e-9) can be overridden per run with --tolerance or the
+QUASIBELL_TOLERANCE environment variable.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .witnesses import witness_chained, witness_chsh
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 128 + 13  # killed by SIGPIPE, as `yes | head -1` reports
 
 FORMATS = ("json", "csv", "pretty-table")
 
@@ -44,16 +46,10 @@ class RunConfig:
 
     command: str
     tolerance: float
-    seed: int | None
-    output_format: str
-    input_path: Path | None
-    output_path: Path | None
 
     def __post_init__(self) -> None:
         if not 0 < self.tolerance < math.inf:
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance!r}")
-        if self.output_format not in FORMATS:
-            raise ValueError(f"unknown output format {self.output_format!r}")
 
 
 def _default_tolerance() -> float:
@@ -280,14 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         tolerance = args.tolerance if args.tolerance is not None else _default_tolerance()
-        config = RunConfig(
-            command=args.command,
-            tolerance=tolerance,
-            seed=getattr(args, "seed", None),
-            output_format=getattr(args, "format", "json"),
-            input_path=getattr(args, "model", None) or getattr(args, "behavior", None),
-            output_path=getattr(args, "output", None),
-        )
+        config = RunConfig(command=args.command, tolerance=tolerance)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
@@ -307,7 +296,19 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    """Run `main`; a reader that closes stdout early ends the run quietly.
+
+    On a closed pipe stdout is pointed at the null device, so the flush at
+    interpreter exit cannot raise again, and the exit code is the shell's
+    128 + SIGPIPE, never 1 ("bound violated").
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -87,6 +87,20 @@ def chained_score(behavior: Behavior, n: int):
     return abs(total)
 
 
+def _expectations(table, lam, n: int) -> list:
+    """<y>_x = P(+1) - P(-1) at settings x < n, once per run of one row object."""
+    values = []
+    previous = None
+    for x in range(n):
+        row = table[(x, lam)]
+        if row is not previous:
+            minus, plus = row
+            value = plus - minus
+            previous = row
+        values.append(value)
+    return values
+
+
 def lambda_local_score(model: Model, lam, n: int):
     """Score M(lambda) the chained combination assigns to one hidden value.
 
@@ -103,9 +117,8 @@ def lambda_local_score(model: Model, lam, n: int):
     else:
         raise KeyError(f"hidden value {lam!r} not in the support")
     lam_a, lam_b = point
-    table_a, table_b = model.response_A.table, model.response_B.table
-    exp_a = [plus - minus for minus, plus in (table_a[(i, lam_a)] for i in range(n))]
-    exp_b = [plus - minus for minus, plus in (table_b[(i, lam_b)] for i in range(n))]
+    exp_a = _expectations(model.response_A.table, lam_a, n)
+    exp_b = _expectations(model.response_B.table, lam_b, n)
     total = sum(exp_a[i] * exp_b[i] for i in range(n))
     total += sum(exp_a[i] * exp_b[i - 1] for i in range(1, n))
     total -= exp_a[0] * exp_b[n - 1]

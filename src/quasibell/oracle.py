@@ -15,18 +15,22 @@ Four separate routes that never share code with the model/witness path:
   still produce ordinary observable statistics.
 
 The LPs are solved with scipy's HiGHS backend; programs stay tiny (at most
-2 * 4^n variables) and results are deterministic for fixed inputs.
+2 * 4^n variables) and results are deterministic for fixed inputs.  Importing
+this module loads numpy only: `scipy.optimize.linprog` is imported the first
+time the module attribute `linprog` is read, which the LP functions do on
+every solve, so enumeration, the classical bound, the quantum generator and
+the sampler never load scipy.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .core import (
     DEFAULT_TOLERANCE,
@@ -53,6 +57,21 @@ class LPStatus(str, Enum):
 
 
 _LINPROG_STATUS = {0: LPStatus.OPTIMAL, 2: LPStatus.INFEASIBLE, 3: LPStatus.UNBOUNDED}
+
+
+def __getattr__(name: str):
+    """Serve `linprog`, importing scipy's on first use and keeping it in the globals.
+
+    The LP functions call `sys.modules[__name__].linprog`, an attribute
+    lookup, so they reach this hook once and then run whatever the attribute
+    holds, a replacement set with `setattr` included.
+    """
+    if name == "linprog":
+        from scipy.optimize import linprog
+
+        globals()["linprog"] = linprog
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -280,7 +299,7 @@ def max_score_lp(n: int, negativity_budget: float = math.inf) -> LPResult:
         b_ub.append(np.array([negativity_budget]))
     a_ub, b_ub = np.concatenate(a_ub, axis=0), np.concatenate(b_ub)
     a_eq, b_eq = np.concatenate([np.ones(m), -np.ones(m)])[None, :], np.array([1.0])
-    res = linprog(
+    res = sys.modules[__name__].linprog(
         cost,
         A_ub=a_ub,
         b_ub=b_ub,
@@ -316,7 +335,7 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     a_eq = np.concatenate([behavior_matrix, -behavior_matrix], axis=1)
     b_eq = np.array(targets)
     cost = np.concatenate([np.zeros(m), np.ones(m)])  # minimize total v
-    res = linprog(
+    res = sys.modules[__name__].linprog(
         cost,
         A_eq=a_eq,
         b_eq=b_eq,

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from quasibell import assemble_behavior, behavior_to_csv, chsh_saturating_model
-from quasibell.cli import main
+from quasibell.cli import EXIT_BROKEN_PIPE, main
 from quasibell.serialization import model_to_json_dict, save_model
 
 from conftest import random_model
@@ -56,6 +60,22 @@ class TestSaturate:
         code, _, err = run(capsys, "saturate", "--negativity", "3")
         assert code == 2
         assert "outside [0, 2]" in err
+
+    def test_closed_stdout_exits_quietly(self):
+        # About 150 kB of JSON: more than a pipe holds, so the child is still
+        # writing when the reader closes its end.
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "quasibell.cli", "saturate", "--n", "40",
+             "--negativity", "1/2", "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert child.stdout.readline() == b"{\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=60)
+        assert err == b""
+        assert code == EXIT_BROKEN_PIPE  # neither 1 ("bound violated") nor 2
 
 
 class TestBuildVerifyExport:

@@ -1,4 +1,4 @@
-"""numpy and scipy load only on the oracle paths.
+"""numpy loads only on the oracle paths, and scipy only when an LP is solved.
 
 Each check runs in a fresh interpreter, because this test process has long
 since imported numpy itself.
@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from quasibell import chsh_saturating_model
-from quasibell.serialization import save_model
+from quasibell import assemble_behavior, chsh_saturating_model
+from quasibell.serialization import behavior_to_csv, save_model
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -61,6 +61,59 @@ def test_oracle_command_loads_scipy(tmp_path):
     argv = ["oracle", "lp", "--n", "2", "--output", str(tmp_path / "out")]
     code = f"from quasibell.cli import main\nassert main({argv!r}) == 0\n"
     assert heavy_modules_after(code) == ["numpy", "scipy"]
+
+
+def test_oracle_module_loads_numpy_but_not_scipy():
+    assert heavy_modules_after("import quasibell.oracle") == ["numpy"]
+
+
+@pytest.mark.parametrize("command", [
+    ["sample", "--model", "{model}", "--shots", "1000", "--output", "{out}"],
+    ["oracle", "sample", "--model", "{model}", "--shots", "1000", "--output", "{out}"],
+    ["oracle", "classical-bound", "--n", "5", "--output", "{out}"],
+])
+def test_numpy_oracle_commands_do_not_load_scipy(tmp_path, command):
+    model_path = tmp_path / "model.json"
+    save_model(chsh_saturating_model(1), model_path)
+    argv = [arg.format(model=model_path, out=tmp_path / "out") for arg in command]
+    code = f"from quasibell.cli import main\nassert main({argv!r}) == 0\n"
+    assert heavy_modules_after(code) == ["numpy"]
+
+
+@pytest.mark.parametrize("command", [
+    ["oracle", "lp", "--n", "2", "--budget", "1", "--output", "{out}"],
+    ["oracle", "min-neg", "--behavior", "{behavior}", "--output", "{out}"],
+])
+def test_lp_commands_load_scipy_optimize(tmp_path, command):
+    behavior_path = tmp_path / "behavior.csv"
+    behavior_path.write_text(behavior_to_csv(assemble_behavior(chsh_saturating_model(1))))
+    argv = [arg.format(behavior=behavior_path, out=tmp_path / "out") for arg in command]
+    code = (
+        f"import sys\nfrom quasibell.cli import main\nassert main({argv!r}) == 0\n"
+        "assert 'scipy.optimize' in sys.modules\n"
+    )
+    assert heavy_modules_after(code) == ["numpy", "scipy"]
+
+
+def test_oracle_linprog_attribute_is_scipys():
+    out = run_python(
+        "import sys, quasibell.oracle as oracle\n"
+        "assert 'scipy' not in sys.modules\n"
+        "from scipy.optimize import linprog\n"
+        "print(oracle.linprog is linprog, vars(oracle)['linprog'] is linprog)"
+    )
+    assert out.split() == ["True", "True"]
+
+
+def test_unknown_oracle_name_raises_attribute_error():
+    out = run_python(
+        "import sys, quasibell.oracle as oracle\n"
+        "try:\n"
+        "    oracle.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print('no_such_name' in str(exc), 'scipy' in sys.modules)"
+    )
+    assert out.split() == ["True", "False"]
 
 
 def test_every_public_name_resolves_from_a_cold_import():
