@@ -28,15 +28,12 @@ from .witnesses import (
     WitnessReport,
     witness_chained,
     witness_chained_link,
-    witness_chsh,
     witness_faithful,
-    witness_pm,
 )
 from .inequalities import (
     ScoreReport,
     chained_score,
     check_quasi_bell,
-    chsh_score,
     lambda_local_score,
     mixture_score,
 )
@@ -44,7 +41,6 @@ from .constructions import (
     SymbolStrategy,
     chained_saturating_model,
     chsh_saturating_model,
-    deterministic_strategy,
     model_from_strategies,
     saturating_strategies,
     saturating_weights,
@@ -115,10 +111,8 @@ __all__ = [
     "chained_score",
     "check_quasi_bell",
     "chsh_saturating_model",
-    "chsh_score",
     "classical_bound_bruteforce",
     "correlation",
-    "deterministic_strategy",
     "enumerate_deterministic",
     "lambda_local_score",
     "load_behavior_csv",
@@ -139,7 +133,5 @@ __all__ = [
     "validate_behavior",
     "witness_chained",
     "witness_chained_link",
-    "witness_chsh",
     "witness_faithful",
-    "witness_pm",
 ]

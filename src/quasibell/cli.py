@@ -1,5 +1,8 @@
 """Command-line front end: build, verify, saturate, export, sample, oracle.
 
+Every chain length, n=2 included, is scored and witnessed as a chain; the
+2-setting witness is the first chain link (x=1).
+
 Exit codes: 0 success, 1 a checked property failed (a bound violation, an
 invalid behavior where validity is required, or a min-neg LP that is not
 OPTIMAL, such as the infeasible LP of a signalling behavior), 2 usage or
@@ -30,7 +33,7 @@ from .serialization import (
     load_model,
     model_to_json_dict,
 )
-from .witnesses import witness_chained, witness_chsh
+from .witnesses import witness_chained
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -164,12 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     min_neg.add_argument("--behavior", type=Path, required=True)
     min_neg.add_argument("--output", type=Path, default=None)
 
-    osample = oracle_sub.add_parser("sample", help="alias of the top-level sample command")
-    osample.add_argument("--model", type=Path, required=True)
-    osample.add_argument("--shots", type=int, default=100_000)
-    osample.add_argument("--seed", type=int, default=0)
-    osample.add_argument("--output", type=Path, default=None)
-
     return parser
 
 
@@ -189,10 +186,7 @@ def _cmd_saturate(args, tol: float) -> int:
         _emit(_pretty_table(behavior), args.output)
         return EXIT_OK
     report = check_quasi_bell(model, args.n, tol=tol, behavior=behavior)
-    if args.n == 2:
-        witness = witness_chsh(model, behavior).to_json_dict()
-    else:
-        witness = witness_chained(model, args.n, behavior).to_json_dict()
+    witness = witness_chained(model, args.n, behavior).to_json_dict()
     payload = {
         "model": model_to_json_dict(model),
         "behavior": {f"{xa},{xb}": [float(v) for v in row]
@@ -256,8 +250,6 @@ def _cmd_oracle(args, tol: float) -> int:
         result = min_negativity_lp(target)
         _emit(_json_text(result.to_json_dict()), args.output)
         return EXIT_OK if result.status is LPStatus.OPTIMAL else EXIT_CHECK_FAILED
-    if args.oracle_command == "sample":
-        return _cmd_sample(args, tol)
     raise AssertionError(f"unhandled oracle command {args.oracle_command!r}")
 
 
@@ -282,7 +274,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return _HANDLERS[config.command](args, config.tolerance)
-    except FileNotFoundError as exc:
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except json.JSONDecodeError as exc:

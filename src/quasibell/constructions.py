@@ -1,12 +1,12 @@
 """Explicit saturating model families for the witness-augmented Bell bounds.
 
-The 2-setting family mixes four deterministic symbol strategies with weights
-(4+N)/12 on the three strategies scoring +2 and -N/4 on the one scoring -2,
-where N in [0, 2] is the negativity budget.  Its n-setting generalization
-keeps the same weights over four strategies scoring 2n-2 (three of them) and
-2n-6 (the negatively weighted one), reaching score 2n-2+N with chained
-witness exactly N.  Budgets above 2 stop producing valid behaviors, which is
-why 2 is also the no-signalling ceiling for these families.
+The n-setting family mixes four deterministic symbol strategies with weights
+(4+N)/12 on the three strategies scoring 2n-2 and -N/4 on the one scoring
+2n-6, where N in [0, 2] is the negativity budget.  It reaches score 2n-2+N
+with chained witness exactly N.  Its first chain link, n=2, is the
+2-setting (CHSH) family: strategy scores +2 and -2, model score 2+N.
+Budgets above 2 stop producing valid behaviors, which is why 2 is also the
+no-signalling ceiling for these families.
 
 Build with `exact=True` to get `fractions.Fraction` weight and probability
 entries; the assembled behavior is then exact (all entries are twelfths).
@@ -75,30 +75,6 @@ _DETERMINISTIC_ROWS = {
 }
 
 
-def _deterministic_row(sign: int, exact: bool) -> tuple:
-    return _DETERMINISTIC_ROWS[(sign == +1, bool(exact))]
-
-
-def deterministic_strategy(
-    strategy: SymbolStrategy, label: Label = "1", exact: bool = False
-) -> tuple[LocalResponse, LocalResponse]:
-    """Response pair for a single hidden value realizing the symbol strategy.
-
-    The outcome at every setting is fixed by the symbol, so each expectation
-    equals the symbol's sign.
-    """
-    n = strategy.n_settings
-    table_a = {
-        (x, label): _deterministic_row(s, exact) for x, s in enumerate(strategy.signs_A())
-    }
-    table_b = {
-        (x, label): _deterministic_row(s, exact) for x, s in enumerate(strategy.signs_B())
-    }
-    resp_a = LocalResponse(party="A", n_settings=n, hidden_values=(label,), table=table_a)
-    resp_b = LocalResponse(party="B", n_settings=n, hidden_values=(label,), table=table_b)
-    return resp_a, resp_b
-
-
 def model_from_strategies(strategies: dict[Label, SymbolStrategy], weights: dict) -> Model:
     """Diagonal model mixing one deterministic strategy per hidden value."""
     if set(strategies) != set(weights):
@@ -114,9 +90,9 @@ def model_from_strategies(strategies: dict[Label, SymbolStrategy], weights: dict
     for label in labels:
         strat = strategies[label]
         for x, s in enumerate(strat.signs_A()):
-            table_a[(x, label)] = _deterministic_row(s, exact)
+            table_a[(x, label)] = _DETERMINISTIC_ROWS[(s == +1, exact)]
         for x, s in enumerate(strat.signs_B()):
-            table_b[(x, label)] = _deterministic_row(s, exact)
+            table_b[(x, label)] = _DETERMINISTIC_ROWS[(s == +1, exact)]
     resp_a = LocalResponse(party="A", n_settings=n, hidden_values=labels, table=table_a)
     resp_b = LocalResponse(party="B", n_settings=n, hidden_values=labels, table=table_b)
     return Model(response_A=resp_a, response_B=resp_b, dist=QuasiDist.diagonal(weights))

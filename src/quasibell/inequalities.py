@@ -1,13 +1,14 @@
 """Bell scores, per-hidden-value scores, and the witness-augmented bounds.
 
-The 2-setting score is |E(0,0) - E(0,1) + E(1,0) + E(1,1)|; its n-setting
-chained generalization is
+The chained n-setting score is
 
-    |sum_i E(i, i) + sum_{i>=1} E(i, i-1) - E(0, n-1)|.
+    |E(0, 0) - E(0, n-1) + sum_{x>=1} (E(x, x-1) + E(x, x))|.
 
-For an all-positive mixture these are classically bounded by 2 and 2n-2.
-Allowing signed weights relaxes each bound by the matching negativity
-witness, and `check_quasi_bell` evaluates score, bound, and margin together.
+Its first link, n=2, is the CHSH score |E(0,0) - E(0,1) + E(1,0) + E(1,1)|.
+For an all-positive mixture the score is classically bounded by 2n-2.
+Allowing signed weights relaxes the bound by the chained negativity witness,
+and `check_quasi_bell` evaluates score, bound, and margin together at every
+chain length, n=2 included.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .core import (
     assemble_behavior,
     correlation,
 )
-from .witnesses import witness_chained, witness_chsh
+from .witnesses import witness_chained
 
 
 @dataclass(frozen=True)
@@ -57,20 +58,12 @@ class ScoreReport:
         }
 
 
-def chsh_score(behavior: Behavior):
-    """|E(0,0) - E(0,1) + E(1,0) + E(1,1)|, needs 2 settings per party."""
-    if behavior.n_settings_A < 2 or behavior.n_settings_B < 2:
-        raise ValueError("CHSH score needs at least 2 settings per party")
-    return abs(
-        correlation(behavior, 0, 0)
-        - correlation(behavior, 0, 1)
-        + correlation(behavior, 1, 0)
-        + correlation(behavior, 1, 1)
-    )
-
-
 def chained_score(behavior: Behavior, n: int):
-    """Chained n-setting score; its n=2 instance equals the CHSH score."""
+    """Chained n-setting score, summed link by link.
+
+    The terms are added in the order E(0,0) - E(0,n-1), then E(x,x-1) + E(x,x)
+    for x = 1..n-1, so the n=2 instance is the CHSH expression term for term.
+    """
     if n < 2:
         raise ValueError("chained score needs n >= 2")
     if behavior.n_settings_A < n or behavior.n_settings_B < n:
@@ -78,12 +71,10 @@ def chained_score(behavior: Behavior, n: int):
             f"chained score with n={n} needs {n} settings per party, behavior has "
             f"({behavior.n_settings_A}, {behavior.n_settings_B})"
         )
-    total = 0
-    for i in range(n):
-        total += correlation(behavior, i, i)
-    for i in range(1, n):
-        total += correlation(behavior, i, i - 1)
-    total -= correlation(behavior, 0, n - 1)
+    total = correlation(behavior, 0, 0) - correlation(behavior, 0, n - 1)
+    for x in range(1, n):
+        total += correlation(behavior, x, x - 1)
+        total += correlation(behavior, x, x)
     return abs(total)
 
 
@@ -142,8 +133,7 @@ def check_quasi_bell(
 ) -> ScoreReport:
     """Evaluate score <= (2n-2) + witness for a model at chain length n.
 
-    The n=2 path scores the CHSH combination and uses the 2-setting
-    case-selected witness; longer chains use the chained score and witness.
+    Every chain length, n=2 included, uses the chained score and witness.
     `behavior` is the model's assembled behavior, if the caller already has
     it; otherwise it is assembled here at the default tolerance.
     """
@@ -151,12 +141,8 @@ def check_quasi_bell(
         raise ValueError("bound check needs n >= 2")
     if behavior is None:
         behavior = assemble_behavior(model)
-    if n == 2:
-        score = chsh_score(behavior)
-        witness_total = witness_chsh(model, behavior).selected
-    else:
-        score = chained_score(behavior, n)
-        witness_total = witness_chained(model, n, behavior).total
+    score = chained_score(behavior, n)
+    witness_total = witness_chained(model, n, behavior).total
     classical_part = 2 * n - 2
     bound = classical_part + witness_total
     margin = bound - score

@@ -166,18 +166,6 @@ def _chain_coefficients(n: int) -> np.ndarray:
     return coeff
 
 
-def strategy_score(strategy_a: Strategy, strategy_b: Strategy, n: int) -> int:
-    """Chained-combination score of a joint deterministic strategy.
-
-    The loop form of a @ C @ b with C = `_chain_coefficients(n)`; the LP
-    builds its whole score vector from C and is tested against this.
-    """
-    total = sum(strategy_a[i] * strategy_b[i] for i in range(n))
-    total += sum(strategy_a[i] * strategy_b[i - 1] for i in range(1, n))
-    total -= strategy_a[0] * strategy_b[n - 1]
-    return total
-
-
 def classical_bound_bruteforce(n: int) -> float:
     """Maximum |chained score| over all joint deterministic strategies.
 

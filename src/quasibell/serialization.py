@@ -131,8 +131,19 @@ def save_model(model: Model, path: str | Path) -> None:
     Path(path).write_text(json.dumps(model_to_json_dict(model), indent=2) + "\n")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """`object_pairs_hook` that refuses a key repeated within one JSON object."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ModelFormatError(f"duplicate key {key!r} in a model JSON object")
+        obj[key] = value
+    return obj
+
+
 def load_model(path: str | Path) -> Model:
-    document = json.loads(Path(path).read_text())
+    """Read a model file; a key repeated within any JSON object is refused."""
+    document = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     return model_from_json_dict(document)
 
 
@@ -161,6 +172,8 @@ def behavior_from_csv(text: str, tolerance: float = DEFAULT_TOLERANCE) -> Behavi
             values = tuple(float(v) for v in row[2:])
         except ValueError as exc:
             raise ModelFormatError(f"line {line_no}: {exc}") from exc
+        if (x_a, x_b) in table:
+            raise ModelFormatError(f"line {line_no}: settings {x_a},{x_b} given twice")
         table[(x_a, x_b)] = values
     if not table:
         raise ModelFormatError("behavior CSV has no data rows")

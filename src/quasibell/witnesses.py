@@ -1,17 +1,20 @@
 """Negativity witnesses for signed hidden-variable mixtures.
 
 A negativity witness maps a weight table to a non-negative number that is
-zero on every ordinary (all-positive) distribution.  The case-selected CHSH
-witness pairs each hidden value with the bracket
+zero on every ordinary (all-positive) distribution.  The chained witness of
+length n sums one case-selected term per link x = 1 .. n-1; each term pairs
+every hidden value with the bracket
 
-    2 +- (<A>^a <B>^bh + <A>^a <B>^bl)
+    2 +- <A>^x (<B>^x + <B>^(x-1))
 
-where <k>^x is the per-hidden-value outcome expectation, and multiplies it by
-the negative excess |w| - w of the weight.  The branch (+ or -) is picked by
-the sign of an observed correlator sum, so the witness depends on the whole
-model, not on the weights alone.  The faithful witness drops the brackets in
-favor of the constant 4 and is strictly positive whenever any weight is
-negative, at the cost of a looser Bell bound.
+where <k>^s is the per-hidden-value outcome expectation at setting s, and
+multiplies it by the negative excess |w| - w of the weight.  The branch
+(+ or -) is picked by the sign of an observed correlator sum, so the witness
+depends on the whole model, not on the weights alone.  The 2-setting
+witness is the chain of length 2: its single link x=1.  The faithful
+witness drops the brackets in favor of the constant 4 and is strictly
+positive whenever any weight is negative, at the cost of a looser Bell
+bound.
 """
 
 from __future__ import annotations
@@ -45,11 +48,12 @@ class WitnessReport:
 
     `branch_discriminant` is the correlator sum that picked the branch
     (negative selects PLUS, anything else selects MINUS).
-    `a_setting_bracket` is Alice's setting inside the brackets and
-    `a_setting_discriminant` Alice's setting in the discriminant; the two
-    differ between the 2-setting witness and the chained per-link ones, so
-    both are recorded.  `per_lambda_contributions` breaks the selected value
-    down by support point.
+    `link` is the chain link x the term belongs to.  `a_setting_bracket` is
+    Alice's setting inside the brackets (always x) and
+    `a_setting_discriminant` Alice's setting in the discriminant (x, or 0
+    under the "zero" selection of `witness_chained_link`).
+    `per_lambda_contributions` breaks the selected value down by support
+    point.
     """
 
     n_plus: object
@@ -61,7 +65,7 @@ class WitnessReport:
     faithful: object
     a_setting_bracket: int
     a_setting_discriminant: int
-    link: int | None = None
+    link: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -119,86 +123,12 @@ def _negative_excesses(dist: QuasiDist) -> tuple[dict[Point, object], list]:
     return zeros, negative
 
 
-def _bracket_contributions(model: Model, excesses, a_setting: int, b_high: int, b_low: int):
-    """Per-point terms [2 +- (<A><B>_high + <A><B>_low)] * (|w| - w), both branches.
-
-    `excesses` comes from `_negative_excesses(model.dist)`.  Returns
-    (n_plus, plus_terms, n_minus, minus_terms).  The product
-    <A>(<B>_high + <B>_low) is computed once per point and shared: the MINUS
-    term `2 - t` is bit-identical to `2 + (-1 * <A>) * (...)`.
-    """
-    table_a, table_b = model.response_A.table, model.response_B.table
-    zeros, negative = excesses
-    plus: dict[Point, object] = dict(zeros)
-    minus: dict[Point, object] = dict(zeros)
-    n_plus = n_minus = 0
-    for point, excess in negative:
-        lam_a, lam_b = point
-        a_minus, a_plus = table_a[(a_setting, lam_a)]
-        high_minus, high_plus = table_b[(b_high, lam_b)]
-        low_minus, low_plus = table_b[(b_low, lam_b)]
-        spread = (a_plus - a_minus) * ((high_plus - high_minus) + (low_plus - low_minus))
-        term_plus = (2 + spread) * excess
-        term_minus = (2 - spread) * excess
-        plus[point] = term_plus
-        minus[point] = term_minus
-        n_plus += term_plus
-        n_minus += term_minus
-    return n_plus, plus, n_minus, minus
-
-
-def witness_pm(model: Model, sign: str):
-    """One fixed branch ('+' or '-') of the 2-setting negativity witness.
-
-    Sums [2 +- (<A>^1 <B>^1 + <A>^1 <B>^0)] * (|w| - w) over the support.
-    Always non-negative; exactly zero when every weight is non-negative.
-    """
-    if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    _require_settings(model, 2)
-    n_plus, _, n_minus, _ = _bracket_contributions(
-        model, _negative_excesses(model.dist), a_setting=1, b_high=1, b_low=0
-    )
-    return n_plus if sign == "+" else n_minus
-
-
 def witness_faithful(dist: QuasiDist):
     """Faithful witness: sum of 4 * (|w| - w), i.e. 8x the negative mass.
 
     Strictly positive iff the distribution has at least one negative weight.
     """
     return sum(4 * (abs(w) - w) for w in dist.weights.values())
-
-
-def witness_chsh(model: Model, behavior: Behavior | None = None) -> WitnessReport:
-    """Case-selected 2-setting witness with branch picked by E(1,0)+E(1,1).
-
-    A strictly negative discriminant selects the PLUS branch, otherwise MINUS
-    (ties select MINUS).  Returns both branch values, the selected one, its
-    per-point breakdown, and the faithful witness of the same weights.
-    """
-    _require_settings(model, 2)
-    if behavior is None:
-        behavior = assemble_behavior(model)
-    discriminant = correlation(behavior, 1, 0) + correlation(behavior, 1, 1)
-    n_plus, contr_plus, n_minus, contr_minus = _bracket_contributions(
-        model, _negative_excesses(model.dist), a_setting=1, b_high=1, b_low=0
-    )
-    branch = Branch.PLUS if discriminant < 0 else Branch.MINUS
-    selected, contributions = (
-        (n_plus, contr_plus) if branch is Branch.PLUS else (n_minus, contr_minus)
-    )
-    return WitnessReport(
-        n_plus=n_plus,
-        n_minus=n_minus,
-        selected=selected,
-        branch=branch,
-        branch_discriminant=discriminant,
-        per_lambda_contributions=contributions,
-        faithful=witness_faithful(model.dist),
-        a_setting_bracket=1,
-        a_setting_discriminant=1,
-    )
 
 
 def witness_chained_link(
@@ -211,12 +141,12 @@ def witness_chained_link(
 
     The branch discriminant is E(x, x) + E(x, x-1) by default ("link"), the
     selection under which the chained bound is a theorem: it is what the
-    inductive proof uses, and link x=1 then reduces exactly to the 2-setting
-    witness.  Passing "zero" selects by E(0, x) + E(0, x-1) instead; that
-    variant is exposed for comparison only, because branch selection at
-    Alice's setting 0 does not give a universally valid bound (there are
-    valid behaviors whose score exceeds it; see the regression test).  The
-    report records which Alice setting selected the branch.
+    inductive proof uses, and link x=1 is the whole 2-setting witness.
+    Passing "zero" selects by E(0, x) + E(0, x-1) instead; that variant is
+    exposed for comparison only, because branch selection at Alice's
+    setting 0 does not give a universally valid bound (there are valid
+    behaviors whose score exceeds it; see the regression test).  The report
+    records which Alice setting selected the branch.
     """
     if x < 1:
         raise ValueError("link index must be at least 1")
@@ -241,11 +171,31 @@ def _link_report(
     faithful,
     excesses,
 ) -> WitnessReport:
+    """Both branches of link x: [2 +- <A>^x (<B>^x + <B>^(x-1))] * (|w| - w).
+
+    `excesses` comes from `_negative_excesses(model.dist)`.  The product
+    t = <A>^x (<B>^x + <B>^(x-1)) is computed once per point and shared: the
+    MINUS term `2 - t` is bit-identical to `2 + (-1 * <A>^x) * (...)`.
+    """
     a_disc = 0 if discriminant_alice_setting == "zero" else x
     discriminant = correlation(behavior, a_disc, x) + correlation(behavior, a_disc, x - 1)
-    n_plus, contr_plus, n_minus, contr_minus = _bracket_contributions(
-        model, excesses, a_setting=x, b_high=x, b_low=x - 1
-    )
+    table_a, table_b = model.response_A.table, model.response_B.table
+    zeros, negative = excesses
+    contr_plus: dict[Point, object] = dict(zeros)
+    contr_minus: dict[Point, object] = dict(zeros)
+    n_plus = n_minus = 0
+    for point, excess in negative:
+        lam_a, lam_b = point
+        a_minus, a_plus = table_a[(x, lam_a)]
+        high_minus, high_plus = table_b[(x, lam_b)]
+        low_minus, low_plus = table_b[(x - 1, lam_b)]
+        spread = (a_plus - a_minus) * ((high_plus - high_minus) + (low_plus - low_minus))
+        term_plus = (2 + spread) * excess
+        term_minus = (2 - spread) * excess
+        contr_plus[point] = term_plus
+        contr_minus[point] = term_minus
+        n_plus += term_plus
+        n_minus += term_minus
     branch = Branch.PLUS if discriminant < 0 else Branch.MINUS
     selected, contributions = (
         (n_plus, contr_plus) if branch is Branch.PLUS else (n_minus, contr_minus)

@@ -20,7 +20,6 @@ from quasibell import (
     chained_score,
     check_quasi_bell,
     chsh_saturating_model,
-    chsh_score,
     classical_bound_bruteforce,
     max_score_lp,
     quantum_behavior,
@@ -28,9 +27,8 @@ from quasibell import (
     singlet_state,
     validate_behavior,
     witness_chained,
-    witness_chsh,
+    witness_chained_link,
     witness_faithful,
-    witness_pm,
 )
 from quasibell.constructions import SymbolStrategy, model_from_strategies
 from test_constructions import golden_two_setting_table
@@ -66,20 +64,20 @@ def test_criterion_2_two_setting_saturation():
     for budget in BUDGET_GRID:
         model = chsh_saturating_model(budget)
         behavior = assemble_behavior(model)
-        assert chsh_score(behavior) == pytest.approx(2 + budget, abs=1e-9)
-        assert witness_chsh(model, behavior).selected == pytest.approx(budget, abs=1e-9)
+        assert chained_score(behavior, 2) == pytest.approx(2 + budget, abs=1e-9)
+        assert witness_chained_link(model, 1, behavior).selected == pytest.approx(budget, abs=1e-9)
         assert check_quasi_bell(model, 2).margin == pytest.approx(0.0, abs=1e-9)
     report(2, "score 2+N, selected witness N, margin 0 across the budget grid")
 
 
 def test_criterion_3_tsirelson_emulation():
     construction = assemble_behavior(chsh_saturating_model(TSIRELSON_BUDGET))
-    construction_score = chsh_score(construction)
+    construction_score = chained_score(construction, 2)
     assert construction_score == pytest.approx(2 * math.sqrt(2), abs=1e-9)
     quantum = quantum_behavior(
         singlet_state(), [0.0, math.pi / 2], [math.pi / 4, 3 * math.pi / 4]
     )
-    assert chsh_score(quantum) == pytest.approx(construction_score, abs=1e-9)
+    assert chained_score(quantum, 2) == pytest.approx(construction_score, abs=1e-9)
     report(3, "budget 2(sqrt(2)-1) reproduces the singlet score 2*sqrt(2)")
 
 
@@ -162,9 +160,10 @@ def test_criterion_8_witness_definitions():
         model = random_model(rng, n_settings=2, force_negative=False)
         while not model.dist.is_all_positive():
             model = random_model(rng, n_settings=2, force_negative=False)
-        assert witness_pm(model, "+") <= 1e-12
-        assert witness_pm(model, "-") <= 1e-12
-        assert witness_chsh(model).selected <= 1e-12
+        link = witness_chained_link(model, 1)
+        assert link.n_plus <= 1e-12
+        assert link.n_minus <= 1e-12
+        assert link.selected <= 1e-12
     for _ in range(1000):
         labels = tuple(str(i) for i in range(1, int(rng.integers(2, 7)) + 1))
         dist = random_signed_dist(rng, labels, force_negative=True)
@@ -172,7 +171,7 @@ def test_criterion_8_witness_definitions():
         assert witness_faithful(dist) > 0
     all_plus = SymbolStrategy(("+", "+"), ("+", "+"))
     blind = model_from_strategies({"1": all_plus, "2": all_plus}, {"1": 1.5, "2": -0.5})
-    blind_report = witness_chsh(blind)
+    blind_report = witness_chained_link(blind, 1)
     assert blind.dist.negative_mass() > 0
     assert blind_report.selected == 0.0
     assert blind_report.faithful > 0

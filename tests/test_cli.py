@@ -51,6 +51,16 @@ class TestSaturate:
         assert payload["validity"]["is_valid"] is True
         assert payload["witness"]["total"] == pytest.approx(1.0)
 
+    def test_two_setting_json_witness_is_one_chain_link(self, capsys):
+        code, out, _ = run(capsys, "saturate", "--n", "2", "--negativity", "1",
+                           "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        witness = payload["witness"]
+        assert [term["link"] for term in witness["terms"]] == [1]
+        assert witness["total"] == payload["report"]["witness"]
+        assert witness["total"] == pytest.approx(1.0)
+
     def test_fraction_negativity_argument(self, capsys):
         code, out, _ = run(capsys, "saturate", "--negativity", "1/2", "--format", "csv")
         assert code == 0
@@ -150,6 +160,33 @@ class TestBuildVerifyExport:
         code, _, err = run(capsys, "verify", "--model", str(path))
         assert code == 2
         assert "parties" in err
+
+
+class TestUnreadablePaths:
+    """A path that cannot be read or written is a usage error, never exit 1."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--model", "{dir}"],
+        ["export", "--model", "{dir}"],
+        ["sample", "--model", "{dir}", "--shots", "10"],
+        ["oracle", "min-neg", "--behavior", "{dir}"],
+    ])
+    def test_directory_as_input(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *(arg.format(dir=tmp_path) for arg in argv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "--negativity", "1"],
+        ["saturate", "--negativity", "1", "--format", "csv"],
+        ["oracle", "classical-bound", "--n", "3"],
+    ])
+    def test_directory_as_output(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv, "--output", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def _table_as_list(document):
@@ -275,14 +312,12 @@ class TestSampling:
         assert payload["seed"] == 42
         assert payload["total_variation_weight"] == pytest.approx(1.5)
 
-    def test_oracle_sample_alias(self, capsys, tmp_path):
+    def test_oracle_sample_is_not_a_command(self, tmp_path):
         path = tmp_path / "model.json"
-        run(capsys, "build", "--negativity", "1", "--output", str(path))
-        _, direct, _ = run(capsys, "sample", "--model", str(path),
-                           "--shots", "500", "--seed", "7")
-        _, via_oracle, _ = run(capsys, "oracle", "sample", "--model", str(path),
-                               "--shots", "500", "--seed", "7")
-        assert direct == via_oracle
+        save_model(chsh_saturating_model(1), path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["oracle", "sample", "--model", str(path)])
+        assert excinfo.value.code == 2
 
     def test_invalid_model_is_check_failure(self, capsys, tmp_path):
         path = tmp_path / "model.json"

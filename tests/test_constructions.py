@@ -12,17 +12,15 @@ from quasibell import (
     chained_saturating_model,
     chained_score,
     chsh_saturating_model,
-    chsh_score,
     correlation,
     lambda_local_score,
     local_expectation,
     validate_behavior,
     witness_chained,
-    witness_chsh,
+    witness_chained_link,
 )
 from quasibell.constructions import (
     SymbolStrategy,
-    deterministic_strategy,
     model_from_strategies,
     saturating_strategies,
     saturating_weights,
@@ -47,11 +45,10 @@ def golden_two_setting_table(budget: Fraction) -> dict[tuple[int, int], tuple]:
 class TestSymbolStrategy:
     def test_all_plus_strategy(self):
         strategy = SymbolStrategy(("+", "+"), ("+", "+"))
-        resp_a, resp_b = deterministic_strategy(strategy, label="s")
-        for x in range(2):
-            assert local_expectation(resp_a, x, "s") == 1.0
-            assert local_expectation(resp_b, x, "s") == 1.0
         model = model_from_strategies({"s": strategy}, {"s": 1.0})
+        for x in range(2):
+            assert local_expectation(model.response_A, x, "s") == 1.0
+            assert local_expectation(model.response_B, x, "s") == 1.0
         assert lambda_local_score(model, "s", 2) == 2
 
     def test_negative_weight_strategy_scores_minus_two(self):
@@ -99,13 +96,13 @@ class TestTwoSettingFamily:
         model = chsh_saturating_model(0)
         assert model.dist.is_all_positive()
         behavior = assemble_behavior(model)
-        assert chsh_score(behavior) == pytest.approx(2.0)
-        assert witness_chsh(model, behavior).selected == 0.0
+        assert chained_score(behavior, 2) == pytest.approx(2.0)
+        assert witness_chained_link(model, 1, behavior).selected == 0.0
 
     def test_tsirelson_budget(self):
         budget = 2 * (math.sqrt(2) - 1)
         behavior = assemble_behavior(chsh_saturating_model(budget))
-        assert chsh_score(behavior) == pytest.approx(2 * math.sqrt(2), abs=1e-12)
+        assert chained_score(behavior, 2) == pytest.approx(2 * math.sqrt(2), abs=1e-12)
 
     def test_budget_out_of_range_raises(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from quasibell import (
     chained_score,
     check_quasi_bell,
     chsh_saturating_model,
-    chsh_score,
+    correlation,
     enumerate_deterministic,
     lambda_local_score,
     mixture_score,
@@ -29,22 +29,22 @@ class TestChshScore:
     @pytest.mark.parametrize("budget", [0.0, 0.5, 1.0, 1.5, 2.0])
     def test_saturating_model_scores_two_plus_budget(self, budget):
         behavior = assemble_behavior(chsh_saturating_model(budget))
-        assert chsh_score(behavior) == pytest.approx(2 + budget)
+        assert chained_score(behavior, 2) == pytest.approx(2 + budget)
 
     def test_full_budget_reaches_no_signalling_ceiling(self):
         behavior = assemble_behavior(chsh_saturating_model(2))
-        assert chsh_score(behavior) == pytest.approx(4.0)
+        assert chained_score(behavior, 2) == pytest.approx(4.0)
 
     def test_singlet_at_optimal_angles(self):
         behavior = quantum_behavior(
             singlet_state(), [0.0, math.pi / 2], [math.pi / 4, 3 * math.pi / 4]
         )
-        assert chsh_score(behavior) == pytest.approx(2 * math.sqrt(2), abs=1e-9)
+        assert chained_score(behavior, 2) == pytest.approx(2 * math.sqrt(2), abs=1e-9)
 
     def test_needs_two_settings(self):
         behavior = quantum_behavior(singlet_state(), [0.0], [0.0])
         with pytest.raises(ValueError):
-            chsh_score(behavior)
+            chained_score(behavior, 2)
 
 
 class TestChainedScore:
@@ -64,11 +64,15 @@ class TestChainedScore:
                 assert chained_score(behavior, n) <= 2 * n - 2 + 1e-12
 
     def test_two_setting_chain_equals_chsh_combination(self, rng):
+        def chsh(b):
+            return abs(correlation(b, 0, 0) - correlation(b, 0, 1)
+                       + correlation(b, 1, 0) + correlation(b, 1, 1))
+
         behavior = assemble_behavior(chsh_saturating_model(1))
-        assert chained_score(behavior, 2) == pytest.approx(chsh_score(behavior))
+        assert chained_score(behavior, 2).hex() == chsh(behavior).hex()
         for _ in range(50):
             b = assemble_behavior(random_model(rng, n_settings=2))
-            assert chained_score(b, 2) == pytest.approx(chsh_score(b), abs=1e-12)
+            assert chained_score(b, 2).hex() == chsh(b).hex()
 
     def test_rejects_short_chains_and_missing_settings(self):
         behavior = assemble_behavior(chsh_saturating_model(1))
@@ -152,13 +156,13 @@ class TestBoundCheck:
             report = check_quasi_bell(model, 2)
             assert report.lambda_mixture_score == pytest.approx(report.score, abs=1e-9)
             assert mixture_score(model, 2) == pytest.approx(
-                chsh_score(assemble_behavior(model)), abs=1e-9
+                chained_score(assemble_behavior(model), 2), abs=1e-9
             )
 
     def test_validity_ceiling(self, rng):
         for _ in range(50):
             model, behavior = random_valid_model(rng, n_settings=3)
-            assert chsh_score(behavior) <= 4 + 1e-9
+            assert chained_score(behavior, 2) <= 4 + 1e-9
             assert chained_score(behavior, 3) <= 6 + 1e-9
 
     @given(model=diagonal_models(n_settings=2, signed=True))

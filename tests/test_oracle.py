@@ -15,8 +15,8 @@ from quasibell import (
     assemble_behavior,
     behavior_from_strategy_weights,
     chained_saturating_model,
+    chained_score,
     chsh_saturating_model,
-    chsh_score,
     classical_bound_bruteforce,
     enumerate_deterministic,
     max_score_lp,
@@ -28,9 +28,20 @@ from quasibell import (
 )
 from quasibell import oracle
 from quasibell.constructions import SymbolStrategy, model_from_strategies
-from quasibell.oracle import strategy_score
 
 from conftest import random_model
+
+
+def strategy_score(strategy_a, strategy_b, n: int) -> int:
+    """Chained-combination score of a joint deterministic strategy.
+
+    The loop form of a @ C @ b with C = `oracle._chain_coefficients(n)`; the
+    LP builds its whole score vector from C and is tested against this.
+    """
+    total = sum(strategy_a[i] * strategy_b[i] for i in range(n))
+    total += sum(strategy_a[i] * strategy_b[i - 1] for i in range(1, n))
+    total -= strategy_a[0] * strategy_b[n - 1]
+    return total
 
 
 class TestEnumeration:
@@ -131,7 +142,7 @@ class TestMaxScoreLP:
         result = max_score_lp(2, 2 * witness_value)
         assert result.optimal_score >= 2 * math.sqrt(2) - 1e-7
         construction = assemble_behavior(chsh_saturating_model(witness_value))
-        assert result.optimal_score == pytest.approx(chsh_score(construction), abs=1e-7)
+        assert result.optimal_score == pytest.approx(chained_score(construction, 2), abs=1e-7)
 
     def test_monotone_in_budget(self):
         scores = [max_score_lp(3, b).optimal_score for b in (0.0, 0.5, 1.0, 2.0, math.inf)]
@@ -159,7 +170,7 @@ class TestMaxScoreLP:
         behavior = behavior_from_strategy_weights(2, result.weights, tolerance=1e-6)
         report = validate_behavior(behavior, tol=1e-6)
         assert report.is_valid
-        assert chsh_score(behavior) == pytest.approx(result.optimal_score, abs=1e-6)
+        assert chained_score(behavior, 2) == pytest.approx(result.optimal_score, abs=1e-6)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -363,13 +374,13 @@ class TestQuantumBehavior:
             ket_b = np.array([math.cos(phi_b), math.sin(phi_b)])
             rho = np.kron(np.outer(ket_a, ket_a), np.outer(ket_b, ket_b))
             behavior = quantum_behavior(rho, angles_a, angles_b)
-            assert chsh_score(behavior) <= 2 + 1e-9
+            assert chained_score(behavior, 2) <= 2 + 1e-9
 
     def test_singlet_tsirelson_point(self):
         behavior = quantum_behavior(
             singlet_state(), [0.0, math.pi / 2], [math.pi / 4, 3 * math.pi / 4]
         )
-        assert chsh_score(behavior) == pytest.approx(2 * math.sqrt(2), abs=1e-9)
+        assert chained_score(behavior, 2) == pytest.approx(2 * math.sqrt(2), abs=1e-9)
 
     def test_maximally_mixed_state_is_uniform(self):
         behavior = quantum_behavior(np.eye(4) / 4, [0.3, 1.2], [0.7, 2.1])

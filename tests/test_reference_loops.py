@@ -30,11 +30,10 @@ from quasibell import (
     chained_saturating_model,
     chained_score,
     check_quasi_bell,
-    chsh_score,
     correlation,
     validate_behavior,
     witness_chained,
-    witness_chsh,
+    witness_chained_link,
 )
 from quasibell.constructions import (
     model_from_strategies,
@@ -157,8 +156,18 @@ def _ref_link(model, behavior, a_bracket, a_disc, b_high, b_low, link):
     )
 
 
-def _ref_witness_chsh(model, behavior):
-    return _ref_link(model, behavior, 1, 1, 1, 0, None)
+def _ref_chsh_score(behavior):
+    """The 2-setting score as the library wrote it before n=2 became a chain."""
+    return abs(
+        correlation(behavior, 0, 0)
+        - correlation(behavior, 0, 1)
+        + correlation(behavior, 1, 0)
+        + correlation(behavior, 1, 1)
+    )
+
+
+def _ref_first_link(model, behavior):
+    return _ref_link(model, behavior, 1, 1, 1, 0, link=1)
 
 
 def _ref_witness_chained(model, n, behavior, discriminant_alice_setting="link"):
@@ -184,8 +193,8 @@ def _ref_check(model, n, tol=1e-9):
     table = _ref_assemble(model)
     behavior = Behavior(model.response_A.n_settings, model.response_B.n_settings, table)
     if n == 2:
-        score = chsh_score(behavior)
-        witness_total = _ref_witness_chsh(model, behavior).selected
+        score = _ref_chsh_score(behavior)
+        witness_total = _ref_first_link(model, behavior).selected
     else:
         score = chained_score(behavior, n)
         witness_total = _ref_witness_chained(model, n, behavior).total
@@ -237,8 +246,8 @@ def assert_model_matches_loops(model: Model, chains=(2,)) -> None:
     assert_identical(validate_behavior(behavior), _ref_validate(behavior), "validity")
     n_max = min(model.response_A.n_settings, model.response_B.n_settings)
     if n_max >= 2:
-        assert_identical(witness_chsh(model, behavior), _ref_witness_chsh(model, behavior),
-                         "witness_chsh")
+        assert_identical(witness_chained_link(model, 1, behavior),
+                         _ref_first_link(model, behavior), "witness_chained_link(x=1)")
     for n in chains:
         for selection in ("link", "zero"):
             assert_identical(

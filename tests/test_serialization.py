@@ -10,12 +10,13 @@ from quasibell import (
     assemble_behavior,
     behavior_from_csv,
     behavior_to_csv,
+    chained_score,
     chsh_saturating_model,
-    chsh_score,
     check_quasi_bell,
+    load_model,
     model_from_json_dict,
     model_to_json_dict,
-    witness_chsh,
+    witness_chained_link,
 )
 from quasibell.serialization import ModelFormatError
 
@@ -29,8 +30,10 @@ class TestModelJson:
             document = model_to_json_dict(model)
             # through an actual JSON string, as the CLI would
             restored = model_from_json_dict(json.loads(json.dumps(document)))
-            assert witness_chsh(restored).selected == witness_chsh(model).selected
-            assert witness_chsh(restored).branch_discriminant == witness_chsh(model).branch_discriminant
+            link = witness_chained_link(model, 1)
+            restored_link = witness_chained_link(restored, 1)
+            assert restored_link.selected == link.selected
+            assert restored_link.branch_discriminant == link.branch_discriminant
             original = check_quasi_bell(model, 3)
             again = check_quasi_bell(restored, 3)
             assert again.score == original.score
@@ -43,7 +46,7 @@ class TestModelJson:
         model = random_joint_model(rng, n_settings=2)
         restored = model_from_json_dict(json.loads(json.dumps(model_to_json_dict(model))))
         assert restored.dist.support == model.dist.support
-        assert witness_chsh(restored).selected == witness_chsh(model).selected
+        assert witness_chained_link(restored, 1).selected == witness_chained_link(model, 1).selected
 
     def test_schema_shape(self):
         document = model_to_json_dict(chsh_saturating_model(1))
@@ -80,6 +83,24 @@ class TestModelJson:
         with pytest.raises(ModelFormatError, match="settings"):
             model_from_json_dict(document)
 
+    @pytest.mark.parametrize("section", ["table", "dist"])
+    @pytest.mark.parametrize("copy_first", [True, False], ids=["copy-first", "copy-last"])
+    def test_rejects_duplicate_keys_in_either_order(self, tmp_path, section, copy_first):
+        # The row count stays right, so only the repeated key tells them apart.
+        document = model_to_json_dict(chsh_saturating_model(1))
+        obj = document["dist"] if section == "dist" else document["parties"][1]["table"]
+        pairs = list(obj.items())
+        key = pairs[0][0]
+        copy = [0.5, 0.5] if section == "table" else 0.0
+        pairs.insert(0 if copy_first else len(pairs), (key, copy))
+        obj.clear()
+        obj["@"] = None
+        members = ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs)
+        path = tmp_path / "duplicate.json"
+        path.write_text(json.dumps(document).replace('{"@": null}', "{" + members + "}"))
+        with pytest.raises(ModelFormatError, match=f"duplicate key '{key}'"):
+            load_model(path)
+
     def test_rejects_comma_in_label(self):
         model = random_model_with_label_comma()
         with pytest.raises(ModelFormatError):
@@ -107,7 +128,7 @@ class TestBehaviorCsv:
         assert restored.n_settings_A == 2
         for pair in behavior.setting_pairs():
             assert restored.table[pair] == tuple(float(v) for v in behavior.table[pair])
-        assert chsh_score(restored) == chsh_score(behavior)
+        assert chained_score(restored, 2) == chained_score(behavior, 2)
 
     def test_rejects_missing_header(self):
         with pytest.raises(ModelFormatError):
@@ -122,3 +143,12 @@ class TestBehaviorCsv:
         text = "xA,xB,P--,P-+,P+-,P++\n0,0,a,b,c,d\n"
         with pytest.raises(ModelFormatError):
             behavior_from_csv(text)
+
+    @pytest.mark.parametrize("copy_first", [True, False], ids=["copy-first", "copy-last"])
+    def test_rejects_duplicate_rows_in_either_order(self, copy_first):
+        lines = behavior_to_csv(assemble_behavior(chsh_saturating_model(1))).splitlines()
+        lines.insert(1 if copy_first else len(lines), "0,1,0.25,0.25,0.25,0.25")
+        # Line 1 is the header; the second 0,1 row is line 4 or line 6.
+        line = 4 if copy_first else 6
+        with pytest.raises(ModelFormatError, match=f"line {line}: settings 0,1 given twice"):
+            behavior_from_csv("\n".join(lines) + "\n")

@@ -18,9 +18,7 @@ from quasibell import (
     validate_behavior,
     witness_chained,
     witness_chained_link,
-    witness_chsh,
     witness_faithful,
-    witness_pm,
 )
 from quasibell.constructions import SymbolStrategy, model_from_strategies
 
@@ -57,17 +55,21 @@ def pr_box_mixture() -> Model:
 
 
 class TestFixedBranch:
+    """Both branch values of the first chain link, before selection."""
+
     def test_all_positive_dist_gives_exact_zero(self, rng):
         for _ in range(50):
             model = random_model(rng, force_negative=False)
             while not model.dist.is_all_positive():
                 model = random_model(rng, force_negative=False)
-            assert witness_pm(model, "+") == 0.0
-            assert witness_pm(model, "-") == 0.0
+            link = witness_chained_link(model, 1)
+            assert link.n_plus == 0.0
+            assert link.n_minus == 0.0
 
     @pytest.mark.parametrize("budget", [0.25, 1.0, 2.0])
     def test_saturating_model_minus_branch(self, budget):
-        assert witness_pm(chsh_saturating_model(budget), "-") == pytest.approx(budget)
+        link = witness_chained_link(chsh_saturating_model(budget), 1)
+        assert link.n_minus == pytest.approx(budget)
 
     @pytest.mark.parametrize("budget", [0.25, 1.0, 2.0])
     def test_saturating_model_plus_branch(self, budget):
@@ -75,11 +77,12 @@ class TestFixedBranch:
         # weighted one contributes, and its bracket is 2 for either sign
         # because <A>^1 (<B>^1 + <B>^0) = (-1)(+1 - 1) = 0.  Both branches
         # therefore give the budget itself.
-        assert witness_pm(chsh_saturating_model(budget), "+") == pytest.approx(budget)
+        link = witness_chained_link(chsh_saturating_model(budget), 1)
+        assert link.n_plus == pytest.approx(budget)
 
     def test_exact_mode(self):
         model = chsh_saturating_model(Fraction(3, 2), exact=True)
-        assert witness_pm(model, "-") == Fraction(3, 2)
+        assert witness_chained_link(model, 1).n_minus == Fraction(3, 2)
 
     def test_rejects_single_setting(self):
         table = {(0, "1"): (0.5, 0.5)}
@@ -87,16 +90,12 @@ class TestFixedBranch:
         other = LocalResponse("B", 1, ("1",), dict(table))
         model = Model(resp, other, QuasiDist.diagonal({"1": 1.0}))
         with pytest.raises(ValueError):
-            witness_pm(model, "-")
-
-    def test_rejects_unknown_sign(self):
-        with pytest.raises(ValueError):
-            witness_pm(chsh_saturating_model(1), "x")
+            witness_chained_link(model, 1)
 
 
 class TestCaseSelected:
     def test_saturating_model_at_unit_budget(self):
-        report = witness_chsh(chsh_saturating_model(1))
+        report = witness_chained_link(chsh_saturating_model(1), 1)
         assert report.branch is Branch.MINUS
         # E(1,0) = 1 and E(1,1) = (1+N)/3, so the discriminant is 5/3 at N=1
         assert report.branch_discriminant == pytest.approx(5 / 3)
@@ -106,7 +105,7 @@ class TestCaseSelected:
         assert report.faithful == pytest.approx(2.0)
 
     def test_per_lambda_breakdown_isolates_negative_point(self):
-        report = witness_chsh(chsh_saturating_model(1))
+        report = witness_chained_link(chsh_saturating_model(1), 1)
         contributions = report.per_lambda_contributions
         assert contributions[("4", "4")] == pytest.approx(1.0)
         for label in ("1", "2", "3"):
@@ -116,18 +115,18 @@ class TestCaseSelected:
         model = random_model(rng, force_negative=False)
         while not model.dist.is_all_positive():
             model = random_model(rng, force_negative=False)
-        report = witness_chsh(model)
+        report = witness_chained_link(model, 1)
         assert report.selected == 0.0
         assert report.faithful == 0.0
 
     def test_flipping_bob_switches_branch(self):
         original = chsh_saturating_model(1)
         flipped = flip_bob_outcomes(original)
-        report = witness_chsh(flipped)
+        report = witness_chained_link(flipped, 1)
         assert report.branch is Branch.PLUS
         assert report.branch_discriminant == pytest.approx(-5 / 3)
-        assert report.selected == pytest.approx(witness_pm(flipped, "+"))
-        assert report.selected == pytest.approx(witness_pm(original, "-"))
+        assert report.selected == pytest.approx(report.n_plus)
+        assert report.selected == pytest.approx(witness_chained_link(original, 1).n_minus)
 
     def test_non_faithful_selection_with_negative_weight(self):
         # Both hidden values play all-plus, so the MINUS bracket vanishes
@@ -137,14 +136,14 @@ class TestCaseSelected:
         model = model_from_strategies(
             {"1": all_plus, "2": all_plus}, {"1": 1.5, "2": -0.5}
         )
-        report = witness_chsh(model)
+        report = witness_chained_link(model, 1)
         assert report.branch is Branch.MINUS
         assert report.selected == 0.0
         assert model.dist.negative_mass() > 0
         assert report.faithful == pytest.approx(4.0)
 
     def test_json_field_names(self):
-        payload = witness_chsh(chsh_saturating_model(1)).to_json_dict()
+        payload = witness_chained_link(chsh_saturating_model(1), 1).to_json_dict()
         for field in ("n_plus", "n_minus", "selected", "branch", "discriminant", "faithful"):
             assert field in payload
         assert payload["branch"] == "MINUS"
@@ -253,7 +252,7 @@ class TestBranchSelectionRegression:
 
     def test_case_selected_two_setting_witness_still_holds(self):
         model = pr_box_mixture()
-        report = witness_chsh(model)
+        report = witness_chained_link(model, 1)
         assert report.branch is Branch.PLUS
         assert report.selected == pytest.approx(4.0)
 
@@ -272,7 +271,7 @@ class TestJointSupportWitnesses:
         from conftest import random_joint_model
 
         model = random_joint_model(rng, n_settings=2, k_a=2, k_b=2)
-        report = witness_chsh(model)
+        report = witness_chained_link(model, 1)
         assert set(report.per_lambda_contributions) == set(model.dist.support)
         assert report.selected == pytest.approx(
             sum(report.per_lambda_contributions.values())
@@ -283,15 +282,16 @@ class TestWitnessProperties:
     @given(model=diagonal_models(n_settings=2, signed=True))
     @settings(max_examples=150, deadline=None)
     def test_branches_and_faithful_are_non_negative(self, model):
-        assert witness_pm(model, "+") >= 0
-        assert witness_pm(model, "-") >= 0
+        link = witness_chained_link(model, 1)
+        assert link.n_plus >= 0
+        assert link.n_minus >= 0
         assert witness_faithful(model.dist) >= 0
 
     @given(model=diagonal_models(n_settings=2, signed=True))
     @settings(max_examples=150, deadline=None)
     def test_selected_never_exceeds_faithful(self, model):
         # every bracket is at most 4, the faithful witness's constant
-        report = witness_chsh(model)
+        report = witness_chained_link(model, 1)
         assert report.selected <= report.faithful + 1e-12
 
     @given(model=diagonal_models(n_settings=3, signed=True))
