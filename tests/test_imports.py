@@ -70,6 +70,7 @@ def test_oracle_module_loads_numpy_but_not_scipy():
 @pytest.mark.parametrize("command", [
     ["sample", "--model", "{model}", "--shots", "1000", "--output", "{out}"],
     ["oracle", "classical-bound", "--n", "5", "--output", "{out}"],
+    ["oracle", "classical-bound", "--n", "2", "--output", "{out}"],
 ])
 def test_numpy_oracle_commands_do_not_load_scipy(tmp_path, command):
     model_path = tmp_path / "model.json"
