@@ -104,12 +104,12 @@ def _parse_negativity(text: str):
 
 
 def _parse_budget(text: str) -> float:
-    if text.lower() in ("inf", "infinity"):
-        return math.inf
     try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad budget {text!r}") from exc
+        value = float(text)  # "inf" and "infinity" included, in any case
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"bad budget {text!r}")
     if value < 0:
         raise argparse.ArgumentTypeError("budget must be non-negative or inf")
     return value

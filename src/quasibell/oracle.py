@@ -15,11 +15,13 @@ Four separate routes that never share code with the model/witness path:
   still produce ordinary observable statistics.
 
 The LPs are solved with scipy's HiGHS backend; programs stay tiny (at most
-2 * 4^n variables) and results are deterministic for fixed inputs.  Importing
-this module loads numpy only: `scipy.optimize.linprog` is imported the first
-time the module attribute `linprog` is read, which the LP functions do on
-every solve, so enumeration, the classical bound, the quantum generator and
-the sampler never load scipy.
+2 * 4^n variables) and results are deterministic for fixed inputs.  Both
+LPs go through one helper, `_solve`, which turns HiGHS presolve off: on
+programs this small and dense it costs more than it saves (the measurement
+is in `_solve`'s docstring).  Importing this module loads numpy only:
+`scipy.optimize.linprog` is imported the first time the module attribute
+`linprog` is read, which `_solve` does on every solve, so enumeration, the
+classical bound, the quantum generator and the sampler never load scipy.
 """
 
 from __future__ import annotations
@@ -62,9 +64,9 @@ _LINPROG_STATUS = {0: LPStatus.OPTIMAL, 2: LPStatus.INFEASIBLE, 3: LPStatus.UNBO
 def __getattr__(name: str):
     """Serve `linprog`, importing scipy's on first use and keeping it in the globals.
 
-    The LP functions call `sys.modules[__name__].linprog`, an attribute
-    lookup, so they reach this hook once and then run whatever the attribute
-    holds, a replacement set with `setattr` included.
+    `_solve` calls `sys.modules[__name__].linprog`, an attribute lookup, so
+    it reaches this hook once and then runs whatever the attribute holds, a
+    replacement set with `setattr` included.
     """
     if name == "linprog":
         from scipy.optimize import linprog
@@ -199,11 +201,6 @@ def _behavior_matrix(n: int) -> np.ndarray:
     return grid.reshape(4 * n * n, 4**n)
 
 
-def _joint_strategies(n: int) -> list[tuple[Strategy, Strategy]]:
-    strategies = enumerate_deterministic(n)
-    return [(sa, sb) for sa in strategies for sb in strategies]
-
-
 def behavior_from_strategy_weights(
     n: int,
     weights: dict[tuple[Strategy, Strategy], float],
@@ -221,10 +218,31 @@ def behavior_from_strategy_weights(
     return Behavior(n_settings_A=n, n_settings_B=n, table=table, tolerance=tolerance)
 
 
-def _lp_result(
-    res, joint, n: int, a_eq, b_eq, a_ub=None, b_ub=None, score: float | None = None
+def _solve(
+    n: int, cost, a_eq, b_eq, a_ub=None, b_ub=None, score: float | None = None
 ) -> LPResult:
-    """The LPResult of `res`, solved with the constraints `a_eq x = b_eq`, `a_ub x <= b_ub`."""
+    """Minimize `cost @ x` over x >= 0 with `a_eq x = b_eq` and `a_ub x <= b_ub`.
+
+    x = (u, v) holds the two halves of the signed strategy weights w = u - v.
+    The optimal score is `score` when given, else -cost @ x.
+
+    HiGHS runs without presolve.  On these small dense programs presolve
+    costs more than it saves: `max_score_lp(5, 0)` took 30-38 ms with it
+    (0 simplex iterations) and 19 ms without (3 iterations), and the 32 LPs
+    of the n = 2..5 score and family grid took 0.54-0.61 of the time, on
+    2 cores.  Status and optimum are the same either way; at a degenerate
+    optimum the weights may name another optimal vertex.
+    """
+    res = sys.modules[__name__].linprog(
+        cost,
+        A_ub=a_ub,
+        b_ub=b_ub,
+        A_eq=a_eq,
+        b_eq=b_eq,
+        bounds=(0, None),
+        method="highs",
+        options={"presolve": False},
+    )
     status = _LINPROG_STATUS.get(res.status, LPStatus.FAILED)
     iterations, message = int(res.nit), str(res.message)
     if status is not LPStatus.OPTIMAL:
@@ -241,6 +259,7 @@ def _lp_result(
     residual = float(np.abs(a_eq @ res.x - b_eq).max())
     if a_ub is not None:
         residual = max(residual, float(np.max(a_ub @ res.x - b_ub, initial=0.0)))
+    joint = list(itertools.product(enumerate_deterministic(n), repeat=2))  # s_a major
     m = len(joint)
     merged = res.x[:m] - res.x[m:]
     weights = {joint[j]: float(merged[j]) for j in np.flatnonzero(np.abs(merged) > 1e-12)}
@@ -263,16 +282,16 @@ def max_score_lp(n: int, negativity_budget: float = math.inf) -> LPResult:
     Weights are split into non-negative halves w = u - v to keep the program
     linear.  Constraints: total weight 1, every induced behavior entry >= 0
     (row normalization then forces entries <= 1), and the faithful-witness
-    budget 8 * sum(v) <= negativity_budget when finite.
+    budget 8 * sum(v) <= negativity_budget when finite.  A NaN budget is
+    refused.  HiGHS runs without presolve (see `_solve`).
     """
     if n < 2:
         raise ValueError("score maximization needs n >= 2")
     if n > _MAX_LP_SETTINGS:
         raise ValueError(f"LP oracle limited to n <= {_MAX_LP_SETTINGS}")
-    if negativity_budget < 0:
+    if not negativity_budget >= 0:
         raise ValueError("negativity budget must be non-negative or infinite")
-    joint = _joint_strategies(n)
-    m = len(joint)
+    m = 4**n
     signs = _strategy_signs(n)
     scores = (signs @ _chain_coefficients(n) @ signs.T).ravel()
     cost = np.concatenate([-scores, scores])  # maximize scores @ (u - v)
@@ -287,16 +306,7 @@ def max_score_lp(n: int, negativity_budget: float = math.inf) -> LPResult:
         b_ub.append(np.array([negativity_budget]))
     a_ub, b_ub = np.concatenate(a_ub, axis=0), np.concatenate(b_ub)
     a_eq, b_eq = np.concatenate([np.ones(m), -np.ones(m)])[None, :], np.array([1.0])
-    res = sys.modules[__name__].linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0, None),
-        method="highs",
-    )
-    return _lp_result(res, joint, n, a_eq, b_eq, a_ub, b_ub)
+    return _solve(n, cost, a_eq, b_eq, a_ub, b_ub)
 
 
 def min_negativity_lp(target: Behavior) -> LPResult:
@@ -306,15 +316,15 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     the target signals.  The reported optimal_score is the chained score the
     target itself achieves.  Note this answers "how little negative mass
     reproduces these statistics", which is related to but distinct from any
-    witness value of a particular model.
+    witness value of a particular model.  HiGHS runs without presolve (see
+    `_solve`).
     """
     if target.n_settings_A != target.n_settings_B:
         raise ValueError("the strategy grid needs equal setting counts")
     n = target.n_settings_A
     if n > _MAX_LP_SETTINGS:
         raise ValueError(f"LP oracle limited to n <= {_MAX_LP_SETTINGS}")
-    joint = _joint_strategies(n)
-    m = len(joint)
+    m = 4**n
     behavior_matrix = _behavior_matrix(n)
     targets = []
     for x_a in range(n):
@@ -323,15 +333,7 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     a_eq = np.concatenate([behavior_matrix, -behavior_matrix], axis=1)
     b_eq = np.array(targets)
     cost = np.concatenate([np.zeros(m), np.ones(m)])  # minimize total v
-    res = sys.modules[__name__].linprog(
-        cost,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0, None),
-        method="highs",
-    )
-    score = chained_score(target, n) if res.status == 0 else None
-    return _lp_result(res, joint, n, a_eq, b_eq, score=score)
+    return _solve(n, cost, a_eq, b_eq, score=chained_score(target, n))
 
 
 def _projector(angle: float, outcome: int) -> np.ndarray:

@@ -160,11 +160,12 @@ def behavior_to_csv(behavior: Behavior) -> str:
 
 def behavior_from_csv(text: str, tolerance: float = DEFAULT_TOLERANCE) -> Behavior:
     reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
-    if not rows or [h.strip() for h in rows[0]] != CSV_HEADER:
+    # Blank rows are skipped; errors name the file line the row ends on.
+    rows = [(reader.line_num, row) for row in reader if row]
+    if not rows or [h.strip() for h in rows[0][1]] != CSV_HEADER:
         raise ModelFormatError(f"behavior CSV must start with header {','.join(CSV_HEADER)}")
     table: dict[tuple[int, int], tuple] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in rows[1:]:
         if len(row) != 6:
             raise ModelFormatError(f"line {line_no}: expected 6 columns")
         try:

@@ -276,6 +276,18 @@ class TestOracleCommands:
         assert code == 0
         assert json.loads(out)["optimal_score"] == pytest.approx(2.0, abs=1e-7)
 
+    @pytest.mark.parametrize("text", ["nan", "NaN", "-nan"])
+    def test_lp_nan_budget_is_usage_error(self, capsys, text):
+        # argparse refuses it, so no command runs and no LP is solved.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["oracle", "lp", "--n", "2", f"--budget={text}"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert f"bad budget {text!r}" in errors[0]
+
     def test_min_neg_roundtrip(self, capsys, tmp_path):
         model_path = tmp_path / "model.json"
         csv_path = tmp_path / "behavior.csv"

@@ -180,6 +180,10 @@ class TestMaxScoreLP:
         with pytest.raises(ValueError):
             max_score_lp(6, 0.0)
 
+    def test_rejects_nan_budget(self):
+        with pytest.raises(ValueError, match="negativity budget"):
+            max_score_lp(2, math.nan)
+
 
 class TestMinNegativityLP:
     def test_classical_mixture_needs_none(self, rng):
@@ -289,6 +293,64 @@ class TestSolverReport:
         assert result.status is LPStatus.INFEASIBLE
         assert result.primal_residual is None
         assert result.to_json_dict()["primal_residual"] is None
+
+
+def _singlet_at_chained_angles(n: int) -> Behavior:
+    """The singlet at Alice's angles i*pi/n and Bob's (j + 1/2)*pi/n."""
+    return quantum_behavior(
+        singlet_state(),
+        [i * math.pi / n for i in range(n)],
+        [(j + 0.5) * math.pi / n for j in range(n)],
+    )
+
+
+def _signalling_target() -> Behavior:
+    table = {(0, 0): (1.0, 0.0, 0.0, 0.0), (0, 1): (1.0, 0.0, 0.0, 0.0),
+             (1, 0): (0.0, 1.0, 0.0, 0.0), (1, 1): (0.0, 1.0, 0.0, 0.0)}
+    return Behavior(2, 2, table)
+
+
+_SOLVER_CASES = [
+    *(pytest.param(lambda n=n, b=b: max_score_lp(n, b), id=f"score-n{n}-budget{b}")
+      for n in range(2, 5) for b in (0.0, 0.5, 1.0, 2.0, math.inf)),
+    *(pytest.param(
+        lambda n=n, b=b: min_negativity_lp(assemble_behavior(chained_saturating_model(n, b))),
+        id=f"family-n{n}-budget{b}")
+      for n in range(2, 5) for b in (0.5, 1.0, 2.0)),
+    *(pytest.param(lambda n=n: min_negativity_lp(_singlet_at_chained_angles(n)),
+                   id=f"singlet-n{n}")
+      for n in range(2, 5)),
+    pytest.param(lambda: min_negativity_lp(_signalling_target()), id="signalling"),
+]
+
+
+class TestSolverSetting:
+    """HiGHS runs without presolve: the setting changes speed, not answers."""
+
+    @pytest.mark.parametrize("solve", _SOLVER_CASES)
+    def test_presolve_off_matches_presolve_on(self, solve, monkeypatch):
+        calls = []
+
+        def record(cost, **kwargs):
+            res = linprog(cost, **kwargs)
+            calls.append((cost, kwargs, res))
+            return res
+
+        linprog = oracle.linprog
+        monkeypatch.setattr(oracle, "linprog", record)
+        result = solve()
+        assert len(calls) == 1
+        cost, kwargs, res = calls[0]
+        assert kwargs["method"] == "highs"
+        assert kwargs["options"] == {"presolve": False}
+        reference = linprog(cost, **{**kwargs, "options": {"presolve": True}})
+        assert res.status == reference.status
+        if reference.status == 0:
+            assert res.fun == pytest.approx(reference.fun, abs=1e-9)
+            assert result.status is LPStatus.OPTIMAL
+            assert result.primal_residual <= 1e-9
+        else:
+            assert result.status is LPStatus.INFEASIBLE
 
 
 def _no_signalling_max_score(n: int) -> float:

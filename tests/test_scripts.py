@@ -1,0 +1,32 @@
+"""Smoke runs of the scripts in `scripts/`, in-process, as `python script.py ...` would run them."""
+
+from __future__ import annotations
+
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(monkeypatch, name: str, *args: str) -> int:
+    path = SCRIPTS / name
+    monkeypatch.setattr(sys, "argv", [str(path), *args])
+    with pytest.raises(SystemExit) as excinfo:
+        runpy.run_path(str(path), run_name="__main__")
+    return excinfo.value.code
+
+
+def test_negativity_budget_curve(monkeypatch, capsys):
+    # Exits 1 if the LP beats the saturating family anywhere at n = 2.
+    assert run_script(monkeypatch, "negativity_budget_curve.py", "--n", "2", "--steps", "7") == 0
+    out = capsys.readouterr().out
+    assert "classical" in out
+    assert "no-signalling ceiling" in out
+
+
+def test_saturation_sweep(monkeypatch, capsys):
+    assert run_script(monkeypatch, "saturation_sweep.py", "--max-n", "3", "--steps", "3") == 0
+    assert "all sweeps saturate their bounds" in capsys.readouterr().out

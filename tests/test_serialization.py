@@ -152,3 +152,15 @@ class TestBehaviorCsv:
         line = 4 if copy_first else 6
         with pytest.raises(ModelFormatError, match=f"line {line}: settings 0,1 given twice"):
             behavior_from_csv("\n".join(lines) + "\n")
+
+    def test_errors_name_the_file_line_after_blank_lines(self):
+        # Two blank lines after the header: the bad value sits on file line 4.
+        text = "xA,xB,P--,P-+,P+-,P++\n\n\n0,0,a,0,0,0\n"
+        with pytest.raises(ModelFormatError, match="^line 4: "):
+            behavior_from_csv(text)
+        text = "xA,xB,P--,P-+,P+-,P++\n0,0,1,0,0,0\n\n0,0,1,0,0,0\n"
+        with pytest.raises(ModelFormatError, match="^line 4: settings 0,0 given twice"):
+            behavior_from_csv(text)
+        text = "\nxA,xB,P--,P-+,P+-,P++\n\n0,0,1,0\n"
+        with pytest.raises(ModelFormatError, match="^line 4: expected 6 columns"):
+            behavior_from_csv(text)
