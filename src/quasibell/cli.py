@@ -33,7 +33,6 @@ from .serialization import (
     load_model,
     model_to_json_dict,
 )
-from .witnesses import witness_chained
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -186,13 +185,12 @@ def _cmd_saturate(args, tol: float) -> int:
         _emit(_pretty_table(behavior), args.output)
         return EXIT_OK
     report = check_quasi_bell(model, args.n, tol=tol, behavior=behavior)
-    witness = witness_chained(model, args.n, behavior).to_json_dict()
     payload = {
         "model": model_to_json_dict(model),
         "behavior": {f"{xa},{xb}": [float(v) for v in row]
                      for (xa, xb), row in sorted(behavior.table.items())},
         "report": report.to_json_dict(),
-        "witness": witness,
+        "witness": report.witness.to_json_dict(),
         "validity": validate_behavior(behavior, tol).to_json_dict(),
     }
     _emit(_json_text(payload), args.output)

@@ -13,7 +13,7 @@ chain length, n=2 included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 from .core import (
     DEFAULT_TOLERANCE,
@@ -23,7 +23,7 @@ from .core import (
     assemble_behavior,
     correlation,
 )
-from .witnesses import witness_chained
+from .witnesses import ChainedWitnessReport, witness_chained
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,9 @@ class ScoreReport:
     `bound - score` (zero for saturating models).  `lambda_mixture_score` is
     the same score recomputed as |sum_lambda M(lambda) w(lambda)| from the
     per-hidden-value scores, a cross-check that must agree with `score`.
+    `witness` is the chained witness report `witness_total` was read from,
+    when the report was built with one; it is kept outside the fields, so
+    reports compare, print and serialize by their figures alone.
     """
 
     n: int
@@ -44,6 +47,10 @@ class ScoreReport:
     holds: bool
     margin: object
     lambda_mixture_score: object
+    witness: InitVar[ChainedWitnessReport | None] = None
+
+    def __post_init__(self, witness: ChainedWitnessReport | None) -> None:
+        object.__setattr__(self, "witness", witness)
 
     def to_json_dict(self) -> dict:
         return {
@@ -142,7 +149,8 @@ def check_quasi_bell(
     if behavior is None:
         behavior = assemble_behavior(model)
     score = chained_score(behavior, n)
-    witness_total = witness_chained(model, n, behavior).total
+    witness = witness_chained(model, n, behavior)
+    witness_total = witness.total
     classical_part = 2 * n - 2
     bound = classical_part + witness_total
     margin = bound - score
@@ -155,4 +163,5 @@ def check_quasi_bell(
         holds=score <= bound + tol,
         margin=margin,
         lambda_mixture_score=mixture_score(model, n),
+        witness=witness,
     )

@@ -6,12 +6,20 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quasibell import assemble_behavior, behavior_to_csv, chsh_saturating_model
+from quasibell import (
+    assemble_behavior,
+    behavior_to_csv,
+    chained_saturating_model,
+    chsh_saturating_model,
+    witness_chained,
+)
+from quasibell import cli, inequalities
 from quasibell.cli import EXIT_BROKEN_PIPE, main
 from quasibell.serialization import model_to_json_dict, save_model
 
@@ -60,6 +68,24 @@ class TestSaturate:
         assert [term["link"] for term in witness["terms"]] == [1]
         assert witness["total"] == payload["report"]["witness"]
         assert witness["total"] == pytest.approx(1.0)
+
+    def test_json_witness_is_computed_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return witness_chained(*args, **kwargs)
+
+        # Every module that could compute it for `saturate` calls the counter.
+        monkeypatch.setattr(inequalities, "witness_chained", counted)
+        monkeypatch.setattr(cli, "witness_chained", counted, raising=False)
+        code, out, _ = run(capsys, "saturate", "--n", "5", "--negativity", "1/2",
+                           "--format", "json")
+        assert code == 0
+        assert len(calls) == 1
+        model = chained_saturating_model(5, Fraction(1, 2))
+        expected = witness_chained(model, 5, assemble_behavior(model)).to_json_dict()
+        assert json.loads(out)["witness"] == json.loads(json.dumps(expected))
 
     def test_fraction_negativity_argument(self, capsys):
         code, out, _ = run(capsys, "saturate", "--negativity", "1/2", "--format", "csv")
@@ -270,6 +296,24 @@ class TestOracleCommands:
         payload = json.loads(out)
         assert payload["optimal_score"] == pytest.approx(4.0, abs=1e-7)
         assert payload["budget"] is None
+
+    def test_lp_unbounded_budget_mass_is_null(self, capsys):
+        # Every optimal vertex scores 2n without a budget row; the mass is the
+        # vertex's, not the LP's, so it is not reported.
+        code, out, _ = run(capsys, "oracle", "lp", "--n", "3", "--budget", "inf")
+        assert code == 0
+        payload = _strict_json(out)
+        assert payload["status"] == "OPTIMAL"
+        assert payload["negative_mass"] is None
+        assert payload["optimal_score"] == pytest.approx(6.0, abs=1e-9)
+        assert payload["columns"] == 10
+
+    def test_lp_finite_budget_reports_mass_and_columns(self, capsys):
+        code, out, _ = run(capsys, "oracle", "lp", "--n", "5", "--budget", "1")
+        assert code == 0
+        payload = _strict_json(out)
+        assert 8 * payload["negative_mass"] <= 1 + 1e-9
+        assert payload["columns"] == 68
 
     def test_lp_zero_budget(self, capsys):
         code, out, _ = run(capsys, "oracle", "lp", "--n", "2", "--budget", "0")

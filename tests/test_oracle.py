@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -114,9 +115,19 @@ class TestStrategyGrid:
         linprog = oracle.linprog
         monkeypatch.setattr(oracle, "linprog", capture)
         max_score_lp(n, 1.0)
-        expected = [strategy_score(sa, sb, n) for sa, sb in _joint(n)]
-        # cost = (-scores, scores): the LP maximizes scores @ (u - v)
-        assert costs[0].tolist() == [-s for s in expected] + expected
+        orbit_of = oracle._score_program(n).orbit_of.tolist()
+        scores = [strategy_score(sa, sb, n) for sa, sb in _joint(n)]
+        # The orbits partition all 4^n joint strategies ...
+        assert len(orbit_of) == 4**n
+        orbits = sorted(set(orbit_of))
+        assert orbits == list(range(len(orbits)))
+        # ... the score is constant on each ...
+        for orbit in orbits:
+            assert len({s for s, o in zip(scores, orbit_of) if o == orbit}) == 1
+        # ... and cost = (-t, t), t being each orbit's summed score: the LP
+        # maximizes t @ (u - v).
+        totals = [sum(s for s, o in zip(scores, orbit_of) if o == orbit) for orbit in orbits]
+        assert costs[0].tolist() == [-t for t in totals] + totals
 
 
 class TestMaxScoreLP:
@@ -183,6 +194,157 @@ class TestMaxScoreLP:
     def test_rejects_nan_budget(self):
         with pytest.raises(ValueError, match="negativity budget"):
             max_score_lp(2, math.nan)
+
+
+_ORBIT_BUDGETS = [0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0, math.inf]
+
+
+def _full_score_lp(n: int, budget: float) -> float:
+    """The score LP over all 2 * 4^n columns, built from the loop-form scores."""
+    m = 4**n
+    scores = np.array([strategy_score(sa, sb, n) for sa, sb in _joint(n)], dtype=np.float64)
+    behavior_matrix = oracle._behavior_matrix(n)
+    a_ub = np.concatenate([-behavior_matrix, behavior_matrix], axis=1)
+    b_ub = np.zeros(len(a_ub))
+    if math.isfinite(budget):
+        a_ub = np.vstack([a_ub, np.concatenate([np.zeros(m), 8.0 * np.ones(m)])])
+        b_ub = np.append(b_ub, budget)
+    res = linprog(
+        np.concatenate([-scores, scores]),
+        A_ub=a_ub,
+        b_ub=b_ub,
+        A_eq=np.concatenate([np.ones(m), -np.ones(m)])[None, :],
+        b_eq=[1.0],
+        bounds=(0, None),
+        method="highs",
+    )
+    assert res.status == 0
+    return float(-res.fun)
+
+
+def _half_step(sa, sb):
+    """h: (a, b) -> (b, (a_1, ..., a_{n-1}, -a_0)), in loop form."""
+    return sb, sa[1:] + (-sa[0],)
+
+
+def _reflection(sa, sb):
+    """r: (a, b) -> (reversed b, reversed a), in loop form."""
+    return sb[::-1], sa[::-1]
+
+
+class TestScoreOrbits:
+    """`max_score_lp` solves over orbits of the chained score's symmetry group."""
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    @pytest.mark.parametrize("budget", _ORBIT_BUDGETS)
+    def test_same_optimum_as_full_program(self, n, budget):
+        result = max_score_lp(n, budget)
+        assert result.status is LPStatus.OPTIMAL
+        assert result.optimal_score == pytest.approx(_full_score_lp(n, budget), abs=1e-9)
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    @pytest.mark.parametrize("budget", _ORBIT_BUDGETS)
+    def test_expanded_weights_hold_up(self, n, budget):
+        result = max_score_lp(n, budget)
+        assert sum(result.weights.values()) == pytest.approx(1.0, abs=1e-9)
+        behavior = behavior_from_strategy_weights(n, result.weights)
+        assert validate_behavior(behavior).is_valid
+        assert chained_score(behavior, n) == pytest.approx(result.optimal_score, abs=1e-9)
+        assert result.primal_residual <= 1e-9
+        if math.isfinite(budget):
+            assert 8 * result.negative_mass <= budget + 1e-9
+        else:
+            assert math.isnan(result.negative_mass)
+        # The weights are symmetric: each relabelling maps them to themselves.
+        for (sa, sb), weight in result.weights.items():
+            for image in (_half_step(sa, sb), _reflection(sa, sb)):
+                assert result.weights[image] == weight
+
+    @pytest.mark.parametrize("n,orbits", [(2, 2), (3, 5), (4, 12), (5, 34)])
+    def test_group_order_and_orbit_count(self, n, orbits):
+        program = oracle._score_program(n)
+        assert program.group_order == 8 * n
+        assert len(set(program.orbit_of.tolist())) == orbits
+        assert len(program.cost) == 2 * orbits
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_generators_match_their_loop_form(self, n):
+        joint = _joint(n)
+        index = {pair: j for j, pair in enumerate(joint)}
+        half_step, reflection = oracle._chain_generators(n)
+        assert half_step.tolist() == [index[_half_step(sa, sb)] for sa, sb in joint]
+        assert reflection.tolist() == [index[_reflection(sa, sb)] for sa, sb in joint]
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_orbits_are_closed_under_the_generators(self, n):
+        joint = _joint(n)
+        index = {pair: j for j, pair in enumerate(joint)}
+        orbit_of = oracle._score_program(n).orbit_of
+        for j, (sa, sb) in enumerate(joint):
+            for image in (_half_step(sa, sb), _reflection(sa, sb)):
+                assert orbit_of[index[image]] == orbit_of[j]
+
+    def test_cached_program_is_read_only(self):
+        program = oracle._score_program(3)
+        assert oracle._score_program(3) is program
+        for array in (program.orbit_of, program.cost, program.a_eq, program.a_ub,
+                      program.full_a_eq, program.full_a_ub, oracle._behavior_matrix(3)):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_guard_refuses_a_shift_without_the_sign_flip(self, n, monkeypatch):
+        # (a, b) -> (b, (a_1, ..., a_{n-1}, a_0)) relabels settings, so it
+        # permutes the behavior rows, but it moves the wrap term's minus sign.
+        joint = _joint(n)
+        index = {pair: j for j, pair in enumerate(joint)}
+        shift = np.array([index[(sb, sa[1:] + sa[:1])] for sa, sb in joint])
+        monkeypatch.setattr(oracle, "_chain_generators", lambda n: [shift])
+        with pytest.raises(RuntimeError, match="chained score"):
+            oracle._score_program.__wrapped__(n)
+
+    def test_guard_refuses_a_swap_of_two_equal_scores(self, monkeypatch):
+        # Swapping two joint strategies of equal score fixes the score vector,
+        # but no relabelling of settings and outcomes does it.
+        n = 3
+        joint = _joint(n)
+        scores = [strategy_score(sa, sb, n) for sa, sb in joint]
+        partner = scores.index(scores[0], 1)
+        swap = np.arange(4**n)
+        swap[[0, partner]] = swap[[partner, 0]]
+        monkeypatch.setattr(oracle, "_chain_generators", lambda n: [swap])
+        with pytest.raises(RuntimeError, match="behavior rows"):
+            oracle._score_program.__wrapped__(n)
+
+    def test_unbounded_budget_mass_is_undetermined(self):
+        result = max_score_lp(3, math.inf)
+        assert result.status is LPStatus.OPTIMAL
+        assert math.isnan(result.negative_mass)
+        payload = result.to_json_dict()
+        assert payload["negative_mass"] is None
+        json.dumps(payload, allow_nan=False)
+
+    @pytest.mark.parametrize("budget", [0.0, 1.0, math.inf])
+    def test_score_lp_columns(self, budget, monkeypatch):
+        costs = []
+
+        def capture(cost, **kwargs):
+            costs.append(cost)
+            return linprog(cost, **kwargs)
+
+        linprog = oracle.linprog
+        monkeypatch.setattr(oracle, "linprog", capture)
+        result = max_score_lp(5, budget)
+        assert result.columns == len(costs[0]) == 68
+        assert result.to_json_dict()["columns"] == 68
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_min_negativity_lp_columns(self, n):
+        target = assemble_behavior(chained_saturating_model(n, 1.0))
+        result = min_negativity_lp(target)
+        assert result.columns == 2 * 4**n
+        assert result.to_json_dict()["columns"] == 2 * 4**n
+        assert min_negativity_lp(_signalling_target()).columns == 2 * 4**2
 
 
 class TestMinNegativityLP:
