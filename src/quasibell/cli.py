@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,18 +39,6 @@ EXIT_USAGE = 2
 EXIT_BROKEN_PIPE = 128 + 13  # killed by SIGPIPE, as `yes | head -1` reports
 
 FORMATS = ("json", "csv", "pretty-table")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: one command plus its run-wide knobs."""
-
-    command: str
-    tolerance: float
-
-    def __post_init__(self) -> None:
-        if not 0 < self.tolerance < math.inf:
-            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance!r}")
 
 
 def _default_tolerance() -> float:
@@ -128,27 +115,32 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--negativity", type=_parse_negativity, required=True)
     build.add_argument("--force", action="store_true", help="allow budgets outside [0, 2]")
     build.add_argument("--output", type=Path, default=None)
+    build.set_defaults(handler=_cmd_build)
 
     saturate = commands.add_parser("saturate", help="saturating model report")
     saturate.add_argument("--n", type=int, default=2)
     saturate.add_argument("--negativity", type=_parse_negativity, required=True)
     saturate.add_argument("--format", choices=FORMATS, default="json")
     saturate.add_argument("--output", type=Path, default=None)
+    saturate.set_defaults(handler=_cmd_saturate)
 
     verify = commands.add_parser("verify", help="check score <= bound for a model file")
     verify.add_argument("--model", type=Path, required=True)
     verify.add_argument("--n", type=int, default=None, help="chain length (default: settings)")
     verify.add_argument("--output", type=Path, default=None)
+    verify.set_defaults(handler=_cmd_verify)
 
     export = commands.add_parser("export", help="write a model's behavior as CSV")
     export.add_argument("--model", type=Path, required=True)
     export.add_argument("--output", type=Path, default=None)
+    export.set_defaults(handler=_cmd_export)
 
     sample = commands.add_parser("sample", help="sign-weighted sampling of a model")
     sample.add_argument("--model", type=Path, required=True)
     sample.add_argument("--shots", type=int, default=100_000)
     sample.add_argument("--seed", type=int, default=0)
     sample.add_argument("--output", type=Path, default=None)
+    sample.set_defaults(handler=_cmd_sample)
 
     oracle = commands.add_parser("oracle", help="brute-force and LP oracles")
     oracle_sub = oracle.add_subparsers(dest="oracle_command", required=True)
@@ -156,15 +148,18 @@ def build_parser() -> argparse.ArgumentParser:
     classical = oracle_sub.add_parser("classical-bound", help="exhaustive classical maximum")
     classical.add_argument("--n", type=int, required=True)
     classical.add_argument("--output", type=Path, default=None)
+    classical.set_defaults(handler=_cmd_classical_bound)
 
     lp = oracle_sub.add_parser("lp", help="max score under a negativity budget")
     lp.add_argument("--n", type=int, required=True)
     lp.add_argument("--budget", type=_parse_budget, default=math.inf)
     lp.add_argument("--output", type=Path, default=None)
+    lp.set_defaults(handler=_cmd_lp)
 
     min_neg = oracle_sub.add_parser("min-neg", help="minimal negative mass for a behavior CSV")
     min_neg.add_argument("--behavior", type=Path, required=True)
     min_neg.add_argument("--output", type=Path, default=None)
+    min_neg.set_defaults(handler=_cmd_min_neg)
 
     return parser
 
@@ -225,53 +220,45 @@ def _cmd_sample(args, tol: float) -> int:
         sys.stderr.write(_json_text({"error": "model behavior is invalid; sampling refused",
                                      "validity": validity.to_json_dict()}) + "\n")
         return EXIT_CHECK_FAILED
-    estimate = signed_sample(model, shots=args.shots, seed=args.seed)
+    estimate = signed_sample(model, shots=args.shots, seed=args.seed, tolerance=tol)
     _emit(_json_text(estimate.to_json_dict()), args.output)
     return EXIT_OK
 
 
-def _cmd_oracle(args, tol: float) -> int:
-    from .oracle import LPStatus, classical_bound_bruteforce, max_score_lp, min_negativity_lp
+def _cmd_classical_bound(args, tol: float) -> int:
+    from .oracle import classical_bound_bruteforce
 
-    if args.oracle_command == "classical-bound":
-        bound = classical_bound_bruteforce(args.n)
-        _emit(_json_text({"n": args.n, "classical_bound": bound}), args.output)
-        return EXIT_OK
-    if args.oracle_command == "lp":
-        result = max_score_lp(args.n, args.budget)
-        payload = result.to_json_dict()
-        payload["budget"] = None if math.isinf(args.budget) else args.budget
-        _emit(_json_text(payload), args.output)
-        return EXIT_OK
-    if args.oracle_command == "min-neg":
-        target = load_behavior_csv(args.behavior, tolerance=tol)
-        result = min_negativity_lp(target)
-        _emit(_json_text(result.to_json_dict()), args.output)
-        return EXIT_OK if result.status is LPStatus.OPTIMAL else EXIT_CHECK_FAILED
-    raise AssertionError(f"unhandled oracle command {args.oracle_command!r}")
+    bound = classical_bound_bruteforce(args.n)
+    _emit(_json_text({"n": args.n, "classical_bound": bound}), args.output)
+    return EXIT_OK
 
 
-_HANDLERS = {
-    "build": _cmd_build,
-    "saturate": _cmd_saturate,
-    "verify": _cmd_verify,
-    "export": _cmd_export,
-    "sample": _cmd_sample,
-    "oracle": _cmd_oracle,
-}
+def _cmd_lp(args, tol: float) -> int:
+    from .oracle import max_score_lp
+
+    result = max_score_lp(args.n, args.budget)
+    payload = result.to_json_dict()
+    payload["budget"] = None if math.isinf(args.budget) else args.budget
+    _emit(_json_text(payload), args.output)
+    return EXIT_OK
+
+
+def _cmd_min_neg(args, tol: float) -> int:
+    from .oracle import LPStatus, min_negativity_lp
+
+    target = load_behavior_csv(args.behavior, tolerance=tol)
+    result = min_negativity_lp(target)
+    _emit(_json_text(result.to_json_dict()), args.output)
+    return EXIT_OK if result.status is LPStatus.OPTIMAL else EXIT_CHECK_FAILED
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        tolerance = args.tolerance if args.tolerance is not None else _default_tolerance()
-        config = RunConfig(command=args.command, tolerance=tolerance)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    try:
-        return _HANDLERS[config.command](args, config.tolerance)
+        tol = args.tolerance if args.tolerance is not None else _default_tolerance()
+        if not 0 < tol < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+        return args.handler(args, tol)
     except BrokenPipeError:
         raise
     except OSError as exc:

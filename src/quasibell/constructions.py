@@ -120,14 +120,9 @@ def saturating_strategies(n: int) -> dict[Label, SymbolStrategy]:
 
 def saturating_weights(negativity, exact: bool = False) -> dict:
     """Weights (4+N)/12 on labels "1".."3" and -N/4 on "4"; sums to 1 for any N."""
-    if exact:
-        n_val = Fraction(negativity)
-        positive = (4 + n_val) / 12
-        negative = -n_val / 4
-    else:
-        n_val = float(negativity)
-        positive = (4 + n_val) / 12.0
-        negative = -n_val / 4.0
+    n_val = Fraction(negativity) if exact else float(negativity)
+    positive = (4 + n_val) / 12
+    negative = -n_val / 4
     return {"1": positive, "2": positive, "3": positive, "4": negative}
 
 

@@ -416,38 +416,33 @@ def validate_behavior(behavior: Behavior, tol: float = DEFAULT_TOLERANCE) -> Val
             is_valid=False, worst_entry=worst_entry, no_signalling_violation=math.nan
         )
 
-    # A repeated row would add a copy of a marginal already in its list,
-    # which moves neither the max nor the min.  Spreads are folded into
-    # `violation` party by party, setting by setting, outcome -1 first, so
-    # ties keep the type they had with one list per outcome.
+    # Alice's marginal P(y_A | x_A) must not depend on x_B: each of her lines
+    # fixes x_A and sums outcome pairs (0, 1) and (2, 3).  Bob's marginal
+    # P(y_B | x_B) must not depend on x_A: his lines fix x_B and sum (0, 2)
+    # and (1, 3).  A repeated row would add a copy of a
+    # marginal already in its list, which moves neither the max nor the
+    # min.  Spreads are folded into `violation` party by party, setting by
+    # setting, outcome -1 first, so ties keep the type they had with one
+    # list per outcome.
     violation = 0
-    n_a, n_b = behavior.n_settings_A, behavior.n_settings_B
-    # Alice's marginal P(y_A | x_A) must not depend on x_B.
-    for x_a in range(n_a):
-        minus, plus = [], []
-        previous = None
-        for x_b in range(n_b):
-            row = table[(x_a, x_b)]
-            if row is not previous:
-                previous = row
-                mm, mp, pm, pp = row
-                minus.append(mm + mp)
-                plus.append(pm + pp)
-        violation = max(violation, max(minus) - min(minus))
-        violation = max(violation, max(plus) - min(plus))
-    # Bob's marginal P(y_B | x_B) must not depend on x_A.
-    for x_b in range(n_b):
-        minus, plus = [], []
-        previous = None
-        for x_a in range(n_a):
-            row = table[(x_a, x_b)]
-            if row is not previous:
-                previous = row
-                mm, mp, pm, pp = row
-                minus.append(mm + pm)
-                plus.append(mp + pp)
-        violation = max(violation, max(minus) - min(minus))
-        violation = max(violation, max(plus) - min(plus))
+    alice_lines = [
+        [table[(x_a, x_b)] for x_b in range(behavior.n_settings_B)]
+        for x_a in range(behavior.n_settings_A)
+    ]
+    for lines, (m1, m2, p1, p2) in (
+        (alice_lines, (0, 1, 2, 3)),
+        (zip(*alice_lines), (0, 2, 1, 3)),
+    ):
+        for line in lines:
+            minus, plus = [], []
+            previous = None
+            for row in line:
+                if row is not previous:
+                    previous = row
+                    minus.append(row[m1] + row[m2])
+                    plus.append(row[p1] + row[p2])
+            violation = max(violation, max(minus) - min(minus))
+            violation = max(violation, max(plus) - min(plus))
 
     return ValidityReport(
         is_valid=is_valid,

@@ -204,8 +204,13 @@ def classical_bound_bruteforce(n: int) -> float:
 
 
 def _strategy_signs(n: int) -> np.ndarray:
-    """The 2^n x n matrix of +-1 strategies, rows in `enumerate_deterministic` order."""
-    return np.array(enumerate_deterministic(n), dtype=np.float64)
+    """The 2^n x n matrix of +-1 strategies, rows in `enumerate_deterministic` order.
+
+    Row s holds the bits of s, most significant first, with 0 -> -1 and
+    1 -> +1: the encoding `_joint_index` reads back.
+    """
+    bits = 2 ** np.arange(n - 1, -1, -1)
+    return np.where(np.arange(2**n)[:, None] & bits, 1.0, -1.0)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -584,18 +589,21 @@ def quantum_behavior(
     )
 
 
-def signed_sample(model: Model, shots: int, seed: int) -> SampleEstimate:
+def signed_sample(
+    model: Model, shots: int, seed: int, tolerance: float = DEFAULT_TOLERANCE
+) -> SampleEstimate:
     """Estimate the behavior by sampling hidden values from |w| / sum|w|.
 
     Each draw carries weight sign(w) * sum|w|; averaging those signed
     indicators per cell gives an unbiased estimate of every behavior entry.
-    Models whose assembled behavior is invalid are refused, since their
-    negative cells cannot be reproduced by any frequency estimate.
+    Models whose assembled behavior is invalid at `tolerance` are refused,
+    since their negative cells cannot be reproduced by any frequency
+    estimate.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    exact = assemble_behavior(model)
-    report = validate_behavior(exact, DEFAULT_TOLERANCE)
+    exact = assemble_behavior(model, tolerance=tolerance)
+    report = validate_behavior(exact, tolerance)
     if not report.is_valid:
         raise ValueError(
             "model assembles to an invalid behavior "

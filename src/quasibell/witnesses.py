@@ -98,31 +98,6 @@ class ChainedWitnessReport:
         }
 
 
-def _require_settings(model: Model, needed: int) -> None:
-    if model.response_A.n_settings < needed or model.response_B.n_settings < needed:
-        raise ValueError(
-            f"witness needs at least {needed} settings per party, model has "
-            f"({model.response_A.n_settings}, {model.response_B.n_settings})"
-        )
-
-
-def _negative_excesses(dist: QuasiDist) -> tuple[dict[Point, object], list]:
-    """Per-point excesses |w| - w, computed once for every bracket of a call.
-
-    Returns a {point: 0} template in support order and the (point, excess)
-    pairs whose excess is not zero; only those points contribute a term.
-    """
-    weights = dist.weights
-    zeros = dict.fromkeys(dist.support, 0)
-    negative = []
-    for point in dist.support:
-        w = weights[point]
-        excess = abs(w) - w
-        if excess != 0:
-            negative.append((point, excess))
-    return zeros, negative
-
-
 def witness_faithful(dist: QuasiDist):
     """Faithful witness: sum of 4 * (|w| - w), i.e. 8x the negative mass.
 
@@ -146,72 +121,12 @@ def witness_chained_link(
     exposed for comparison only, because branch selection at Alice's
     setting 0 does not give a universally valid bound (there are valid
     behaviors whose score exceeds it; see the regression test).  The report
-    records which Alice setting selected the branch.
+    records which Alice setting selected the branch.  It is the last term
+    of `witness_chained(model, x + 1)`.
     """
     if x < 1:
         raise ValueError("link index must be at least 1")
-    _require_settings(model, x + 1)
-    if behavior is None:
-        behavior = assemble_behavior(model)
-    return _link_report(
-        model,
-        x,
-        behavior,
-        discriminant_alice_setting,
-        witness_faithful(model.dist),
-        _negative_excesses(model.dist),
-    )
-
-
-def _link_report(
-    model: Model,
-    x: int,
-    behavior: Behavior,
-    discriminant_alice_setting: Literal["zero", "link"],
-    faithful,
-    excesses,
-) -> WitnessReport:
-    """Both branches of link x: [2 +- <A>^x (<B>^x + <B>^(x-1))] * (|w| - w).
-
-    `excesses` comes from `_negative_excesses(model.dist)`.  The product
-    t = <A>^x (<B>^x + <B>^(x-1)) is computed once per point and shared: the
-    MINUS term `2 - t` is bit-identical to `2 + (-1 * <A>^x) * (...)`.
-    """
-    a_disc = 0 if discriminant_alice_setting == "zero" else x
-    discriminant = correlation(behavior, a_disc, x) + correlation(behavior, a_disc, x - 1)
-    table_a, table_b = model.response_A.table, model.response_B.table
-    zeros, negative = excesses
-    contr_plus: dict[Point, object] = dict(zeros)
-    contr_minus: dict[Point, object] = dict(zeros)
-    n_plus = n_minus = 0
-    for point, excess in negative:
-        lam_a, lam_b = point
-        a_minus, a_plus = table_a[(x, lam_a)]
-        high_minus, high_plus = table_b[(x, lam_b)]
-        low_minus, low_plus = table_b[(x - 1, lam_b)]
-        spread = (a_plus - a_minus) * ((high_plus - high_minus) + (low_plus - low_minus))
-        term_plus = (2 + spread) * excess
-        term_minus = (2 - spread) * excess
-        contr_plus[point] = term_plus
-        contr_minus[point] = term_minus
-        n_plus += term_plus
-        n_minus += term_minus
-    branch = Branch.PLUS if discriminant < 0 else Branch.MINUS
-    selected, contributions = (
-        (n_plus, contr_plus) if branch is Branch.PLUS else (n_minus, contr_minus)
-    )
-    return WitnessReport(
-        n_plus=n_plus,
-        n_minus=n_minus,
-        selected=selected,
-        branch=branch,
-        branch_discriminant=discriminant,
-        per_lambda_contributions=contributions,
-        faithful=faithful,
-        a_setting_bracket=x,
-        a_setting_discriminant=a_disc,
-        link=x,
-    )
+    return witness_chained(model, x + 1, behavior, discriminant_alice_setting).terms[-1]
 
 
 def witness_chained(
@@ -220,17 +135,65 @@ def witness_chained(
     behavior: Behavior | None = None,
     discriminant_alice_setting: Literal["zero", "link"] = "link",
 ) -> ChainedWitnessReport:
-    """Chained witness: sum of the per-link terms for x = 1 .. n-1."""
+    """Chained witness: sum of the per-link terms for x = 1 .. n-1.
+
+    Link x has both branches [2 +- <A>^x (<B>^x + <B>^(x-1))] * (|w| - w);
+    the discriminant picks one (see `witness_chained_link`), and only that
+    branch is broken down by support point.  The product
+    t = <A>^x (<B>^x + <B>^(x-1)) is computed once per point and shared: the
+    MINUS term `2 - t` is bit-identical to `2 + (-1 * <A>^x) * (...)`.
+    """
     if n < 2:
         raise ValueError("chained witness needs n >= 2")
-    _require_settings(model, n)
+    if model.response_A.n_settings < n or model.response_B.n_settings < n:
+        raise ValueError(
+            f"witness needs at least {n} settings per party, model has "
+            f"({model.response_A.n_settings}, {model.response_B.n_settings})"
+        )
     if behavior is None:
         behavior = assemble_behavior(model)
     faithful = witness_faithful(model.dist)
-    excesses = _negative_excesses(model.dist)
-    terms = tuple(
-        _link_report(model, x, behavior, discriminant_alice_setting, faithful, excesses)
-        for x in range(1, n)
-    )
+    # Per-point excesses |w| - w, computed once for every link: a {point: 0}
+    # template in support order and the (point, excess) pairs whose excess
+    # is not zero; only those points contribute a term.
+    weights = model.dist.weights
+    zeros = dict.fromkeys(model.dist.support, 0)
+    negative = []
+    for point in model.dist.support:
+        w = weights[point]
+        excess = abs(w) - w
+        if excess != 0:
+            negative.append((point, excess))
+    table_a, table_b = model.response_A.table, model.response_B.table
+    terms = []
+    for x in range(1, n):
+        a_disc = 0 if discriminant_alice_setting == "zero" else x
+        discriminant = correlation(behavior, a_disc, x) + correlation(behavior, a_disc, x - 1)
+        plus = discriminant < 0
+        contributions: dict[Point, object] = dict(zeros)
+        n_plus = n_minus = 0
+        for point, excess in negative:
+            lam_a, lam_b = point
+            a_minus, a_plus = table_a[(x, lam_a)]
+            high_minus, high_plus = table_b[(x, lam_b)]
+            low_minus, low_plus = table_b[(x - 1, lam_b)]
+            spread = (a_plus - a_minus) * ((high_plus - high_minus) + (low_plus - low_minus))
+            term_plus = (2 + spread) * excess
+            term_minus = (2 - spread) * excess
+            contributions[point] = term_plus if plus else term_minus
+            n_plus += term_plus
+            n_minus += term_minus
+        terms.append(WitnessReport(
+            n_plus=n_plus,
+            n_minus=n_minus,
+            selected=n_plus if plus else n_minus,
+            branch=Branch.PLUS if plus else Branch.MINUS,
+            branch_discriminant=discriminant,
+            per_lambda_contributions=contributions,
+            faithful=faithful,
+            a_setting_bracket=x,
+            a_setting_discriminant=a_disc,
+            link=x,
+        ))
     total = sum(term.selected for term in terms)
-    return ChainedWitnessReport(terms=terms, total=total)
+    return ChainedWitnessReport(terms=tuple(terms), total=total)
