@@ -220,7 +220,8 @@ def _cmd_sample(args, tol: float) -> int:
         sys.stderr.write(_json_text({"error": "model behavior is invalid; sampling refused",
                                      "validity": validity.to_json_dict()}) + "\n")
         return EXIT_CHECK_FAILED
-    estimate = signed_sample(model, shots=args.shots, seed=args.seed, tolerance=tol)
+    estimate = signed_sample(model, shots=args.shots, seed=args.seed, tolerance=tol,
+                             behavior=behavior)
     _emit(_json_text(estimate.to_json_dict()), args.output)
     return EXIT_OK
 
@@ -252,8 +253,28 @@ def _cmd_min_neg(args, tol: float) -> int:
     return EXIT_OK if result.status is LPStatus.OPTIMAL else EXIT_CHECK_FAILED
 
 
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Write each `--option -value` as `--option=-value`.
+
+    argparse takes a token that starts with "-" for an option unless it is a
+    plain negative number, so `--budget -inf` or `--negativity -1/2` would
+    never reach the option's own parser.  No option here is spelled with one
+    dash but -h, so such a token right after a long option is its value.
+    """
+    joined: list[str] = []
+    for token in argv:
+        option = joined[-1] if joined else ""
+        if (token.startswith("-") and not token.startswith("--") and token not in ("-", "-h")
+                and option.startswith("--") and len(option) > 2 and "=" not in option):
+            joined[-1] = f"{option}={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_dash_values(argv))
     try:
         tol = args.tolerance if args.tolerance is not None else _default_tolerance()
         if not 0 < tol < math.inf:

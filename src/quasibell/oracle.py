@@ -16,17 +16,21 @@ Four separate routes that never share code with the model/witness path:
 
 The LPs are solved with scipy's HiGHS backend and results are
 deterministic for fixed inputs.  `min_negativity_lp` hands HiGHS all
-2 * 4^n columns (u, v) of the signed strategy weights w = u - v.
-`max_score_lp` is invariant under the chained score's dihedral group of 8n
-relabellings, so HiGHS solves it over orbits of joint strategies, one
-column pair per orbit (68 columns instead of 2048 at n = 5), and the
-solution is expanded back to all 4^n strategies and checked against the
-full program.  The per-n orbit program is built once; building it first
-checks that each generator fixes every strategy's score and permutes the
-behavior entries, and refuses to build otherwise.  Both LPs go through one
-helper, `_solve`, which turns HiGHS presolve off: on programs this small
-and dense it costs more than it saves (the measurement is in `_solve`'s
-docstring).  Importing this module loads numpy only:
+2 * 4^n columns (u, v) of the signed strategy weights w = u - v, but of the
+4n^2 behavior rows only the (n+1)^2 Collins-Gisin rows that span them
+(`_behavior_basis`); a target that signals gets all 4n^2 rows, so HiGHS
+judges its infeasibility.  At n = 5 that took a family target from
+31-36 ms to 14-18 ms on 2 cores.  `max_score_lp` is invariant under the
+chained score's dihedral group of 8n relabellings, so HiGHS solves it over
+orbits of joint strategies, one column pair per orbit (68 columns instead
+of 2048 at n = 5), and the solution is expanded back to all 4^n
+strategies and checked against the full program.  Both per-n programs are
+built once; building checks exactly that the row basis spans every
+behavior row, and that each generator fixes every strategy's score and
+permutes the behavior entries, and refuses to build otherwise.  Both LPs go
+through one helper, `_solve`, which turns HiGHS presolve off: on programs
+this small and dense it costs more than it saves (the measurement is in
+`_solve`'s docstring).  Importing this module loads numpy only:
 `scipy.optimize.linprog` is imported the first time the module attribute
 `linprog` is read, which `_solve` does on every solve, so enumeration, the
 classical bound, the quantum generator and the sampler never load scipy.
@@ -60,6 +64,8 @@ Strategy = tuple[int, ...]
 _MAX_ENUMERATION_SETTINGS = 16
 _MAX_BRUTEFORCE_SETTINGS = 12
 _MAX_LP_SETTINGS = 5
+#: Largest max|M t_R - t| for which `min_negativity_lp` solves on the row basis.
+_BASIS_SLACK = 1e-9
 
 
 class LPStatus(str, Enum):
@@ -92,12 +98,13 @@ class LPResult:
     """Solution of one of the strategy-mixture linear programs.
 
     `iterations` and `solver_message` are HiGHS's iteration count and
-    message, kept whatever the status, and `columns` the number of columns
-    of the program HiGHS solved.  `primal_residual` is the largest violation
-    of the full program's constraints, over all 4^n joint strategies, by the
-    returned weights (for `min_negativity_lp`, max|B w - target|), or None
-    unless OPTIMAL.  `negative_mass` is NaN unless OPTIMAL, and for
-    `max_score_lp` with an infinite budget (see there).
+    message, kept whatever the status; `columns` and `rows` count the columns
+    and constraint rows of the program HiGHS solved.  `primal_residual` is
+    the largest violation of the full program's constraints, over all 4^n
+    joint strategies, by the returned weights (for `min_negativity_lp`,
+    max|B w - target|), or None unless OPTIMAL.  `negative_mass` is NaN
+    unless OPTIMAL, and for `max_score_lp` with an infinite budget (see
+    there).
     """
 
     optimal_score: float
@@ -109,6 +116,7 @@ class LPResult:
     solver_message: str
     primal_residual: float | None
     columns: int
+    rows: int
 
     def to_json_dict(self) -> dict:
         """JSON fields; the score is null unless OPTIMAL, the mass wherever it is NaN."""
@@ -123,6 +131,7 @@ class LPResult:
             "solver_message": self.solver_message,
             "primal_residual": self.primal_residual,
             "columns": self.columns,
+            "rows": self.rows,
         }
 
 
@@ -229,6 +238,62 @@ def _behavior_matrix(n: int) -> np.ndarray:
     # onehot[s, x, k]: strategy s answers outcome k at setting x.
     grid = np.einsum("axp,bzq->xzpqab", onehot, onehot)
     return _read_only(grid.reshape(4 * n * n, 4**n))
+
+
+class _BehaviorBasis(NamedTuple):
+    """`min_negativity_lp`'s constraint matrices at one n, all read-only.
+
+    `rows` picks (n+1)^2 cells of `_behavior_matrix(n)` whose rows B_R span
+    its row space, and `expand` is the integer matrix M with B = M @ B_R.
+    `a_eq` is [B_R, -B_R] and `full_a_eq` is [B, -B], the rows applied to
+    w = u - v.
+    """
+
+    rows: np.ndarray
+    expand: np.ndarray
+    a_eq: np.ndarray
+    full_a_eq: np.ndarray
+
+
+@functools.cache
+def _behavior_basis(n: int) -> _BehaviorBasis:
+    """Build `min_negativity_lp`'s row basis, checking B = M @ B_R exactly.
+
+    The rows are the Collins-Gisin coordinates (Collins and Gisin, J. Phys.
+    A 37, 1775, 2004) written as cells (x_a, x_b, y_a, y_b): every
+    (x_a, x_b, +, +), then (x_a, 0, +, -), (0, x_b, -, +) and (0, 0, -, -).
+    On every joint strategy, Alice's marginal p_A(x_a) is
+    (x_a, 0, +, +) + (x_a, 0, +, -), Bob's p_B(x_b) is
+    (0, x_b, +, +) + (0, x_b, -, +), and 1 is the sum of setting pair
+    (0, 0)'s four cells.  So M writes every cell in the basis rows:
+    (x_a, x_b, +, -) = p_A(x_a) - (x_a, x_b, +, +),
+    (x_a, x_b, -, +) = p_B(x_b) - (x_a, x_b, +, +) and (x_a, x_b, -, -) =
+    1 - p_A(x_a) - p_B(x_b) + (x_a, x_b, +, +).  Raises RuntimeError unless
+    M @ B_R equals B exactly.
+    """
+    behavior_matrix = _behavior_matrix(n)
+    cell = np.arange(4 * n * n).reshape(n, n, 4)  # cell[x_a, x_b, 2 [y_a = +] + [y_b = +]]
+    rows = np.sort(np.concatenate(
+        [cell[:, :, 3].ravel(), cell[:, 0, 2], cell[0, :, 1], cell[0, 0, :1]]
+    ))
+    # coordinates[c] is the unit vector of basis cell c (zero for other cells).
+    coordinates = np.zeros((4 * n * n, len(rows)), dtype=np.int64)
+    coordinates[rows, np.arange(len(rows))] = 1
+    both = coordinates[cell[:, :, 3]]
+    p_a = (coordinates[cell[:, 0, 3]] + coordinates[cell[:, 0, 2]])[:, None]
+    p_b = (coordinates[cell[0, :, 3]] + coordinates[cell[0, :, 1]])[None, :]
+    one = coordinates[cell[0, 0]].sum(axis=0)
+    expand = np.stack([one - p_a - p_b + both, p_b - both, p_a - both, both], axis=2)
+    expand = expand.reshape(4 * n * n, len(rows))
+    basis = behavior_matrix[rows]
+    if not np.array_equal(expand @ basis, behavior_matrix):
+        raise RuntimeError(f"the row basis does not span the behavior rows at n={n}")
+    return _BehaviorBasis(
+        rows=_read_only(rows),
+        expand=_read_only(expand),
+        a_eq=_read_only(_split_form(basis)),
+        full_a_eq=_read_only(_split_form(behavior_matrix)),
+    )
 
 
 def behavior_from_strategy_weights(
@@ -429,6 +494,7 @@ def _solve(
     )
     status = _LINPROG_STATUS.get(res.status, LPStatus.FAILED)
     iterations, message = int(res.nit), str(res.message)
+    rows = len(program.a_eq) + (0 if program.a_ub is None else len(program.a_ub))
     if status is not LPStatus.OPTIMAL:
         return LPResult(
             optimal_score=math.nan,
@@ -440,6 +506,7 @@ def _solve(
             solver_message=message,
             primal_residual=None,
             columns=len(cost),
+            rows=rows,
         )
     x = res.x[expand]
     joint = list(itertools.product(enumerate_deterministic(n), repeat=2))  # s_a major
@@ -457,6 +524,7 @@ def _solve(
         solver_message=message,
         primal_residual=full.residual(x),
         columns=len(cost),
+        rows=rows,
     )
 
 
@@ -513,23 +581,39 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     target itself achieves.  Note this answers "how little negative mass
     reproduces these statistics", which is related to but distinct from any
     witness value of a particular model.  HiGHS runs without presolve (see
-    `_solve`) on the full 2 * 4^n-column program: a target need not share
-    the chained score's symmetry, so orbits would not reproduce it.
+    `_solve`) over all 2 * 4^n columns (u, v): a target need not share the
+    chained score's symmetry, so orbits would not reproduce it.
+
+    The program is B(u - v) = t, with B `_behavior_matrix(n)`'s 4n^2 rows.
+    They have rank (n+1)^2 only, so HiGHS gets the (n+1)^2 rows B_R of
+    `_behavior_basis(n)` and the matching entries t_R of the target, with
+    B = M @ B_R for an integer M.  Then B_R w = t_R gives B w = M t_R, which
+    is t for a no-signalling target: there the two programs have the same
+    feasible set.  A target with max|M t_R - t| > 1e-9 is not a
+    no-signalling behavior, and HiGHS gets all 4n^2 rows, so it judges that
+    program's feasibility itself.
+    `primal_residual` is measured on the 4n^2-row program either way.  At
+    n = 5 (100 rows down to 36) a family target took 31-36 ms on the full
+    program and 14-18 ms on the basis, on 2 cores.
     """
     if target.n_settings_A != target.n_settings_B:
         raise ValueError("the strategy grid needs equal setting counts")
     n = target.n_settings_A
+    if n < 2:
+        raise ValueError("min-negativity LP needs n >= 2")
     if n > _MAX_LP_SETTINGS:
         raise ValueError(f"LP oracle limited to n <= {_MAX_LP_SETTINGS}")
     m = 4**n
-    behavior_matrix = _behavior_matrix(n)
-    targets = []
-    for x_a in range(n):
-        for x_b in range(n):
-            targets.extend(float(v) for v in target.table[(x_a, x_b)])
-    program = _Constraints(_split_form(behavior_matrix), np.array(targets))
+    basis = _behavior_basis(n)
+    entries = np.array([float(v) for pair in target.setting_pairs() for v in target.table[pair]])
+    full = _Constraints(basis.full_a_eq, entries)
+    reduced = entries[basis.rows]
+    if np.abs(basis.expand @ reduced - entries).max() <= _BASIS_SLACK:
+        program = _Constraints(basis.a_eq, reduced)
+    else:
+        program = full
     cost = np.concatenate([np.zeros(m), np.ones(m)])  # minimize total v
-    return _solve(n, cost, program, program, np.arange(2 * m), score=chained_score(target, n))
+    return _solve(n, cost, program, full, np.arange(2 * m), score=chained_score(target, n))
 
 
 def _projector(angle: float, outcome: int) -> np.ndarray:
@@ -590,7 +674,11 @@ def quantum_behavior(
 
 
 def signed_sample(
-    model: Model, shots: int, seed: int, tolerance: float = DEFAULT_TOLERANCE
+    model: Model,
+    shots: int,
+    seed: int,
+    tolerance: float = DEFAULT_TOLERANCE,
+    behavior: Behavior | None = None,
 ) -> SampleEstimate:
     """Estimate the behavior by sampling hidden values from |w| / sum|w|.
 
@@ -598,12 +686,14 @@ def signed_sample(
     indicators per cell gives an unbiased estimate of every behavior entry.
     Models whose assembled behavior is invalid at `tolerance` are refused,
     since their negative cells cannot be reproduced by any frequency
-    estimate.
+    estimate.  `behavior` is the model's assembled behavior, if the caller
+    already has it; otherwise it is assembled here at `tolerance`.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    exact = assemble_behavior(model, tolerance=tolerance)
-    report = validate_behavior(exact, tolerance)
+    if behavior is None:
+        behavior = assemble_behavior(model, tolerance=tolerance)
+    report = validate_behavior(behavior, tolerance)
     if not report.is_valid:
         raise ValueError(
             "model assembles to an invalid behavior "

@@ -19,7 +19,7 @@ from quasibell import (
     chsh_saturating_model,
     witness_chained,
 )
-from quasibell import cli, inequalities
+from quasibell import cli, inequalities, oracle
 from quasibell.cli import EXIT_BROKEN_PIPE, main
 from quasibell.serialization import model_to_json_dict, save_model
 
@@ -115,6 +115,23 @@ class TestSaturate:
 
 
 class TestBuildVerifyExport:
+    def test_forced_negative_fraction_in_either_spelling(self, capsys):
+        code, spaced, _ = run(capsys, "build", "--force", "--negativity", "-1/2")
+        assert code == 0
+        code, joined, _ = run(capsys, "build", "--force", "--negativity=-1/2")
+        assert code == 0
+        assert spaced == joined
+        assert json.loads(spaced)["parties"][0]["settings"] == 2
+
+    def test_negative_fraction_without_force_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "build", "--negativity", "-1/2")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: negativity budget Fraction(-1, 2) outside [0, 2]; "
+            "pass force=True to build the invalid model anyway"
+        ]
+
     def test_build_then_verify_holds(self, capsys, tmp_path):
         path = tmp_path / "model.json"
         code, _, _ = run(capsys, "build", "--negativity", "1", "--output", str(path))
@@ -314,6 +331,7 @@ class TestOracleCommands:
         payload = _strict_json(out)
         assert 8 * payload["negative_mass"] <= 1 + 1e-9
         assert payload["columns"] == 68
+        assert payload["rows"] == 7  # normalization, 5 distinct entry rows, budget
 
     def test_lp_zero_budget(self, capsys):
         code, out, _ = run(capsys, "oracle", "lp", "--n", "2", "--budget", "0")
@@ -332,6 +350,19 @@ class TestOracleCommands:
         assert len(errors) == 1
         assert f"bad budget {text!r}" in errors[0]
 
+    @pytest.mark.parametrize("text", ["-nan", "-inf"])
+    def test_lp_dash_budget_reaches_the_budget_parser(self, capsys, text):
+        # Spelled as two tokens, the value still gets the budget's own message.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["oracle", "lp", "--n", "2", "--budget", text])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "argument --budget" in errors[0]
+        assert "expected one argument" not in errors[0]
+
     def test_min_neg_roundtrip(self, capsys, tmp_path):
         model_path = tmp_path / "model.json"
         csv_path = tmp_path / "behavior.csv"
@@ -342,6 +373,7 @@ class TestOracleCommands:
         payload = json.loads(out)
         assert payload["status"] == "OPTIMAL"
         assert payload["negative_mass"] <= 0.5 + 1e-8
+        assert payload["rows"] == 9  # (n+1)^2 at n = 2
 
     def test_min_neg_infeasible_is_strict_json(self, capsys, tmp_path):
         csv_path = tmp_path / "signalling.csv"
@@ -352,6 +384,7 @@ class TestOracleCommands:
         assert payload["status"] == "INFEASIBLE"
         assert payload["optimal_score"] is None
         assert payload["negative_mass"] is None
+        assert payload["rows"] == 16  # all 4n^2 rows for a signalling target
 
 
 class TestSampling:
@@ -367,6 +400,26 @@ class TestSampling:
         assert payload["shots"] == 2000
         assert payload["seed"] == 42
         assert payload["total_variation_weight"] == pytest.approx(1.5)
+
+    def test_behavior_is_assembled_once(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(chsh_saturating_model(1), path)
+        _, expected, _ = run(capsys, "sample", "--model", str(path),
+                             "--shots", "200", "--seed", "3")
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return assemble_behavior(*args, **kwargs)
+
+        # Every module that could assemble it for `sample` calls the counter.
+        monkeypatch.setattr(cli, "assemble_behavior", counted)
+        monkeypatch.setattr(oracle, "assemble_behavior", counted)
+        code, out, _ = run(capsys, "sample", "--model", str(path),
+                           "--shots", "200", "--seed", "3")
+        assert code == 0
+        assert len(calls) == 1
+        assert out == expected
 
     def test_oracle_sample_is_not_a_command(self, tmp_path):
         path = tmp_path / "model.json"

@@ -337,14 +337,24 @@ class TestScoreOrbits:
         result = max_score_lp(5, budget)
         assert result.columns == len(costs[0]) == 68
         assert result.to_json_dict()["columns"] == 68
+        reduced, _ = oracle._score_program(5).constraints(budget)
+        rows = len(reduced.a_eq) + len(reduced.a_ub)
+        assert result.rows == rows
+        assert result.to_json_dict()["rows"] == rows
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_min_negativity_lp_columns(self, n):
         target = assemble_behavior(chained_saturating_model(n, 1.0))
         result = min_negativity_lp(target)
         assert result.columns == 2 * 4**n
         assert result.to_json_dict()["columns"] == 2 * 4**n
-        assert min_negativity_lp(_signalling_target()).columns == 2 * 4**2
+        # HiGHS gets the (n+1)^2 basis rows, and all 4n^2 for a signalling target.
+        assert result.rows == (n + 1) ** 2
+        assert result.to_json_dict()["rows"] == (n + 1) ** 2
+        signalling = min_negativity_lp(_signalling_target())
+        assert signalling.columns == 2 * 4**2
+        assert signalling.rows == signalling.to_json_dict()["rows"] == 4 * 2 * 2
+        assert min_negativity_lp(_signalling_perturbation(n, 1e-3)).rows == 4 * n * n
 
 
 class TestMinNegativityLP:
@@ -399,6 +409,88 @@ class TestMinNegativityLP:
         payload = result.to_json_dict()
         assert payload["iterations"] == result.iterations
         assert payload["solver_message"] == result.solver_message
+
+
+def _signalling_perturbation(n: int, size: float) -> Behavior:
+    """The chained singlet with `size` moved from cell (1, 0, +, -) to (1, 0, +, +).
+
+    Row sums stay 1, but Bob's marginal at x_b = 0 now depends on x_a by `size`.
+    """
+    behavior = _singlet_at_chained_angles(n)
+    table = dict(behavior.table)
+    p_mm, p_mp, p_pm, p_pp = table[(1, 0)]
+    table[(1, 0)] = (p_mm, p_mp, p_pm - size, p_pp + size)
+    return Behavior(n, n, table, tolerance=behavior.tolerance)
+
+
+def _full_min_negativity_lp(target: Behavior):
+    """`min_negativity_lp`'s program on all 4n^2 rows of the behavior matrix."""
+    n = target.n_settings_A
+    m = 4**n
+    behavior_matrix = oracle._behavior_matrix(n)
+    entries = [float(v) for pair in target.setting_pairs() for v in target.table[pair]]
+    return linprog(
+        np.concatenate([np.zeros(m), np.ones(m)]),
+        A_eq=np.concatenate([behavior_matrix, -behavior_matrix], axis=1),
+        b_eq=entries,
+        bounds=(0, None),
+        method="highs",
+        options={"presolve": False},
+    )
+
+
+_BASIS_TARGETS = [
+    *(pytest.param(lambda n=n, b=b: assemble_behavior(chained_saturating_model(n, b)),
+                   id=f"family-n{n}-budget{b}")
+      for n in range(2, 6) for b in (0.5, 1.0, 2.0)),
+    *(pytest.param(lambda n=n: _singlet_at_chained_angles(n), id=f"singlet-n{n}")
+      for n in range(2, 6)),
+    *(pytest.param(lambda n=n, v=v: _singlet_at_chained_angles(n, v), id=f"werner-n{n}-v{v}")
+      for n in range(2, 6) for v in (0.5, 0.8)),
+    *(pytest.param(lambda n=n, size=size: _signalling_perturbation(n, size),
+                   id=f"signalling-n{n}-{size:g}")
+      for n in range(2, 6) for size in (1e-12, 1e-9, 1e-7, 1e-3)),
+]
+
+
+class TestBehaviorBasis:
+    """`min_negativity_lp` solves on (n+1)^2 rows that span the behavior matrix."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_basis_spans_the_behavior_rows(self, n):
+        basis = oracle._behavior_basis(n)
+        behavior_matrix = oracle._behavior_matrix(n)
+        assert len(basis.rows) == (n + 1) ** 2
+        assert np.array_equal(basis.expand @ behavior_matrix[basis.rows], behavior_matrix)
+        assert np.linalg.matrix_rank(behavior_matrix[basis.rows]) == (n + 1) ** 2
+
+    def test_cached_basis_is_read_only(self):
+        basis = oracle._behavior_basis(3)
+        assert oracle._behavior_basis(3) is basis
+        for array in basis:
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_guard_refuses_rows_that_do_not_span(self, monkeypatch):
+        # Cell (1, 1, -, -), not a basis row, made to mark one joint strategy
+        # only: no combination of the basis rows gives that.
+        broken = oracle._behavior_matrix(2).copy()
+        broken[12] = np.eye(16)[0]
+        monkeypatch.setattr(oracle, "_behavior_matrix", lambda n: broken)
+        with pytest.raises(RuntimeError, match="row basis"):
+            oracle._behavior_basis.__wrapped__(2)
+
+    @pytest.mark.parametrize("make_target", _BASIS_TARGETS)
+    def test_same_answer_as_full_program(self, make_target):
+        target = make_target()
+        result = min_negativity_lp(target)
+        reference = _full_min_negativity_lp(target)
+        assert result.status is oracle._LINPROG_STATUS[reference.status]
+        if reference.status == 0:
+            assert result.negative_mass == pytest.approx(reference.fun, abs=1e-9)
+            # A signalling target can be met only up to its signalling.
+            signalling = validate_behavior(target).no_signalling_violation
+            assert result.primal_residual <= signalling + 1e-9
 
 
 class TestSolverReport:
@@ -457,10 +549,13 @@ class TestSolverReport:
         assert result.to_json_dict()["primal_residual"] is None
 
 
-def _singlet_at_chained_angles(n: int) -> Behavior:
-    """The singlet at Alice's angles i*pi/n and Bob's (j + 1/2)*pi/n."""
+def _singlet_at_chained_angles(n: int, visibility: float = 1.0) -> Behavior:
+    """The singlet at Alice's angles i*pi/n and Bob's (j + 1/2)*pi/n.
+
+    Below visibility 1 the state is the Werner state v * singlet + (1 - v) * I/4.
+    """
     return quantum_behavior(
-        singlet_state(),
+        visibility * singlet_state() + (1 - visibility) * np.eye(4) / 4,
         [i * math.pi / n for i in range(n)],
         [(j + 0.5) * math.pi / n for j in range(n)],
     )

@@ -23,6 +23,7 @@ from quasibell import (
     witness_chained,
     witness_chained_link,
 )
+from quasibell import oracle
 from quasibell.cli import EXIT_USAGE, main
 from quasibell.constructions import (
     SymbolStrategy,
@@ -61,6 +62,9 @@ def model_document(parties: list) -> dict:
     (["oracle", "lp", "--n", "2", "--budget", "-1"],
      "argument --budget: budget must be non-negative or inf"),
     (["oracle", "lp", "--n", "2", "--budget", "abc"], "argument --budget: bad budget 'abc'"),
+    (["oracle", "lp", "--n", "2", "--budget", "-inf"],
+     "argument --budget: budget must be non-negative or inf"),
+    (["oracle", "lp", "--n", "2", "--budget", "-nan"], "argument --budget: bad budget '-nan'"),
 ])
 def test_cli_refusals(capsys, argv, message):
     with pytest.raises(SystemExit) as exc_info:
@@ -74,6 +78,8 @@ def test_cli_refusals(capsys, argv, message):
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: min_negativity_lp(uniform_behavior(2, 3)),
                  "the strategy grid needs equal setting counts", id="min-neg-2x3"),
+    pytest.param(lambda: min_negativity_lp(uniform_behavior(1, 1)),
+                 "min-negativity LP needs n >= 2", id="min-neg-n1"),
     pytest.param(lambda: min_negativity_lp(uniform_behavior(6, 6)),
                  "LP oracle limited to n <= 5", id="min-neg-n6"),
     pytest.param(lambda: classical_bound_bruteforce(1),
@@ -88,6 +94,16 @@ def test_cli_refusals(capsys, argv, message):
 def test_oracle_refusals(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_min_negativity_lp_refuses_n1_before_solving(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("no program should be built or solved")
+
+    monkeypatch.setattr(oracle, "_behavior_basis", fail)
+    monkeypatch.setattr(oracle, "linprog", fail)
+    with pytest.raises(ValueError, match="^min-negativity LP needs n >= 2$"):
+        min_negativity_lp(uniform_behavior(1, 1))
 
 
 @pytest.mark.parametrize("call, message", [
