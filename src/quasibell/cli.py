@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
 
@@ -101,6 +102,19 @@ def _parse_budget(text: str) -> float:
     return value
 
 
+def _parse_shots(text: str) -> int:
+    """Accept integral decimal spellings such as 100000 or 1e6."""
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        value = Decimal("NaN")
+    if not value.is_finite() or value != value.to_integral_value():
+        raise argparse.ArgumentTypeError(f"bad shot count {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError("shots must be at least 1")
+    return int(value)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quasibell",
@@ -137,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sample = commands.add_parser("sample", help="sign-weighted sampling of a model")
     sample.add_argument("--model", type=Path, required=True)
-    sample.add_argument("--shots", type=int, default=100_000)
+    sample.add_argument("--shots", type=_parse_shots, default=100_000)
     sample.add_argument("--seed", type=int, default=0)
     sample.add_argument("--output", type=Path, default=None)
     sample.set_defaults(handler=_cmd_sample)

@@ -421,6 +421,34 @@ class TestSampling:
         assert len(calls) == 1
         assert out == expected
 
+    def test_shots_in_exponent_form(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(chsh_saturating_model(1), path)
+        code, spelled, _ = run(capsys, "sample", "--model", str(path), "--shots", "1e6")
+        assert code == 0
+        _, digits, _ = run(capsys, "sample", "--model", str(path), "--shots", "1000000")
+        assert spelled == digits
+        assert json.loads(spelled)["shots"] == 1_000_000
+
+    @pytest.mark.parametrize("shots, message", [
+        ("1.5", "bad shot count '1.5'"),
+        ("nan", "bad shot count 'nan'"),
+        ("inf", "bad shot count 'inf'"),
+        ("0", "shots must be at least 1"),
+        ("-3", "shots must be at least 1"),
+    ])
+    def test_bad_shots_are_usage_errors(self, capsys, tmp_path, shots, message):
+        path = tmp_path / "model.json"
+        save_model(chsh_saturating_model(1), path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sample", "--model", str(path), "--shots", shots])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"quasibell sample: error: argument --shots: {message}"
+        )
+
     def test_oracle_sample_is_not_a_command(self, tmp_path):
         path = tmp_path / "model.json"
         save_model(chsh_saturating_model(1), path)

@@ -13,6 +13,8 @@ from quasibell import (
     OUTCOME_PAIRS,
     Behavior,
     LPStatus,
+    Model,
+    QuasiDist,
     assemble_behavior,
     behavior_from_strategy_weights,
     chained_saturating_model,
@@ -30,7 +32,7 @@ from quasibell import (
 from quasibell import oracle
 from quasibell.constructions import SymbolStrategy, model_from_strategies
 
-from conftest import random_model
+from conftest import random_model, stochastic_responses
 
 
 def strategy_score(strategy_a, strategy_b, n: int) -> int:
@@ -314,7 +316,7 @@ class TestScoreOrbits:
         swap[[0, partner]] = swap[[partner, 0]]
         monkeypatch.setattr(oracle, "_chain_generators", lambda n: [swap])
         with pytest.raises(RuntimeError, match="behavior rows"):
-            oracle._score_program.__wrapped__(n)
+            oracle._chain_group.__wrapped__(n)
 
     def test_unbounded_budget_mass_is_undetermined(self):
         result = max_score_lp(3, math.inf)
@@ -344,10 +346,14 @@ class TestScoreOrbits:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_min_negativity_lp_columns(self, n):
+        # Two orbit columns (u_O, v_O) per orbit of the target's stabilizer:
+        # 2 relabellings fix the N = 1 family, 4 the N = 2 family.
+        columns = {2: (20, 4), 3: (72, 40), 4: (272, 144), 5: (1056, 544)}[n]
+        for budget, want in zip((1.0, 2.0), columns):
+            result = min_negativity_lp(assemble_behavior(chained_saturating_model(n, budget)))
+            assert result.columns == result.to_json_dict()["columns"] == want
         target = assemble_behavior(chained_saturating_model(n, 1.0))
         result = min_negativity_lp(target)
-        assert result.columns == 2 * 4**n
-        assert result.to_json_dict()["columns"] == 2 * 4**n
         # HiGHS gets the (n+1)^2 basis rows, and all 4n^2 for a signalling target.
         assert result.rows == (n + 1) ** 2
         assert result.to_json_dict()["rows"] == (n + 1) ** 2
@@ -491,6 +497,131 @@ class TestBehaviorBasis:
             # A signalling target can be met only up to its signalling.
             signalling = validate_behavior(target).no_signalling_violation
             assert result.primal_residual <= signalling + 1e-9
+
+
+def _entries(target: Behavior) -> np.ndarray:
+    """The target's 4n^2 entries in behavior-matrix row order."""
+    return np.array([float(v) for pair in target.setting_pairs() for v in target.table[pair]])
+
+
+class TestChainGroup:
+    """`_chain_group(n)`: the 8n relabellings, on strategies and on behavior rows."""
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_order_and_row_permutations(self, n):
+        group = oracle._chain_group(n)
+        behavior_matrix = oracle._behavior_matrix(n)
+        assert group.strategies.shape == (8 * n, 4**n)
+        assert group.rows.shape == (8 * n, 4 * n * n)
+        assert group.strategies[0].tolist() == list(range(4**n))
+        assert len({perm.tobytes() for perm in group.strategies}) == 8 * n
+        cell_of = {key: c for c, key in enumerate(oracle._distinct_rows(behavior_matrix))}
+        for strategies, rows in zip(group.strategies, group.rows):
+            assert sorted(strategies.tolist()) == list(range(4**n))
+            assert rows.tolist() == [cell_of[row.tobytes()]
+                                     for row in behavior_matrix[:, strategies]]
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_closed_under_the_generators(self, n):
+        joint = _joint(n)
+        index = {pair: j for j, pair in enumerate(joint)}
+        group = oracle._chain_group(n)
+        elements = {perm.tobytes() for perm in group.strategies}
+        for step in (_half_step, _reflection):
+            perm = np.array([index[step(sa, sb)] for sa, sb in joint])
+            assert all(element[perm].tobytes() in elements for element in group.strategies)
+
+    def test_cached_group_is_read_only(self):
+        group = oracle._chain_group(3)
+        assert oracle._chain_group(3) is group
+        for array in group:
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+
+def _record_orbit_groups(monkeypatch) -> list:
+    """Record the relabellings each `_orbit_sums` call takes orbits under."""
+    groups = []
+    orbit_sums = oracle._orbit_sums
+
+    def record(perms, matrix):
+        groups.append(perms)
+        return orbit_sums(perms, matrix)
+
+    monkeypatch.setattr(oracle, "_orbit_sums", record)
+    return groups
+
+
+class TestStabilizerOrbits:
+    """`min_negativity_lp` solves over orbits of the relabellings fixing its target."""
+
+    @pytest.mark.parametrize("visibility", [1.0, 0.8, 0.5])
+    def test_chained_singlet_and_werner_use_all_relabellings(self, visibility):
+        target = _singlet_at_chained_angles(5, visibility)
+        result = min_negativity_lp(target)
+        assert result.status is LPStatus.OPTIMAL
+        assert result.columns == result.to_json_dict()["columns"] == 68
+        assert result.primal_residual <= 1e-9
+        # The weights are the symmetric optimum: each relabelling fixes them.
+        for (sa, sb), weight in result.weights.items():
+            for image in (_half_step(sa, sb), _reflection(sa, sb)):
+                assert result.weights[image] == weight
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_trivial_stabilizer_is_the_full_program(self, n, monkeypatch):
+        model = random_model(np.random.default_rng(n), n_settings=n, max_points=8,
+                             force_negative=True)
+        target = assemble_behavior(model)
+        entries = _entries(target)
+        group = oracle._chain_group(n)
+        assert all(np.abs(entries[rows] - entries).max() > 1e-9 for rows in group.rows[1:])
+        calls = []
+
+        def capture(cost, **kwargs):
+            calls.append((cost, kwargs))
+            return linprog(cost, **kwargs)
+
+        linprog = oracle.linprog
+        monkeypatch.setattr(oracle, "linprog", capture)
+        result = min_negativity_lp(target)
+        assert result.columns == 2 * 4**n
+        cost, kwargs = calls[0]
+        basis = oracle._behavior_matrix(n)[oracle._behavior_basis(n).rows]
+        assert np.array_equal(cost, np.concatenate([np.zeros(4**n), np.ones(4**n)]))
+        assert np.array_equal(kwargs["A_eq"], np.concatenate([basis, -basis], axis=1))
+        assert np.array_equal(kwargs["b_eq"], entries[oracle._behavior_basis(n).rows])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_changing_one_cell_drops_the_relabellings_that_move_it(self, n, monkeypatch):
+        target = _singlet_at_chained_angles(n)
+        group = oracle._chain_group(n)
+        used = _record_orbit_groups(monkeypatch)
+        min_negativity_lp(target)
+        assert np.array_equal(used[-1], group.strategies)
+        for cell in range(4 * n * n):
+            table = dict(target.table)
+            pair = divmod(cell // 4, n)
+            row = list(table[pair])
+            row[cell % 4] += 1e-6
+            table[pair] = tuple(row)
+            min_negativity_lp(Behavior(n, n, table, tolerance=1e-5))
+            keep = group.rows[:, cell] == cell
+            assert 1 < keep.sum() < 8 * n
+            assert np.array_equal(used[-1], group.strategies[keep])
+
+    def test_relabellings_that_are_not_a_group_are_not_used(self):
+        # Moving 1e-9 between two cells leaves some relabellings just inside
+        # the slack and others just outside it.  Those inside are not closed
+        # under composition, so HiGHS gets one column pair per strategy.
+        n = 5
+        target = _signalling_perturbation(n, 1e-9)
+        entries = _entries(target)
+        rows = oracle._chain_group(n).rows
+        within = rows[np.abs(entries[rows] - entries).max(axis=1) <= oracle._BASIS_SLACK]
+        assert len(within) > 1
+        products = within[:, within].reshape(-1, 4 * n * n)
+        assert np.abs(entries[products] - entries).max() > oracle._BASIS_SLACK
+        assert min_negativity_lp(target).columns == 2 * 4**n
 
 
 class TestSolverReport:
@@ -729,6 +860,35 @@ class TestQuantumBehavior:
             quantum_behavior(np.eye(2) / 2, [0.0], [0.0])  # single qubit
 
 
+def _sampled_model(points: int, zero_weight: bool = False) -> Model:
+    """A valid two-setting model on `points` hidden values with stochastic rows.
+
+    Beyond one point, the first weight is -0.05; with `zero_weight` the second
+    is 0.
+    """
+    rng = np.random.default_rng(points)
+    labels = tuple(str(i) for i in range(points))
+    response_a, response_b = stochastic_responses(rng, 2, labels)
+    weights = np.ones(1)
+    if points > 1:
+        weights = rng.random(points) + 0.5
+        weights[:1 + zero_weight] = 0.0
+        weights = 1.05 * weights / weights.sum()
+        weights[0] = -0.05
+    dist = QuasiDist.diagonal({lam: float(w) for lam, w in zip(labels, weights)})
+    return Model(response_a, response_b, dist)
+
+
+# Supports on both sides of `oracle._COUNTED_SUPPORT` points.
+_SAMPLED_MODELS = [
+    pytest.param(lambda: chsh_saturating_model(1), id="chsh-4-points"),
+    *(pytest.param(lambda k=k: _sampled_model(k), id=f"stochastic-{k}-points")
+      for k in (1, 3, 32, 33, 70)),
+    pytest.param(lambda: _sampled_model(33, zero_weight=True), id="zero-weight-33-points"),
+    pytest.param(lambda: _sampled_model(6, zero_weight=True), id="zero-weight-6-points"),
+]
+
+
 class TestSignedSampling:
     def test_positive_model_is_plain_sampling(self):
         estimate = signed_sample(chsh_saturating_model(0), shots=2000, seed=11)
@@ -792,9 +952,10 @@ class TestSignedSampling:
         with pytest.raises(ValueError):
             signed_sample(chsh_saturating_model(2.4, force=True), shots=10, seed=0)
 
-    def test_matches_masked_reduce(self):
+    @pytest.mark.parametrize("make_model", _SAMPLED_MODELS)
+    def test_matches_masked_reduce(self, make_model):
         # Reference: the per-cell masked reduce, replayed on the same seeded draws.
-        model = chsh_saturating_model(1)
+        model = make_model()
         shots, seed = 5000, 17
         estimate = signed_sample(model, shots=shots, seed=seed)
         points = list(model.dist.support)
