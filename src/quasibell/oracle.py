@@ -16,21 +16,25 @@ Four separate routes that never share code with the model/witness path:
 
 The LPs are solved with scipy's HiGHS backend and results are
 deterministic for fixed inputs.  Both solve over orbits of joint strategies
-under relabellings from the chained score's dihedral group of 8n
-(`_chain_group`, built once per n), one column pair (u_O, v_O) per orbit O
-of the signed weights w = u - v, and the solution is expanded back to all
-4^n strategies and checked against the full program.  `max_score_lp` is
-invariant under the whole group (68 columns instead of 2048 at n = 5).
-`min_negativity_lp` uses the target's stabilizer, the relabellings that fix
-the target: all 8n for the chained singlet and Werner targets (68 columns
-at n = 5), 2 for the N = 1 family (1056), and the identity alone for a
-target without symmetry, which gets all 2 * 4^n columns.  Of the 4n^2
-behavior rows it hands HiGHS only the (n+1)^2 Collins-Gisin rows that span
-them (`_behavior_basis`); a target that signals gets all 4n^2 rows, so
-HiGHS judges its infeasibility.  The per-n group and programs are built
-once; building checks exactly that the row basis spans every behavior row,
-and that each generator fixes every strategy's score and permutes the
-behavior entries, and refuses to build otherwise.  Both LPs go through one
+under a group of relabellings of settings and outcomes, one column pair
+(u_O, v_O) per orbit O of the signed weights w = u - v, and the solution is
+expanded back to all 4^n strategies and checked against the full program.
+`max_score_lp` is invariant under the chained score's dihedral group of 8n
+(`_chain_group`, built once per n): 68 columns instead of 2048 at n = 5.
+`min_negativity_lp` uses the target's stabilizer, the relabellings of that
+group that fix the target, and, when they all fix it exactly, adds the
+swaps of two settings of one party whose target rows are equal
+(`_setting_transpositions`): exact symmetries compose to exact ones, so the
+group they generate fixes the target.  That gives 68 columns at n = 5 for
+the chained singlet and Werner targets, 110 for the N = 1 family (1056 on
+the stabilizer alone) and 60 for N = 2 (544), and all 2 * 4^n columns for a
+target without symmetry.  Of the 4n^2 behavior rows it hands HiGHS only
+the (n+1)^2 Collins-Gisin rows that span them (`_behavior_basis`); a
+target that signals gets all 4n^2 rows, so HiGHS judges its infeasibility.
+The per-n groups and programs are built once; building checks exactly that
+the row basis spans every behavior row, that each chained generator fixes
+every strategy's score and permutes the behavior entries and that each swap
+permutes them, and refuses to build otherwise.  Both LPs go through one
 helper, `_solve`, which turns HiGHS presolve off: on programs this small
 and dense it costs more than it saves (the measurement is in `_solve`'s
 docstring).  Importing this module loads numpy only:
@@ -326,11 +330,15 @@ def _chain_generators(n: int) -> list[np.ndarray]:
     * the reflection r: (a, b) -> (reversed b, reversed a), which swaps the
       parties and reverses the order of the settings.
     """
-    signs = _strategy_signs(n)
-    a = np.repeat(signs, 2**n, axis=0)
-    b = np.tile(signs, (2**n, 1))
+    a, b = _joint_signs(n)
     wrapped = np.concatenate([a[:, 1:], -a[:, :1]], axis=1)
     return [_joint_index(b, wrapped), _joint_index(b[:, ::-1], a[:, ::-1])]
+
+
+def _joint_signs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's and Bob's sign vectors of the 4^n joint strategies, s_a major."""
+    signs = _strategy_signs(n)
+    return np.repeat(signs, 2**n, axis=0), np.tile(signs, (2**n, 1))
 
 
 def _joint_index(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -340,12 +348,12 @@ def _joint_index(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a > 0) @ bits * 2**n + (b > 0) @ bits
 
 
-class _ChainGroup(NamedTuple):
-    """The chained score's 8n relabellings at one n, one per row, read-only.
+class _Relabellings(NamedTuple):
+    """Relabellings of settings and outcomes at one n, one per row, read-only.
 
     Relabelling g sends joint strategy j to `strategies[g, j]` and permutes
     the behavior rows by `rows[g]`: B[:, strategies[g]] == B[rows[g]] for B
-    = `_behavior_matrix(n)`.  Row 0 is the identity.
+    = `_behavior_matrix(n)`.
     """
 
     strategies: np.ndarray
@@ -358,8 +366,8 @@ def _row_bits(matrix: np.ndarray) -> list[bytes]:
 
 
 @functools.cache
-def _chain_group(n: int) -> _ChainGroup:
-    """Close `_chain_generators` into the chained score's group of relabellings.
+def _chain_group(n: int) -> _Relabellings:
+    """Close `_chain_generators` into the chained score's 8n relabellings.
 
     Each generator's row map is read by matching the rows of B[:, perm]
     against B's own, by their bits (B is 0/1 and its rows are distinct);
@@ -367,7 +375,8 @@ def _chain_group(n: int) -> _ChainGroup:
     does not permute the behavior entries.  Every other element's row map is
     composed from the generators' during the closure, so the 8n maps cost
     two matchings.  Distinct relabellings permute the rows differently,
-    since B's columns are distinct, so the row maps name the elements.
+    since B's columns are distinct, so the row maps name the elements.  Row
+    0 of the result is the identity.
     """
     behavior_matrix = _behavior_matrix(n)
     cell_of = {key: c for c, key in enumerate(_row_bits(behavior_matrix))}
@@ -389,7 +398,34 @@ def _chain_group(n: int) -> _ChainGroup:
                 new.extend((strategies[perm], row_map[rows]) for perm, row_map in generators)
         frontier = new
     strategies, rows = zip(*group.values())
-    return _ChainGroup(_read_only(np.array(strategies)), _read_only(np.array(rows)))
+    return _Relabellings(_read_only(np.array(strategies)), _read_only(np.array(rows)))
+
+
+@functools.cache
+def _setting_transpositions(n: int) -> _Relabellings:
+    """The transpositions of two settings of one party, checked as relabellings.
+
+    First Alice's swaps of settings x < x', then Bob's.  Swapping Alice's
+    settings x and x' sends (a, b) to (a with a_x and a_x' exchanged, b) and
+    exchanges the behavior rows (x, x_b, y_a, y_b) and (x', x_b, y_a, y_b);
+    Bob's swaps act on the other index alike.  These do not fix the chained
+    score; `min_negativity_lp` uses those that fix its target.  Raises
+    RuntimeError unless B[:, strategies[g]] == B[rows[g]] exactly for each.
+    """
+    behavior_matrix = _behavior_matrix(n)
+    a, b = _joint_signs(n)
+    cell = np.arange(4 * n * n).reshape(n, n, 4)
+    alice, bob = [], []
+    for x, x_prime in itertools.combinations(range(n), 2):
+        swap = np.arange(n)
+        swap[[x, x_prime]] = x_prime, x
+        alice.append((_joint_index(a[:, swap], b), cell[swap].ravel()))
+        bob.append((_joint_index(a, b[:, swap]), cell[:, swap].ravel()))
+    for perm, row_map in alice + bob:
+        if not np.array_equal(behavior_matrix[:, perm], behavior_matrix[row_map]):
+            raise RuntimeError(f"setting swap does not permute the behavior rows at n={n}")
+    strategies, rows = zip(*(alice + bob))
+    return _Relabellings(_read_only(np.array(strategies)), _read_only(np.array(rows)))
 
 
 class _Constraints(NamedTuple):
@@ -451,21 +487,34 @@ def _distinct_rows(matrix: np.ndarray) -> dict[bytes, np.ndarray]:
 
 
 def _orbit_sums(perms: np.ndarray, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The orbits of the joint strategies under a group, and `matrix` summed over each.
+    """The orbits of the group `perms` generate, and `matrix` summed over each orbit.
 
-    `perms` holds the group's permutations of the 4^n joint strategies, one
-    per row.  An orbit is named by its smallest member and numbered in that
-    order, so under the identity alone each strategy is its own orbit, in
-    grid order.  Returns `orbit_of`, the orbit of each strategy, and the
-    columns of `matrix`, one per strategy, summed over each orbit.  As g
-    runs over the group, g(j) meets each member of j's orbit equally often,
-    the group's order over the orbit's size times, so the sum over the group
-    divided by that count is the orbit sum; on the 0/1 entries of the
-    behavior rows both steps are exact.
+    `perms` holds permutations of the 4^n joint strategies, one per row.
+    Each strategy is labelled with the smallest strategy of its orbit: the
+    labels start as the strategies themselves, and each pass lowers every
+    label to the smallest label of its images and then to its own label's
+    label, which lies in the same orbit, until nothing changes.  A
+    permutation's inverse is one of its powers, so this reaches the whole
+    orbit; when `perms` is an enumerated group the first pass already does.
+    Orbits are numbered in the order of their smallest members, so under
+    the identity alone each strategy is its own orbit, in grid order.
+    Returns `orbit_of`, the orbit of each strategy, and the columns of
+    `matrix`, one per strategy, summed over each orbit, exactly on the 0/1
+    entries of the behavior rows.
     """
-    representatives, orbit_of = np.unique(perms.min(axis=0), return_inverse=True)
-    repeats = len(perms) // np.bincount(orbit_of)
-    return orbit_of, matrix[:, perms[:, representatives]].sum(axis=1) / repeats
+    label = np.arange(perms.shape[1])
+    while True:
+        lowered = np.minimum(label, label[perms].min(axis=0))
+        lowered = lowered[lowered]
+        if np.array_equal(lowered, label):
+            break
+        label = lowered
+    smallest = label == np.arange(len(label))
+    orbit_of = (np.cumsum(smallest) - 1)[label]
+    size = int(smallest.sum())
+    cells = (np.arange(len(matrix))[:, None] * size + orbit_of).ravel()
+    summed = np.bincount(cells, weights=matrix.ravel(), minlength=len(matrix) * size)
+    return orbit_of, summed.reshape(len(matrix), size)
 
 
 @functools.cache
@@ -540,6 +589,15 @@ def _solve(
     took 0.54-0.61 of the time, on 2 cores.  Status and optimum are the same
     either way; at a degenerate optimum the weights may name another optimal
     vertex.
+
+    At these sizes scipy's `linprog` wrapper, not HiGHS, sets the cost: it
+    checks its options, and after the solve it reads each column's basis
+    status and dual in a Python loop.
+    Under cProfile, 60 calls each of `min_negativity_lp` on 2 cores,
+    `_highs_wrapper`'s own time and its option checks took 1.3 ms per solve
+    at 20 columns, 2.0 ms at 110 and 7.9 ms at 2048: a fixed cost of about
+    1.3 ms plus about 3 us per column.  So the number of columns is what
+    the orbit programs cut.
     """
     res = sys.modules[__name__].linprog(
         cost,
@@ -653,34 +711,45 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     (100 rows down to 36) a family target took 31-36 ms on the full program
     and 14-18 ms on the basis, on 2 cores.
 
-    HiGHS solves over orbits of the target's stabilizer: the relabellings g
-    of `_chain_group(n)` with max|t[rows[g]] - t| <= 1e-9, i.e. those that
-    fix the target.  There is one column pair (u_O, v_O) per orbit O of
-    joint strategies, with w_j = u_O - v_O for every j in O; its column
-    sums the chosen rows over O's strategies, and v_O costs |O|.  That
-    program has the same optimum.  Take g in the stabilizer and w feasible.
+    HiGHS solves over orbits of a group that fixes the target.  Its
+    generators are the target's stabilizer, the relabellings g of
+    `_chain_group(n)` with max|t[rows[g]] - t| <= 1e-9, i.e. those that fix
+    the target, and, when each of them fixes it exactly, the swaps of two
+    settings of one party whose target rows are exactly equal
+    (`_setting_transpositions`).  There is one column pair (u_O, v_O) per
+    orbit O of joint strategies, with w_j = u_O - v_O for every j in O; its
+    column sums the chosen rows over O's strategies, and v_O costs |O|.
+    That program has the same optimum.  Take g in the group and w feasible.
     g permutes the behavior rows and fixes t, so w composed with g is
     feasible, and it has the same negative mass sum max(-w, 0), its entries
-    being w's, permuted.  The average of these points over the stabilizer is
+    being w's, permuted.  The average of these points over the group is
     feasible, as the feasible set is convex, and constant on orbits, and its
     negative mass is at most w's, since sum max(-w, 0) is convex.  So some
     optimum is constant on orbits, and the orbit program attains it.
 
-    The argument needs a group, and within the 1e-9 slack two relabellings
-    that each pass may compose to one that does not.  So the orbits, each
-    named by its smallest image under the stabilizer, are used only when
-    the relabellings that keep every orbit in place are exactly the
-    stabilizer, which holds when it is a group and proves that it is one;
-    otherwise HiGHS gets one column pair per strategy.  The chained singlet
-    and Werner targets are fixed by all 8n relabellings (68 columns at
-    n = 5 instead of 2048), the N = 1 family by 2 and the N = 2 family by
-    4; a target fixed by the identity alone gets the program over all
+    The argument needs every element of the group to fix t.  Exact
+    symmetries compose to exact ones, so a swap, which does not fix the
+    chained score, joins only a stabilizer whose relabellings are all exact:
+    then every product of generators fixes t.  Within the 1e-9 slack two
+    relabellings that each pass may compose to one that does not.  So an
+    inexact stabilizer gets no swaps, and its orbits, each named by its
+    smallest image under the stabilizer, are used only when the relabellings
+    that keep every orbit in place are exactly the stabilizer, which holds
+    when it is a group and proves that it is one; otherwise HiGHS gets one
+    column pair per strategy.  The chained singlet and Werner targets are
+    fixed by all 8n relabellings and have no equal rows (68 columns at n = 5
+    instead of 2048).  The N = 1 family is fixed by 2 relabellings and the
+    N = 2 family by 4, and in both Alice's settings 1..n-1 share their rows,
+    and so do Bob's 0..n-2: at n = 2..5 that is 20, 42, 72 and 110 columns
+    for N = 1 (and N = 1/2), and 4, 24, 40 and 60 for N = 2.  A target fixed
+    by the identity alone, with no equal rows, gets the program over all
     2 * 4^n columns, column for column.  The reported weights are the
     symmetric optimum, expanded to all 4^n strategies, so `support_size`
-    counts whole orbits, and `primal_residual` is measured on the 4n^2-row
-    program over all 2 * 4^n columns.  At n = 5, median of 15 calls on 2
-    cores, the N = 1/2 and N = 1 family targets went from 20 ms to 13 ms,
-    N = 2 from 19 ms to 8 ms and the chained singlet from 21 ms to 4.3 ms.
+    counts whole orbits of the larger group, and `primal_residual` is
+    measured on the 4n^2-row program over all 2 * 4^n columns.  At n = 5,
+    median of 31 calls on 2 cores, the N = 1/2 and N = 1 family targets went
+    from 12-15 ms on the stabilizer's orbits to 5.7-6.0 ms, N = 2 from
+    10-12 ms to 5.2-5.5 ms; the chained singlet stays at about 5.5 ms.
     """
     if target.n_settings_A != target.n_settings_B:
         raise ValueError("the strategy grid needs equal setting counts")
@@ -696,9 +765,14 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     rows = slice(None) if signals else basis.rows
     stabilizer = np.abs(entries[group.rows] - entries).max(axis=1) <= _BASIS_SLACK
     perms = group.strategies[stabilizer]
-    smallest = perms.min(axis=0)
-    if not np.array_equal((smallest[group.strategies] == smallest).all(axis=1), stabilizer):
-        perms = group.strategies[:1]
+    if (entries[group.rows[stabilizer]] == entries).all():
+        swaps = _setting_transpositions(n)
+        exact = (entries[swaps.rows] == entries).all(axis=1)
+        perms = np.concatenate([perms, swaps.strategies[exact]])
+    else:
+        smallest = perms.min(axis=0)
+        if not np.array_equal((smallest[group.strategies] == smallest).all(axis=1), stabilizer):
+            perms = group.strategies[:1]
     orbit_of, summed = _orbit_sums(perms, _behavior_matrix(n)[rows])
     sizes = np.bincount(orbit_of).astype(np.float64)
     k = len(sizes)

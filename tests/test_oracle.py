@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -198,6 +200,33 @@ class TestMaxScoreLP:
             max_score_lp(2, math.nan)
 
 
+class TestFaithfulClosedForm:
+    """`max_score_lp(n, F)` is min(2n, (2n-2)(1 + F/4)).
+
+    Every joint strategy scores at most 2n-2 in absolute value, and weights
+    with negative mass F/8 have |w| summing to 1 + F/4, which bounds the
+    score; validity caps it at 2n.  The mixture of the strategies S+ of score
+    2n-2 and S- of score -(2n-2) attains it.
+    """
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    @pytest.mark.parametrize("budget", [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
+    def test_optimum_is_the_closed_form(self, n, budget):
+        result = max_score_lp(n, budget)
+        assert result.status is LPStatus.OPTIMAL
+        bound = min(2 * n, (2 * n - 2) * (1 + budget / 4))
+        assert result.optimal_score == pytest.approx(bound, abs=1e-8)
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_extreme_strategies_are_one_orbit_each(self, n):
+        scores = np.array([strategy_score(sa, sb, n) for sa, sb in _joint(n)])
+        group = oracle._chain_group(n)
+        for sign in (1, -1):
+            members = np.flatnonzero(scores == sign * (2 * n - 2))
+            assert len(members) == 4 * n
+            assert set(group.strategies[:, members[0]].tolist()) == set(members.tolist())
+
+
 _ORBIT_BUDGETS = [0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0, math.inf]
 
 
@@ -346,9 +375,11 @@ class TestScoreOrbits:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_min_negativity_lp_columns(self, n):
-        # Two orbit columns (u_O, v_O) per orbit of the target's stabilizer:
-        # 2 relabellings fix the N = 1 family, 4 the N = 2 family.
-        columns = {2: (20, 4), 3: (72, 40), 4: (272, 144), 5: (1056, 544)}[n]
+        # Two orbit columns (u_O, v_O) per orbit of the group that the
+        # target's stabilizer and its exact setting swaps generate: 2
+        # relabellings fix the N = 1 family, 4 the N = 2 family, and Alice's
+        # settings 1..n-1 and Bob's 0..n-2 are interchangeable in both.
+        columns = {2: (20, 4), 3: (42, 24), 4: (72, 40), 5: (110, 60)}[n]
         for budget, want in zip((1.0, 2.0), columns):
             result = min_negativity_lp(assemble_behavior(chained_saturating_model(n, budget)))
             assert result.columns == result.to_json_dict()["columns"] == want
@@ -358,7 +389,8 @@ class TestScoreOrbits:
         assert result.rows == (n + 1) ** 2
         assert result.to_json_dict()["rows"] == (n + 1) ** 2
         signalling = min_negativity_lp(_signalling_target())
-        assert signalling.columns == 2 * 4**2
+        # Bob's two settings are interchangeable there: 12 orbits of 16.
+        assert signalling.columns == 2 * 12
         assert signalling.rows == signalling.to_json_dict()["rows"] == 4 * 2 * 2
         assert min_negativity_lp(_signalling_perturbation(n, 1e-3)).rows == 4 * n * n
 
@@ -622,6 +654,142 @@ class TestStabilizerOrbits:
         products = within[:, within].reshape(-1, 4 * n * n)
         assert np.abs(entries[products] - entries).max() > oracle._BASIS_SLACK
         assert min_negativity_lp(target).columns == 2 * 4**n
+
+
+def _swap_in_loop_form(party: int, x: int, x_prime: int):
+    """Exchange settings x and x' of Alice (party 0) or Bob (party 1), in loop form."""
+    def swap(strategy):
+        swapped = list(strategy)
+        swapped[x], swapped[x_prime] = strategy[x_prime], strategy[x]
+        return tuple(swapped)
+
+    return lambda sa, sb: (swap(sa), sb) if party == 0 else (sa, swap(sb))
+
+
+def _move_within_row(target: Behavior, pair, source: int, sink: int, size: float) -> Behavior:
+    """`target` with `size` moved from cell `source` to cell `sink` of row `pair`."""
+    table = dict(target.table)
+    row = list(table[pair])
+    row[source] -= size
+    row[sink] += size
+    table[pair] = tuple(row)
+    return Behavior(target.n_settings_A, target.n_settings_B, table, tolerance=1e-9)
+
+
+def _family_swaps(n: int) -> np.ndarray:
+    """The setting swaps that fix the N = 1 family: Alice's among 1..n-1, Bob's among 0..n-2."""
+    pairs = list(itertools.combinations(range(n), 2))
+    return np.array([x > 0 for x, _ in pairs] + [x_prime < n - 1 for _, x_prime in pairs])
+
+
+class TestSettingSwaps:
+    """`min_negativity_lp` adds the swaps of settings whose target rows are equal."""
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_each_swap_permutes_the_behavior_rows(self, n):
+        swaps = oracle._setting_transpositions(n)
+        behavior_matrix = oracle._behavior_matrix(n)
+        assert swaps.strategies.shape == (n * (n - 1), 4**n)
+        assert swaps.rows.shape == (n * (n - 1), 4 * n * n)
+        joint = _joint(n)
+        index = {pair: j for j, pair in enumerate(joint)}
+        steps = [_swap_in_loop_form(party, x, x_prime) for party in (0, 1)
+                 for x, x_prime in itertools.combinations(range(n), 2)]
+        for strategies, rows, step in zip(swaps.strategies, swaps.rows, steps):
+            assert strategies.tolist() == [index[step(sa, sb)] for sa, sb in joint]
+            assert sorted(rows.tolist()) == list(range(4 * n * n))
+            assert np.array_equal(behavior_matrix[:, strategies], behavior_matrix[rows])
+
+    def test_cached_swaps_are_read_only(self):
+        swaps = oracle._setting_transpositions(3)
+        assert oracle._setting_transpositions(3) is swaps
+        for array in swaps:
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_guard_refuses_a_swap_that_does_not_permute_the_rows(self, monkeypatch):
+        # Cell (1, 1, -, -) made to mark one joint strategy only: swapping
+        # Alice's settings no longer carries it onto cell (0, 1, -, -).
+        broken = oracle._behavior_matrix(2).copy()
+        broken[12] = np.eye(16)[0]
+        monkeypatch.setattr(oracle, "_behavior_matrix", lambda n: broken)
+        with pytest.raises(RuntimeError, match="setting swap"):
+            oracle._setting_transpositions.__wrapped__(2)
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    @pytest.mark.parametrize("budget", [0, Fraction(1, 2), 1, 2])
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "fraction"])
+    def test_same_optimum_as_the_identity_only_program(self, n, budget, exact, monkeypatch):
+        target = assemble_behavior(chained_saturating_model(
+            n, budget if exact else float(budget), exact=exact))
+        result = min_negativity_lp(target)
+        assert result.status is LPStatus.OPTIMAL
+        assert result.primal_residual <= 1e-9
+        costs = []
+
+        def capture(cost, **kwargs):
+            costs.append(cost)
+            return linprog(cost, **kwargs)
+
+        linprog = oracle.linprog
+        orbit_sums = oracle._orbit_sums
+        monkeypatch.setattr(oracle, "linprog", capture)
+        monkeypatch.setattr(oracle, "_orbit_sums",
+                            lambda perms, matrix: orbit_sums(perms[:1], matrix))
+        reference = min_negativity_lp(target)
+        assert reference.columns == len(costs[0]) == 2 * 4**n
+        assert np.array_equal(costs[0], np.concatenate([np.zeros(4**n), np.ones(4**n)]))
+        assert result.negative_mass == pytest.approx(reference.negative_mass, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_a_changed_row_drops_the_swaps_that_move_it(self, n, monkeypatch):
+        # Row (1, n-2)'s cells (-, -) and (+, +) are fixed by the family's
+        # second relabelling, so 1e-12 moved between them keeps both
+        # relabellings exact, but rows (1, .) and (., n-2) now differ from
+        # their partners.
+        family = assemble_behavior(chained_saturating_model(n, 1.0))
+        target = _move_within_row(family, (1, n - 2), 0, 3, 1e-12)
+        entries = _entries(target)
+        group = oracle._chain_group(n)
+        stabilizer = (entries[group.rows] == entries).all(axis=1)
+        assert stabilizer.sum() == 2
+        swaps = oracle._setting_transpositions(n)
+        cells = 4 * (n + n - 2) + np.arange(4)
+        keep = _family_swaps(n) & (swaps.rows[:, cells] == cells).all(axis=1)
+        used = _record_orbit_groups(monkeypatch)
+        result = min_negativity_lp(target)
+        assert np.array_equal(used[-1], np.concatenate(
+            [group.strategies[stabilizer], swaps.strategies[keep]]))
+        pairs = list(itertools.combinations(range(n), 2))
+        assert not keep[pairs.index((1, 2))]  # Alice's settings 1 and 2
+        assert not keep[len(pairs) + pairs.index((n - 3, n - 2))]  # Bob's n-3 and n-2
+        assert keep.sum() == 2 * math.comb(n - 2, 2)
+        reference = _full_min_negativity_lp(target)
+        assert result.negative_mass == pytest.approx(reference.fun, abs=1e-9)
+        assert result.primal_residual <= 1e-9
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_a_symmetry_within_the_slack_adds_no_swaps(self, n, monkeypatch):
+        # The family's second relabelling exchanges the equal cells (-, +)
+        # and (+, -) of row (0, n-1); 1e-12 moved between them leaves it
+        # fixing the target within the 1e-9 slack only.  Every swap of
+        # interchangeable settings still fixes the target exactly.
+        family = assemble_behavior(chained_saturating_model(n, 1.0))
+        target = _move_within_row(family, (0, n - 1), 1, 2, 1e-12)
+        entries = _entries(target)
+        group = oracle._chain_group(n)
+        within = np.abs(entries[group.rows] - entries).max(axis=1) <= oracle._BASIS_SLACK
+        assert within.sum() == 2
+        assert not (entries[group.rows[within]] == entries).all()
+        swaps = oracle._setting_transpositions(n)
+        assert np.array_equal((entries[swaps.rows] == entries).all(axis=1), _family_swaps(n))
+        used = _record_orbit_groups(monkeypatch)
+        result = min_negativity_lp(target)
+        assert np.array_equal(used[-1], group.strategies[within])
+        assert result.columns == {3: 72, 4: 272, 5: 1056}[n]
+        reference = _full_min_negativity_lp(target)
+        assert result.negative_mass == pytest.approx(reference.fun, abs=1e-9)
+        assert result.primal_residual <= 1e-9
 
 
 class TestSolverReport:
