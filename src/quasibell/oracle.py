@@ -36,11 +36,14 @@ the row basis spans every behavior row, that each chained generator fixes
 every strategy's score and permutes the behavior entries and that each swap
 permutes them, and refuses to build otherwise.  Both LPs go through one
 helper, `_solve`, which turns HiGHS presolve off: on programs this small
-and dense it costs more than it saves (the measurement is in `_solve`'s
-docstring).  Importing this module loads numpy only:
-`scipy.optimize.linprog` is imported the first time the module attribute
-`linprog` is read, which `_solve` does on every solve, so enumeration, the
-classical bound, the quantum generator and the sampler never load scipy.
+and dense it costs more than it saves.  `_solve` hands the program to
+`linprog`, this module's own call of the HiGHS binding that
+`scipy.optimize.linprog` uses, without that function's per-call Python
+wrapper, which cost more than HiGHS itself on most of these programs (the
+measurements are in `_solve`'s docstring).  Importing this module loads
+numpy only: `linprog` imports the binding, and with it `scipy.optimize`,
+on its first call, so enumeration, the classical bound, the quantum
+generator and the sampler never load scipy.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ import dataclasses
 import functools
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -85,20 +87,139 @@ class LPStatus(str, Enum):
 
 _LINPROG_STATUS = {0: LPStatus.OPTIMAL, 2: LPStatus.INFEASIBLE, 3: LPStatus.UNBOUNDED}
 
+#: scipy's status code and message prefix for each HiGHS model status, as
+#: `scipy.optimize.linprog` maps them: other statuses up to 14 map to
+#: (4, ""), and later ones to `_UNRECOGNIZED_STATUS`.
+_SCIPY_STATUS = {
+    2: (2, ""),
+    7: (0, "Optimization terminated successfully. "),
+    8: (2, "The problem is infeasible. "),
+    9: (4, "The problem is unbounded or infeasible. "),
+    10: (3, "The problem is unbounded. "),
+    13: (1, "Time limit reached. "),
+    14: (1, "Iteration limit reached. "),
+}
+_UNRECOGNIZED_STATUS = (4, "The HiGHS status code was not recognized. ")
+#: How far `scipy.optimize.linprog` lets an optimum violate its bounds and
+#: rows before it reports status 4: 10 * sqrt(tol) at its default tol 1e-9.
+_SCIPY_CHECK_SLACK = 10 * math.sqrt(1e-9)
+_SCIPY_CHECK_MESSAGE = (
+    "The solution does not satisfy the constraints within the required tolerance "
+    f"of {_SCIPY_CHECK_SLACK:.2E}, yet no errors were raised and there is no "
+    "certificate of infeasibility or unboundedness. Check whether the slack and "
+    "constraint residuals are acceptable; if not, consider enabling presolve, "
+    "adjusting the tolerance option(s), and/or using a different method. Please "
+    "consider submitting a bug report."
+)
 
-def __getattr__(name: str):
-    """Serve `linprog`, importing scipy's on first use and keeping it in the globals.
 
-    `_solve` calls `sys.modules[__name__].linprog`, an attribute lookup, so
-    it reaches this hook once and then runs whatever the attribute holds, a
-    replacement set with `setattr` included.
+class _HighsResult(NamedTuple):
+    """What `linprog` reports of a solve; `x` and `fun` are None unless HiGHS found an optimum."""
+
+    status: int
+    x: np.ndarray | None
+    fun: float | None
+    nit: int
+    message: str
+
+
+def linprog(
+    c,
+    A_ub=None,
+    b_ub=None,
+    A_eq=None,
+    b_eq=None,
+    bounds=(0, None),
+    method: str = "highs",
+    options: dict | None = None,
+) -> _HighsResult:
+    """`scipy.optimize.linprog(c, ..., method="highs")` for `_solve`, without its wrapper.
+
+    Minimizes `c @ x` subject to `A_ub @ x <= b_ub`, `A_eq @ x == b_eq` and
+    x >= 0, on dense arrays.  It takes `scipy.optimize.linprog`'s keywords,
+    but only the values `_solve` passes: `bounds=(0, None)`,
+    `method="highs"`, and `options` setting at most `presolve`; others raise
+    ValueError.  It calls the HiGHS binding that `scipy.optimize.linprog`
+    calls, scipy's private `scipy.optimize._highspy._core` (shipped since
+    scipy 1.15), with the same model, `A_ub`'s rows first and then
+    `A_eq`'s, column-wise, and the same options: `presolve`, no output,
+    debug level 0 and dual simplex.  So `status` (scipy's codes), `x`,
+    `fun`, `nit` and `message` are those `scipy.optimize.linprog` returns,
+    status 4 for an optimum that misses a bound or row by more than its
+    check allows included.  What it skips is the Python around that call
+    whose output `_solve` discards: input cleaning and the conversion
+    through `scipy.sparse`, a fresh option checker for each option, the loop
+    over every column's basis status and dual, and the result assembly.
+    The binding, and with it `scipy.optimize`, is imported on the first call.
     """
-    if name == "linprog":
-        from scipy.optimize import linprog
+    from scipy.optimize._highspy import _core as highs
 
-        globals()["linprog"] = linprog
-        return linprog
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    options = dict(options or {})
+    presolve = options.pop("presolve", True)
+    if method != "highs" or tuple(bounds) != (0, None) or options or not isinstance(presolve, bool):
+        raise ValueError(
+            f"unsupported method {method!r}, bounds {bounds!r} or options {options!r}"
+        )
+    cost = np.asarray(c, dtype=np.float64)
+    empty = (np.zeros((0, len(cost))), np.zeros(0))
+    a_ub, b_ub = empty if A_ub is None else (A_ub, b_ub)
+    a_eq, b_eq = empty if A_eq is None else (A_eq, b_eq)
+    matrix = np.concatenate([a_ub, a_eq]).astype(np.float64, copy=False)
+    row_upper = np.concatenate([b_ub, b_eq]).astype(np.float64, copy=False)
+    row_lower = np.concatenate([np.full(len(b_ub), -math.inf), b_eq])
+    # The nonzeros column by column, rows ascending: `scipy.sparse.csc_array(matrix)`.
+    columns, rows = np.nonzero(matrix.T)
+
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(cost)
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(matrix)
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    # pybind11 copies a list into a C++ vector faster than an array.
+    lp.a_matrix_.start_ = np.searchsorted(columns, np.arange(len(cost) + 1)).tolist()
+    lp.a_matrix_.index_ = rows.tolist()
+    lp.a_matrix_.value_ = matrix[rows, columns].tolist()
+    lp.col_cost_ = cost
+    lp.col_lower_ = np.zeros(len(cost))
+    lp.col_upper_ = np.full(len(cost), math.inf)
+    lp.row_lower_ = row_lower
+    lp.row_upper_ = row_upper
+    solver = highs._Highs()
+    for name, value in (
+        ("presolve", "on" if presolve else "off"),
+        ("highs_debug_level", 0),
+        ("log_to_console", False),
+        ("output_flag", False),
+        ("simplex_strategy", 1),  # dual simplex
+    ):
+        solver.setOptionValue(name, value)
+
+    x = fun = None
+    nit, detail = 0, None
+    if solver.passModel(lp) == highs.HighsStatus.kError:
+        model_status = highs.HighsModelStatus.kModelError
+    elif solver.run() == highs.HighsStatus.kError:
+        model_status = solver.getModelStatus()
+    else:
+        model_status = solver.getModelStatus()
+        info = solver.getInfo()
+        nit = info.simplex_iteration_count or info.ipm_iteration_count
+        if model_status == highs.HighsModelStatus.kOptimal:
+            solution = solver.getSolution()
+            x, fun = np.array(solution.col_value), info.objective_function_value
+            row_value = np.array(solution.row_value)
+        else:
+            detail = (
+                f"model_status is {solver.modelStatusToString(model_status)}; "
+                f"primal_status is {solver.solutionStatusToString(info.primal_solution_status)}"
+            )
+    code = int(model_status)
+    status, prefix = _SCIPY_STATUS.get(code, (4, "") if code <= 14 else _UNRECOGNIZED_STATUS)
+    message = f"{prefix}(HiGHS Status {code}: {detail or solver.modelStatusToString(model_status)})"
+    if x is not None:
+        gaps = np.concatenate([-x, row_value - row_upper, row_lower - row_value])
+        if math.isnan(fun) or not gaps.max() <= _SCIPY_CHECK_SLACK:
+            status, message = 4, _SCIPY_CHECK_MESSAGE
+    return _HighsResult(status, x, fun, nit, message)
 
 
 @dataclass(frozen=True)
@@ -590,16 +711,17 @@ def _solve(
     either way; at a degenerate optimum the weights may name another optimal
     vertex.
 
-    At these sizes scipy's `linprog` wrapper, not HiGHS, sets the cost: it
-    checks its options, and after the solve it reads each column's basis
-    status and dual in a Python loop.
-    Under cProfile, 60 calls each of `min_negativity_lp` on 2 cores,
-    `_highs_wrapper`'s own time and its option checks took 1.3 ms per solve
-    at 20 columns, 2.0 ms at 110 and 7.9 ms at 2048: a fixed cost of about
-    1.3 ms plus about 3 us per column.  So the number of columns is what
-    the orbit programs cut.
+    HiGHS is called through `linprog`, which skips `scipy.optimize.linprog`'s
+    Python wrapper: its input cleaning and sparse conversion, a fresh option
+    checker per option, and a loop over every column's basis status and
+    dual.  At these sizes that wrapper, not HiGHS, set the cost.  Median of
+    30 solves of the same program on 2 cores, `scipy.optimize.linprog` and
+    then `linprog`: 3.0 and 0.5 ms at 4 columns (n = 2), 3.4 and 0.8 ms at 68
+    (the n = 5 score LP), 4.8 and 1.7 ms at 110 (the n = 5, N = 1 family)
+    and 29 and 22 ms at 2048 (a signalling n = 5 target), with the same
+    `x`, optimum, iteration count, status and message.
     """
-    res = sys.modules[__name__].linprog(
+    res = linprog(
         cost,
         A_ub=program.a_ub,
         b_ub=program.b_ub,
@@ -694,7 +816,12 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     """Minimize negative mass among signed mixtures reproducing `target` exactly.
 
     Infeasible exactly when no signed mixture reproduces the target, i.e. when
-    the target signals.  The reported optimal_score is the chained score the
+    the target signals, up to HiGHS's primal feasibility tolerance of 1e-7:
+    for a target that signals by less than about 1e-7 that tolerance, not
+    the library's, decides OPTIMAL against INFEASIBLE.  Moving 1e-7 between
+    two cells of the chained singlet gives OPTIMAL at n = 2, 3 and 5 (with a
+    `primal_residual` of about 1e-7) and INFEASIBLE at n = 4; 2e-7 gives
+    INFEASIBLE at every n.  The reported optimal_score is the chained score the
     target itself achieves.  Note this answers "how little negative mass
     reproduces these statistics", which is related to but distinct from any
     witness value of a particular model.  HiGHS runs without presolve (see
@@ -750,6 +877,8 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     median of 31 calls on 2 cores, the N = 1/2 and N = 1 family targets went
     from 12-15 ms on the stabilizer's orbits to 5.7-6.0 ms, N = 2 from
     10-12 ms to 5.2-5.5 ms; the chained singlet stays at about 5.5 ms.
+    Calling HiGHS through `linprog` (see `_solve`) then took the family
+    targets to 2.4-2.8 ms (N = 2: 1.5-2.5 ms) and the singlet to 1.8-2.7 ms.
     """
     if target.n_settings_A != target.n_settings_B:
         raise ValueError("the strategy grid needs equal setting counts")

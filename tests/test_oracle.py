@@ -888,17 +888,18 @@ class TestSolverSetting:
         calls = []
 
         def record(cost, **kwargs):
-            res = linprog(cost, **kwargs)
+            res = solve_directly(cost, **kwargs)
             calls.append((cost, kwargs, res))
             return res
 
-        linprog = oracle.linprog
+        solve_directly = oracle.linprog
         monkeypatch.setattr(oracle, "linprog", record)
         result = solve()
         assert len(calls) == 1
         cost, kwargs, res = calls[0]
         assert kwargs["method"] == "highs"
         assert kwargs["options"] == {"presolve": False}
+        # The reference is scipy's public `linprog`, not the one under test.
         reference = linprog(cost, **{**kwargs, "options": {"presolve": True}})
         assert res.status == reference.status
         if reference.status == 0:
@@ -907,6 +908,74 @@ class TestSolverSetting:
             assert result.primal_residual <= 1e-9
         else:
             assert result.status is LPStatus.INFEASIBLE
+
+
+_DIRECT_CASES = [
+    *(pytest.param(lambda n=n, b=b: max_score_lp(n, b), id=f"score-n{n}-budget{b}")
+      for n in range(2, 6) for b in (0.0, 0.5, 1.0, 2.0, math.inf)),
+    *(pytest.param(
+        lambda n=n, b=b: min_negativity_lp(assemble_behavior(chained_saturating_model(n, b))),
+        id=f"family-n{n}-budget{b}")
+      for n in range(2, 6) for b in (0.5, 1.0, 2.0)),
+    *(pytest.param(lambda n=n: min_negativity_lp(_singlet_at_chained_angles(n)),
+                   id=f"singlet-n{n}")
+      for n in range(2, 6)),
+    pytest.param(lambda: min_negativity_lp(_signalling_target()), id="signalling"),
+    *(pytest.param(lambda n=n, size=size: min_negativity_lp(_signalling_perturbation(n, size)),
+                   id=f"signalling-n{n}-{size:g}")
+      for n in range(2, 6) for size in (1e-7, 2e-7)),
+]
+
+
+class TestDirectHighs:
+    """`oracle.linprog` calls HiGHS as `scipy.optimize.linprog` does, and answers alike."""
+
+    @pytest.mark.parametrize("presolve", [False, True], ids=["presolve-off", "presolve-on"])
+    @pytest.mark.parametrize("solve", _DIRECT_CASES)
+    def test_matches_scipy_linprog(self, solve, presolve, monkeypatch):
+        calls = []
+
+        def record(cost, **kwargs):
+            calls.append((cost, kwargs))
+            return solve_directly(cost, **kwargs)
+
+        solve_directly = oracle.linprog
+        monkeypatch.setattr(oracle, "linprog", record)
+        solve()
+        assert len(calls) == 1
+        cost, kwargs = calls[0]
+        kwargs = {**kwargs, "options": {"presolve": presolve}}
+        got = solve_directly(cost, **kwargs)
+        want = linprog(cost, **kwargs)
+        assert (got.status, got.nit, got.message) == (want.status, want.nit, want.message)
+        assert got.fun == want.fun
+        if want.x is None:
+            assert got.x is None
+        else:
+            assert np.array_equal(got.x, want.x)
+
+    @pytest.mark.parametrize("n, status", [
+        (2, LPStatus.OPTIMAL),
+        (3, LPStatus.OPTIMAL),
+        (4, LPStatus.INFEASIBLE),
+        (5, LPStatus.OPTIMAL),
+    ])
+    def test_near_signalling_status_is_highs_feasibility_tolerance(self, n, status):
+        # A target that signals by about HiGHS's primal feasibility tolerance
+        # (1e-7) is OPTIMAL or INFEASIBLE as HiGHS's pivots fall; pinned so
+        # that a change of HiGHS's configuration shows.
+        assert min_negativity_lp(_signalling_perturbation(n, 1e-7)).status is status
+        assert min_negativity_lp(_signalling_perturbation(n, 2e-7)).status is LPStatus.INFEASIBLE
+
+    @pytest.mark.parametrize("extra", [
+        {"method": "highs-ipm"},
+        {"bounds": (None, None)},
+        {"options": {"disp": True}},
+        {"options": {"presolve": "off"}},
+    ])
+    def test_refuses_what_it_does_not_implement(self, extra):
+        with pytest.raises(ValueError, match="^unsupported method"):
+            oracle.linprog([1.0], A_eq=[[1.0]], b_eq=[1.0], **extra)
 
 
 def _no_signalling_max_score(n: int) -> float:
