@@ -41,9 +41,10 @@ and dense it costs more than it saves.  `_solve` hands the program to
 `scipy.optimize.linprog` uses, without that function's per-call Python
 wrapper, which cost more than HiGHS itself on most of these programs (the
 measurements are in `_solve`'s docstring).  Importing this module loads
-numpy only: `linprog` imports the binding, and with it `scipy.optimize`,
-on its first call, so enumeration, the classical bound, the quantum
-generator and the sampler never load scipy.
+numpy only: the binding, and with it `scipy.optimize`, is imported the
+first time the module attribute `linprog` is read, which `_solve` does on
+every solve, so enumeration, the classical bound, the quantum generator and
+the sampler never load scipy.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -113,6 +115,34 @@ _SCIPY_CHECK_MESSAGE = (
 )
 
 
+#: The options `scipy.optimize.linprog(method="highs")` sets besides
+#: `presolve`: no output, debug level 0 and dual simplex.
+_HIGHS_OPTIONS = (
+    ("highs_debug_level", 0),
+    ("log_to_console", False),
+    ("output_flag", False),
+    ("simplex_strategy", 1),
+)
+
+
+def __getattr__(name: str):
+    """Serve `linprog`, importing scipy's HiGHS binding on first use and keeping it in the globals.
+
+    `_solve` calls `sys.modules[__name__].linprog`, an attribute lookup, so
+    it reaches this hook once and then runs whatever the attribute holds, a
+    replacement set with `setattr` included.  Reading the attribute loads
+    `scipy.optimize`: code that reads it in order to wrap it, such as
+    perfbench's span recorder, pays that import when it reads, not inside
+    its first wrapped solve.
+    """
+    if name == "linprog":
+        from scipy.optimize._highspy import _core  # noqa: F401
+
+        globals()["linprog"] = _linprog
+        return _linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 class _HighsResult(NamedTuple):
     """What `linprog` reports of a solve; `x` and `fun` are None unless HiGHS found an optimum."""
 
@@ -123,7 +153,7 @@ class _HighsResult(NamedTuple):
     message: str
 
 
-def linprog(
+def _linprog(
     c,
     A_ub=None,
     b_ub=None,
@@ -140,17 +170,22 @@ def linprog(
     but only the values `_solve` passes: `bounds=(0, None)`,
     `method="highs"`, and `options` setting at most `presolve`; others raise
     ValueError.  It calls the HiGHS binding that `scipy.optimize.linprog`
-    calls, scipy's private `scipy.optimize._highspy._core` (shipped since
-    scipy 1.15), with the same model, `A_ub`'s rows first and then
-    `A_eq`'s, column-wise, and the same options: `presolve`, no output,
-    debug level 0 and dual simplex.  So `status` (scipy's codes), `x`,
+    calls, scipy's private `scipy.optimize._highspy._core`, with the same
+    model, `A_ub`'s rows first and then `A_eq`'s, column-wise, and the same
+    options: `presolve`, no output, debug level 0 and dual simplex.  So `status` (scipy's codes), `x`,
     `fun`, `nit` and `message` are those `scipy.optimize.linprog` returns,
     status 4 for an optimum that misses a bound or row by more than its
     check allows included.  What it skips is the Python around that call
     whose output `_solve` discards: input cleaning and the conversion
     through `scipy.sparse`, a fresh option checker for each option, the loop
     over every column's basis status and dual, and the result assembly.
-    The binding, and with it `scipy.optimize`, is imported on the first call.
+    An option HiGHS refuses raises RuntimeError (`_set_highs_options`), so a
+    binding that renamed one cannot fall back to HiGHS's defaults unseen.
+    The binding is used because it is the one `scipy.optimize.linprog`
+    runs, so the answers stay scipy's.  `pyproject.toml` asks for
+    scipy >= 1.15, the release taken to be the first to ship the binding;
+    that floor is unverified, and only scipy 1.17.1, with HiGHS 1.12.0, has
+    been run against this function.
     """
     from scipy.optimize._highspy import _core as highs
 
@@ -184,14 +219,7 @@ def linprog(
     lp.row_lower_ = row_lower
     lp.row_upper_ = row_upper
     solver = highs._Highs()
-    for name, value in (
-        ("presolve", "on" if presolve else "off"),
-        ("highs_debug_level", 0),
-        ("log_to_console", False),
-        ("output_flag", False),
-        ("simplex_strategy", 1),  # dual simplex
-    ):
-        solver.setOptionValue(name, value)
+    _set_highs_options(solver, (("presolve", "on" if presolve else "off"), *_HIGHS_OPTIONS))
 
     x = fun = None
     nit, detail = 0, None
@@ -220,6 +248,15 @@ def linprog(
         if math.isnan(fun) or not gaps.max() <= _SCIPY_CHECK_SLACK:
             status, message = 4, _SCIPY_CHECK_MESSAGE
     return _HighsResult(status, x, fun, nit, message)
+
+
+def _set_highs_options(solver, options) -> None:
+    """Set each (name, value) of `options` on the HiGHS `solver`; raise RuntimeError on one it refuses."""
+    from scipy.optimize._highspy import _core as highs
+
+    for name, value in options:
+        if solver.setOptionValue(name, value) != highs.HighsStatus.kOk:
+            raise RuntimeError(f"HiGHS refused option {name!r} = {value!r}")
 
 
 @dataclass(frozen=True)
@@ -721,7 +758,7 @@ def _solve(
     and 29 and 22 ms at 2048 (a signalling n = 5 target), with the same
     `x`, optimum, iteration count, status and message.
     """
-    res = linprog(
+    res = sys.modules[__name__].linprog(
         cost,
         A_ub=program.a_ub,
         b_ub=program.b_ub,

@@ -95,15 +95,16 @@ def test_lp_commands_load_scipy_optimize(tmp_path, command):
     assert heavy_modules_after(code) == ["numpy", "scipy"]
 
 
-def test_oracle_linprog_is_its_own_and_loads_scipy_on_the_first_solve():
+def test_oracle_linprog_is_its_own_and_loads_scipy_when_read():
     out = run_python(
         "import sys, quasibell.oracle as oracle\n"
+        "print('scipy' in sys.modules)\n"
         "solve = oracle.linprog\n"
-        "print(solve.__module__, vars(oracle)['linprog'] is solve, 'scipy' in sys.modules)\n"
+        "print(solve.__module__, vars(oracle)['linprog'] is solve, 'scipy.optimize' in sys.modules)\n"
         "res = solve([1.0], A_eq=[[1.0]], b_eq=[2.0])\n"
-        "print('scipy.optimize' in sys.modules, res.status, res.x.tolist())"
+        "print(res.status, res.x.tolist())"
     )
-    assert out.split() == ["quasibell.oracle", "True", "False", "True", "0", "[2.0]"]
+    assert out.split() == ["False", "quasibell.oracle", "True", "True", "0", "[2.0]"]
 
 
 def test_unknown_oracle_name_raises_attribute_error():

@@ -963,7 +963,8 @@ class TestDirectHighs:
     def test_near_signalling_status_is_highs_feasibility_tolerance(self, n, status):
         # A target that signals by about HiGHS's primal feasibility tolerance
         # (1e-7) is OPTIMAL or INFEASIBLE as HiGHS's pivots fall; pinned so
-        # that a change of HiGHS's configuration shows.
+        # that a change of HiGHS's configuration shows.  Pinned on scipy
+        # 1.17.1 with HiGHS 1.12.0: another HiGHS may pivot otherwise.
         assert min_negativity_lp(_signalling_perturbation(n, 1e-7)).status is status
         assert min_negativity_lp(_signalling_perturbation(n, 2e-7)).status is LPStatus.INFEASIBLE
 
@@ -976,6 +977,15 @@ class TestDirectHighs:
     def test_refuses_what_it_does_not_implement(self, extra):
         with pytest.raises(ValueError, match="^unsupported method"):
             oracle.linprog([1.0], A_eq=[[1.0]], b_eq=[1.0], **extra)
+
+    @pytest.mark.parametrize("option", [("no_such_option", 1), ("simplex_strategy", 99)])
+    def test_an_option_highs_refuses_raises(self, option):
+        from scipy.optimize._highspy import _core as highs
+
+        solver = highs._Highs()
+        oracle._set_highs_options(solver, [("output_flag", False), *oracle._HIGHS_OPTIONS])
+        with pytest.raises(RuntimeError, match=f"^HiGHS refused option {option[0]!r}"):
+            oracle._set_highs_options(solver, [option])
 
 
 def _no_signalling_max_score(n: int) -> float:
