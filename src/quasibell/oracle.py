@@ -16,21 +16,14 @@ Four separate routes that never share code with the model/witness path:
 
 The LPs are solved with scipy's HiGHS backend and results are
 deterministic for fixed inputs.  Both solve over orbits of joint strategies
-under a group of relabellings of settings and outcomes, one column pair
-(u_O, v_O) per orbit O of the signed weights w = u - v, and the solution is
-expanded back to all 4^n strategies and checked against the full program.
-`max_score_lp` is invariant under the chained score's dihedral group of 8n
-(`_chain_group`, built once per n): 68 columns instead of 2048 at n = 5.
-`min_negativity_lp` uses the target's stabilizer, the relabellings of that
-group that fix the target, and, when they all fix it exactly, adds the
-swaps of two settings of one party whose target rows are equal
-(`_setting_transpositions`): exact symmetries compose to exact ones, so the
-group they generate fixes the target.  That gives 68 columns at n = 5 for
-the chained singlet and Werner targets, 110 for the N = 1 family (1056 on
-the stabilizer alone) and 60 for N = 2 (544), and all 2 * 4^n columns for a
-target without symmetry.  Of the 4n^2 behavior rows it hands HiGHS only
-the (n+1)^2 Collins-Gisin rows that span them (`_behavior_basis`); a
-target that signals gets all 4n^2 rows, so HiGHS judges its infeasibility.
+under a group of relabellings of settings and outcomes that fixes the
+program, one column pair (u_O, v_O) per orbit O of the signed weights
+w = u - v: `max_score_lp` under the chained score's dihedral group of 8n
+(`_chain_group`), `min_negativity_lp` under the group that its target's
+stabilizer in that group and its setting swaps (`_setting_transpositions`)
+generate.  Each LP's docstring says why its orbit program has the same
+optimum.  The solution is expanded back to all 4^n strategies and its
+`primal_residual` measured against the behavior matrix (`_behavior_matrix`).
 The per-n groups and programs are built once; building checks exactly that
 the row basis spans every behavior row, that each chained generator fixes
 every strategy's score and permutes the behavior entries and that each swap
@@ -39,17 +32,15 @@ helper, `_solve`, which turns HiGHS presolve off: on programs this small
 and dense it costs more than it saves.  `_solve` hands the program to
 `linprog`, this module's own call of the HiGHS binding that
 `scipy.optimize.linprog` uses, without that function's per-call Python
-wrapper, which cost more than HiGHS itself on most of these programs (the
-measurements are in `_solve`'s docstring).  Importing this module loads
-numpy only: the binding, and with it `scipy.optimize`, is imported the
-first time the module attribute `linprog` is read, which `_solve` does on
-every solve, so enumeration, the classical bound, the quantum generator and
-the sampler never load scipy.
+wrapper, which costs more than HiGHS itself on most of these programs.
+Importing this module loads numpy only: the binding, and with it
+`scipy.optimize`, is imported the first time the module attribute `linprog`
+is read, which `_solve` does on every solve, so enumeration, the classical
+bound, the quantum generator and the sampler never load scipy.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -266,11 +257,11 @@ class LPResult:
     `iterations` and `solver_message` are HiGHS's iteration count and
     message, kept whatever the status; `columns` and `rows` count the columns
     and constraint rows of the program HiGHS solved.  `primal_residual` is
-    the largest violation of the full program's constraints, over all 4^n
-    joint strategies, by the returned weights (for `min_negativity_lp`,
-    max|B w - target|), or None unless OPTIMAL.  `negative_mass` is NaN
-    unless OPTIMAL, and for `max_score_lp` with an infinite budget (see
-    there).
+    the largest violation of the LP's constraints over all 4^n joint
+    strategies by the returned weights, computed from the behavior matrix B
+    (for `min_negativity_lp`, max|B w - target|), or None unless OPTIMAL.
+    `negative_mass` is NaN unless OPTIMAL, and for `max_score_lp` with an
+    infinite budget (see there).
     """
 
     optimal_score: float
@@ -407,16 +398,14 @@ def _behavior_matrix(n: int) -> np.ndarray:
 
 
 class _BehaviorBasis(NamedTuple):
-    """`min_negativity_lp`'s constraint matrices at one n, all read-only.
+    """`min_negativity_lp`'s row basis at one n, read-only.
 
     `rows` picks (n+1)^2 cells of `_behavior_matrix(n)` whose rows B_R span
     its row space, and `expand` is the integer matrix M with B = M @ B_R.
-    `full_a_eq` is [B, -B], the rows applied to w = u - v.
     """
 
     rows: np.ndarray
     expand: np.ndarray
-    full_a_eq: np.ndarray
 
 
 @functools.cache
@@ -451,11 +440,7 @@ def _behavior_basis(n: int) -> _BehaviorBasis:
     expand = expand.reshape(4 * n * n, len(rows))
     if not np.array_equal(expand @ behavior_matrix[rows], behavior_matrix):
         raise RuntimeError(f"the row basis does not span the behavior rows at n={n}")
-    return _BehaviorBasis(
-        rows=_read_only(rows),
-        expand=_read_only(expand),
-        full_a_eq=_read_only(_split_form(behavior_matrix)),
-    )
+    return _BehaviorBasis(rows=_read_only(rows), expand=_read_only(expand))
 
 
 def behavior_from_strategy_weights(
@@ -586,57 +571,24 @@ def _setting_transpositions(n: int) -> _Relabellings:
     return _Relabellings(_read_only(np.array(strategies)), _read_only(np.array(rows)))
 
 
-class _Constraints(NamedTuple):
-    """`a_eq x = b_eq` and, when `a_ub` is given, `a_ub x <= b_ub`."""
-
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-    a_ub: np.ndarray | None = None
-    b_ub: np.ndarray | None = None
-
-    def residual(self, x: np.ndarray) -> float:
-        """Largest violation of these constraints by x."""
-        residual = float(np.abs(self.a_eq @ x - self.b_eq).max())
-        if self.a_ub is not None:
-            residual = max(residual, float(np.max(self.a_ub @ x - self.b_ub, initial=0.0)))
-        return residual
-
-
 @dataclass(frozen=True)
 class _ScoreProgram:
-    """`max_score_lp`'s program at one n, over orbits and in full.
+    """`max_score_lp`'s orbit program at one n.
 
     `orbit_of[j]` is the orbit O of joint strategy j; the orbit program's
     columns are (u_O, v_O), with w_j = u_O - v_O.  Its `cost` is (-t, t),
     t_O being the summed score of O's strategies.  Its entry rows are the
     behavior rows summed over each orbit's columns, each distinct row kept
     once; its normalization row `a_eq` holds the orbit sizes |O|, and the
-    last row of `a_ub` is the budget row, 8|O| on v_O.  `full_a_eq` and
-    `full_a_ub` are the same constraints over all 2 * 4^n columns, against
-    which the expanded weights are checked.  All arrays are read-only.
-    `group_order` is the number of relabellings in `_chain_group`.
+    last row of `a_ub` is the budget row, 8|O| on v_O.  All arrays are
+    read-only.  `group_order` is the number of relabellings in `_chain_group`.
     """
 
     orbit_of: np.ndarray
     cost: np.ndarray
     a_eq: np.ndarray
     a_ub: np.ndarray
-    full_a_eq: np.ndarray
-    full_a_ub: np.ndarray
     group_order: int
-
-    def constraints(self, budget: float) -> tuple[_Constraints, _Constraints]:
-        """The orbit program's and the full program's constraints at `budget`.
-
-        An infinite budget drops the budget row, the last row of each `a_ub`.
-        """
-        keep = None if math.isfinite(budget) else -1
-        programs = []
-        for a_eq, a_ub in ((self.a_eq, self.a_ub), (self.full_a_eq, self.full_a_ub)):
-            b_ub = np.zeros(len(a_ub))
-            b_ub[-1] = budget
-            programs.append(_Constraints(a_eq, np.array([1.0]), a_ub[:keep], b_ub[:keep]))
-        return programs[0], programs[1]
 
 
 def _distinct_rows(matrix: np.ndarray) -> dict[bytes, np.ndarray]:
@@ -700,8 +652,6 @@ def _score_program(n: int) -> _ScoreProgram:
         cost=_read_only(np.concatenate([-totals, totals])),
         a_eq=_read_only(_split_form(sizes[None, :])),
         a_ub=_read_only(_score_rows(rows, sizes)),
-        full_a_eq=_read_only(_split_form(np.ones((1, 4**n)))),
-        full_a_ub=_read_only(_score_rows(behavior_matrix, np.ones(4**n))),
         group_order=len(group.strategies),
     )
 
@@ -726,81 +676,76 @@ def _joint_strategies(n: int) -> tuple[tuple[Strategy, Strategy], ...]:
 def _solve(
     n: int,
     cost: np.ndarray,
-    program: _Constraints,
-    full: _Constraints,
-    expand: np.ndarray,
+    orbit_of: np.ndarray,
+    a_eq: np.ndarray,
+    b_eq: np.ndarray,
+    a_ub: np.ndarray | None = None,
+    b_ub: np.ndarray | None = None,
+    *,
+    target: np.ndarray | None = None,
+    budget: float = math.inf,
     score: float | None = None,
 ) -> LPResult:
-    """Minimize `cost @ x` over x >= 0 subject to `program`, then expand x.
+    """Minimize `cost @ x` over x >= 0 subject to the orbit program, then expand x.
 
-    `full` is the unreduced program over x = (u, v), the two halves of the
-    signed weights w = u - v of all 4^n joint strategies; `x[expand]` is the
-    solution written in its 2 * 4^n columns (`expand` is the identity when
-    HiGHS solves `full` itself).  Weights, negative mass and
-    `primal_residual` are read from the expanded solution, the residual
-    against `full`.  The optimal score is `score` when given, else -cost @ x.
+    x = (u_O, v_O) has one column pair per orbit O, and `orbit_of[j]` is the
+    orbit of joint strategy j, so u = u_O[orbit_of] and v = v_O[orbit_of]
+    are the halves of the signed weights w = u - v of all 4^n strategies.
+    Weights, negative mass and `primal_residual` are read from them, the
+    residual through B = `_behavior_matrix(n)`: max|B w - target| when
+    `target` is given (`min_negativity_lp`), otherwise (`max_score_lp`) the
+    largest of |sum w - 1|, max(-B w) and 8 sum v - `budget`, with the
+    negative mass NaN for an infinite budget.  The optimal score is `score`
+    when given, else -cost @ x.
 
-    HiGHS runs without presolve.  On these small dense programs presolve
-    costs more than it saves: `max_score_lp(5, 0)` over all 4^n strategies
-    took 30-38 ms with it (0 simplex iterations) and 19 ms without
-    (3 iterations), and the 32 LPs of the n = 2..5 score and family grid
-    took 0.54-0.61 of the time, on 2 cores.  Status and optimum are the same
-    either way; at a degenerate optimum the weights may name another optimal
-    vertex.
-
-    HiGHS is called through `linprog`, which skips `scipy.optimize.linprog`'s
+    HiGHS runs without presolve: on these small dense programs it costs more
+    than it saves.  Status and optimum are the same either way; at a
+    degenerate optimum the weights may name another optimal vertex.  HiGHS
+    is called through `linprog`, which skips `scipy.optimize.linprog`'s
     Python wrapper: its input cleaning and sparse conversion, a fresh option
     checker per option, and a loop over every column's basis status and
-    dual.  At these sizes that wrapper, not HiGHS, set the cost.  Median of
-    30 solves of the same program on 2 cores, `scipy.optimize.linprog` and
-    then `linprog`: 3.0 and 0.5 ms at 4 columns (n = 2), 3.4 and 0.8 ms at 68
-    (the n = 5 score LP), 4.8 and 1.7 ms at 110 (the n = 5, N = 1 family)
-    and 29 and 22 ms at 2048 (a signalling n = 5 target), with the same
-    `x`, optimum, iteration count, status and message.
+    dual.  At these sizes that wrapper, not HiGHS, sets the cost, and
+    skipping it leaves `x`, optimum, iteration count, status and message
+    unchanged.
     """
     res = sys.modules[__name__].linprog(
         cost,
-        A_ub=program.a_ub,
-        b_ub=program.b_ub,
-        A_eq=program.a_eq,
-        b_eq=program.b_eq,
+        A_ub=a_ub,
+        b_ub=b_ub,
+        A_eq=a_eq,
+        b_eq=b_eq,
         bounds=(0, None),
         method="highs",
         options={"presolve": False},
     )
     status = _LINPROG_STATUS.get(res.status, LPStatus.FAILED)
-    iterations, message = int(res.nit), str(res.message)
-    rows = len(program.a_eq) + (0 if program.a_ub is None else len(program.a_ub))
-    if status is not LPStatus.OPTIMAL:
-        return LPResult(
-            optimal_score=math.nan,
-            weights={},
-            negative_mass=math.nan,
-            status=status,
-            n_settings=n,
-            iterations=iterations,
-            solver_message=message,
-            primal_residual=None,
-            columns=len(cost),
-            rows=rows,
-        )
-    x = res.x[expand]
-    joint = _joint_strategies(n)
-    m = len(joint)
-    merged = x[:m] - x[m:]
-    weights = {joint[j]: float(merged[j]) for j in np.flatnonzero(np.abs(merged) > 1e-12)}
-    negative_mass = float(sum((-merged[merged < 0]).tolist()))
+    optimal_score, weights, negative_mass, residual = math.nan, {}, math.nan, None
+    if status is LPStatus.OPTIMAL:
+        k = len(cost) // 2
+        v = res.x[k:][orbit_of]
+        w = res.x[:k][orbit_of] - v
+        joint = _joint_strategies(n)
+        weights = {joint[j]: float(w[j]) for j in np.flatnonzero(np.abs(w) > 1e-12)}
+        negative_mass = float(sum((-w[w < 0]).tolist()))
+        entries = _behavior_matrix(n) @ w
+        if target is not None:
+            residual = float(np.abs(entries - target).max())
+        else:
+            residual = float(max(abs(w.sum() - 1.0), -entries.min(), 8.0 * v.sum() - budget))
+            if math.isinf(budget):
+                negative_mass = math.nan
+        optimal_score = float(score) if score is not None else float(-res.fun)
     return LPResult(
-        optimal_score=float(score) if score is not None else float(-res.fun),
+        optimal_score=optimal_score,
         weights=weights,
         negative_mass=negative_mass,
         status=status,
         n_settings=n,
-        iterations=iterations,
-        solver_message=message,
-        primal_residual=full.residual(x),
+        iterations=int(res.nit),
+        solver_message=str(res.message),
+        primal_residual=residual,
         columns=len(cost),
-        rows=rows,
+        rows=len(a_eq) + (0 if a_ub is None else len(a_ub)),
     )
 
 
@@ -827,7 +772,8 @@ def max_score_lp(n: int, negativity_budget: float = math.inf) -> LPResult:
     since sum max(-w, 0) is convex.  So some optimum is constant on orbits,
     and the orbit program attains it.  The reported weights are that
     symmetric solution, expanded to all 4^n strategies, and
-    `primal_residual` is measured on the full 2 * 4^n-column program.
+    `primal_residual` is computed from them over all 4^n strategies (see
+    `_solve`).
 
     With an infinite budget `negative_mass` is NaN (null in JSON): without a
     budget row every optimal vertex scores 2n, and which one HiGHS returns,
@@ -840,13 +786,12 @@ def max_score_lp(n: int, negativity_budget: float = math.inf) -> LPResult:
     if not negativity_budget >= 0:
         raise ValueError("negativity budget must be non-negative or infinite")
     program = _score_program(n)
-    reduced, full = program.constraints(negativity_budget)
-    k = len(program.cost) // 2
-    expand = np.concatenate([program.orbit_of, k + program.orbit_of])
-    result = _solve(n, program.cost, reduced, full, expand)
-    if math.isinf(negativity_budget):
-        result = dataclasses.replace(result, negative_mass=math.nan)
-    return result
+    # An infinite budget drops the budget row, the last row of `a_ub`.
+    keep = None if math.isfinite(negativity_budget) else -1
+    b_ub = np.zeros(len(program.a_ub))
+    b_ub[-1] = negativity_budget
+    return _solve(n, program.cost, program.orbit_of, program.a_eq, np.ones(1),
+                  program.a_ub[:keep], b_ub[:keep], budget=negativity_budget)
 
 
 def min_negativity_lp(target: Behavior) -> LPResult:
@@ -871,9 +816,7 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     B_R w = t_R gives B w = M t_R, which is t for a no-signalling target:
     there the two programs have the same feasible set.  A target with
     max|M t_R - t| > 1e-9 is not a no-signalling behavior, and HiGHS gets
-    all 4n^2 rows, so it judges that program's feasibility itself.  At n = 5
-    (100 rows down to 36) a family target took 31-36 ms on the full program
-    and 14-18 ms on the basis, on 2 cores.
+    all 4n^2 rows, so it judges that program's feasibility itself.
 
     HiGHS solves over orbits of a group that fixes the target.  Its
     generators are the target's stabilizer, the relabellings g of
@@ -910,12 +853,7 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     2 * 4^n columns, column for column.  The reported weights are the
     symmetric optimum, expanded to all 4^n strategies, so `support_size`
     counts whole orbits of the larger group, and `primal_residual` is
-    measured on the 4n^2-row program over all 2 * 4^n columns.  At n = 5,
-    median of 31 calls on 2 cores, the N = 1/2 and N = 1 family targets went
-    from 12-15 ms on the stabilizer's orbits to 5.7-6.0 ms, N = 2 from
-    10-12 ms to 5.2-5.5 ms; the chained singlet stays at about 5.5 ms.
-    Calling HiGHS through `linprog` (see `_solve`) then took the family
-    targets to 2.4-2.8 ms (N = 2: 1.5-2.5 ms) and the singlet to 1.8-2.7 ms.
+    max|B w - t| over all 4n^2 rows and 4^n strategies.
     """
     if target.n_settings_A != target.n_settings_B:
         raise ValueError("the strategy grid needs equal setting counts")
@@ -941,15 +879,9 @@ def min_negativity_lp(target: Behavior) -> LPResult:
             perms = group.strategies[:1]
     orbit_of, summed = _orbit_sums(perms, _behavior_matrix(n)[rows])
     sizes = np.bincount(orbit_of).astype(np.float64)
-    k = len(sizes)
-    return _solve(
-        n,
-        np.concatenate([np.zeros(k), sizes]),  # minimize total v
-        _Constraints(_split_form(summed), entries[rows]),
-        _Constraints(basis.full_a_eq, entries),
-        np.concatenate([orbit_of, k + orbit_of]),
-        score=chained_score(target, n),
-    )
+    cost = np.concatenate([np.zeros(len(sizes)), sizes])  # minimize total v
+    return _solve(n, cost, orbit_of, _split_form(summed), entries[rows],
+                  target=entries, score=chained_score(target, n))
 
 
 def _projector(angle: float, outcome: int) -> np.ndarray:
@@ -1009,6 +941,11 @@ def quantum_behavior(
     )
 
 
+#: Largest `shots` that `signed_sample` takes.  Each setting pair draws all
+#: its shots at once, at about 40 bytes of peak memory per shot (peak RSS grew
+#: by 152 MB for 4e6 shots of the n = 2 family), so the cap needs about 4 GB.
+_MAX_SHOTS = 10**8
+
 #: Largest support for which `_inverse_cdf` counts thresholds instead of
 #: bisecting; the two took the same time at about 50 points.
 _COUNTED_SUPPORT = 32
@@ -1048,6 +985,8 @@ def signed_sample(
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
+    if shots > _MAX_SHOTS:
+        raise ValueError(f"sampling limited to shots <= {_MAX_SHOTS}")
     if behavior is None:
         behavior = assemble_behavior(model, tolerance=tolerance)
     report = validate_behavior(behavior, tolerance)

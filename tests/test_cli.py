@@ -449,6 +449,15 @@ class TestSampling:
             f"quasibell sample: error: argument --shots: {message}"
         )
 
+    def test_too_many_shots_are_a_usage_error(self, capsys, tmp_path):
+        # The sampler refuses them before drawing, so nothing is allocated.
+        path = tmp_path / "model.json"
+        save_model(chsh_saturating_model(1), path)
+        code, out, err = run(capsys, "sample", "--model", str(path), "--shots", "1e12")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: sampling limited to shots <= 100000000"]
+
     def test_oracle_sample_is_not_a_command(self, tmp_path):
         path = tmp_path / "model.json"
         save_model(chsh_saturating_model(1), path)

@@ -319,7 +319,7 @@ class TestScoreOrbits:
         program = oracle._score_program(3)
         assert oracle._score_program(3) is program
         for array in (program.orbit_of, program.cost, program.a_eq, program.a_ub,
-                      program.full_a_eq, program.full_a_ub, oracle._behavior_matrix(3)):
+                      oracle._behavior_matrix(3)):
             with pytest.raises(ValueError):
                 array[0] = 1
 
@@ -357,19 +357,19 @@ class TestScoreOrbits:
 
     @pytest.mark.parametrize("budget", [0.0, 1.0, math.inf])
     def test_score_lp_columns(self, budget, monkeypatch):
-        costs = []
+        calls = []
 
         def capture(cost, **kwargs):
-            costs.append(cost)
+            calls.append((cost, kwargs))
             return linprog(cost, **kwargs)
 
         linprog = oracle.linprog
         monkeypatch.setattr(oracle, "linprog", capture)
         result = max_score_lp(5, budget)
-        assert result.columns == len(costs[0]) == 68
+        (cost, program), = calls
+        assert result.columns == len(cost) == 68
         assert result.to_json_dict()["columns"] == 68
-        reduced, _ = oracle._score_program(5).constraints(budget)
-        rows = len(reduced.a_eq) + len(reduced.a_ub)
+        rows = len(program["A_eq"]) + len(program["A_ub"])
         assert result.rows == rows
         assert result.to_json_dict()["rows"] == rows
 
@@ -848,6 +848,65 @@ class TestSolverReport:
         assert result.to_json_dict()["primal_residual"] is None
 
 
+class TestResidualOfAPerturbedSolution:
+    """`primal_residual` against the violation recomputed from the reported weights.
+
+    `oracle.linprog` is wrapped to add 1e-3 to one orbit column of HiGHS's
+    optimum, so the weights violate the program and the residual is nonzero.
+    """
+
+    @staticmethod
+    def _perturb(monkeypatch, column):
+        linprog = oracle.linprog
+
+        def perturbed(cost, **kwargs):
+            res = linprog(cost, **kwargs)
+            x = res.x.copy()
+            x[column(x)] += 1e-3
+            return res._replace(x=x)
+
+        monkeypatch.setattr(oracle, "linprog", perturbed)
+
+    @staticmethod
+    def _entries(n, weights):
+        """Each behavior entry (x_a, x_b, k) the weights induce, k = 2 [y_a = +] + [y_b = +]."""
+        entries = {}
+        for x_a in range(n):
+            for x_b in range(n):
+                for k in range(4):
+                    entries[(x_a, x_b, k)] = sum(
+                        w for (sa, sb), w in weights.items()
+                        if 2 * (sa[x_a] == +1) + (sb[x_b] == +1) == k
+                    )
+        return entries
+
+    def test_min_negativity_lp(self, monkeypatch):
+        n = 3
+        target = assemble_behavior(chained_saturating_model(n, 1.0))
+        self._perturb(monkeypatch, lambda x: 0)  # u of the first orbit
+        result = min_negativity_lp(target)
+        assert result.status is LPStatus.OPTIMAL
+        gap = max(abs(value - float(target.table[(x_a, x_b)][k]))
+                  for (x_a, x_b, k), value in self._entries(n, result.weights).items())
+        assert gap > 1e-4
+        assert result.primal_residual == pytest.approx(gap, rel=1e-9, abs=1e-10)
+
+    def test_max_score_lp_with_a_budget(self, monkeypatch):
+        n, budget = 3, 1.0
+        # v of the orbit with the most negative weight: at HiGHS's vertex its
+        # u is 0, so the budget row's 8 sum(v) is 8 times the negative mass.
+        self._perturb(monkeypatch, lambda x: len(x) // 2 + int(np.argmax(x[len(x) // 2:])))
+        result = max_score_lp(n, budget)
+        assert result.status is LPStatus.OPTIMAL
+        weights = result.weights.values()
+        normalization = abs(sum(weights) - 1.0)
+        negative_entry = max(-value for value in self._entries(n, result.weights).values())
+        overrun = 8 * sum(-w for w in weights if w < 0) - budget
+        assert overrun > max(normalization, negative_entry, 1e-4)
+        violation = max(normalization, negative_entry, overrun)
+        assert result.primal_residual == pytest.approx(violation, rel=1e-9, abs=1e-10)
+
+
 def _singlet_at_chained_angles(n: int, visibility: float = 1.0) -> Behavior:
     """The singlet at Alice's angles i*pi/n and Bob's (j + 1/2)*pi/n.
 
@@ -1198,6 +1257,11 @@ class TestSignedSampling:
     def test_invalid_model_is_refused(self):
         with pytest.raises(ValueError):
             signed_sample(chsh_saturating_model(2.4, force=True), shots=10, seed=0)
+
+    @pytest.mark.parametrize("shots", [oracle._MAX_SHOTS + 1, 10**12])
+    def test_too_many_shots_are_refused_before_any_draw(self, shots):
+        with pytest.raises(ValueError, match=f"shots <= {oracle._MAX_SHOTS}$"):
+            signed_sample(chsh_saturating_model(1), shots=shots, seed=0)
 
     @pytest.mark.parametrize("make_model", _SAMPLED_MODELS)
     def test_matches_masked_reduce(self, make_model):

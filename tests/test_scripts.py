@@ -20,11 +20,17 @@ def run_script(monkeypatch, name: str, *args: str) -> int:
 
 
 def test_negativity_budget_curve(monkeypatch, capsys):
-    # Exits 1 if the LP beats the saturating family anywhere at n = 2.
+    # Exits 1 if the LP misses min(2n, (2n-2)(1 + budget/4)) anywhere.
     assert run_script(monkeypatch, "negativity_budget_curve.py", "--n", "2", "--steps", "7") == 0
     out = capsys.readouterr().out
     assert "classical" in out
     assert "no-signalling ceiling" in out
+
+
+def test_negativity_budget_curve_beyond_the_family(monkeypatch, capsys):
+    # From n = 3 on the closed form lies above the family's 2n-2 + budget/2.
+    assert run_script(monkeypatch, "negativity_budget_curve.py", "--n", "3", "--steps", "7") == 0
+    assert "no-signalling ceiling" in capsys.readouterr().out
 
 
 def test_saturation_sweep(monkeypatch, capsys):
