@@ -225,17 +225,15 @@ def _cmd_export(args, tol: float) -> int:
 
 
 def _cmd_sample(args, tol: float) -> int:
-    from .oracle import signed_sample
+    from .oracle import InvalidBehaviorError, signed_sample
 
     model = load_model(args.model)
-    behavior = assemble_behavior(model, tolerance=tol)
-    validity = validate_behavior(behavior, tol)
-    if not validity.is_valid:
+    try:
+        estimate = signed_sample(model, shots=args.shots, seed=args.seed, tolerance=tol)
+    except InvalidBehaviorError as refusal:
         sys.stderr.write(_json_text({"error": "model behavior is invalid; sampling refused",
-                                     "validity": validity.to_json_dict()}) + "\n")
+                                     "validity": refusal.validity.to_json_dict()}) + "\n")
         return EXIT_CHECK_FAILED
-    estimate = signed_sample(model, shots=args.shots, seed=args.seed, tolerance=tol,
-                             behavior=behavior)
     _emit(_json_text(estimate.to_json_dict()), args.output)
     return EXIT_OK
 

@@ -12,7 +12,11 @@ Four separate routes that never share code with the model/witness path:
 * a two-qubit projective-measurement generator for quantum reference
   behaviors,
 * a sign-weighted Monte Carlo sampler demonstrating that signed mixtures
-  still produce ordinary observable statistics.
+  still produce ordinary observable statistics.  Its draws follow a fixed
+  contract (see `signed_sample`): setting pairs row-major, each drawing
+  `shots` uniforms for the hidden value, then Alice's, then Bob's, and an
+  outcome that the hidden value fixes advances the stream past its uniforms
+  instead of drawing them, so a seed gives the same counts in every release.
 
 The LPs are solved with scipy's HiGHS backend and results are
 deterministic for fixed inputs.  Both solve over orbits of joint strategies
@@ -56,6 +60,7 @@ from .core import (
     OUTCOME_PAIRS,
     Behavior,
     Model,
+    ValidityReport,
     assemble_behavior,
     validate_behavior,
 )
@@ -941,14 +946,28 @@ def quantum_behavior(
     )
 
 
-#: Largest `shots` that `signed_sample` takes.  Each setting pair draws all
-#: its shots at once, at about 40 bytes of peak memory per shot (peak RSS grew
-#: by 152 MB for 4e6 shots of the n = 2 family), so the cap needs about 4 GB.
+#: Largest `shots` that `signed_sample` takes.  Every draw of a call goes
+#: through one shot-sized buffer.  At 4e6 shots, peak RSS in a fresh process
+#: grew by 34 MB (9 bytes per shot) for the n = 2 family, whose outcomes the
+#: hidden value fixes, and by 126 MB (33 bytes per shot) for a stochastic
+#: 3-point model, which builds per-shot index arrays.  So the cap needs at
+#: most about 3.3 GB.
 _MAX_SHOTS = 10**8
 
 #: Largest support for which `_inverse_cdf` counts thresholds instead of
 #: bisecting; the two took the same time at about 50 points.
 _COUNTED_SUPPORT = 32
+
+
+class InvalidBehaviorError(ValueError):
+    """`signed_sample` refused a model whose behavior is invalid; `validity` says why."""
+
+    def __init__(self, validity: ValidityReport) -> None:
+        super().__init__(
+            "model assembles to an invalid behavior "
+            f"(worst entry {validity.worst_entry[2]!r}); sampling is undefined"
+        )
+        self.validity = validity
 
 
 def _inverse_cdf(cdf: np.ndarray, uniform: np.ndarray) -> np.ndarray:
@@ -967,34 +986,63 @@ def _inverse_cdf(cdf: np.ndarray, uniform: np.ndarray) -> np.ndarray:
     return index
 
 
+def _point_counts(cdf: np.ndarray, uniform: np.ndarray) -> np.ndarray:
+    """How many u in `uniform` `_inverse_cdf` sends to each point.
+
+    On small supports the count of u sent to point i or beyond is the count
+    of u >= cdf[i-1], so no per-shot index is built.
+    """
+    if len(cdf) > _COUNTED_SUPPORT:
+        return np.bincount(_inverse_cdf(cdf, uniform), minlength=len(cdf))
+    at_least = [len(uniform)] + [np.count_nonzero(uniform >= t) for t in cdf[:-1]] + [0]
+    return -np.diff(at_least)
+
+
+def _outcome_fixed(plus: np.ndarray) -> np.ndarray:
+    """Whether each row of `plus` probabilities fixes its outcome at every point.
+
+    A row is fixed when each of its entries p has p <= 0 or p >= 1: then
+    `u < p` has one value for every uniform u in [0, 1), whose largest value
+    1 - 2**-53 is not below p = 1 - 2**-53.  Works on float and `Fraction`
+    (object) arrays alike.
+    """
+    return np.all((plus <= 0) | (plus >= 1), axis=-1)
+
+
 def signed_sample(
     model: Model,
     shots: int,
     seed: int,
     tolerance: float = DEFAULT_TOLERANCE,
-    behavior: Behavior | None = None,
 ) -> SampleEstimate:
     """Estimate the behavior by sampling hidden values from |w| / sum|w|.
 
     Each draw carries weight sign(w) * sum|w|; averaging those signed
     indicators per cell gives an unbiased estimate of every behavior entry.
-    Models whose assembled behavior is invalid at `tolerance` are refused,
-    since their negative cells cannot be reproduced by any frequency
-    estimate.  `behavior` is the model's assembled behavior, if the caller
-    already has it; otherwise it is assembled here at `tolerance`.
+    Models whose behavior, assembled at `tolerance`, is invalid there are
+    refused with `InvalidBehaviorError`, since their negative cells cannot be
+    reproduced by any frequency estimate.
+
+    The draws follow one contract, so a seed gives the same counts in every
+    release.  Setting pairs (x_a, x_b) run row-major.  Each pair draws
+    `shots` uniforms from `numpy.random.default_rng(seed)` for the hidden
+    value, which `Generator.choice(p=|w| / sum|w|)` would pick from them,
+    then `shots` for Alice's outcome, then `shots` for Bob's; an outcome is
+    + when its uniform is below the response's + probability.  Where that
+    probability is 0 or 1 at every hidden value, the outcome is fixed by the
+    hidden value and the stream is advanced past its `shots` uniforms
+    instead of drawing them, which leaves every later draw unchanged.  When
+    both outcomes of a pair are fixed, hidden values are counted without a
+    per-shot array.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
     if shots > _MAX_SHOTS:
         raise ValueError(f"sampling limited to shots <= {_MAX_SHOTS}")
-    if behavior is None:
-        behavior = assemble_behavior(model, tolerance=tolerance)
+    behavior = assemble_behavior(model, tolerance=tolerance)
     report = validate_behavior(behavior, tolerance)
     if not report.is_valid:
-        raise ValueError(
-            "model assembles to an invalid behavior "
-            f"(worst entry {report.worst_entry[2]!r}); sampling is undefined"
-        )
+        raise InvalidBehaviorError(report)
     points = list(model.dist.support)
     weights = np.array([float(model.dist.weights[p]) for p in points])
     total_variation = float(np.sum(np.abs(weights)))
@@ -1012,19 +1060,37 @@ def signed_sample(
             plus_a[x_a, j] = float(model.response_A.table[(x_a, lam_a)][1])
         for x_b in range(n_b):
             plus_b[x_b, j] = float(model.response_B.table[(x_b, lam_b)][1])
+    fixed_a = _outcome_fixed(plus_a)
+    fixed_b = _outcome_fixed(plus_b)
+    # Cell code 4 * point + 2 * [Alice +] + [Bob +], with the outcome bits
+    # filled in where the setting fixes them.
+    point_code = 4 * np.arange(len(points))
+    fixed_bits_a = 2 * (fixed_a[:, None] & (plus_a >= 1))
+    fixed_bits_b = fixed_b[:, None] & (plus_b >= 1)
 
+    uniform = np.empty(shots)
+    advance = rng.bit_generator.advance
     table: dict[tuple[int, int], tuple] = {}
     standard_errors: dict[tuple[int, int, int], float] = {}
     for x_a in range(n_a):
         for x_b in range(n_b):
-            # One uniform row each for the point, Alice's outcome and Bob's,
-            # drawn as `Generator.choice(p=...)` and two `random` calls draw
-            # them, so the counts are bit for bit those of that form.
-            lam = _inverse_cdf(cdf, rng.random(shots))
-            code = 4 * lam
-            code += 2 * (rng.random(shots) < plus_a[x_a, lam])
-            code += rng.random(shots) < plus_b[x_b, lam]
-            by_point = np.bincount(code, minlength=4 * len(points)).reshape(-1, 4)
+            rng.random(out=uniform)
+            codes = point_code + fixed_bits_a[x_a] + fixed_bits_b[x_b]
+            if fixed_a[x_a] and fixed_b[x_b]:
+                advance(2 * shots)
+                by_code = np.zeros(4 * len(points), dtype=np.intp)
+                by_code[codes] = _point_counts(cdf, uniform)
+            else:
+                lam = _inverse_cdf(cdf, uniform)
+                code = codes[lam]
+                for fixed, plus, bit in ((fixed_a[x_a], plus_a[x_a], 2),
+                                         (fixed_b[x_b], plus_b[x_b], 1)):
+                    if fixed:
+                        advance(shots)
+                    else:
+                        code += bit * (rng.random(out=uniform) < plus[lam])
+                by_code = np.bincount(code, minlength=4 * len(points))
+            by_point = by_code.reshape(-1, 4)
             counts = by_point.sum(axis=0)
             signed_counts = counts - 2 * by_point[negative].sum(axis=0)
             row = []

@@ -17,6 +17,7 @@ from quasibell import (
     behavior_to_csv,
     chained_saturating_model,
     chsh_saturating_model,
+    validate_behavior,
     witness_chained,
 )
 from quasibell import cli, inequalities, oracle
@@ -415,6 +416,26 @@ class TestSampling:
         # Every module that could assemble it for `sample` calls the counter.
         monkeypatch.setattr(cli, "assemble_behavior", counted)
         monkeypatch.setattr(oracle, "assemble_behavior", counted)
+        code, out, _ = run(capsys, "sample", "--model", str(path),
+                           "--shots", "200", "--seed", "3")
+        assert code == 0
+        assert len(calls) == 1
+        assert out == expected
+
+    def test_behavior_is_validated_once(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(chsh_saturating_model(1), path)
+        _, expected, _ = run(capsys, "sample", "--model", str(path),
+                             "--shots", "200", "--seed", "3")
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return validate_behavior(*args, **kwargs)
+
+        # Every module that could validate it for `sample` calls the counter.
+        monkeypatch.setattr(cli, "validate_behavior", counted)
+        monkeypatch.setattr(oracle, "validate_behavior", counted)
         code, out, _ = run(capsys, "sample", "--model", str(path),
                            "--shots", "200", "--seed", "3")
         assert code == 0

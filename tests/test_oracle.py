@@ -15,6 +15,7 @@ from quasibell import (
     OUTCOME_PAIRS,
     Behavior,
     LPStatus,
+    LocalResponse,
     Model,
     QuasiDist,
     assemble_behavior,
@@ -1185,13 +1186,50 @@ def _sampled_model(points: int, zero_weight: bool = False) -> Model:
     return Model(response_a, response_b, dist)
 
 
-# Supports on both sides of `oracle._COUNTED_SUPPORT` points.
+def _mixed_model(fixed_a=(True, False, True), fixed_b=(False, True, False),
+                 points: int = 5, seed: int = 0) -> Model:
+    """A valid model whose settings are deterministic where `fixed_a`/`fixed_b` say.
+
+    Deterministic settings give every point a 0/1 row.  Stochastic ones give
+    points 2 and 3 the rows (0, 1) and (1, 0), which must not make them count
+    as fixed.  Point 0 carries weight -0.05 and point 1's rows, so the
+    behavior is valid.
+    """
+    rng = np.random.default_rng(seed)
+    labels = tuple(str(i) for i in range(points))
+    responses = stochastic_responses(rng, len(fixed_a), labels)
+    edge_rows = {2: (0.0, 1.0), 3: (1.0, 0.0)}
+    tables = []
+    for response, fixed in zip(responses, (fixed_a, fixed_b)):
+        table = dict(response.table)
+        for x, deterministic in enumerate(fixed):
+            for j, lam in enumerate(labels):
+                if deterministic:
+                    table[(x, lam)] = (1.0, 0.0) if rng.random() < 0.5 else (0.0, 1.0)
+                elif j in edge_rows:
+                    table[(x, lam)] = edge_rows[j]
+            table[(x, labels[0])] = table[(x, labels[1])]
+        tables.append(LocalResponse(response.party, len(fixed), labels, table))
+    weights = rng.random(points) + 0.5
+    weights[0] = 0.0
+    weights = 1.05 * weights / weights.sum()
+    weights[0] = -0.05
+    dist = QuasiDist.diagonal({lam: float(w) for lam, w in zip(labels, weights)})
+    return Model(tables[0], tables[1], dist)
+
+
+# Supports on both sides of `oracle._COUNTED_SUPPORT` points; settings whose
+# outcomes the hidden value fixes, ones it does not, and both in one model.
 _SAMPLED_MODELS = [
-    pytest.param(lambda: chsh_saturating_model(1), id="chsh-4-points"),
-    *(pytest.param(lambda k=k: _sampled_model(k), id=f"stochastic-{k}-points")
+    pytest.param(lambda: chsh_saturating_model(1), 5000, id="chsh-4-points"),
+    *(pytest.param(lambda k=k: _sampled_model(k), 5000, id=f"stochastic-{k}-points")
       for k in (1, 3, 32, 33, 70)),
-    pytest.param(lambda: _sampled_model(33, zero_weight=True), id="zero-weight-33-points"),
-    pytest.param(lambda: _sampled_model(6, zero_weight=True), id="zero-weight-6-points"),
+    pytest.param(lambda: _sampled_model(33, zero_weight=True), 5000, id="zero-weight-33-points"),
+    pytest.param(lambda: _sampled_model(6, zero_weight=True), 5000, id="zero-weight-6-points"),
+    pytest.param(lambda: chained_saturating_model(3, 1), 100_000, id="chained-3-budget-1"),
+    pytest.param(lambda: chained_saturating_model(2, Fraction(1), exact=True), 5000,
+                 id="chained-2-exact"),
+    pytest.param(_mixed_model, 5000, id="mixed-3-settings"),
 ]
 
 
@@ -1263,11 +1301,12 @@ class TestSignedSampling:
         with pytest.raises(ValueError, match=f"shots <= {oracle._MAX_SHOTS}$"):
             signed_sample(chsh_saturating_model(1), shots=shots, seed=0)
 
-    @pytest.mark.parametrize("make_model", _SAMPLED_MODELS)
-    def test_matches_masked_reduce(self, make_model):
-        # Reference: the per-cell masked reduce, replayed on the same seeded draws.
+    @pytest.mark.parametrize("make_model, shots", _SAMPLED_MODELS)
+    def test_matches_masked_reduce(self, make_model, shots):
+        # Reference: the per-cell masked reduce, replayed on the same seeded
+        # draws, every outcome drawn whether or not the hidden value fixes it.
         model = make_model()
-        shots, seed = 5000, 17
+        seed = 17
         estimate = signed_sample(model, shots=shots, seed=seed)
         points = list(model.dist.support)
         weights = np.array([float(model.dist.weights[p]) for p in points])
@@ -1275,8 +1314,8 @@ class TestSignedSampling:
         signs = np.sign(weights)
         signs[signs == 0] = 1.0
         rng = np.random.default_rng(seed)
-        for x_a in range(2):
-            for x_b in range(2):
+        for x_a in range(model.response_A.n_settings):
+            for x_b in range(model.response_B.n_settings):
                 plus_a = np.array([float(model.response_A.table[(x_a, la)][1]) for la, _ in points])
                 plus_b = np.array([float(model.response_B.table[(x_b, lb)][1]) for _, lb in points])
                 lam_idx = rng.choice(len(points), size=shots, p=np.abs(weights) / total_variation)
@@ -1291,6 +1330,14 @@ class TestSignedSampling:
                     variance = max(total_variation**2 * abs_fraction - mean**2, 0.0)
                     assert estimate.empirical_behavior.table[(x_a, x_b)][k] == mean
                     assert estimate.standard_errors[(x_a, x_b, k)] == math.sqrt(variance / shots)
+
+    def test_outcome_fixed_at_the_edges(self):
+        # The largest uniform is 1 - 2**-53, which is not below 1 - 2**-53:
+        # only rows of 0s and 1s give one outcome for every uniform.
+        rows = np.array([[0.0, 1.0], [1.0, 1.0], [2.0**-53, 1.0], [0.0, 1 - 2.0**-53]])
+        assert oracle._outcome_fixed(rows).tolist() == [True, True, False, False]
+        exact = np.array([[Fraction(0), Fraction(1)], [Fraction(1, 2), Fraction(1)]])
+        assert oracle._outcome_fixed(exact).tolist() == [True, False]
 
     def test_rejects_non_positive_shots(self):
         with pytest.raises(ValueError):
