@@ -28,15 +28,20 @@ stabilizer in that group and its setting swaps (`_setting_transpositions`)
 generate.  Each LP's docstring says why its orbit program has the same
 optimum.  The solution is expanded back to all 4^n strategies and its
 `primal_residual` measured against the behavior matrix (`_behavior_matrix`).
-The per-n groups and programs are built once; building checks exactly that
-the row basis spans every behavior row, that each chained generator fixes
-every strategy's score and permutes the behavior entries and that each swap
-permutes them, and refuses to build otherwise.  Both LPs go through one
-helper, `_solve`, which turns HiGHS presolve off: on programs this small
-and dense it costs more than it saves.  `_solve` hands the program to
-`linprog`, this module's own call of the HiGHS binding that
-`scipy.optimize.linprog` uses, without that function's per-call Python
-wrapper, which costs more than HiGHS itself on most of these programs.
+The per-n groups and programs are built once, and each `min_negativity_lp`
+orbit program once per symmetry of its target (`_negativity_program`);
+building checks exactly that the row basis spans every behavior row, that
+each chained generator fixes every strategy's score and permutes the
+behavior entries and that each swap permutes them, and refuses to build
+otherwise.  Both LPs go through one helper, `_solve`, which turns HiGHS
+presolve off: on programs this small and dense it costs more than it saves.
+`_solve` hands the program to `linprog`, this module's own call of the
+HiGHS binding that `scipy.optimize.linprog` uses, without that function's
+per-call Python wrapper, which costs more than HiGHS itself on most of these
+programs.
+`linprog` solves on one HiGHS instance per thread, made and given its
+options once, and clears its solver state before passing each model, so no
+basis carries over and no solve is warm-started.
 Importing this module loads numpy only: the binding, and with it
 `scipy.optimize`, is imported the first time the module attribute `linprog`
 is read, which `_solve` does on every solve, so enumeration, the classical
@@ -49,6 +54,7 @@ import functools
 import itertools
 import math
 import sys
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -120,6 +126,9 @@ _HIGHS_OPTIONS = (
     ("simplex_strategy", 1),
 )
 
+#: Holds `_highs_solver`'s HiGHS instance, one per thread.
+_THREAD_HIGHS = threading.local()
+
 
 def __getattr__(name: str):
     """Serve `linprog`, importing scipy's HiGHS binding on first use and keeping it in the globals.
@@ -175,6 +184,12 @@ def _linprog(
     whose output `_solve` discards: input cleaning and the conversion
     through `scipy.sparse`, a fresh option checker for each option, the loop
     over every column's basis status and dual, and the result assembly.
+    Where scipy makes a HiGHS instance per call, this solves on one per
+    thread (`_highs_solver`), whose options other than `presolve` are set
+    once when it is made.  Each call clears its solver state
+    (`clearSolver`), sets `presolve` and passes the model as arrays, so no
+    basis or solution carries over from the last solve: there is no warm
+    start, and the answer is the one a fresh instance gives.
     An option HiGHS refuses raises RuntimeError (`_set_highs_options`), so a
     binding that renamed one cannot fall back to HiGHS's defaults unseen.
     The binding is used because it is the one `scipy.optimize.linprog`
@@ -200,26 +215,22 @@ def _linprog(
     row_lower = np.concatenate([np.full(len(b_ub), -math.inf), b_eq])
     # The nonzeros column by column, rows ascending: `scipy.sparse.csc_array(matrix)`.
     columns, rows = np.nonzero(matrix.T)
+    start = np.searchsorted(columns, np.arange(len(cost) + 1)).astype(np.int32)
 
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = len(cost)
-    lp.num_row_ = lp.a_matrix_.num_row_ = len(matrix)
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    # pybind11 copies a list into a C++ vector faster than an array.
-    lp.a_matrix_.start_ = np.searchsorted(columns, np.arange(len(cost) + 1)).tolist()
-    lp.a_matrix_.index_ = rows.tolist()
-    lp.a_matrix_.value_ = matrix[rows, columns].tolist()
-    lp.col_cost_ = cost
-    lp.col_lower_ = np.zeros(len(cost))
-    lp.col_upper_ = np.full(len(cost), math.inf)
-    lp.row_lower_ = row_lower
-    lp.row_upper_ = row_upper
-    solver = highs._Highs()
-    _set_highs_options(solver, (("presolve", "on" if presolve else "off"), *_HIGHS_OPTIONS))
-
+    solver = _highs_solver()
+    solver.clearSolver()
+    _set_highs_options(solver, (("presolve", "on" if presolve else "off"),))
     x = fun = None
     nit, detail = 0, None
-    if solver.passModel(lp) == highs.HighsStatus.kError:
+    passed = solver.passModel(
+        len(cost), len(matrix), len(rows),
+        int(highs.MatrixFormat.kColwise), int(highs.ObjSense.kMinimize), 0.0,
+        cost, np.zeros(len(cost)), np.full(len(cost), math.inf), row_lower, row_upper,
+        start, rows.astype(np.int32), matrix[rows, columns],
+        # All continuous: an empty integrality array is refused.
+        np.zeros(len(cost), dtype=np.int32),
+    )
+    if passed == highs.HighsStatus.kError:
         model_status = highs.HighsModelStatus.kModelError
     elif solver.run() == highs.HighsStatus.kError:
         model_status = solver.getModelStatus()
@@ -244,6 +255,23 @@ def _linprog(
         if math.isnan(fun) or not gaps.max() <= _SCIPY_CHECK_SLACK:
             status, message = 4, _SCIPY_CHECK_MESSAGE
     return _HighsResult(status, x, fun, nit, message)
+
+
+def _highs_solver():
+    """This thread's HiGHS instance, made with `_HIGHS_OPTIONS` set on first use.
+
+    It is kept only once every option is accepted, so a refused option
+    raises RuntimeError on every solve, never leaving a solver on HiGHS's
+    defaults for the next one.
+    """
+    solver = getattr(_THREAD_HIGHS, "solver", None)
+    if solver is None:
+        from scipy.optimize._highspy import _core as highs
+
+        solver = highs._Highs()
+        _set_highs_options(solver, _HIGHS_OPTIONS)
+        _THREAD_HIGHS.solver = solver
+    return solver
 
 
 def _set_highs_options(solver, options) -> None:
@@ -711,7 +739,9 @@ def _solve(
     checker per option, and a loop over every column's basis status and
     dual.  At these sizes that wrapper, not HiGHS, sets the cost, and
     skipping it leaves `x`, optimum, iteration count, status and message
-    unchanged.
+    unchanged.  `linprog` also reuses one HiGHS instance per thread, with
+    its options set once and its solver state cleared before each model, so
+    no solve starts from another's basis.
     """
     res = sys.modules[__name__].linprog(
         cost,
@@ -859,6 +889,19 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     symmetric optimum, expanded to all 4^n strategies, so `support_size`
     counts whole orbits of the larger group, and `primal_residual` is
     max|B w - t| over all 4n^2 rows and 4^n strategies.
+
+    The program is built once per key and cached (`_negativity_program`,
+    at most `_NEGATIVITY_PROGRAMS` of them).  The key is n, whether the
+    target signals, the stabilizer as a mask over `_chain_group(n)`, and,
+    when each stabilizer element fixes the target exactly, the mask of
+    exactly fixing swaps over `_setting_transpositions(n)` (else None).
+    That is all the build reads of the target: the rows, the generators,
+    the closure check on an inexact stabilizer, and so the orbits, their
+    sums and the cost follow from the key alone.  The target's entries go
+    in only as the right-hand side, per call, so no result is cached.
+    Targets that share a key share a program: a family's budgets where their
+    symmetries agree, and the chained singlet with every Werner visibility,
+    all fixed by the whole group.
     """
     if target.n_settings_A != target.n_settings_B:
         raise ValueError("the strategy grid needs equal setting counts")
@@ -870,23 +913,71 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     basis = _behavior_basis(n)
     group = _chain_group(n)
     entries = np.array([float(v) for pair in target.setting_pairs() for v in target.table[pair]])
-    signals = np.abs(basis.expand @ entries[basis.rows] - entries).max() > _BASIS_SLACK
-    rows = slice(None) if signals else basis.rows
+    signals = bool(np.abs(basis.expand @ entries[basis.rows] - entries).max() > _BASIS_SLACK)
     stabilizer = np.abs(entries[group.rows] - entries).max(axis=1) <= _BASIS_SLACK
-    perms = group.strategies[stabilizer]
+    exact_swaps = None
     if (entries[group.rows[stabilizer]] == entries).all():
+        exact_swaps = (entries[_setting_transpositions(n).rows] == entries).all(axis=1).tobytes()
+    program = _negativity_program(n, signals, stabilizer.tobytes(), exact_swaps)
+    return _solve(n, program.cost, program.orbit_of, program.a_eq, entries[program.rows],
+                  target=entries, score=chained_score(target, n))
+
+
+class _NegativityProgram(NamedTuple):
+    """`min_negativity_lp`'s orbit program for one symmetry of its target, read-only.
+
+    `rows` are the behavior rows the program keeps, `orbit_of[j]` is the
+    orbit of joint strategy j, `cost` is (0, |O|) on the columns (u_O, v_O),
+    and `a_eq` holds the kept rows summed over each orbit, in split form.
+    """
+
+    rows: np.ndarray
+    orbit_of: np.ndarray
+    cost: np.ndarray
+    a_eq: np.ndarray
+
+
+#: `_negativity_program`'s cache size.  The largest entry, a target at n = 5
+#: that signals and is fixed by the identity alone, holds a 100 x 2048
+#: float64 `a_eq` (1.6 MB) and 25 KB more, so a full cache holds at most
+#: about 27 MB.
+_NEGATIVITY_PROGRAMS = 16
+
+
+@functools.lru_cache(maxsize=_NEGATIVITY_PROGRAMS)
+def _negativity_program(
+    n: int, signals: bool, stabilizer: bytes, exact_swaps: bytes | None
+) -> _NegativityProgram:
+    """Build `min_negativity_lp`'s orbit program from what its target decides.
+
+    `signals` picks the rows: all 4n^2, or `_behavior_basis(n)`'s.
+    `stabilizer` is the bool mask over `_chain_group(n)` of the relabellings
+    that fix the target within the slack, and `exact_swaps`, given only when
+    each of them fixes it exactly, the bool mask over
+    `_setting_transpositions(n)` of the swaps that fix it exactly.  These
+    decide the group, its orbits and so the whole program; the target's
+    entries enter only as `b_eq`, so the program is built once per such key
+    and shared by every target that has it.
+    """
+    group = _chain_group(n)
+    stabilizer = np.frombuffer(stabilizer, dtype=bool)
+    perms = group.strategies[stabilizer]
+    if exact_swaps is not None:
         swaps = _setting_transpositions(n)
-        exact = (entries[swaps.rows] == entries).all(axis=1)
-        perms = np.concatenate([perms, swaps.strategies[exact]])
+        perms = np.concatenate([perms, swaps.strategies[np.frombuffer(exact_swaps, dtype=bool)]])
     else:
         smallest = perms.min(axis=0)
         if not np.array_equal((smallest[group.strategies] == smallest).all(axis=1), stabilizer):
             perms = group.strategies[:1]
+    rows = np.arange(4 * n * n) if signals else _behavior_basis(n).rows
     orbit_of, summed = _orbit_sums(perms, _behavior_matrix(n)[rows])
     sizes = np.bincount(orbit_of).astype(np.float64)
-    cost = np.concatenate([np.zeros(len(sizes)), sizes])  # minimize total v
-    return _solve(n, cost, orbit_of, _split_form(summed), entries[rows],
-                  target=entries, score=chained_score(target, n))
+    return _NegativityProgram(
+        rows=_read_only(rows),
+        orbit_of=_read_only(orbit_of),
+        cost=_read_only(np.concatenate([np.zeros(len(sizes)), sizes])),  # minimize total v
+        a_eq=_read_only(_split_form(summed)),
+    )
 
 
 def _projector(angle: float, outcome: int) -> np.ndarray:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -572,6 +573,15 @@ class TestChainGroup:
                 array[0] = 1
 
 
+def _build_every_program(monkeypatch) -> None:
+    """Make `min_negativity_lp` build its program on every call, for this test only.
+
+    A spy on the build then sees every call, none served from the program
+    cache, and what the spied build returns never enters that cache.
+    """
+    monkeypatch.setattr(oracle, "_negativity_program", oracle._negativity_program.__wrapped__)
+
+
 def _record_orbit_groups(monkeypatch) -> list:
     """Record the relabellings each `_orbit_sums` call takes orbits under."""
     groups = []
@@ -581,6 +591,7 @@ def _record_orbit_groups(monkeypatch) -> list:
         groups.append(perms)
         return orbit_sums(perms, matrix)
 
+    _build_every_program(monkeypatch)
     monkeypatch.setattr(oracle, "_orbit_sums", record)
     return groups
 
@@ -735,6 +746,7 @@ class TestSettingSwaps:
         linprog = oracle.linprog
         orbit_sums = oracle._orbit_sums
         monkeypatch.setattr(oracle, "linprog", capture)
+        _build_every_program(monkeypatch)
         monkeypatch.setattr(oracle, "_orbit_sums",
                             lambda perms, matrix: orbit_sums(perms[:1], matrix))
         reference = min_negativity_lp(target)
@@ -1046,6 +1058,117 @@ class TestDirectHighs:
         oracle._set_highs_options(solver, [("output_flag", False), *oracle._HIGHS_OPTIONS])
         with pytest.raises(RuntimeError, match=f"^HiGHS refused option {option[0]!r}"):
             oracle._set_highs_options(solver, [option])
+
+
+def _direct_programs(monkeypatch) -> list:
+    """The (cost, keywords) of every `_DIRECT_CASES` solve, as `_solve` hands them over."""
+    programs = []
+
+    def record(cost, **kwargs):
+        programs.append((cost, kwargs))
+        return solve_directly(cost, **kwargs)
+
+    solve_directly = oracle.linprog
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "linprog", record)
+        for case in _DIRECT_CASES:
+            case.values[0]()
+    return programs
+
+
+def _answer(res) -> tuple:
+    """What `linprog` reports, in a form that `==` compares exactly."""
+    x = None if res.x is None else res.x.tolist()
+    return res.status, x, res.fun, res.nit, res.message
+
+
+class TestReusedHighs:
+    """`oracle.linprog` reuses one HiGHS instance per thread and carries nothing between solves."""
+
+    def test_no_state_leaks_between_solves(self, monkeypatch):
+        # Forward, then reversed, presolve alternating, with the infeasible
+        # signalling program between solves: each answer is what a fresh
+        # HiGHS instance, the one scipy's `linprog` makes per call, gives.
+        programs = _direct_programs(monkeypatch)
+        signalling, signalling_kwargs = programs[[case.id for case in _DIRECT_CASES].index("signalling")]
+        infeasible = _answer(linprog(signalling, **signalling_kwargs))
+        assert infeasible[0] == 2
+        for i, (cost, kwargs) in enumerate(programs + programs[::-1]):
+            kwargs = {**kwargs, "options": {"presolve": i % 2 == 0}}
+            assert _answer(oracle.linprog(cost, **kwargs)) == _answer(linprog(cost, **kwargs))
+            assert _answer(oracle.linprog(signalling, **signalling_kwargs)) == infeasible
+
+    def test_each_thread_has_its_own_solver(self, monkeypatch):
+        programs = _direct_programs(monkeypatch)
+        solvers, answers = {}, {}
+
+        def solve_all(name):
+            solvers[name] = oracle._highs_solver()
+            answers[name] = [_answer(oracle.linprog(cost, **kwargs)) for cost, kwargs in programs]
+
+        threads = [threading.Thread(target=solve_all, args=(name,)) for name in "ab"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert solvers["a"] is not solvers["b"]
+        assert oracle._highs_solver() not in (solvers["a"], solvers["b"])
+        assert answers["a"] == answers["b"]
+        assert answers["a"] == [_answer(linprog(cost, **kwargs)) for cost, kwargs in programs]
+
+    def test_a_refused_option_fails_every_solve(self, monkeypatch):
+        # A thread whose solver is not yet made, as in a fresh process.
+        monkeypatch.setattr(oracle, "_THREAD_HIGHS", threading.local())
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_HIGHS_OPTIONS", (*oracle._HIGHS_OPTIONS, ("simplex_strategy", 99)))
+            for _ in range(3):
+                with pytest.raises(RuntimeError, match="^HiGHS refused option 'simplex_strategy'"):
+                    max_score_lp(2, 0.5)
+            assert not hasattr(oracle._THREAD_HIGHS, "solver")
+        assert max_score_lp(2, 0.5).status is LPStatus.OPTIMAL
+        solver = oracle._THREAD_HIGHS.solver
+        for name, value in oracle._HIGHS_OPTIONS:
+            assert solver.getOptionValue(name)[1] == value
+
+
+class TestNegativityProgramCache:
+    """`min_negativity_lp` builds each orbit program once per symmetry of its target."""
+
+    def test_cached_program_is_read_only(self):
+        program = oracle._negativity_program(3, False, np.ones(24, dtype=bool).tobytes(), None)
+        assert oracle._negativity_program(3, False, np.ones(24, dtype=bool).tobytes(), None) is program
+        for array in program:
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_werner_targets_share_the_singlet_program(self, n, monkeypatch):
+        programs = []
+
+        def record(cost, **kwargs):
+            programs.append(kwargs["A_eq"])
+            return solve_directly(cost, **kwargs)
+
+        solve_directly = oracle.linprog
+        monkeypatch.setattr(oracle, "linprog", record)
+        for visibility in (1.0, 0.8, 0.5):
+            assert min_negativity_lp(_singlet_at_chained_angles(n, visibility)).status is LPStatus.OPTIMAL
+        assert programs[0] is programs[1] is programs[2]
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_the_key_separates_targets(self, n):
+        # The N = 1 family's program is cached first; targets 1e-12 away
+        # from it, with other symmetries, still get programs of their own.
+        family = assemble_behavior(chained_saturating_model(n, 1.0))
+        assert min_negativity_lp(family).columns == {3: 42, 4: 72, 5: 110}[n]
+        moved = [(_move_within_row(family, (1, n - 2), 0, 3, 1e-12), {3: 72, 4: 156, 5: 272}),
+                 (_move_within_row(family, (0, n - 1), 1, 2, 1e-12), {3: 72, 4: 272, 5: 1056})]
+        for target, columns in moved:
+            result = min_negativity_lp(target)
+            assert result.columns == columns[n]
+            reference = _full_min_negativity_lp(target)
+            assert result.negative_mass == pytest.approx(reference.fun, abs=1e-9)
+            assert result.primal_residual <= 1e-9
 
 
 def _no_signalling_max_score(n: int) -> float:
