@@ -1,0 +1,128 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 over the answers of a fixed grid of LP oracle calls.
+
+Two versions of the library that print the same digest give byte-identical
+answers on the grid: every `LPResult.to_json_dict()` (status, score, mass,
+iterations, message, `primal_residual`, columns, rows) and every weight,
+key and order included.  The grid, 67 LPs at the default `--max-n 5`:
+
+* `max_score_lp(n, B)` for n = 2..max-n and B in {0, 1/2, 1, 2, inf};
+* `min_negativity_lp` of the saturating family at n = 2..max-n, N in {1/2, 1, 2};
+* the singlet at the chained-optimal angles with 0, 1e-12, 1e-9, 1e-7, 2e-7
+  or 1e-3 moved between two cells of row (1, 0), which makes it signal;
+* the Werner state at visibility 0.8, at the same angles;
+* the N = 1 family with 1e-12 moved within row (1, n-2) or (0, n-1), n >= 3;
+* a 2-setting target whose Bob marginal follows Alice's setting (INFEASIBLE).
+
+Each `--order` seed runs the whole grid once in its own shuffled order, so
+answers that depend on what was solved before show as a mismatch: the
+script then exits 1.  The digest hashes the answers in grid order.
+
+    python scripts/lp_grid_digest.py --order 1 2 3
+"""
+
+import argparse
+import hashlib
+import json
+import math
+import sys
+
+import numpy as np
+
+from quasibell import (
+    Behavior,
+    assemble_behavior,
+    chained_saturating_model,
+    max_score_lp,
+    min_negativity_lp,
+    quantum_behavior,
+    singlet_state,
+)
+
+BUDGETS = (0.0, 0.5, 1.0, 2.0, math.inf)
+FAMILY_BUDGETS = (0.5, 1.0, 2.0)
+MOVES = (0.0, 1e-12, 1e-9, 1e-7, 2e-7, 1e-3)
+
+
+def singlet(n: int, visibility: float = 1.0) -> Behavior:
+    """The Werner state v * singlet + (1 - v) * I/4 at Alice's i*pi/n and Bob's (j + 1/2)*pi/n."""
+    return quantum_behavior(
+        visibility * singlet_state() + (1 - visibility) * np.eye(4) / 4,
+        [i * math.pi / n for i in range(n)],
+        [(j + 0.5) * math.pi / n for j in range(n)],
+    )
+
+
+def move(target: Behavior, pair, source: int, sink: int, size: float, tolerance: float) -> Behavior:
+    """`target` with `size` moved from cell `source` to cell `sink` of row `pair`."""
+    table = dict(target.table)
+    row = list(table[pair])
+    row[source] -= size
+    row[sink] += size
+    table[pair] = tuple(row)
+    return Behavior(target.n_settings_A, target.n_settings_B, table, tolerance=tolerance)
+
+
+def grid(max_n: int) -> list:
+    """(name, call) for every LP of the grid, in grid order."""
+    chains = range(2, max_n + 1)
+    calls = [(f"score n={n} B={b}", lambda n=n, b=b: max_score_lp(n, b))
+             for n in chains for b in BUDGETS]
+    for n in chains:
+        for b in FAMILY_BUDGETS:
+            target = assemble_behavior(chained_saturating_model(n, b))
+            calls.append((f"family n={n} N={b}", lambda t=target: min_negativity_lp(t)))
+    for n in chains:
+        base = singlet(n)
+        for size in MOVES:
+            target = move(base, (1, 0), 2, 3, size, base.tolerance)
+            calls.append((f"singlet n={n} moved={size:g}", lambda t=target: min_negativity_lp(t)))
+    for n in chains:
+        calls.append((f"werner n={n} v=0.8", lambda t=singlet(n, 0.8): min_negativity_lp(t)))
+    for n in chains:
+        if n >= 3:
+            family = assemble_behavior(chained_saturating_model(n, 1.0))
+            for pair, source, sink in (((1, n - 2), 0, 3), ((0, n - 1), 1, 2)):
+                target = move(family, pair, source, sink, 1e-12, 1e-9)
+                calls.append((f"family n={n} N=1 moved in row {pair}",
+                              lambda t=target: min_negativity_lp(t)))
+    signalling = Behavior(2, 2, {(0, 0): (1.0, 0.0, 0.0, 0.0), (0, 1): (1.0, 0.0, 0.0, 0.0),
+                                 (1, 0): (0.0, 1.0, 0.0, 0.0), (1, 1): (0.0, 1.0, 0.0, 0.0)})
+    calls.append(("signalling", lambda: min_negativity_lp(signalling)))
+    return calls
+
+
+def answer(result) -> bytes:
+    """The result's JSON fields and its weights, as exact text."""
+    payload = json.dumps(result.to_json_dict(), sort_keys=True, allow_nan=False)
+    return f"{payload}\n{sorted(result.weights.items())!r}\n".encode()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--max-n", type=int, default=5, help="largest setting count, 2..5")
+    parser.add_argument("--order", type=int, nargs="+", default=[0],
+                        help="seeds of the call orders; the grid runs once per seed")
+    args = parser.parse_args()
+    if not 2 <= args.max_n <= 5:
+        parser.error("--max-n must be 2..5")
+
+    calls = grid(args.max_n)
+    digests = []
+    for seed in args.order:
+        answers = [b""] * len(calls)
+        for i in np.random.default_rng(seed).permutation(len(calls)).tolist():
+            answers[i] = answer(calls[i][1]())
+        digest = hashlib.sha256(b"".join(answers)).hexdigest()
+        print(f"order {seed}: {digest}")
+        digests.append(digest)
+    print(f"{len(calls)} LPs, {len(args.order)} orders")
+    if len(set(digests)) != 1:
+        print("answers depend on the call order", file=sys.stderr)
+        return 1
+    print(f"digest {digests[0]}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

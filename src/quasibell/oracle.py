@@ -29,16 +29,18 @@ generate.  Each LP's docstring says why its orbit program has the same
 optimum.  The solution is expanded back to all 4^n strategies and its
 `primal_residual` measured against the behavior matrix (`_behavior_matrix`).
 The per-n groups and programs are built once, and each `min_negativity_lp`
-orbit program once per symmetry of its target (`_negativity_program`);
-building checks exactly that the row basis spans every behavior row, that
-each chained generator fixes every strategy's score and permutes the
-behavior entries and that each swap permutes them, and refuses to build
-otherwise.  Both LPs go through one helper, `_solve`, which turns HiGHS
-presolve off: on programs this small and dense it costs more than it saves.
-`_solve` hands the program to `linprog`, this module's own call of the
-HiGHS binding that `scipy.optimize.linprog` uses, without that function's
-per-call Python wrapper, which costs more than HiGHS itself on most of these
-programs.
+orbit program once per symmetry of its target (`_negativity_program`), each
+program with the column-wise model HiGHS takes (`_HighsModel`), so a solve
+builds only its row bounds.  Building checks exactly that the row basis
+spans every behavior row, that each chained generator fixes every
+strategy's score and permutes the behavior entries and that each swap
+permutes them, and refuses to build otherwise.  Both LPs go through one
+helper, `_solve`, which turns HiGHS presolve off: on programs this small and
+dense it costs more than it saves.
+`_solve` hands the prepared model and its row bounds to `linprog`, this
+module's own call of the HiGHS binding that `scipy.optimize.linprog` uses,
+without that function's per-call Python wrapper, which costs more than HiGHS
+itself on most of these programs.
 `linprog` solves on one HiGHS instance per thread, made and given its
 options once, and clears its solver state before passing each model, so no
 basis carries over and no solve is warm-started.
@@ -126,7 +128,8 @@ _HIGHS_OPTIONS = (
     ("simplex_strategy", 1),
 )
 
-#: Holds `_highs_solver`'s HiGHS instance, one per thread.
+#: Holds `_highs_solver`'s HiGHS instance, one per thread, as `solver`, and
+#: as `presolve` the value `linprog` last set on it (None before the first).
 _THREAD_HIGHS = threading.local()
 
 
@@ -158,40 +161,77 @@ class _HighsResult(NamedTuple):
     message: str
 
 
-def _linprog(
-    c,
-    A_ub=None,
-    b_ub=None,
-    A_eq=None,
-    b_eq=None,
-    bounds=(0, None),
-    method: str = "highs",
-    options: dict | None = None,
-) -> _HighsResult:
-    """`scipy.optimize.linprog(c, ..., method="highs")` for `_solve`, without its wrapper.
+class _HighsModel(NamedTuple):
+    """A program in the column-wise form HiGHS's `passModel` takes, built once and read-only.
 
-    Minimizes `c @ x` subject to `A_ub @ x <= b_ub`, `A_eq @ x == b_eq` and
-    x >= 0, on dense arrays.  It takes `scipy.optimize.linprog`'s keywords,
-    but only the values `_solve` passes: `bounds=(0, None)`,
-    `method="highs"`, and `options` setting at most `presolve`; others raise
-    ValueError.  It calls the HiGHS binding that `scipy.optimize.linprog`
-    calls, scipy's private `scipy.optimize._highspy._core`, with the same
-    model, `A_ub`'s rows first and then `A_eq`'s, column-wise, and the same
-    options: `presolve`, no output, debug level 0 and dual simplex.  So `status` (scipy's codes), `x`,
-    `fun`, `nit` and `message` are those `scipy.optimize.linprog` returns,
-    status 4 for an optimum that misses a bound or row by more than its
-    check allows included.  What it skips is the Python around that call
-    whose output `_solve` discards: input cleaning and the conversion
-    through `scipy.sparse`, a fresh option checker for each option, the loop
-    over every column's basis status and dual, and the result assembly.
+    Minimize `cost @ x` over x >= 0 subject to row bounds given per solve
+    (`linprog`).  `start`, `index` and `value` hold the nonzeros of the
+    constraint rows column by column, rows ascending within each column:
+    `scipy.sparse.csc_array` of the dense rows, `A_ub`'s first and then
+    `A_eq`'s, as `scipy.optimize.linprog` hands them to HiGHS.  `lower` and
+    `upper` are the column bounds 0 and inf, and `integrality` is all zero,
+    every column continuous, since HiGHS refuses an empty one.
+    """
+
+    cost: np.ndarray
+    rows: int
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    integrality: np.ndarray
+
+
+def _highs_model(cost: np.ndarray, matrix: np.ndarray) -> _HighsModel:
+    """The `_HighsModel` of minimizing `cost @ x` subject to the rows of the dense `matrix`."""
+    cost = np.asarray(cost, dtype=np.float64)
+    matrix = np.asarray(matrix, dtype=np.float64)
+    columns, rows = np.nonzero(matrix.T)
+    return _HighsModel(
+        cost=_read_only(cost),
+        rows=len(matrix),
+        start=_read_only(np.searchsorted(columns, np.arange(len(cost) + 1)).astype(np.int32)),
+        index=_read_only(rows.astype(np.int32)),
+        value=_read_only(matrix[rows, columns]),
+        lower=_read_only(np.zeros(len(cost))),
+        upper=_read_only(np.full(len(cost), math.inf)),
+        integrality=_read_only(np.zeros(len(cost), dtype=np.int32)),
+    )
+
+
+def _linprog(
+    model: _HighsModel, row_lower: np.ndarray, row_upper: np.ndarray, *, presolve: bool
+) -> _HighsResult:
+    """Solve `model` within row bounds, as `scipy.optimize.linprog(method="highs")` would.
+
+    Minimizes `model.cost @ x` over x >= 0 subject to `row_lower <= A x <=
+    row_upper`, A the model's rows, with one float64 entry per row in each
+    bound: an inequality row `A_ub x <= b_ub` has lower bound -inf, an
+    equality row `A_eq x == b_eq` equal bounds.  Row bounds of another
+    length, or a `presolve` that is not a bool, raise ValueError.  It calls
+    the HiGHS binding that `scipy.optimize.linprog(method="highs")` calls,
+    scipy's private `scipy.optimize._highspy._core`, with the model that
+    function passes for those rows, column-wise, and the same options:
+    `presolve`, no output, debug level 0 and dual simplex.  So `status` (scipy's codes),
+    `x`, `fun`, `nit` and `message` are those `scipy.optimize.linprog`
+    returns, status 4 for an optimum that misses a bound or row by more than
+    its check allows included.  What it skips is the Python around that call
+    whose output `_solve` discards: input cleaning, the conversion through
+    `scipy.sparse` (the model is built once, `_highs_model`), a fresh option
+    checker for each option, the copy of HiGHS's whole info record (read
+    only to word a message off OPTIMAL), the loop over every column's basis
+    status and dual, and the result assembly.
     Where scipy makes a HiGHS instance per call, this solves on one per
     thread (`_highs_solver`), whose options other than `presolve` are set
-    once when it is made.  Each call clears its solver state
-    (`clearSolver`), sets `presolve` and passes the model as arrays, so no
-    basis or solution carries over from the last solve: there is no warm
-    start, and the answer is the one a fresh instance gives.
-    An option HiGHS refuses raises RuntimeError (`_set_highs_options`), so a
-    binding that renamed one cannot fall back to HiGHS's defaults unseen.
+    once when it is made, and `presolve` whenever a call asks for another
+    value than the thread's last.  Each call clears its solver state
+    (`clearSolver`) and passes the model as arrays, so no basis or solution
+    carries over from the last solve: there is no warm start, and the
+    answer is the one a fresh instance gives.
+    An option HiGHS refuses raises RuntimeError (`_set_highs_options`), and
+    so does an info value it does not know, so a binding that renamed one
+    can neither fall back to HiGHS's defaults nor report a count unseen.
     The binding is used because it is the one `scipy.optimize.linprog`
     runs, so the answers stay scipy's.  `pyproject.toml` asks for
     scipy >= 1.15, the release taken to be the first to ship the binding;
@@ -200,35 +240,25 @@ def _linprog(
     """
     from scipy.optimize._highspy import _core as highs
 
-    options = dict(options or {})
-    presolve = options.pop("presolve", True)
-    if method != "highs" or tuple(bounds) != (0, None) or options or not isinstance(presolve, bool):
+    if not isinstance(presolve, bool):
+        raise ValueError(f"presolve must be True or False, not {presolve!r}")
+    if not len(row_lower) == len(row_upper) == model.rows:
         raise ValueError(
-            f"unsupported method {method!r}, bounds {bounds!r} or options {options!r}"
+            f"row bounds of {len(row_lower)} and {len(row_upper)} entries "
+            f"for a model of {model.rows} rows"
         )
-    cost = np.asarray(c, dtype=np.float64)
-    empty = (np.zeros((0, len(cost))), np.zeros(0))
-    a_ub, b_ub = empty if A_ub is None else (A_ub, b_ub)
-    a_eq, b_eq = empty if A_eq is None else (A_eq, b_eq)
-    matrix = np.concatenate([a_ub, a_eq]).astype(np.float64, copy=False)
-    row_upper = np.concatenate([b_ub, b_eq]).astype(np.float64, copy=False)
-    row_lower = np.concatenate([np.full(len(b_ub), -math.inf), b_eq])
-    # The nonzeros column by column, rows ascending: `scipy.sparse.csc_array(matrix)`.
-    columns, rows = np.nonzero(matrix.T)
-    start = np.searchsorted(columns, np.arange(len(cost) + 1)).astype(np.int32)
-
     solver = _highs_solver()
     solver.clearSolver()
-    _set_highs_options(solver, (("presolve", "on" if presolve else "off"),))
+    if _THREAD_HIGHS.presolve is not presolve:
+        _set_highs_options(solver, (("presolve", "on" if presolve else "off"),))
+        _THREAD_HIGHS.presolve = presolve
     x = fun = None
     nit, detail = 0, None
     passed = solver.passModel(
-        len(cost), len(matrix), len(rows),
+        len(model.cost), model.rows, len(model.index),
         int(highs.MatrixFormat.kColwise), int(highs.ObjSense.kMinimize), 0.0,
-        cost, np.zeros(len(cost)), np.full(len(cost), math.inf), row_lower, row_upper,
-        start, rows.astype(np.int32), matrix[rows, columns],
-        # All continuous: an empty integrality array is refused.
-        np.zeros(len(cost), dtype=np.int32),
+        model.cost, model.lower, model.upper, row_lower, row_upper,
+        model.start, model.index, model.value, model.integrality,
     )
     if passed == highs.HighsStatus.kError:
         model_status = highs.HighsModelStatus.kModelError
@@ -236,16 +266,21 @@ def _linprog(
         model_status = solver.getModelStatus()
     else:
         model_status = solver.getModelStatus()
-        info = solver.getInfo()
-        nit = info.simplex_iteration_count or info.ipm_iteration_count
+        for name in ("simplex_iteration_count", "ipm_iteration_count"):
+            known, nit = solver.getInfoValue(name)
+            if known == highs.HighsStatus.kError:
+                raise RuntimeError(f"HiGHS has no info value {name!r}")
+            if nit:
+                break
         if model_status == highs.HighsModelStatus.kOptimal:
             solution = solver.getSolution()
-            x, fun = np.array(solution.col_value), info.objective_function_value
+            x, fun = np.array(solution.col_value), solver.getObjectiveValue()
             row_value = np.array(solution.row_value)
         else:
+            primal_status = solver.getInfo().primal_solution_status
             detail = (
                 f"model_status is {solver.modelStatusToString(model_status)}; "
-                f"primal_status is {solver.solutionStatusToString(info.primal_solution_status)}"
+                f"primal_status is {solver.solutionStatusToString(primal_status)}"
             )
     code = int(model_status)
     status, prefix = _SCIPY_STATUS.get(code, (4, "") if code <= 14 else _UNRECOGNIZED_STATUS)
@@ -270,6 +305,7 @@ def _highs_solver():
 
         solver = highs._Highs()
         _set_highs_options(solver, _HIGHS_OPTIONS)
+        _THREAD_HIGHS.presolve = None
         _THREAD_HIGHS.solver = solver
     return solver
 
@@ -609,18 +645,19 @@ class _ScoreProgram:
     """`max_score_lp`'s orbit program at one n.
 
     `orbit_of[j]` is the orbit O of joint strategy j; the orbit program's
-    columns are (u_O, v_O), with w_j = u_O - v_O.  Its `cost` is (-t, t),
-    t_O being the summed score of O's strategies.  Its entry rows are the
+    columns are (u_O, v_O), with w_j = u_O - v_O.  Its cost is (-t, t), t_O
+    being the summed score of O's strategies.  Its rows are, as `A_ub`, the
     behavior rows summed over each orbit's columns, each distinct row kept
-    once; its normalization row `a_eq` holds the orbit sizes |O|, and the
-    last row of `a_ub` is the budget row, 8|O| on v_O.  All arrays are
-    read-only.  `group_order` is the number of relabellings in `_chain_group`.
+    once, then the budget row, 8|O| on v_O, and, as `A_eq`, the
+    normalization row of the orbit sizes |O|.  `finite` is that program as
+    a `_HighsModel`, and `infinite` the same without its budget row.  All
+    arrays are read-only.  `group_order` is the number of relabellings in
+    `_chain_group`.
     """
 
     orbit_of: np.ndarray
-    cost: np.ndarray
-    a_eq: np.ndarray
-    a_ub: np.ndarray
+    finite: _HighsModel
+    infinite: _HighsModel
     group_order: int
 
 
@@ -680,11 +717,12 @@ def _score_program(n: int) -> _ScoreProgram:
     rows = np.array(list(_distinct_rows(summed).values()))
     totals = np.bincount(orbit_of, weights=scores)
     sizes = np.bincount(orbit_of).astype(np.float64)
+    cost = np.concatenate([-totals, totals])
+    a_ub, a_eq = _score_rows(rows, sizes), _split_form(sizes[None, :])
     return _ScoreProgram(
         orbit_of=_read_only(orbit_of),
-        cost=_read_only(np.concatenate([-totals, totals])),
-        a_eq=_read_only(_split_form(sizes[None, :])),
-        a_ub=_read_only(_score_rows(rows, sizes)),
+        finite=_highs_model(cost, np.concatenate([a_ub, a_eq])),
+        infinite=_highs_model(cost, np.concatenate([a_ub[:-1], a_eq])),
         group_order=len(group.strategies),
     )
 
@@ -708,19 +746,20 @@ def _joint_strategies(n: int) -> tuple[tuple[Strategy, Strategy], ...]:
 
 def _solve(
     n: int,
-    cost: np.ndarray,
+    model: _HighsModel,
     orbit_of: np.ndarray,
-    a_eq: np.ndarray,
     b_eq: np.ndarray,
-    a_ub: np.ndarray | None = None,
     b_ub: np.ndarray | None = None,
     *,
     target: np.ndarray | None = None,
     budget: float = math.inf,
     score: float | None = None,
 ) -> LPResult:
-    """Minimize `cost @ x` over x >= 0 subject to the orbit program, then expand x.
+    """Minimize `model.cost @ x` over x >= 0 subject to the orbit program, then expand x.
 
+    `model` is the orbit program's prepared `_HighsModel`, whose rows are
+    `A_ub x <= b_ub` first, if `b_ub` is given, then `A_eq x == b_eq`; only
+    these right-hand sides are built per call, into the row bounds.
     x = (u_O, v_O) has one column pair per orbit O, and `orbit_of[j]` is the
     orbit of joint strategy j, so u = u_O[orbit_of] and v = v_O[orbit_of]
     are the halves of the signed weights w = u - v of all 4^n strategies.
@@ -728,8 +767,9 @@ def _solve(
     residual through B = `_behavior_matrix(n)`: max|B w - target| when
     `target` is given (`min_negativity_lp`), otherwise (`max_score_lp`) the
     largest of |sum w - 1|, max(-B w) and 8 sum v - `budget`, with the
-    negative mass NaN for an infinite budget.  The optimal score is `score`
-    when given, else -cost @ x.
+    negative mass NaN for an infinite budget.  The weights are the entries
+    of w above 1e-12 in absolute value, in strategy order.  The optimal
+    score is `score` when given, else -cost @ x.
 
     HiGHS runs without presolve: on these small dense programs it costs more
     than it saves.  Status and optimum are the same either way; at a
@@ -743,29 +783,26 @@ def _solve(
     its options set once and its solver state cleared before each model, so
     no solve starts from another's basis.
     """
-    res = sys.modules[__name__].linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0, None),
-        method="highs",
-        options={"presolve": False},
-    )
+    if b_ub is None:
+        row_lower = row_upper = b_eq
+    else:
+        row_lower = np.concatenate([np.full(len(b_ub), -math.inf), b_eq])
+        row_upper = np.concatenate([b_ub, b_eq])
+    res = sys.modules[__name__].linprog(model, row_lower, row_upper, presolve=False)
     status = _LINPROG_STATUS.get(res.status, LPStatus.FAILED)
     optimal_score, weights, negative_mass, residual = math.nan, {}, math.nan, None
     if status is LPStatus.OPTIMAL:
-        k = len(cost) // 2
-        v = res.x[k:][orbit_of]
-        w = res.x[:k][orbit_of] - v
+        k = len(model.cost) // 2
+        w = (res.x[:k] - res.x[k:])[orbit_of]
         joint = _joint_strategies(n)
-        weights = {joint[j]: float(w[j]) for j in np.flatnonzero(np.abs(w) > 1e-12)}
+        support = (np.abs(w) > 1e-12).nonzero()[0]
+        weights = dict(zip([joint[j] for j in support.tolist()], w[support].tolist()))
         negative_mass = float(sum((-w[w < 0]).tolist()))
         entries = _behavior_matrix(n) @ w
         if target is not None:
             residual = float(np.abs(entries - target).max())
         else:
+            v = res.x[k:][orbit_of]
             residual = float(max(abs(w.sum() - 1.0), -entries.min(), 8.0 * v.sum() - budget))
             if math.isinf(budget):
                 negative_mass = math.nan
@@ -779,8 +816,8 @@ def _solve(
         iterations=int(res.nit),
         solver_message=str(res.message),
         primal_residual=residual,
-        columns=len(cost),
-        rows=len(a_eq) + (0 if a_ub is None else len(a_ub)),
+        columns=len(model.cost),
+        rows=model.rows,
     )
 
 
@@ -821,12 +858,13 @@ def max_score_lp(n: int, negativity_budget: float = math.inf) -> LPResult:
     if not negativity_budget >= 0:
         raise ValueError("negativity budget must be non-negative or infinite")
     program = _score_program(n)
-    # An infinite budget drops the budget row, the last row of `a_ub`.
-    keep = None if math.isfinite(negativity_budget) else -1
-    b_ub = np.zeros(len(program.a_ub))
-    b_ub[-1] = negativity_budget
-    return _solve(n, program.cost, program.orbit_of, program.a_eq, np.ones(1),
-                  program.a_ub[:keep], b_ub[:keep], budget=negativity_budget)
+    # An infinite budget drops the budget row, the last row of `A_ub`.
+    if math.isfinite(negativity_budget):
+        model, b_ub = program.finite, np.zeros(program.finite.rows - 1)
+        b_ub[-1] = negativity_budget
+    else:
+        model, b_ub = program.infinite, np.zeros(program.infinite.rows - 1)
+    return _solve(n, model, program.orbit_of, np.ones(1), b_ub, budget=negativity_budget)
 
 
 def min_negativity_lp(target: Behavior) -> LPResult:
@@ -891,17 +929,21 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     max|B w - t| over all 4n^2 rows and 4^n strategies.
 
     The program is built once per key and cached (`_negativity_program`,
-    at most `_NEGATIVITY_PROGRAMS` of them).  The key is n, whether the
-    target signals, the stabilizer as a mask over `_chain_group(n)`, and,
-    when each stabilizer element fixes the target exactly, the mask of
-    exactly fixing swaps over `_setting_transpositions(n)` (else None).
-    That is all the build reads of the target: the rows, the generators,
-    the closure check on an inexact stabilizer, and so the orbits, their
-    sums and the cost follow from the key alone.  The target's entries go
-    in only as the right-hand side, per call, so no result is cached.
-    Targets that share a key share a program: a family's budgets where their
-    symmetries agree, and the chained singlet with every Werner visibility,
-    all fixed by the whole group.
+    at most `_NEGATIVITY_PROGRAMS` of them), with the column-wise model
+    HiGHS takes (`_HighsModel`).  The key is n, whether the target signals,
+    the stabilizer as a mask over `_chain_group(n)`, and, when each
+    stabilizer element fixes the target exactly, the mask of exactly fixing
+    swaps over `_setting_transpositions(n)` (else None).  The target is
+    relabelled once by each element of `_chain_group(n)`: how far each moves
+    it decides both the stabilizer and, the entries being finite, whether
+    each of its elements fixes the target exactly, a move of exactly 0.  That is all the build reads
+    of the target: the rows, the generators, the closure check on an
+    inexact stabilizer, and so the orbits, their sums, the cost and the
+    model follow from the key alone.  The target's entries go in only as
+    the row bounds, per call, so no result is cached.  Targets that share a
+    key share a program: a family's budgets where their symmetries agree,
+    and the chained singlet with every Werner visibility, all fixed by the
+    whole group.
     """
     if target.n_settings_A != target.n_settings_B:
         raise ValueError("the strategy grid needs equal setting counts")
@@ -914,33 +956,36 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     group = _chain_group(n)
     entries = np.array([float(v) for pair in target.setting_pairs() for v in target.table[pair]])
     signals = bool(np.abs(basis.expand @ entries[basis.rows] - entries).max() > _BASIS_SLACK)
-    stabilizer = np.abs(entries[group.rows] - entries).max(axis=1) <= _BASIS_SLACK
+    # How far each relabelling moves the target, gathered once: a finite
+    # entry moves by 0 exactly when the relabelling fixes it exactly.
+    moved = np.abs(entries[group.rows] - entries).max(axis=1)
+    stabilizer = moved <= _BASIS_SLACK
     exact_swaps = None
-    if (entries[group.rows[stabilizer]] == entries).all():
+    if not moved[stabilizer].any():
         exact_swaps = (entries[_setting_transpositions(n).rows] == entries).all(axis=1).tobytes()
     program = _negativity_program(n, signals, stabilizer.tobytes(), exact_swaps)
-    return _solve(n, program.cost, program.orbit_of, program.a_eq, entries[program.rows],
+    return _solve(n, program.model, program.orbit_of, entries[program.rows],
                   target=entries, score=chained_score(target, n))
 
 
 class _NegativityProgram(NamedTuple):
     """`min_negativity_lp`'s orbit program for one symmetry of its target, read-only.
 
-    `rows` are the behavior rows the program keeps, `orbit_of[j]` is the
-    orbit of joint strategy j, `cost` is (0, |O|) on the columns (u_O, v_O),
-    and `a_eq` holds the kept rows summed over each orbit, in split form.
+    `rows` are the behavior rows the program keeps and `orbit_of[j]` is the
+    orbit of joint strategy j.  `model` is the program as a `_HighsModel`:
+    cost (0, |O|) on the columns (u_O, v_O), and as `A_eq` the kept rows
+    summed over each orbit, in split form.
     """
 
     rows: np.ndarray
     orbit_of: np.ndarray
-    cost: np.ndarray
-    a_eq: np.ndarray
+    model: _HighsModel
 
 
 #: `_negativity_program`'s cache size.  The largest entry, a target at n = 5
-#: that signals and is fixed by the identity alone, holds a 100 x 2048
-#: float64 `a_eq` (1.6 MB) and 25 KB more, so a full cache holds at most
-#: about 27 MB.
+#: that signals and is fixed by the identity alone, has 100 rows of 512
+#: nonzeros each in split form, so its model holds 51200 nonzeros at 12
+#: bytes (614 KB) and 75 KB more; a full cache holds at most about 11 MB.
 _NEGATIVITY_PROGRAMS = 16
 
 
@@ -975,8 +1020,8 @@ def _negativity_program(
     return _NegativityProgram(
         rows=_read_only(rows),
         orbit_of=_read_only(orbit_of),
-        cost=_read_only(np.concatenate([np.zeros(len(sizes)), sizes])),  # minimize total v
-        a_eq=_read_only(_split_form(summed)),
+        # Minimize total v.
+        model=_highs_model(np.concatenate([np.zeros(len(sizes)), sizes]), _split_form(summed)),
     )
 
 
@@ -1038,11 +1083,12 @@ def quantum_behavior(
 
 
 #: Largest `shots` that `signed_sample` takes.  Every draw of a call goes
-#: through one shot-sized buffer.  At 4e6 shots, peak RSS in a fresh process
-#: grew by 34 MB (9 bytes per shot) for the n = 2 family, whose outcomes the
-#: hidden value fixes, and by 126 MB (33 bytes per shot) for a stochastic
-#: 3-point model, which builds per-shot index arrays.  So the cap needs at
-#: most about 3.3 GB.
+#: through one shot-sized buffer, and a model with a setting whose outcome
+#: the hidden value does not fix gets four more per call (see there).  At
+#: 4e6 shots, peak RSS in a fresh process grew by 34 MB (9 bytes per shot)
+#: for the n = 2 family, whose outcomes the hidden value fixes, and by 73 MB
+#: (19 bytes per shot) for stochastic models on 3 and on 70 points.  So the
+#: cap needs at most about 1.9 GB.
 _MAX_SHOTS = 10**8
 
 #: Largest support for which `_inverse_cdf` counts thresholds instead of
@@ -1061,20 +1107,46 @@ class InvalidBehaviorError(ValueError):
         self.validity = validity
 
 
-def _inverse_cdf(cdf: np.ndarray, uniform: np.ndarray) -> np.ndarray:
-    """The index i with cdf[i-1] <= u < cdf[i] for each u in `uniform`.
+def _inverse_cdf(cdf: np.ndarray, uniform: np.ndarray, out: np.ndarray, mask: np.ndarray) -> None:
+    """Write into `out` the index i with cdf[i-1] <= u < cdf[i] for each u in `uniform`.
 
     `cdf` is non-decreasing and ends in 1.0 exactly, and each u < 1, so i is
     the number of entries of cdf[:-1] at most u:
     `cdf.searchsorted(uniform, side="right")`, as `Generator.choice` does
-    it.  On small supports counting is 4-6 times faster.
+    it.  On small supports counting is 4-6 times faster; it compares into
+    `mask`, a bool buffer as long as `uniform`, and adds that in place, so
+    no per-shot array is made.  `out` needs an integer type that holds
+    len(cdf) - 1.
     """
     if len(cdf) > _COUNTED_SUPPORT:
-        return cdf.searchsorted(uniform, side="right")
-    index = np.zeros(len(uniform), dtype=np.intp)
+        for block in _blocks(len(uniform)):
+            out[block] = cdf.searchsorted(uniform[block], side="right")
+        return
+    out.fill(0)
     for threshold in cdf[:-1]:
-        index += uniform >= threshold
-    return index
+        out += np.greater_equal(uniform, threshold, out=mask)
+
+
+#: Shots per block where a per-shot array of intp indices is made, so that
+#: such an array never takes more than 512 KB.
+_BLOCK = 2**16
+
+
+def _blocks(length: int) -> list[slice]:
+    """Slices of `_BLOCK` consecutive shots that cover `length` shots."""
+    return [slice(start, start + _BLOCK) for start in range(0, length, _BLOCK)]
+
+
+def _take(values: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
+    """`np.take(values, index, out=out)`, one block of shots at a time.
+
+    `np.take` widens its indices to intp, so a narrow `index` would cost an
+    intp array as long as itself; in blocks, that array stays small.  The
+    indices are in range, so `mode="clip"` changes no value, and it spares
+    the copy of `out` that the default mode makes.
+    """
+    for block in _blocks(len(index)):
+        np.take(values, index[block], out=out[block], mode="clip")
 
 
 def _point_counts(cdf: np.ndarray, uniform: np.ndarray) -> np.ndarray:
@@ -1084,7 +1156,7 @@ def _point_counts(cdf: np.ndarray, uniform: np.ndarray) -> np.ndarray:
     of u >= cdf[i-1], so no per-shot index is built.
     """
     if len(cdf) > _COUNTED_SUPPORT:
-        return np.bincount(_inverse_cdf(cdf, uniform), minlength=len(cdf))
+        return np.bincount(cdf.searchsorted(uniform, side="right"), minlength=len(cdf))
     at_least = [len(uniform)] + [np.count_nonzero(uniform >= t) for t in cdf[:-1]] + [0]
     return -np.diff(at_least)
 
@@ -1124,12 +1196,17 @@ def signed_sample(
     hidden value and the stream is advanced past its `shots` uniforms
     instead of drawing them, which leaves every later draw unchanged.  When
     both outcomes of a pair are fixed, hidden values are counted without a
-    per-shot array.
+    per-shot array; otherwise the per-shot arrays are buffers made once per
+    call.  A seed that is not a non-negative integer (None included, which
+    would draw from the operating system and could not be replayed) is
+    refused with ValueError before anything is assembled.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
     if shots > _MAX_SHOTS:
         raise ValueError(f"sampling limited to shots <= {_MAX_SHOTS}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError("seed must be a non-negative integer")
     behavior = assemble_behavior(model, tolerance=tolerance)
     report = validate_behavior(behavior, tolerance)
     if not report.is_valid:
@@ -1160,6 +1237,17 @@ def signed_sample(
     fixed_bits_b = fixed_b[:, None] & (plus_b >= 1)
 
     uniform = np.empty(shots)
+    if not (fixed_a.all() and fixed_b.all()):
+        # The per-shot buffers of pairs whose outcomes the hidden value does
+        # not fix, made once: hidden values `lam`, in the narrowest type that
+        # holds them; `gathered`, each shot's + probability and then, viewed
+        # as integers, its cell code; `hits`, its drawn outcome bits; `mask`,
+        # a comparison.  19 bytes per shot with `uniform`, up to 256 points.
+        lam = np.empty(shots, dtype=np.min_scalar_type(len(points) - 1))
+        gathered = np.empty(shots)
+        code = gathered.view(np.intp)
+        hits = np.empty(shots, dtype=np.uint8)
+        mask = np.empty(shots, dtype=bool)
     advance = rng.bit_generator.advance
     table: dict[tuple[int, int], tuple] = {}
     standard_errors: dict[tuple[int, int, int], float] = {}
@@ -1172,14 +1260,17 @@ def signed_sample(
                 by_code = np.zeros(4 * len(points), dtype=np.intp)
                 by_code[codes] = _point_counts(cdf, uniform)
             else:
-                lam = _inverse_cdf(cdf, uniform)
-                code = codes[lam]
-                for fixed, plus, bit in ((fixed_a[x_a], plus_a[x_a], 2),
-                                         (fixed_b[x_b], plus_b[x_b], 1)):
+                _inverse_cdf(cdf, uniform, lam, mask)
+                hits.fill(0)
+                for fixed, plus in ((fixed_a[x_a], plus_a[x_a]), (fixed_b[x_b], plus_b[x_b])):
+                    hits <<= 1  # Alice's bit ends up worth 2, Bob's 1
                     if fixed:
                         advance(shots)
                     else:
-                        code += bit * (rng.random(out=uniform) < plus[lam])
+                        _take(plus, lam, gathered)
+                        hits |= np.less(rng.random(out=uniform), gathered, out=mask)
+                _take(codes, lam, code)
+                code += hits
                 by_code = np.bincount(code, minlength=4 * len(points))
             by_point = by_code.reshape(-1, 4)
             counts = by_point.sum(axis=0)

@@ -479,6 +479,14 @@ class TestSampling:
         assert out == ""
         assert err.splitlines() == ["error: sampling limited to shots <= 100000000"]
 
+    def test_negative_seed_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(chsh_saturating_model(1), path)
+        code, out, err = run(capsys, "sample", "--model", str(path), "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: seed must be a non-negative integer"]
+
     def test_oracle_sample_is_not_a_command(self, tmp_path):
         path = tmp_path / "model.json"
         save_model(chsh_saturating_model(1), path)

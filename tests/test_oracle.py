@@ -5,11 +5,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 import threading
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.optimize import linprog
 
 from quasibell import (
@@ -92,6 +95,58 @@ def _joint(n):
     return [(sa, sb) for sa in strategies for sb in strategies]
 
 
+class _Solve(NamedTuple):
+    """One call of `oracle.linprog`: what it got and what it returned."""
+
+    model: oracle._HighsModel
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    presolve: bool
+    result: oracle._HighsResult
+
+
+def _spy_linprog(monkeypatch, change=None) -> list:
+    """Record every `oracle.linprog` call as a `_Solve`, passing `change(result)` on if given."""
+    calls = []
+    solve = oracle.linprog
+
+    def record(model, row_lower, row_upper, *, presolve):
+        res = solve(model, row_lower, row_upper, presolve=presolve)
+        if change is not None:
+            res = change(res)
+        calls.append(_Solve(model, row_lower, row_upper, presolve, res))
+        return res
+
+    monkeypatch.setattr(oracle, "linprog", record)
+    return calls
+
+
+def _dense(model) -> np.ndarray:
+    """The constraint rows of a prepared model, as a dense matrix."""
+    shape = (model.rows, len(model.cost))
+    return scipy.sparse.csc_array((model.value, model.index, model.start), shape=shape).toarray()
+
+
+def _scipy_program(solve: _Solve, presolve: bool | None = None) -> tuple:
+    """`scipy.optimize.linprog`'s (c, keywords) for the program of one `oracle.linprog` call.
+
+    The rows with lower bound -inf are `A_ub x <= b_ub` and come first, the
+    rest, whose bounds are equal, are `A_eq x == b_eq`: the dense program
+    `_solve` handed to `linprog` before its models were prepared.
+    `presolve` overrides the call's.
+    """
+    matrix = _dense(solve.model)
+    inequality = np.isneginf(solve.row_lower)
+    assert not inequality[inequality.sum():].any()
+    assert np.array_equal(solve.row_lower[~inequality], solve.row_upper[~inequality])
+    keywords = {"A_eq": matrix[~inequality], "b_eq": solve.row_upper[~inequality]}
+    if inequality.any():
+        keywords.update(A_ub=matrix[inequality], b_ub=solve.row_upper[inequality])
+    presolve = solve.presolve if presolve is None else presolve
+    return solve.model.cost, {**keywords, "bounds": (0, None), "method": "highs",
+                              "options": {"presolve": presolve}}
+
+
 class TestStrategyGrid:
     """The array-built LP inputs equal their loop forms, bit for bit."""
 
@@ -112,14 +167,7 @@ class TestStrategyGrid:
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_lp_scores_match_strategy_score(self, n, monkeypatch):
-        costs = []
-
-        def capture(cost, **kwargs):
-            costs.append(cost)
-            return linprog(cost, **kwargs)
-
-        linprog = oracle.linprog
-        monkeypatch.setattr(oracle, "linprog", capture)
+        calls = _spy_linprog(monkeypatch)
         max_score_lp(n, 1.0)
         orbit_of = oracle._score_program(n).orbit_of.tolist()
         scores = [strategy_score(sa, sb, n) for sa, sb in _joint(n)]
@@ -133,7 +181,7 @@ class TestStrategyGrid:
         # ... and cost = (-t, t), t being each orbit's summed score: the LP
         # maximizes t @ (u - v).
         totals = [sum(s for s, o in zip(scores, orbit_of) if o == orbit) for orbit in orbits]
-        assert costs[0].tolist() == [-t for t in totals] + totals
+        assert calls[0].model.cost.tolist() == [-t for t in totals] + totals
 
 
 class TestMaxScoreLP:
@@ -298,7 +346,7 @@ class TestScoreOrbits:
         program = oracle._score_program(n)
         assert program.group_order == 8 * n
         assert len(set(program.orbit_of.tolist())) == orbits
-        assert len(program.cost) == 2 * orbits
+        assert len(program.finite.cost) == len(program.infinite.cost) == 2 * orbits
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_generators_match_their_loop_form(self, n):
@@ -320,8 +368,9 @@ class TestScoreOrbits:
     def test_cached_program_is_read_only(self):
         program = oracle._score_program(3)
         assert oracle._score_program(3) is program
-        for array in (program.orbit_of, program.cost, program.a_eq, program.a_ub,
-                      oracle._behavior_matrix(3)):
+        models = [a for model in (program.finite, program.infinite) for a in model
+                  if isinstance(a, np.ndarray)]
+        for array in (program.orbit_of, *models, oracle._behavior_matrix(3)):
             with pytest.raises(ValueError):
                 array[0] = 1
 
@@ -359,16 +408,10 @@ class TestScoreOrbits:
 
     @pytest.mark.parametrize("budget", [0.0, 1.0, math.inf])
     def test_score_lp_columns(self, budget, monkeypatch):
-        calls = []
-
-        def capture(cost, **kwargs):
-            calls.append((cost, kwargs))
-            return linprog(cost, **kwargs)
-
-        linprog = oracle.linprog
-        monkeypatch.setattr(oracle, "linprog", capture)
+        calls = _spy_linprog(monkeypatch)
         result = max_score_lp(5, budget)
-        (cost, program), = calls
+        (solve,) = calls
+        cost, program = _scipy_program(solve)
         assert result.columns == len(cost) == 68
         assert result.to_json_dict()["columns"] == 68
         rows = len(program["A_eq"]) + len(program["A_ub"])
@@ -619,17 +662,10 @@ class TestStabilizerOrbits:
         entries = _entries(target)
         group = oracle._chain_group(n)
         assert all(np.abs(entries[rows] - entries).max() > 1e-9 for rows in group.rows[1:])
-        calls = []
-
-        def capture(cost, **kwargs):
-            calls.append((cost, kwargs))
-            return linprog(cost, **kwargs)
-
-        linprog = oracle.linprog
-        monkeypatch.setattr(oracle, "linprog", capture)
+        calls = _spy_linprog(monkeypatch)
         result = min_negativity_lp(target)
         assert result.columns == 2 * 4**n
-        cost, kwargs = calls[0]
+        cost, kwargs = _scipy_program(calls[0])
         basis = oracle._behavior_matrix(n)[oracle._behavior_basis(n).rows]
         assert np.array_equal(cost, np.concatenate([np.zeros(4**n), np.ones(4**n)]))
         assert np.array_equal(kwargs["A_eq"], np.concatenate([basis, -basis], axis=1))
@@ -737,21 +773,15 @@ class TestSettingSwaps:
         result = min_negativity_lp(target)
         assert result.status is LPStatus.OPTIMAL
         assert result.primal_residual <= 1e-9
-        costs = []
-
-        def capture(cost, **kwargs):
-            costs.append(cost)
-            return linprog(cost, **kwargs)
-
-        linprog = oracle.linprog
         orbit_sums = oracle._orbit_sums
-        monkeypatch.setattr(oracle, "linprog", capture)
+        calls = _spy_linprog(monkeypatch)
         _build_every_program(monkeypatch)
         monkeypatch.setattr(oracle, "_orbit_sums",
                             lambda perms, matrix: orbit_sums(perms[:1], matrix))
         reference = min_negativity_lp(target)
-        assert reference.columns == len(costs[0]) == 2 * 4**n
-        assert np.array_equal(costs[0], np.concatenate([np.zeros(4**n), np.ones(4**n)]))
+        cost = calls[0].model.cost
+        assert reference.columns == len(cost) == 2 * 4**n
+        assert np.array_equal(cost, np.concatenate([np.zeros(4**n), np.ones(4**n)]))
         assert result.negative_mass == pytest.approx(reference.negative_mass, abs=1e-9)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -870,15 +900,12 @@ class TestResidualOfAPerturbedSolution:
 
     @staticmethod
     def _perturb(monkeypatch, column):
-        linprog = oracle.linprog
-
-        def perturbed(cost, **kwargs):
-            res = linprog(cost, **kwargs)
+        def perturbed(res):
             x = res.x.copy()
             x[column(x)] += 1e-3
             return res._replace(x=x)
 
-        monkeypatch.setattr(oracle, "linprog", perturbed)
+        _spy_linprog(monkeypatch, perturbed)
 
     @staticmethod
     def _entries(n, weights):
@@ -957,22 +984,14 @@ class TestSolverSetting:
 
     @pytest.mark.parametrize("solve", _SOLVER_CASES)
     def test_presolve_off_matches_presolve_on(self, solve, monkeypatch):
-        calls = []
-
-        def record(cost, **kwargs):
-            res = solve_directly(cost, **kwargs)
-            calls.append((cost, kwargs, res))
-            return res
-
-        solve_directly = oracle.linprog
-        monkeypatch.setattr(oracle, "linprog", record)
+        calls = _spy_linprog(monkeypatch)
         result = solve()
         assert len(calls) == 1
-        cost, kwargs, res = calls[0]
-        assert kwargs["method"] == "highs"
-        assert kwargs["options"] == {"presolve": False}
+        assert calls[0].presolve is False
+        res = calls[0].result
         # The reference is scipy's public `linprog`, not the one under test.
-        reference = linprog(cost, **{**kwargs, "options": {"presolve": True}})
+        cost, kwargs = _scipy_program(calls[0], presolve=True)
+        reference = linprog(cost, **kwargs)
         assert res.status == reference.status
         if reference.status == 0:
             assert res.fun == pytest.approx(reference.fun, abs=1e-9)
@@ -1005,19 +1024,13 @@ class TestDirectHighs:
     @pytest.mark.parametrize("presolve", [False, True], ids=["presolve-off", "presolve-on"])
     @pytest.mark.parametrize("solve", _DIRECT_CASES)
     def test_matches_scipy_linprog(self, solve, presolve, monkeypatch):
-        calls = []
-
-        def record(cost, **kwargs):
-            calls.append((cost, kwargs))
-            return solve_directly(cost, **kwargs)
-
         solve_directly = oracle.linprog
-        monkeypatch.setattr(oracle, "linprog", record)
+        calls = _spy_linprog(monkeypatch)
         solve()
         assert len(calls) == 1
-        cost, kwargs = calls[0]
-        kwargs = {**kwargs, "options": {"presolve": presolve}}
-        got = solve_directly(cost, **kwargs)
+        call = calls[0]
+        got = solve_directly(call.model, call.row_lower, call.row_upper, presolve=presolve)
+        cost, kwargs = _scipy_program(call, presolve)
         want = linprog(cost, **kwargs)
         assert (got.status, got.nit, got.message) == (want.status, want.nit, want.message)
         assert got.fun == want.fun
@@ -1040,15 +1053,23 @@ class TestDirectHighs:
         assert min_negativity_lp(_signalling_perturbation(n, 1e-7)).status is status
         assert min_negativity_lp(_signalling_perturbation(n, 2e-7)).status is LPStatus.INFEASIBLE
 
-    @pytest.mark.parametrize("extra", [
-        {"method": "highs-ipm"},
-        {"bounds": (None, None)},
-        {"options": {"disp": True}},
-        {"options": {"presolve": "off"}},
+    @pytest.mark.parametrize("lower, upper, message", [
+        pytest.param([1.0], [1.0, 1.0], "^row bounds of 1 and 2 entries for a model of 2 rows$",
+                     id="short-lower"),
+        pytest.param([1.0, 1.0], [1.0], "^row bounds of 2 and 1 entries for a model of 2 rows$",
+                     id="short-upper"),
+        pytest.param([1.0] * 3, [1.0] * 3, "^row bounds of 3 and 3 entries for a model of 2 rows$",
+                     id="long-both"),
     ])
-    def test_refuses_what_it_does_not_implement(self, extra):
-        with pytest.raises(ValueError, match="^unsupported method"):
-            oracle.linprog([1.0], A_eq=[[1.0]], b_eq=[1.0], **extra)
+    def test_refuses_row_bounds_that_do_not_fit_the_model(self, lower, upper, message):
+        model = oracle._highs_model(np.ones(2), np.eye(2))
+        with pytest.raises(ValueError, match=message):
+            oracle.linprog(model, np.array(lower), np.array(upper), presolve=False)
+
+    def test_refuses_a_presolve_that_is_not_a_bool(self):
+        model = oracle._highs_model(np.ones(1), np.eye(1))
+        with pytest.raises(ValueError, match="^presolve must be True or False, not 'off'$"):
+            oracle.linprog(model, np.ones(1), np.ones(1), presolve="off")
 
     @pytest.mark.parametrize("option", [("no_such_option", 1), ("simplex_strategy", 99)])
     def test_an_option_highs_refuses_raises(self, option):
@@ -1061,25 +1082,29 @@ class TestDirectHighs:
 
 
 def _direct_programs(monkeypatch) -> list:
-    """The (cost, keywords) of every `_DIRECT_CASES` solve, as `_solve` hands them over."""
-    programs = []
-
-    def record(cost, **kwargs):
-        programs.append((cost, kwargs))
-        return solve_directly(cost, **kwargs)
-
-    solve_directly = oracle.linprog
+    """The `_Solve` of every `_DIRECT_CASES` solve, as `_solve` hands it over."""
     with monkeypatch.context() as patch:
-        patch.setattr(oracle, "linprog", record)
+        calls = _spy_linprog(patch)
         for case in _DIRECT_CASES:
             case.values[0]()
-    return programs
+    return calls
 
 
 def _answer(res) -> tuple:
     """What `linprog` reports, in a form that `==` compares exactly."""
     x = None if res.x is None else res.x.tolist()
     return res.status, x, res.fun, res.nit, res.message
+
+
+def _scipy_answer(call: _Solve, presolve: bool | None = None) -> tuple:
+    """`_answer` of `scipy.optimize.linprog` on the program of `call`, see `_scipy_program`."""
+    cost, kwargs = _scipy_program(call, presolve)
+    return _answer(linprog(cost, **kwargs))
+
+
+def _lp_answer(result) -> tuple:
+    """An `LPResult`'s JSON fields and its weights in order, in a form that `==` compares exactly."""
+    return json.dumps(result.to_json_dict(), sort_keys=True), list(result.weights.items())
 
 
 class TestReusedHighs:
@@ -1090,31 +1115,62 @@ class TestReusedHighs:
         # signalling program between solves: each answer is what a fresh
         # HiGHS instance, the one scipy's `linprog` makes per call, gives.
         programs = _direct_programs(monkeypatch)
-        signalling, signalling_kwargs = programs[[case.id for case in _DIRECT_CASES].index("signalling")]
-        infeasible = _answer(linprog(signalling, **signalling_kwargs))
+        signalling = programs[[case.id for case in _DIRECT_CASES].index("signalling")]
+        infeasible = _scipy_answer(signalling)
         assert infeasible[0] == 2
-        for i, (cost, kwargs) in enumerate(programs + programs[::-1]):
-            kwargs = {**kwargs, "options": {"presolve": i % 2 == 0}}
-            assert _answer(oracle.linprog(cost, **kwargs)) == _answer(linprog(cost, **kwargs))
-            assert _answer(oracle.linprog(signalling, **signalling_kwargs)) == infeasible
+        for i, call in enumerate(programs + programs[::-1]):
+            presolve = i % 2 == 0
+            got = oracle.linprog(call.model, call.row_lower, call.row_upper, presolve=presolve)
+            assert _answer(got) == _scipy_answer(call, presolve)
+            got = oracle.linprog(signalling.model, signalling.row_lower, signalling.row_upper,
+                                 presolve=False)
+            assert _answer(got) == infeasible
 
     def test_each_thread_has_its_own_solver(self, monkeypatch):
         programs = _direct_programs(monkeypatch)
-        solvers, answers = {}, {}
+        solve_directly = oracle.linprog
+        # Both LP kinds, on programs cached here first (at most 16 symmetry
+        # keys, so none is evicted while the threads run).
+        cases = [case.values[0] for case in _DIRECT_CASES if not case.id.startswith("signalling-")]
+        calls = _spy_linprog(monkeypatch)
+        expected = [_lp_answer(solve()) for solve in cases]
+        cached = {id(call.model) for call in calls}
+        solvers, answers, lp_answers = {}, {}, {}
 
         def solve_all(name):
             solvers[name] = oracle._highs_solver()
-            answers[name] = [_answer(oracle.linprog(cost, **kwargs)) for cost, kwargs in programs]
+            answers[name] = [
+                _answer(solve_directly(c.model, c.row_lower, c.row_upper, presolve=c.presolve))
+                for c in programs
+            ]
+            lp_answers[name] = [_lp_answer(solve()) for solve in cases]
 
-        threads = [threading.Thread(target=solve_all, args=(name,)) for name in "ab"]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert solvers["a"] is not solvers["b"]
-        assert oracle._highs_solver() not in (solvers["a"], solvers["b"])
-        assert answers["a"] == answers["b"]
-        assert answers["a"] == [_answer(linprog(cost, **kwargs)) for cost, kwargs in programs]
+        names = "abcd"  # more threads than the 2 cores the tests are timed on
+        threads = [threading.Thread(target=solve_all, args=(name,)) for name in names]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len({id(solvers[name]) for name in names}) == len(names)
+        assert oracle._highs_solver() not in solvers.values()
+        want = [_scipy_answer(call) for call in programs]
+        assert all(answers[name] == want for name in names)
+        assert all(lp_answers[name] == expected for name in names)
+        # The threads solved the very programs cached before they started.
+        assert {id(call.model) for call in calls[len(cases):]} == cached
+
+    def test_presolve_is_what_each_call_asks_for(self):
+        # `linprog` sets presolve only when it changes; the setting must follow.
+        model = oracle._highs_model(np.ones(1), np.eye(1))
+        for presolve in (True, True, False, False, True, False):
+            assert oracle.linprog(model, np.ones(1), np.ones(1), presolve=presolve).status == 0
+            assert oracle._highs_solver().getOptionValue("presolve")[1] == ("on" if presolve else "off")
 
     def test_a_refused_option_fails_every_solve(self, monkeypatch):
         # A thread whose solver is not yet made, as in a fresh process.
@@ -1131,29 +1187,123 @@ class TestReusedHighs:
             assert solver.getOptionValue(name)[1] == value
 
 
+class TestPreparedModels:
+    """Each cached program carries its `_HighsModel`, built once from its dense rows."""
+
+    @staticmethod
+    def _built(monkeypatch) -> list:
+        """(cost, dense rows, model) of every model built for a program the `_DIRECT_CASES` reach."""
+        built = []
+        highs_model = oracle._highs_model
+
+        def record(cost, matrix):
+            model = highs_model(cost, matrix)
+            built.append((cost, matrix, model))
+            return model
+
+        monkeypatch.setattr(oracle, "_highs_model", record)
+        _build_every_program(monkeypatch)
+        for n in range(2, 6):
+            oracle._score_program.__wrapped__(n)
+        for case in _DIRECT_CASES:
+            if not case.id.startswith("score-"):
+                case.values[0]()
+        return built
+
+    def test_models_are_the_csc_form_of_the_dense_rows(self, monkeypatch):
+        built = self._built(monkeypatch)
+        # Two models per score program, one per min-negativity solve.
+        assert len(built) == 2 * 4 + sum(not case.id.startswith("score-") for case in _DIRECT_CASES)
+        for cost, matrix, model in built:
+            csc = scipy.sparse.csc_array(matrix)
+            assert model.rows == len(matrix)
+            assert np.array_equal(model.cost, cost) and model.cost.dtype == np.float64
+            for got, want in ((model.start, csc.indptr), (model.index, csc.indices),
+                              (model.value, csc.data)):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+            assert model.start.dtype == model.index.dtype == np.int32
+            assert model.lower.tolist() == [0.0] * len(cost)
+            assert model.upper.tolist() == [math.inf] * len(cost)
+            assert model.integrality.tolist() == [0] * len(cost)
+            assert model.integrality.dtype == np.int32
+            for array in model:
+                if isinstance(array, np.ndarray):
+                    assert not array.flags.writeable
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_infinite_budget_model_drops_the_budget_row(self, n):
+        finite, infinite = oracle._score_program(n).finite, oracle._score_program(n).infinite
+        # The budget row is the last row of `A_ub`; the normalization row follows it.
+        rows = np.delete(_dense(finite), finite.rows - 2, axis=0)
+        csc = scipy.sparse.csc_array(rows)
+        assert infinite.rows == finite.rows - 1
+        assert np.array_equal(infinite.cost, finite.cost)
+        assert np.array_equal(infinite.start, csc.indptr)
+        assert np.array_equal(infinite.index, csc.indices)
+        assert np.array_equal(infinite.value, csc.data)
+        assert _dense(finite)[finite.rows - 2].tolist() == [0.0] * (len(finite.cost) // 2) + [
+            8.0 * size for size in np.bincount(oracle._score_program(n).orbit_of).tolist()]
+
+
+class TestReadout:
+    """`_solve` reads its answer off HiGHS's x as a plain recomputation from that x does."""
+
+    @pytest.mark.parametrize("solve", _DIRECT_CASES)
+    def test_matches_a_plain_recomputation(self, solve, monkeypatch):
+        solves = []
+        inner = oracle._solve
+
+        def record(n, model, orbit_of, *args, **kwargs):
+            solves.append((n, orbit_of, kwargs))
+            return inner(n, model, orbit_of, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_solve", record)
+        calls = _spy_linprog(monkeypatch)
+        result = solve()
+        (n, orbit_of, kwargs), = solves
+        x = calls[0].result.x
+        if x is None:
+            assert result.weights == {} and result.primal_residual is None
+            assert math.isnan(result.negative_mass)
+            return
+        k = len(x) // 2
+        u, v = x[:k][orbit_of], x[k:][orbit_of]
+        w = u - v
+        joint = _joint(n)
+        weights = {joint[j]: float(w[j]) for j in np.flatnonzero(np.abs(w) > 1e-12)}
+        assert list(result.weights.items()) == list(weights.items())
+        entries = oracle._behavior_matrix(n) @ w
+        target, budget = kwargs.get("target"), kwargs.get("budget", math.inf)
+        if target is not None:
+            assert result.primal_residual == float(np.abs(entries - target).max())
+        else:
+            assert result.primal_residual == float(
+                max(abs(w.sum() - 1.0), -entries.min(), 8.0 * v.sum() - budget))
+        if target is None and math.isinf(budget):
+            assert math.isnan(result.negative_mass)
+        else:
+            assert result.negative_mass == sum(-weight for weight in w.tolist() if weight < 0)
+
+
 class TestNegativityProgramCache:
     """`min_negativity_lp` builds each orbit program once per symmetry of its target."""
 
     def test_cached_program_is_read_only(self):
         program = oracle._negativity_program(3, False, np.ones(24, dtype=bool).tobytes(), None)
         assert oracle._negativity_program(3, False, np.ones(24, dtype=bool).tobytes(), None) is program
-        for array in program:
+        model = [a for a in program.model if isinstance(a, np.ndarray)]
+        assert len(model) == 7
+        for array in (program.rows, program.orbit_of, *model):
             with pytest.raises(ValueError):
                 array[0] = 1
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_werner_targets_share_the_singlet_program(self, n, monkeypatch):
-        programs = []
-
-        def record(cost, **kwargs):
-            programs.append(kwargs["A_eq"])
-            return solve_directly(cost, **kwargs)
-
-        solve_directly = oracle.linprog
-        monkeypatch.setattr(oracle, "linprog", record)
+        calls = _spy_linprog(monkeypatch)
         for visibility in (1.0, 0.8, 0.5):
             assert min_negativity_lp(_singlet_at_chained_angles(n, visibility)).status is LPStatus.OPTIMAL
-        assert programs[0] is programs[1] is programs[2]
+        assert calls[0].model is calls[1].model is calls[2].model
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_the_key_separates_targets(self, n):

@@ -35,6 +35,7 @@ from quasibell.oracle import (
     enumerate_deterministic,
     min_negativity_lp,
     quantum_behavior,
+    signed_sample,
     singlet_state,
 )
 from quasibell.serialization import ModelFormatError, behavior_from_csv, model_from_json_dict
@@ -90,6 +91,10 @@ def test_cli_refusals(capsys, argv, message):
                  "state must be Hermitian", id="non-hermitian"),
     pytest.param(lambda: quantum_behavior(singlet_state(), [], [0.0]),
                  "each party needs at least one measurement angle", id="no-angles"),
+    *(pytest.param(lambda seed=seed: signed_sample(chsh_saturating_model(1), 10, seed),
+                   "seed must be a non-negative integer", id=f"seed-{name}")
+      for name, seed in [("none", None), ("true", True), ("float", 1.5), ("whole-float", 2.0),
+                         ("string", "3"), ("negative", -1), ("numpy-negative", np.int64(-1))]),
 ])
 def test_oracle_refusals(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -101,9 +106,26 @@ def test_min_negativity_lp_refuses_n1_before_solving(monkeypatch):
         raise AssertionError("no program should be built or solved")
 
     monkeypatch.setattr(oracle, "_behavior_basis", fail)
+    monkeypatch.setattr(oracle, "_highs_model", fail)
     monkeypatch.setattr(oracle, "linprog", fail)
     with pytest.raises(ValueError, match="^min-negativity LP needs n >= 2$"):
         min_negativity_lp(uniform_behavior(1, 1))
+
+
+@pytest.mark.parametrize("seed", [None, -1, 0.5])
+def test_signed_sample_refuses_a_seed_before_assembling(monkeypatch, seed):
+    def fail(*args, **kwargs):
+        raise AssertionError("no behavior should be assembled")
+
+    monkeypatch.setattr(oracle, "assemble_behavior", fail)
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+        signed_sample(chsh_saturating_model(1), 10, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 7, np.int64(7), 2**70])
+def test_signed_sample_takes_any_non_negative_integer_seed(seed):
+    estimate = signed_sample(chsh_saturating_model(1), 10, seed)
+    assert estimate.seed == seed
 
 
 @pytest.mark.parametrize("call, message", [

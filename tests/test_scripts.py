@@ -36,3 +36,15 @@ def test_negativity_budget_curve_beyond_the_family(monkeypatch, capsys):
 def test_saturation_sweep(monkeypatch, capsys):
     assert run_script(monkeypatch, "saturation_sweep.py", "--max-n", "3", "--steps", "3") == 0
     assert "all sweeps saturate their bounds" in capsys.readouterr().out
+
+
+def test_lp_grid_digest(monkeypatch, capsys):
+    # The n <= 3 grid in two call orders.  The digest pins every answer,
+    # weights and `primal_residual` included, as scipy 1.17.1 with HiGHS
+    # 1.12.0 gives them: a change that moves any of them changes it.
+    assert run_script(monkeypatch, "lp_grid_digest.py", "--max-n", "3", "--order", "1", "2") == 0
+    out = capsys.readouterr().out
+    assert "33 LPs, 2 orders" in out
+    assert out.splitlines()[-1] == (
+        "digest 22a9c061a65b4fbf22519fcd430e0f4f0e1b576112746a56db436976a552e1a0"
+    )
