@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Label, LocalResponse, Model, QuasiDist
+from .core import _MAX_SETTINGS, Label, LocalResponse, Model, QuasiDist
 
 PLUS = "+"
 MINUS = "-"
@@ -106,6 +106,8 @@ def saturating_strategies(n: int) -> dict[Label, SymbolStrategy]:
     """
     if n < 2:
         raise ValueError("the saturating family needs n >= 2")
+    if n > _MAX_SETTINGS:
+        raise ValueError(f"the saturating family is limited to n <= {_MAX_SETTINGS}")
     all_minus = (MINUS,) * n
     all_plus = (PLUS,) * n
     minus_then_plus = (MINUS,) * (n - 1) + (PLUS,)

@@ -33,6 +33,12 @@ from typing import Hashable, Mapping
 
 DEFAULT_TOLERANCE = 1e-9
 
+#: Most settings a party may have.  A behavior has one row per setting pair,
+#: so its table grows as the square: `saturate --n 1000` took 18 s and
+#: peaked at 0.92 GB RSS on a 2-core machine, and a few thousand settings
+#: would exhaust memory.
+_MAX_SETTINGS = 1000
+
 #: Outcome values in row order: index 0 <-> -1, index 1 <-> +1.
 OUTCOMES = (-1, +1)
 
@@ -82,6 +88,8 @@ class LocalResponse:
             raise StructureError(f"party must be 'A' or 'B', got {self.party!r}")
         if self.n_settings < 1:
             raise StructureError("n_settings must be positive")
+        if self.n_settings > _MAX_SETTINGS:
+            raise StructureError(f"n_settings must be at most {_MAX_SETTINGS}")
         if not self.hidden_values:
             raise StructureError("hidden_values must be non-empty and finite")
         if len(set(self.hidden_values)) != len(self.hidden_values):

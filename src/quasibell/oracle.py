@@ -32,18 +32,12 @@ The per-n groups and programs are built once, and each `min_negativity_lp`
 orbit program once per symmetry of its target (`_negativity_program`), each
 program with the column-wise model HiGHS takes (`_HighsModel`), so a solve
 builds only its row bounds.  Building checks exactly that the row basis
-spans every behavior row, that each chained generator fixes every
-strategy's score and permutes the behavior entries and that each swap
-permutes them, and refuses to build otherwise.  Both LPs go through one
-helper, `_solve`, which turns HiGHS presolve off: on programs this small and
-dense it costs more than it saves.
-`_solve` hands the prepared model and its row bounds to `linprog`, this
-module's own call of the HiGHS binding that `scipy.optimize.linprog` uses,
-without that function's per-call Python wrapper, which costs more than HiGHS
-itself on most of these programs.
-`linprog` solves on one HiGHS instance per thread, made and given its
-options once, and clears its solver state before passing each model, so no
-basis carries over and no solve is warm-started.
+spans every behavior row and that each chained generator fixes every
+strategy's score, and one matcher (`_relabelled`) checks that each chained
+generator and each setting swap permutes the behavior entries; building
+refuses otherwise.  Both LPs go through one helper, `_solve`, which hands
+the prepared model and its row bounds to `linprog`, this module's own call
+of the HiGHS binding that `scipy.optimize.linprog` uses (see there).
 Importing this module loads numpy only: the binding, and with it
 `scipy.optimize`, is imported the first time the module attribute `linprog`
 is read, which `_solve` does on every solve, so enumeration, the classical
@@ -119,17 +113,23 @@ _SCIPY_CHECK_MESSAGE = (
 )
 
 
-#: The options `scipy.optimize.linprog(method="highs")` sets besides
-#: `presolve`: no output, debug level 0 and dual simplex.
+#: The options `scipy.optimize.linprog(method="highs")` sets, no output,
+#: debug level 0 and dual simplex, with presolve off.  On these small dense
+#: programs presolve cost more than it saved: without it the n = 2..5 LPs
+#: solved in about 0.5-0.6 of the time on a 2-core machine.  It is one fixed
+#: value because the answer depends on it: at a degenerate optimum the
+#: weights may name another optimal vertex, and on a target that signals by
+#: about HiGHS's feasibility tolerance of 1e-7, presolve on moves the optimum
+#: or flips OPTIMAL and INFEASIBLE.
 _HIGHS_OPTIONS = (
     ("highs_debug_level", 0),
     ("log_to_console", False),
     ("output_flag", False),
+    ("presolve", "off"),
     ("simplex_strategy", 1),
 )
 
-#: Holds `_highs_solver`'s HiGHS instance, one per thread, as `solver`, and
-#: as `presolve` the value `linprog` last set on it (None before the first).
+#: Holds `_highs_solver`'s HiGHS instance, one per thread, as `solver`.
 _THREAD_HIGHS = threading.local()
 
 
@@ -200,38 +200,35 @@ def _highs_model(cost: np.ndarray, matrix: np.ndarray) -> _HighsModel:
     )
 
 
-def _linprog(
-    model: _HighsModel, row_lower: np.ndarray, row_upper: np.ndarray, *, presolve: bool
-) -> _HighsResult:
+def _linprog(model: _HighsModel, row_lower: np.ndarray, row_upper: np.ndarray) -> _HighsResult:
     """Solve `model` within row bounds, as `scipy.optimize.linprog(method="highs")` would.
 
     Minimizes `model.cost @ x` over x >= 0 subject to `row_lower <= A x <=
     row_upper`, A the model's rows, with one float64 entry per row in each
     bound: an inequality row `A_ub x <= b_ub` has lower bound -inf, an
     equality row `A_eq x == b_eq` equal bounds.  Row bounds of another
-    length, or a `presolve` that is not a bool, raise ValueError.  It calls
-    the HiGHS binding that `scipy.optimize.linprog(method="highs")` calls,
-    scipy's private `scipy.optimize._highspy._core`, with the model that
-    function passes for those rows, column-wise, and the same options:
-    `presolve`, no output, debug level 0 and dual simplex.  So `status` (scipy's codes),
-    `x`, `fun`, `nit` and `message` are those `scipy.optimize.linprog`
-    returns, status 4 for an optimum that misses a bound or row by more than
-    its check allows included.  What it skips is the Python around that call
+    length raise ValueError.  It calls the HiGHS binding that
+    `scipy.optimize.linprog(method="highs")` calls, scipy's private
+    `scipy.optimize._highspy._core`, with the model that function passes for
+    those rows, column-wise, and the options `_HIGHS_OPTIONS`: scipy's, with
+    presolve off.  So `status` (scipy's codes), `x`, `fun`, `nit` and
+    `message` are those `scipy.optimize.linprog` returns with presolve off,
+    status 4 for an optimum that misses a bound or row by more than its
+    check allows included.  What it skips is the Python around that call
     whose output `_solve` discards: input cleaning, the conversion through
     `scipy.sparse` (the model is built once, `_highs_model`), a fresh option
     checker for each option, the copy of HiGHS's whole info record (read
     only to word a message off OPTIMAL), the loop over every column's basis
-    status and dual, and the result assembly.
+    status and dual, and the result assembly.  At these sizes that wrapper,
+    not HiGHS, sets the cost.
     Where scipy makes a HiGHS instance per call, this solves on one per
-    thread (`_highs_solver`), whose options other than `presolve` are set
-    once when it is made, and `presolve` whenever a call asks for another
-    value than the thread's last.  Each call clears its solver state
-    (`clearSolver`) and passes the model as arrays, so no basis or solution
-    carries over from the last solve: there is no warm start, and the
-    answer is the one a fresh instance gives.
-    An option HiGHS refuses raises RuntimeError (`_set_highs_options`), and
-    so does an info value it does not know, so a binding that renamed one
-    can neither fall back to HiGHS's defaults nor report a count unseen.
+    thread (`_highs_solver`), whose options are set once when it is made.
+    Each call clears its solver state (`clearSolver`) and passes the model
+    as arrays, so no basis or solution carries over from the last solve:
+    there is no warm start, and the answer is the one a fresh instance
+    gives.  An option HiGHS refuses raises RuntimeError (`_highs_solver`),
+    and so does an info value it does not know, so a binding that renamed
+    one can neither fall back to HiGHS's defaults nor report a count unseen.
     The binding is used because it is the one `scipy.optimize.linprog`
     runs, so the answers stay scipy's.  `pyproject.toml` asks for
     scipy >= 1.15, the release taken to be the first to ship the binding;
@@ -240,8 +237,6 @@ def _linprog(
     """
     from scipy.optimize._highspy import _core as highs
 
-    if not isinstance(presolve, bool):
-        raise ValueError(f"presolve must be True or False, not {presolve!r}")
     if not len(row_lower) == len(row_upper) == model.rows:
         raise ValueError(
             f"row bounds of {len(row_lower)} and {len(row_upper)} entries "
@@ -249,9 +244,6 @@ def _linprog(
         )
     solver = _highs_solver()
     solver.clearSolver()
-    if _THREAD_HIGHS.presolve is not presolve:
-        _set_highs_options(solver, (("presolve", "on" if presolve else "off"),))
-        _THREAD_HIGHS.presolve = presolve
     x = fun = None
     nit, detail = 0, None
     passed = solver.passModel(
@@ -304,19 +296,11 @@ def _highs_solver():
         from scipy.optimize._highspy import _core as highs
 
         solver = highs._Highs()
-        _set_highs_options(solver, _HIGHS_OPTIONS)
-        _THREAD_HIGHS.presolve = None
+        for name, value in _HIGHS_OPTIONS:
+            if solver.setOptionValue(name, value) != highs.HighsStatus.kOk:
+                raise RuntimeError(f"HiGHS refused option {name!r} = {value!r}")
         _THREAD_HIGHS.solver = solver
     return solver
-
-
-def _set_highs_options(solver, options) -> None:
-    """Set each (name, value) of `options` on the HiGHS `solver`; raise RuntimeError on one it refuses."""
-    from scipy.optimize._highspy import _core as highs
-
-    for name, value in options:
-        if solver.setOptionValue(name, value) != highs.HighsStatus.kOk:
-            raise RuntimeError(f"HiGHS refused option {name!r} = {value!r}")
 
 
 @dataclass(frozen=True)
@@ -470,7 +454,8 @@ class _BehaviorBasis(NamedTuple):
     """`min_negativity_lp`'s row basis at one n, read-only.
 
     `rows` picks (n+1)^2 cells of `_behavior_matrix(n)` whose rows B_R span
-    its row space, and `expand` is the integer matrix M with B = M @ B_R.
+    its row space, and `expand` is the matrix M with B = M @ B_R: small
+    integers, held exactly as float64, the dtype of the targets it multiplies.
     """
 
     rows: np.ndarray
@@ -499,7 +484,7 @@ def _behavior_basis(n: int) -> _BehaviorBasis:
         [cell[:, :, 3].ravel(), cell[:, 0, 2], cell[0, :, 1], cell[0, 0, :1]]
     ))
     # coordinates[c] is the unit vector of basis cell c (zero for other cells).
-    coordinates = np.zeros((4 * n * n, len(rows)), dtype=np.int64)
+    coordinates = np.zeros((4 * n * n, len(rows)))
     coordinates[rows, np.arange(len(rows))] = 1
     both = coordinates[cell[:, :, 3]]
     p_a = (coordinates[cell[:, 0, 3]] + coordinates[cell[:, 0, 2]])[:, None]
@@ -572,33 +557,37 @@ class _Relabellings(NamedTuple):
     rows: np.ndarray
 
 
-def _row_bits(matrix: np.ndarray) -> list[bytes]:
-    """The bits of each row of a 0/1 matrix, packed into bytes."""
-    return [row.tobytes() for row in np.packbits(matrix > 0, axis=1)]
+def _relabelled(n: int, perms) -> _Relabellings:
+    """Each permutation of the 4^n joint strategies in `perms`, with its behavior-row map.
+
+    The row map of `perm` is read by matching the rows of B[:, perm] against
+    B's own by their bits, B = `_behavior_matrix(n)` being 0/1 with distinct
+    rows.  Raises RuntimeError when a row has no match, since `perm` then
+    does not permute the behavior entries; every relabelling the LPs use is
+    checked here.
+    """
+    bits = _behavior_matrix(n) > 0
+    cell_of = {row.tobytes(): c for c, row in enumerate(bits)}
+    rows = []
+    for perm in perms:
+        try:
+            rows.append([cell_of[row.tobytes()] for row in bits[:, perm]])
+        except KeyError:
+            raise RuntimeError(f"relabelling does not permute the behavior rows at n={n}") from None
+    return _Relabellings(_read_only(np.array(perms)), _read_only(np.array(rows)))
 
 
 @functools.cache
 def _chain_group(n: int) -> _Relabellings:
     """Close `_chain_generators` into the chained score's 8n relabellings.
 
-    Each generator's row map is read by matching the rows of B[:, perm]
-    against B's own, by their bits (B is 0/1 and its rows are distinct);
-    raises RuntimeError when one has no match, since the relabelling then
-    does not permute the behavior entries.  Every other element's row map is
-    composed from the generators' during the closure, so the 8n maps cost
-    two matchings.  Distinct relabellings permute the rows differently,
+    Only the two generators' row maps are matched and checked
+    (`_relabelled`); every other element's row map is composed from theirs
+    during the closure.  Distinct relabellings permute the rows differently,
     since B's columns are distinct, so the row maps name the elements.  Row
     0 of the result is the identity.
     """
-    behavior_matrix = _behavior_matrix(n)
-    cell_of = {key: c for c, key in enumerate(_row_bits(behavior_matrix))}
-    generators = []
-    for perm in _chain_generators(n):
-        try:
-            row_map = np.array([cell_of[key] for key in _row_bits(behavior_matrix[:, perm])])
-        except KeyError:
-            raise RuntimeError(f"relabelling does not permute the behavior rows at n={n}") from None
-        generators.append((perm, row_map))
+    generators = list(zip(*_relabelled(n, _chain_generators(n))))
     group = {}
     frontier = [(np.arange(4**n), np.arange(4 * n * n))]
     while frontier:
@@ -615,29 +604,22 @@ def _chain_group(n: int) -> _Relabellings:
 
 @functools.cache
 def _setting_transpositions(n: int) -> _Relabellings:
-    """The transpositions of two settings of one party, checked as relabellings.
+    """The transpositions of two settings of one party, checked as relabellings (`_relabelled`).
 
     First Alice's swaps of settings x < x', then Bob's.  Swapping Alice's
     settings x and x' sends (a, b) to (a with a_x and a_x' exchanged, b) and
     exchanges the behavior rows (x, x_b, y_a, y_b) and (x', x_b, y_a, y_b);
     Bob's swaps act on the other index alike.  These do not fix the chained
-    score; `min_negativity_lp` uses those that fix its target.  Raises
-    RuntimeError unless B[:, strategies[g]] == B[rows[g]] exactly for each.
+    score; `min_negativity_lp` uses those that fix its target.
     """
-    behavior_matrix = _behavior_matrix(n)
     a, b = _joint_signs(n)
-    cell = np.arange(4 * n * n).reshape(n, n, 4)
     alice, bob = [], []
     for x, x_prime in itertools.combinations(range(n), 2):
         swap = np.arange(n)
         swap[[x, x_prime]] = x_prime, x
-        alice.append((_joint_index(a[:, swap], b), cell[swap].ravel()))
-        bob.append((_joint_index(a, b[:, swap]), cell[:, swap].ravel()))
-    for perm, row_map in alice + bob:
-        if not np.array_equal(behavior_matrix[:, perm], behavior_matrix[row_map]):
-            raise RuntimeError(f"setting swap does not permute the behavior rows at n={n}")
-    strategies, rows = zip(*(alice + bob))
-    return _Relabellings(_read_only(np.array(strategies)), _read_only(np.array(rows)))
+        alice.append(_joint_index(a[:, swap], b))
+        bob.append(_joint_index(a, b[:, swap]))
+    return _relabelled(n, alice + bob)
 
 
 @dataclass(frozen=True)
@@ -651,14 +633,12 @@ class _ScoreProgram:
     once, then the budget row, 8|O| on v_O, and, as `A_eq`, the
     normalization row of the orbit sizes |O|.  `finite` is that program as
     a `_HighsModel`, and `infinite` the same without its budget row.  All
-    arrays are read-only.  `group_order` is the number of relabellings in
-    `_chain_group`.
+    arrays are read-only.
     """
 
     orbit_of: np.ndarray
     finite: _HighsModel
     infinite: _HighsModel
-    group_order: int
 
 
 def _distinct_rows(matrix: np.ndarray) -> dict[bytes, np.ndarray]:
@@ -702,7 +682,7 @@ def _score_program(n: int) -> _ScoreProgram:
     """Build `max_score_lp`'s orbit program, checking every generator first.
 
     Raises RuntimeError if a generator from `_chain_generators` changes the
-    score of some joint strategy, or (in `_chain_group`) does not permute
+    score of some joint strategy, or (in `_relabelled`) does not permute
     the rows of the behavior matrix, since then orbit sums would not solve
     the same LP.
     """
@@ -711,9 +691,7 @@ def _score_program(n: int) -> _ScoreProgram:
     for perm in _chain_generators(n):
         if not np.array_equal(scores[perm], scores):
             raise RuntimeError(f"relabelling does not fix the chained score at n={n}")
-    group = _chain_group(n)
-    behavior_matrix = _behavior_matrix(n)
-    orbit_of, summed = _orbit_sums(group.strategies, behavior_matrix)
+    orbit_of, summed = _orbit_sums(_chain_group(n).strategies, _behavior_matrix(n))
     rows = np.array(list(_distinct_rows(summed).values()))
     totals = np.bincount(orbit_of, weights=scores)
     sizes = np.bincount(orbit_of).astype(np.float64)
@@ -723,7 +701,6 @@ def _score_program(n: int) -> _ScoreProgram:
         orbit_of=_read_only(orbit_of),
         finite=_highs_model(cost, np.concatenate([a_ub, a_eq])),
         infinite=_highs_model(cost, np.concatenate([a_ub[:-1], a_eq])),
-        group_order=len(group.strategies),
     )
 
 
@@ -770,25 +747,13 @@ def _solve(
     negative mass NaN for an infinite budget.  The weights are the entries
     of w above 1e-12 in absolute value, in strategy order.  The optimal
     score is `score` when given, else -cost @ x.
-
-    HiGHS runs without presolve: on these small dense programs it costs more
-    than it saves.  Status and optimum are the same either way; at a
-    degenerate optimum the weights may name another optimal vertex.  HiGHS
-    is called through `linprog`, which skips `scipy.optimize.linprog`'s
-    Python wrapper: its input cleaning and sparse conversion, a fresh option
-    checker per option, and a loop over every column's basis status and
-    dual.  At these sizes that wrapper, not HiGHS, sets the cost, and
-    skipping it leaves `x`, optimum, iteration count, status and message
-    unchanged.  `linprog` also reuses one HiGHS instance per thread, with
-    its options set once and its solver state cleared before each model, so
-    no solve starts from another's basis.
     """
     if b_ub is None:
         row_lower = row_upper = b_eq
     else:
         row_lower = np.concatenate([np.full(len(b_ub), -math.inf), b_eq])
         row_upper = np.concatenate([b_ub, b_eq])
-    res = sys.modules[__name__].linprog(model, row_lower, row_upper, presolve=False)
+    res = sys.modules[__name__].linprog(model, row_lower, row_upper)
     status = _LINPROG_STATUS.get(res.status, LPStatus.FAILED)
     optimal_score, weights, negative_mass, residual = math.nan, {}, math.nan, None
     if status is LPStatus.OPTIMAL:
@@ -828,7 +793,7 @@ def max_score_lp(n: int, negativity_budget: float = math.inf) -> LPResult:
     linear.  Constraints: total weight 1, every induced behavior entry >= 0
     (row normalization then forces entries <= 1), and the faithful-witness
     budget 8 * sum(v) <= negativity_budget when finite.  A NaN budget is
-    refused.  HiGHS runs without presolve (see `_solve`).
+    refused.
 
     HiGHS solves the program over orbits of joint strategies under the
     chained score's symmetry group, the 8n relabellings that
@@ -879,8 +844,7 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     INFEASIBLE at every n.  The reported optimal_score is the chained score the
     target itself achieves.  Note this answers "how little negative mass
     reproduces these statistics", which is related to but distinct from any
-    witness value of a particular model.  HiGHS runs without presolve (see
-    `_solve`), one solve per call.
+    witness value of a particular model.  HiGHS solves once per call.
 
     The program is B(u - v) = t with u, v >= 0, minimizing the total of v,
     and B `_behavior_matrix(n)`'s 4n^2 rows.  They have rank (n+1)^2 only, so

@@ -289,6 +289,34 @@ class TestMalformedModelFiles:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+class TestSettingCap:
+    """Chain lengths whose n^2-row behavior table would exhaust memory are usage errors."""
+
+    @pytest.mark.parametrize("command", ["build", "saturate"])
+    def test_a_chain_beyond_the_cap_exits_two(self, capsys, command):
+        code, out, err = run(capsys, command, "--n", "1001", "--negativity", "1/2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: the saturating family is limited to n <= 1000\n"
+
+    def test_a_model_file_beyond_the_cap_exits_two(self, capsys, tmp_path):
+        # A well-formed party of 1001 settings: only the setting cap refuses it.
+        document = model_to_json_dict(chsh_saturating_model(1))
+        entry = document["parties"][0]
+        entry["settings"] = 1001
+        entry["table"] = {f"{x},{lam}": [0.5, 0.5] for x in range(1001) for lam in entry["lambdas"]}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run(capsys, "verify", "--model", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: n_settings must be at most 1000\n"
+
+    def test_the_cap_itself_builds(self):
+        model = chained_saturating_model(1000, 0.5)
+        assert model.response_A.n_settings == model.response_B.n_settings == 1000
+
+
 def _signalling_csv(path):
     # Alice's outcome at x_A=0 flips with Bob's setting: no local mixture matches it.
     path.write_text("xA,xB,P--,P-+,P+-,P++\n"

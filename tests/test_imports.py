@@ -103,7 +103,7 @@ def test_oracle_linprog_is_its_own_and_loads_scipy_when_read():
         "print(solve.__module__, vars(oracle)['linprog'] is solve, 'scipy.optimize' in sys.modules)\n"
         "import numpy as np\n"
         "model = oracle._highs_model(np.ones(1), np.ones((1, 1)))\n"
-        "res = solve(model, np.full(1, 2.0), np.full(1, 2.0), presolve=False)\n"
+        "res = solve(model, np.full(1, 2.0), np.full(1, 2.0))\n"
         "print(res.status, res.x.tolist())"
     )
     assert out.split() == ["False", "quasibell.oracle", "True", "True", "0", "[2.0]"]

@@ -155,6 +155,10 @@ def test_inequality_refusals(call, message):
                  "the saturating family needs n >= 2", id="family-n1"),
     pytest.param(lambda: saturating_strategies(1),
                  "the saturating family needs n >= 2", id="strategies-n1"),
+    pytest.param(lambda: chained_saturating_model(1001, 0),
+                 "the saturating family is limited to n <= 1000", id="family-n1001"),
+    pytest.param(lambda: saturating_strategies(1001),
+                 "the saturating family is limited to n <= 1000", id="strategies-n1001"),
     pytest.param(lambda: model_from_strategies(saturating_strategies(2), {"1": 1.0}),
                  "strategies and weights must cover the same labels", id="labels"),
     pytest.param(lambda: model_from_strategies(
@@ -175,6 +179,9 @@ def test_construction_refusals(call, message):
                  "party must be 'A' or 'B', got 'C'", id="party-C"),
     pytest.param(lambda: LocalResponse("A", 0, ("1",), {}),
                  "n_settings must be positive", id="no-settings"),
+    # Refused before the 1001 expected table keys are enumerated.
+    pytest.param(lambda: LocalResponse("A", 1001, ("1",), {}),
+                 "n_settings must be at most 1000", id="too-many-settings"),
     pytest.param(lambda: LocalResponse("A", 1, (), {}),
                  "hidden_values must be non-empty and finite", id="no-hidden-values"),
     pytest.param(lambda: LocalResponse("A", 1, ("1", "1"), {(0, "1"): HALF}),

@@ -48,3 +48,13 @@ def test_lp_grid_digest(monkeypatch, capsys):
     assert out.splitlines()[-1] == (
         "digest 22a9c061a65b4fbf22519fcd430e0f4f0e1b576112746a56db436976a552e1a0"
     )
+
+
+def test_lp_grid_digest_up_to_n5(monkeypatch, capsys):
+    # The whole 67-LP grid, n = 2..5, in one order.
+    assert run_script(monkeypatch, "lp_grid_digest.py", "--max-n", "5", "--order", "1") == 0
+    out = capsys.readouterr().out
+    assert "67 LPs, 1 orders" in out
+    assert out.splitlines()[-1] == (
+        "digest c1d9a5623ce65453863d6a08158fb343c2224faa0344738598ace93cfb015c3a"
+    )
