@@ -1082,6 +1082,14 @@ class TestDirectHighs:
         with pytest.raises(ValueError, match=message):
             oracle.linprog(model, np.array(lower), np.array(upper))
 
+    @pytest.mark.parametrize("option", [("no_such_option", 1), ("simplex_strategy", 99)])
+    def test_an_option_highs_refuses_raises(self, option, monkeypatch):
+        # A thread whose solver is not yet made, as in a fresh process.
+        monkeypatch.setattr(oracle, "_THREAD_HIGHS", threading.local())
+        monkeypatch.setattr(oracle, "_HIGHS_OPTIONS", (*oracle._HIGHS_OPTIONS, option))
+        with pytest.raises(RuntimeError, match=f"^HiGHS refused option {option[0]!r}"):
+            oracle._highs_solver()
+
 
 def _direct_programs(monkeypatch) -> list:
     """The `_Solve` of every `_DIRECT_CASES` solve, as `_solve` hands it over."""
@@ -1174,15 +1182,13 @@ class TestReusedHighs:
         thread.join(timeout=60)
         assert presolve == ["off"]
 
-    @pytest.mark.parametrize("option", [("no_such_option", 1), ("simplex_strategy", 99)],
-                             ids=["no_such_option", "simplex_strategy=99"])
-    def test_a_refused_option_fails_every_solve(self, option, monkeypatch):
+    def test_a_refused_option_fails_every_solve(self, monkeypatch):
         # A thread whose solver is not yet made, as in a fresh process.
         monkeypatch.setattr(oracle, "_THREAD_HIGHS", threading.local())
         with monkeypatch.context() as patch:
-            patch.setattr(oracle, "_HIGHS_OPTIONS", (*oracle._HIGHS_OPTIONS, option))
+            patch.setattr(oracle, "_HIGHS_OPTIONS", (*oracle._HIGHS_OPTIONS, ("simplex_strategy", 99)))
             for _ in range(3):
-                with pytest.raises(RuntimeError, match=f"^HiGHS refused option {option[0]!r}"):
+                with pytest.raises(RuntimeError, match="^HiGHS refused option 'simplex_strategy'"):
                     max_score_lp(2, 0.5)
             assert not hasattr(oracle._THREAD_HIGHS, "solver")
         assert max_score_lp(2, 0.5).status is LPStatus.OPTIMAL
