@@ -55,7 +55,8 @@ from .serialization import (
     save_model,
 )
 
-#: Names served from `oracle`, which imports numpy and scipy; see `__getattr__`.
+#: Names served from `oracle`, which imports numpy (and scipy's HiGHS binding
+#: on its first LP solve); see `__getattr__`.
 _ORACLE_NAMES = frozenset({
     "LPResult",
     "LPStatus",
@@ -72,7 +73,7 @@ _ORACLE_NAMES = frozenset({
 
 
 def __getattr__(name: str):
-    """Serve the oracle names, importing `oracle` (numpy, scipy) on first use.
+    """Serve the oracle names, importing `oracle` (numpy) on first use.
 
     The name is looked up in `oracle` on every access rather than cached here,
     so a caller that replaces an attribute of `quasibell.oracle` is seen

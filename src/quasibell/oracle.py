@@ -38,17 +38,21 @@ generator and each setting swap permutes the behavior entries; building
 refuses otherwise.  Both LPs go through one helper, `_solve`, which hands
 the prepared model and its row bounds to `linprog`, this module's own call
 of the HiGHS binding that `scipy.optimize.linprog` uses (see there).
-Importing this module loads numpy only: the binding, and with it
-`scipy.optimize`, is imported the first time the module attribute `linprog`
-is read, which `_solve` does on every solve, so enumeration, the classical
-bound, the quantum generator and the sampler never load scipy.
+Importing this module loads numpy only, so enumeration, the classical bound,
+the quantum generator and the sampler never load scipy.  The first solve
+loads `scipy` and that binding alone (`_highs_binding`), not
+`scipy.optimize`, whose import took about 0.45 s of the 0.64 s an `oracle
+lp --n 5` command took on a 2-core machine.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
 import sys
 import threading
 from dataclasses import dataclass
@@ -132,23 +136,42 @@ _HIGHS_OPTIONS = (
 #: Holds `_highs_solver`'s HiGHS instance, one per thread, as `solver`.
 _THREAD_HIGHS = threading.local()
 
+#: The full name of scipy's HiGHS binding, the module `scipy.optimize.linprog` runs.
+_HIGHS_BINDING = "scipy.optimize._highspy._core"
+#: Held while `_highs_binding` loads the binding, so that threads load it once.
+_BINDING_LOCK = threading.Lock()
 
-def __getattr__(name: str):
-    """Serve `linprog`, importing scipy's HiGHS binding on first use and keeping it in the globals.
 
-    `_solve` calls `sys.modules[__name__].linprog`, an attribute lookup, so
-    it reaches this hook once and then runs whatever the attribute holds, a
-    replacement set with `setattr` included.  Reading the attribute loads
-    `scipy.optimize`: code that reads it in order to wrap it, such as
-    perfbench's span recorder, pays that import when it reads, not inside
-    its first wrapped solve.
+def _highs_binding():
+    """scipy's HiGHS binding, `scipy.optimize._highspy._core`, loaded without `scipy.optimize`.
+
+    The module in `sys.modules` if it is there; otherwise this imports
+    `scipy` alone, loads `_core` from scipy's `optimize/_highspy` folder
+    under its full name and registers it there, so a later
+    `import scipy.optimize` gets this same module.  Until something imports
+    its package, the binding is reached through `sys.modules` or an import
+    statement, not as an attribute of `scipy.optimize._highspy`.  A scipy
+    without it raises ImportError naming the folder searched, and registers
+    nothing.
     """
-    if name == "linprog":
-        from scipy.optimize._highspy import _core  # noqa: F401
+    binding = sys.modules.get(_HIGHS_BINDING)
+    if binding is not None:
+        return binding
+    with _BINDING_LOCK:
+        binding = sys.modules.get(_HIGHS_BINDING)
+        if binding is None:
+            import scipy
 
-        globals()["linprog"] = _linprog
-        return _linprog
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+            folder = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+            found = importlib.machinery.PathFinder.find_spec("_core", [folder])
+            if found is None or found.origin is None:
+                raise ImportError(f"scipy's HiGHS binding _core is not in {folder}",
+                                  name=_HIGHS_BINDING)
+            spec = importlib.util.spec_from_file_location(_HIGHS_BINDING, found.origin)
+            binding = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(binding)
+            sys.modules[_HIGHS_BINDING] = binding
+    return binding
 
 
 class _HighsResult(NamedTuple):
@@ -200,7 +223,7 @@ def _highs_model(cost: np.ndarray, matrix: np.ndarray) -> _HighsModel:
     )
 
 
-def _linprog(model: _HighsModel, row_lower: np.ndarray, row_upper: np.ndarray) -> _HighsResult:
+def linprog(model: _HighsModel, row_lower: np.ndarray, row_upper: np.ndarray) -> _HighsResult:
     """Solve `model` within row bounds, as `scipy.optimize.linprog(method="highs")` would.
 
     Minimizes `model.cost @ x` over x >= 0 subject to `row_lower <= A x <=
@@ -209,7 +232,8 @@ def _linprog(model: _HighsModel, row_lower: np.ndarray, row_upper: np.ndarray) -
     equality row `A_eq x == b_eq` equal bounds.  Row bounds of another
     length raise ValueError.  It calls the HiGHS binding that
     `scipy.optimize.linprog(method="highs")` calls, scipy's private
-    `scipy.optimize._highspy._core`, with the model that function passes for
+    `scipy.optimize._highspy._core`, loaded on the first solve without
+    `scipy.optimize` (`_highs_binding`), with the model that function passes for
     those rows, column-wise, and the options `_HIGHS_OPTIONS`: scipy's, with
     presolve off.  So `status` (scipy's codes), `x`, `fun`, `nit` and
     `message` are those `scipy.optimize.linprog` returns with presolve off,
@@ -233,10 +257,10 @@ def _linprog(model: _HighsModel, row_lower: np.ndarray, row_upper: np.ndarray) -
     runs, so the answers stay scipy's.  `pyproject.toml` asks for
     scipy >= 1.15, the release taken to be the first to ship the binding;
     that floor is unverified, and only scipy 1.17.1, with HiGHS 1.12.0, has
-    been run against this function.
+    been run against this function.  A scipy that keeps no binding where
+    `_highs_binding` looks raises ImportError rather than solving otherwise.
     """
-    from scipy.optimize._highspy import _core as highs
-
+    highs = _highs_binding()
     if not len(row_lower) == len(row_upper) == model.rows:
         raise ValueError(
             f"row bounds of {len(row_lower)} and {len(row_upper)} entries "
@@ -293,8 +317,7 @@ def _highs_solver():
     """
     solver = getattr(_THREAD_HIGHS, "solver", None)
     if solver is None:
-        from scipy.optimize._highspy import _core as highs
-
+        highs = _highs_binding()
         solver = highs._Highs()
         for name, value in _HIGHS_OPTIONS:
             if solver.setOptionValue(name, value) != highs.HighsStatus.kOk:
@@ -753,7 +776,7 @@ def _solve(
     else:
         row_lower = np.concatenate([np.full(len(b_ub), -math.inf), b_eq])
         row_upper = np.concatenate([b_ub, b_eq])
-    res = sys.modules[__name__].linprog(model, row_lower, row_upper)
+    res = linprog(model, row_lower, row_upper)
     status = _LINPROG_STATUS.get(res.status, LPStatus.FAILED)
     optimal_score, weights, negative_mass, residual = math.nan, {}, math.nan, None
     if status is LPStatus.OPTIMAL:
