@@ -12,7 +12,7 @@ tables built from `fractions.Fraction` entries stay exact.  Outcomes are
 y in {-1, +1}; index 0 maps to -1 and index 1 to +1, so four-outcome rows are
 ordered (--, -+, +-, ++).
 
-Three habits keep the exact path cheap without a second code path.  Mixing
+Four habits keep the exact path cheap without a second code path.  Mixing
 skips every product whose Alice or Bob factor is zero (each deterministic
 row has one), which cannot change a sum's value, type or float bits.  Range
 and normalization checks test the exact condition (`0 <= p <= 1`,
@@ -22,13 +22,17 @@ Shared row objects are mixed and checked once: settings whose rows are the
 same objects at every support point share one mixed cell, and every check
 skips a row that is the same object as the row before it.  Identity, not
 value equality, decides this, so a shared cell is computed from the same
-operands in the same order as each of its copies would have been.
+operands in the same order as each of its copies would have been.  Each
+model's cells are mixed once: the first `assemble_behavior` keeps them on
+the model, and every later call, at any tolerance, copies them into a fresh
+table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Mapping
 
 DEFAULT_TOLERANCE = 1e-9
@@ -172,7 +176,13 @@ class QuasiDist:
 
 @dataclass(frozen=True)
 class Model:
-    """Two local response tables mixed by a signed weight table."""
+    """Two local response tables mixed by a signed weight table.
+
+    A model, its response tables and its weights must not be mutated after
+    construction: the mixed cells are kept on the model the first time they
+    are needed, and a changed table would not reach them.  To change one,
+    build a new model, for example with `dataclasses.replace`.
+    """
 
     response_A: LocalResponse
     response_B: LocalResponse
@@ -194,6 +204,11 @@ class Model:
 
     def is_diagonal(self) -> bool:
         return all(a == b for a, b in self.dist.support)
+
+    @cached_property
+    def _cells(self) -> dict[tuple[int, int], tuple]:
+        """The mixed behavior table, computed on first use; not a field."""
+        return _mix(self)
 
 
 @dataclass(frozen=True)
@@ -283,6 +298,22 @@ def _setting_reps(points: list, side: int) -> list[int] | None:
 def assemble_behavior(model: Model, tolerance: float = DEFAULT_TOLERANCE) -> Behavior:
     """Mix the per-hidden-value response tables into the observable behavior.
 
+    The cells are mixed once per model (see `_mix`) and kept on it.  Each
+    call returns a fresh table over those shared row tuples, so writing into
+    one behavior's table changes no other, and checks row normalization at
+    its own `tolerance`.
+    """
+    return Behavior(
+        n_settings_A=model.response_A.n_settings,
+        n_settings_B=model.response_B.n_settings,
+        table=dict(model._cells),
+        tolerance=tolerance,
+    )
+
+
+def _mix(model: Model) -> dict[tuple[int, int], tuple]:
+    """The behavior table of `model`: one row of four cells per setting pair.
+
     Entry (y_A, y_B | x_A, x_B) sums P_A(y_A | x_A, lam_A) *
     P_B(y_B | x_B, lam_B) * weight over the support points.  Rows are
     normalized automatically regardless of weight signs; entries may still
@@ -350,12 +381,7 @@ def assemble_behavior(model: Model, tolerance: float = DEFAULT_TOLERANCE) -> Beh
             for x_a in settings_a
             for x_b in settings_b
         }
-    return Behavior(
-        n_settings_A=resp_a.n_settings,
-        n_settings_B=resp_b.n_settings,
-        table=table,
-        tolerance=tolerance,
-    )
+    return table
 
 
 def correlation(behavior: Behavior, x_a: int, x_b: int):

@@ -445,14 +445,17 @@ def classical_bound_bruteforce(n: int) -> float:
     return float(best_replies.max())
 
 
+@functools.cache
 def _strategy_signs(n: int) -> np.ndarray:
     """The 2^n x n matrix of +-1 strategies, rows in `enumerate_deterministic` order.
 
     Row s holds the bits of s, most significant first, with 0 -> -1 and
-    1 -> +1: the encoding `_joint_index` reads back.
+    1 -> +1: the encoding `_joint_index` reads back.  Cached per n and
+    read-only, as `_behavior_matrix` is: `classical_bound_bruteforce` reads
+    it on every call, and up to n = 12 all of them take under 1 MB.
     """
     bits = 2 ** np.arange(n - 1, -1, -1)
-    return np.where(np.arange(2**n)[:, None] & bits, 1.0, -1.0)
+    return _read_only(np.where(np.arange(2**n)[:, None] & bits, 1.0, -1.0))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

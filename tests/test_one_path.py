@@ -2,11 +2,14 @@
 
 A chain link is the last term of the chain that ends at it; the strategy
 sign matrix is the enumeration read as bits; float and exact budgets share
-one weights expression; `sample` honours `--tolerance` as `verify` does.
+one weights expression; `sample` honours `--tolerance` as `verify` does; a
+model is mixed once, and every check that assembles its behavior itself
+answers as it does when handed that behavior.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -20,15 +23,21 @@ from quasibell import (
     LocalResponse,
     Model,
     QuasiDist,
+    StructureError,
     assemble_behavior,
+    chained_saturating_model,
+    check_quasi_bell,
+    mixture_score,
     saturating_weights,
     witness_chained,
     witness_chained_link,
 )
+from quasibell import core
 from quasibell.cli import main
 from quasibell.oracle import _strategy_signs, enumerate_deterministic
 
 from conftest import diagonal_models
+from test_reference_loops import assert_identical
 
 
 def exact_copy(model: Model) -> Model:
@@ -112,3 +121,95 @@ def test_sample_assembles_at_the_given_tolerance(capsys, tmp_path):
     assert main(["--tolerance", "1e-6", *argv]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["shots"] == 1000
+
+
+# -- each model is mixed once ------------------------------------------------
+
+def test_each_assembly_gets_its_own_table():
+    model = chained_saturating_model(3, 1.0)
+    first, second = assemble_behavior(model), assemble_behavior(model)
+    assert first.table is not second.table
+    assert first.table[(1, 1)] is second.table[(1, 1)]  # the rows are shared
+    original = second.table[(0, 0)]
+    first.table[(0, 0)] = (1.0, 0.0, 0.0, 0.0)
+    assert second.table[(0, 0)] is original
+    assert assemble_behavior(model).table[(0, 0)] is original
+    assert assemble_behavior(model, tolerance=0).table[(0, 0)] is original
+
+
+@pytest.fixture
+def count_mixes(monkeypatch):
+    calls = []
+    mix = core._mix
+
+    def counted(model):
+        calls.append(model)
+        return mix(model)
+
+    monkeypatch.setattr(core, "_mix", counted)
+    return calls
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_model_is_mixed_once(count_mixes, exact):
+    model = chained_saturating_model(3, Fraction(1, 2) if exact else 0.5, exact=exact)
+    mixture_score(model, 3)
+    assert count_mixes == []  # a model that is only scored is never mixed
+    behavior = assemble_behavior(model)
+    reports = [check_quasi_bell(model, 2), check_quasi_bell(model, 3)]
+    witness = witness_chained(model, 3)
+    assert count_mixes == [model]
+    assert [r.score for r in reports] == [2, 4.5]  # the n=3 family saturates n=3 only
+    assert witness == witness_chained(model, 3, behavior)
+    assert count_mixes == [model]
+
+
+def test_a_replaced_model_gets_its_own_cells(count_mixes):
+    model = chained_saturating_model(2, 1.0)
+    cells = assemble_behavior(model).table
+    other = dataclasses.replace(model, dist=QuasiDist.diagonal(saturating_weights(2.0)))
+    assert count_mixes == [model]
+    assert assemble_behavior(other).table == assemble_behavior(
+        chained_saturating_model(2, 2.0)).table
+    assert assemble_behavior(other).table != cells
+    assert assemble_behavior(model).table == cells
+    assert count_mixes[:2] == [model, other] and len(count_mixes) == 3
+    # The kept cells are not a field: equality and repr ignore them.
+    fresh = chained_saturating_model(2, 1.0)
+    assert fresh == model and repr(fresh) == repr(model)
+    assert "_cells" not in repr(model)
+
+
+def test_each_assembly_checks_its_own_tolerance():
+    # Each behavior row sums to 1 + 5e-10: within the default tolerance, not 0.
+    rows = {(x, lam): (1.0, 0.0) for x in range(2) for lam in ("1", "2")}
+    model = Model(LocalResponse("A", 2, ("1", "2"), rows), LocalResponse("B", 2, ("1", "2"), rows),
+                  QuasiDist.diagonal({"1": 0.5, "2": 0.5 + 5e-10}))
+    assert assemble_behavior(model).table[(0, 0)] == (1.0 + 5e-10, 0.0, 0.0, 0.0)
+    for _ in range(2):
+        with pytest.raises(StructureError, match="not 1"):
+            assemble_behavior(model, tolerance=0)
+        assert assemble_behavior(model, tolerance=1e-9).tolerance == 1e-9
+
+
+@given(
+    model=st.integers(min_value=2, max_value=4).flatmap(
+        lambda n: diagonal_models(n_settings=n, signed=True)),
+    exact=st.booleans(),
+    handed_first=st.booleans(),
+)
+@settings(max_examples=120, deadline=None)
+def test_check_assembles_as_the_caller_would(model, exact, handed_first):
+    # `handed_first` decides whether the model's cells are first mixed for
+    # the caller's behavior or inside `check_quasi_bell`.
+    if exact:
+        model = exact_copy(model)
+    for n in range(2, model.n_settings + 1):
+        if handed_first:
+            handed = check_quasi_bell(model, n, behavior=assemble_behavior(model))
+            own = check_quasi_bell(model, n)
+        else:
+            own = check_quasi_bell(model, n)
+            handed = check_quasi_bell(model, n, behavior=assemble_behavior(model))
+        assert_identical(own, handed, f"n={n}")
+        assert_identical(own.witness, handed.witness, f"n={n} witness")

@@ -58,3 +58,16 @@ def test_lp_grid_digest_up_to_n5(monkeypatch, capsys):
     assert out.splitlines()[-1] == (
         "digest c1d9a5623ce65453863d6a08158fb343c2224faa0344738598ace93cfb015c3a"
     )
+
+
+def test_model_grid_digest(monkeypatch, capsys):
+    # The families up to n = 4 in two call orders, each on freshly built
+    # models.  The digest pins every table, validity report and bound check,
+    # exact answers as their `repr`: a change that moves any of them changes it.
+    args = ("--max-n", "4", "--order", "1", "2")
+    assert run_script(monkeypatch, "model_grid_digest.py", *args) == 0
+    out = capsys.readouterr().out
+    assert "92 models, 456 calls, 2 orders" in out
+    assert out.splitlines()[-1] == (
+        "digest fac6695a0071c07bcdaa6cb58925a5da8b364abd186b7ae8247898a215b66551"
+    )
