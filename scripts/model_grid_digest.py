@@ -22,8 +22,11 @@ behavior, and `check_quasi_bell` at n = 2 and at the model's largest n.
 Each `--order` seed builds the grid afresh and makes every call once in its
 own shuffled order, across and within models, so an answer that depends on
 which call came first, such as a cell kept from an earlier call, shows as a
-mismatch: the script then exits 1.  The digest hashes the answers in grid
-order.
+mismatch: the script then exits 1.  Each seed also makes every call, in
+the same order, on each model's unshared twin, whose response rows are
+distinct copies of the model's: the library does a shared row object's
+arithmetic once, and the twin's answers must be those of the model, or the
+script exits 1.  The digest hashes the model's answers in grid order.
 
     python scripts/model_grid_digest.py --order 1 2 3
 """
@@ -88,6 +91,15 @@ def joint_model(rng: random.Random) -> Model:
     return Model(response(rng, "A", labels_a), response(rng, "B", labels_b), dist)
 
 
+def unshared(model: Model) -> Model:
+    """`model` with every response row a distinct tuple object."""
+    def copied(resp: LocalResponse) -> LocalResponse:
+        table = {key: tuple(list(row)) for key, row in resp.table.items()}
+        return LocalResponse(resp.party, resp.n_settings, resp.hidden_values, table)
+
+    return Model(copied(model.response_A), copied(model.response_B), model.dist)
+
+
 def models(max_n: int) -> list[tuple[str, Model, int]]:
     """(name, model, largest chain length) for every model, in grid order."""
     rng = random.Random(20211)
@@ -146,11 +158,17 @@ def main() -> int:
     for seed in args.order:
         grid = models(args.max_n)
         todo = calls(grid)
+        twins = calls([(name, unshared(model), n) for name, model, n in grid])
         answers = [""] * len(todo)
         indices = list(range(len(todo)))
         random.Random(seed).shuffle(indices)
         for i in indices:
             answers[i] = f"{todo[i][0]}\n{todo[i][1]()}\n"
+        differ = [todo[i][0] for i in indices if f"{todo[i][0]}\n{twins[i][1]()}\n" != answers[i]]
+        if differ:
+            print(f"order {seed}: {len(differ)} answers differ on the unshared twins, "
+                  f"first {differ[0]}", file=sys.stderr)
+            return 1
         digest = hashlib.sha256("".join(answers).encode()).hexdigest()
         print(f"order {seed}: {digest}")
         digests.append(digest)

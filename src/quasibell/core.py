@@ -20,12 +20,15 @@ and normalization checks test the exact condition (`0 <= p <= 1`,
 fails, so exact entries are rarely converted to compare with a float.
 Shared row objects are mixed and checked once: settings whose rows are the
 same objects at every support point share one mixed cell, and every check
-skips a row that is the same object as the row before it.  Identity, not
+skips a row that is the same object as any row before it.  Identity, not
 value equality, decides this, so a shared cell is computed from the same
-operands in the same order as each of its copies would have been.  Each
-model's cells are mixed once: the first `assemble_behavior` keeps them on
-the model, and every later call, at any tolerance, copies them into a fresh
-table.
+operands in the same order as each of its copies would have been, and a
+skipped row's figures are those of its first occurrence.  Each model's
+cells are mixed once and its default behavior is built once: the first
+`assemble_behavior` keeps the cells on the model, every later call, at any
+tolerance, copies them into a fresh table, and the checks that assemble a
+model's behavior themselves share one default-tolerance `Behavior` over
+those cells, which they never hand out.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Hashable, Mapping
 
 DEFAULT_TOLERANCE = 1e-9
@@ -179,9 +183,11 @@ class Model:
     """Two local response tables mixed by a signed weight table.
 
     A model, its response tables and its weights must not be mutated after
-    construction: the mixed cells are kept on the model the first time they
-    are needed, and a changed table would not reach them.  To change one,
-    build a new model, for example with `dataclasses.replace`.
+    construction: the mixed cells, and the default-tolerance behavior over
+    them that `check_quasi_bell` and `witness_chained` read when no
+    behavior is passed, are kept on the model the first time they are
+    needed, and a changed table would not reach them.  To change one, build
+    a new model, for example with `dataclasses.replace`.
     """
 
     response_A: LocalResponse
@@ -210,6 +216,15 @@ class Model:
         """The mixed behavior table, computed on first use; not a field."""
         return _mix(self)
 
+    @cached_property
+    def _behavior(self) -> Behavior:
+        """The behavior over `_cells` itself at the default tolerance; not a field.
+
+        Kept for the checks that assemble the behavior themselves and never
+        handed to a caller.  A refusal is not kept: each use raises again.
+        """
+        return Behavior(self.response_A.n_settings, self.response_B.n_settings, self._cells)
+
 
 @dataclass(frozen=True)
 class Behavior:
@@ -231,16 +246,17 @@ class Behavior:
             raise StructureError("setting counts must be positive")
         if not 0 <= self.tolerance < math.inf:
             raise ValueError(f"tolerance must be non-negative and finite, got {self.tolerance!r}")
-        expected = {
-            (xa, xb) for xa in range(self.n_settings_A) for xb in range(self.n_settings_B)
-        }
-        if set(self.table.keys()) != expected:
+        # As many keys as setting pairs, and every pair a key: the key set is
+        # exactly the pairs, checked without building either set.
+        table, n_a, n_b = self.table, self.n_settings_A, self.n_settings_B
+        if len(table) != n_a * n_b or not all(
+            map(table.__contains__, product(range(n_a), range(n_b)))
+        ):
             raise StructureError("behavior table must have exactly one row per setting pair")
-        previous = None
-        for pair, row in self.table.items():
-            if row is previous:
-                continue
-            previous = row
+        items = table.items()
+        if _shares_rows(table.values()):
+            items = _first_occurrences(items)
+        for pair, row in items:
             if len(row) != 4:
                 raise StructureError(f"row {pair}: expected 4 outcome entries")
             total = sum(row)
@@ -277,6 +293,20 @@ class ValidityReport:
             },
             "no_signalling_violation": float(self.no_signalling_violation),
         }
+
+
+def _shares_rows(rows) -> bool:
+    """Whether some row object occurs more than once among `rows`."""
+    # The rows stay alive in the caller's table, so their ids are not reused.
+    return len(set(map(id, rows))) < len(rows)
+
+
+def _first_occurrences(items):
+    """The (key, row) `items` whose row object has not occurred before, in order."""
+    first: dict[int, tuple] = {}
+    for key, row in items:
+        first.setdefault(id(row), (key, row))
+    return first.values()
 
 
 def _setting_reps(points: list, side: int) -> list[int] | None:
@@ -405,18 +435,16 @@ def validate_behavior(behavior: Behavior, tol: float = DEFAULT_TOLERANCE) -> Val
     # The worst excess max(-value, value - 1) belongs to the smallest or the
     # largest entry, so one comparison-only scan finds both (the first of
     # each in row order); a NaN fails both tests and is reported at once.
-    # A row that is the same object as the one before it holds entries the
-    # scan has already compared, so it is skipped.
+    # A row that is the same object as an earlier one holds entries the scan
+    # has already compared, and could only tie them later, so it is skipped.
     table = behavior.table
     pairs = behavior.setting_pairs()
-    lo = hi = table[pairs[0]][0]
+    rows = list(map(table.__getitem__, pairs))
+    lo = hi = rows[0][0]
     lo_at = hi_at = (pairs[0], 0)
-    previous = None
-    for pair in pairs:
-        row = table[pair]
-        if row is previous:
-            continue
-        previous = row
+    shared = _shares_rows(rows)
+    scan = _first_occurrences(zip(pairs, rows)) if shared else zip(pairs, rows)
+    for pair, row in scan:
         for k, value in enumerate(row):
             if not lo <= value:
                 if not value < lo:
@@ -455,18 +483,23 @@ def validate_behavior(behavior: Behavior, tol: float = DEFAULT_TOLERANCE) -> Val
     # P(y_B | x_B) must not depend on x_A: his lines fix x_B and sum (0, 2)
     # and (1, 3).  A repeated row would add a copy of a
     # marginal already in its list, which moves neither the max nor the
-    # min.  Spreads are folded into `violation` party by party, setting by
+    # min; a line whose rows are the objects of an earlier line of its party
+    # has that line's spreads, and `max` keeps the figure already folded in.
+    # Spreads are folded into `violation` party by party, setting by
     # setting, outcome -1 first, so ties keep the type they had with one
     # list per outcome.
     violation = 0
-    alice_lines = [
-        [table[(x_a, x_b)] for x_b in range(behavior.n_settings_B)]
-        for x_a in range(behavior.n_settings_A)
-    ]
+    n_b = behavior.n_settings_B
+    alice_lines = [rows[start:start + n_b] for start in range(0, len(rows), n_b)]
     for lines, (m1, m2, p1, p2) in (
         (alice_lines, (0, 1, 2, 3)),
         (zip(*alice_lines), (0, 2, 1, 3)),
     ):
+        if shared:
+            first: dict[tuple, tuple] = {}
+            for line in lines:
+                first.setdefault(tuple(map(id, line)), line)
+            lines = first.values()
         for line in lines:
             minus, plus = [], []
             previous = None

@@ -20,8 +20,6 @@ from .core import (
     Behavior,
     Model,
     Point,
-    assemble_behavior,
-    correlation,
 )
 from .witnesses import ChainedWitnessReport, witness_chained
 
@@ -70,6 +68,8 @@ def chained_score(behavior: Behavior, n: int):
 
     The terms are added in the order E(0,0) - E(0,n-1), then E(x,x-1) + E(x,x)
     for x = 1..n-1, so the n=2 instance is the CHSH expression term for term.
+    A term whose row is the same object as the previous term's reuses that
+    term's correlator, which has the same bits.
     """
     if n < 2:
         raise ValueError("chained score needs n >= 2")
@@ -78,15 +78,30 @@ def chained_score(behavior: Behavior, n: int):
             f"chained score with n={n} needs {n} settings per party, behavior has "
             f"({behavior.n_settings_A}, {behavior.n_settings_B})"
         )
-    total = correlation(behavior, 0, 0) - correlation(behavior, 0, n - 1)
+    table = behavior.table
+    rows = [table[(0, 0)], table[(0, n - 1)]]
     for x in range(1, n):
-        total += correlation(behavior, x, x - 1)
-        total += correlation(behavior, x, x)
+        rows += (table[(x, x - 1)], table[(x, x)])
+    terms = []
+    previous = None
+    for row in rows:
+        if row is not previous:
+            mm, mp, pm, pp = row
+            value = mm - mp - pm + pp
+            previous = row
+        terms.append(value)
+    total = terms[0] - terms[1]
+    for value in terms[2:]:
+        total += value
     return abs(total)
 
 
 def _expectations(table, lam, n: int) -> list:
-    """<y>_x = P(+1) - P(-1) at settings x < n, once per run of one row object."""
+    """<y>_x = P(+1) - P(-1) at settings x < n, once per run of one row object.
+
+    A run of settings that share one row shares one expectation object, so
+    `_products` can see that two terms have the same factors.
+    """
     values = []
     previous = None
     for x in range(n):
@@ -96,6 +111,18 @@ def _expectations(table, lam, n: int) -> list:
             value = plus - minus
             previous = row
         values.append(value)
+    return values
+
+
+def _products(left, right) -> list:
+    """left[i] * right[i] for each i, once per run of the same two factor objects."""
+    values = []
+    previous_left = previous_right = None
+    for a, b in zip(left, right):
+        if a is not previous_left or b is not previous_right:
+            product = a * b
+            previous_left, previous_right = a, b
+        values.append(product)
     return values
 
 
@@ -117,8 +144,8 @@ def lambda_local_score(model: Model, lam, n: int):
     lam_a, lam_b = point
     exp_a = _expectations(model.response_A.table, lam_a, n)
     exp_b = _expectations(model.response_B.table, lam_b, n)
-    total = sum(exp_a[i] * exp_b[i] for i in range(n))
-    total += sum(exp_a[i] * exp_b[i - 1] for i in range(1, n))
+    total = sum(_products(exp_a, exp_b))
+    total += sum(_products(exp_a[1:], exp_b))
     total -= exp_a[0] * exp_b[n - 1]
     return total
 
@@ -142,12 +169,13 @@ def check_quasi_bell(
 
     Every chain length, n=2 included, uses the chained score and witness.
     `behavior` is the model's assembled behavior, if the caller already has
-    it; otherwise it is assembled here at the default tolerance.
+    it; otherwise the model's own default-tolerance behavior is read, which
+    is built once per model and never handed out.
     """
     if n < 2:
         raise ValueError("bound check needs n >= 2")
     if behavior is None:
-        behavior = assemble_behavior(model)
+        behavior = model._behavior
     score = chained_score(behavior, n)
     witness = witness_chained(model, n, behavior)
     witness_total = witness.total

@@ -28,8 +28,6 @@ from .core import (
     Model,
     Point,
     QuasiDist,
-    assemble_behavior,
-    correlation,
 )
 
 
@@ -142,6 +140,12 @@ def witness_chained(
     branch is broken down by support point.  The product
     t = <A>^x (<B>^x + <B>^(x-1)) is computed once per point and shared: the
     MINUS term `2 - t` is bit-identical to `2 + (-1 * <A>^x) * (...)`.
+
+    From link 2 on, a link whose two discriminant rows and, at every point
+    of negative weight, whose Alice row and two Bob rows are the same
+    objects as the previous link's has that link's figures, so it reuses
+    them; its report still has its own link fields and contributions dict.
+    Without `behavior`, the model's own default-tolerance behavior is read.
     """
     if n < 2:
         raise ValueError("chained witness needs n >= 2")
@@ -151,7 +155,7 @@ def witness_chained(
             f"({model.response_A.n_settings}, {model.response_B.n_settings})"
         )
     if behavior is None:
-        behavior = assemble_behavior(model)
+        behavior = model._behavior
     faithful = witness_faithful(model.dist)
     # Per-point excesses |w| - w, computed once for every link: a {point: 0}
     # template in support order and the (point, excess) pairs whose excess
@@ -166,23 +170,38 @@ def witness_chained(
             negative.append((point, excess))
     table_a, table_b = model.response_A.table, model.response_B.table
     terms = []
+    high = low = None
     for x in range(1, n):
         a_disc = 0 if discriminant_alice_setting == "zero" else x
-        discriminant = correlation(behavior, a_disc, x) + correlation(behavior, a_disc, x - 1)
-        plus = discriminant < 0
-        contributions: dict[Point, object] = dict(zeros)
-        n_plus = n_minus = 0
-        for point, excess in negative:
-            lam_a, lam_b = point
-            a_minus, a_plus = table_a[(x, lam_a)]
-            high_minus, high_plus = table_b[(x, lam_b)]
-            low_minus, low_plus = table_b[(x - 1, lam_b)]
-            spread = (a_plus - a_minus) * ((high_plus - high_minus) + (low_plus - low_minus))
-            term_plus = (2 + spread) * excess
-            term_minus = (2 - spread) * excess
-            contributions[point] = term_plus if plus else term_minus
-            n_plus += term_plus
-            n_minus += term_minus
+        last_high, last_low = high, low
+        high, low = behavior.row(a_disc, x), behavior.row(a_disc, x - 1)
+        if high is last_high and low is last_low and all(
+            table_a[(x, lam_a)] is table_a[(x - 1, lam_a)]
+            and table_b[(x, lam_b)] is table_b[(x - 1, lam_b)] is table_b[(x - 2, lam_b)]
+            for (lam_a, lam_b), _ in negative
+        ):
+            # Link x - 1's figures, from the same objects in the same order.
+            contributions = dict(contributions)
+        else:
+            # E(a_disc, x) + E(a_disc, x - 1), each as `correlation` forms it.
+            mm, mp, pm, pp = high
+            discriminant = mm - mp - pm + pp
+            mm, mp, pm, pp = low
+            discriminant += mm - mp - pm + pp
+            plus = discriminant < 0
+            contributions = dict(zeros)
+            n_plus = n_minus = 0
+            for point, excess in negative:
+                lam_a, lam_b = point
+                a_minus, a_plus = table_a[(x, lam_a)]
+                high_minus, high_plus = table_b[(x, lam_b)]
+                low_minus, low_plus = table_b[(x - 1, lam_b)]
+                spread = (a_plus - a_minus) * ((high_plus - high_minus) + (low_plus - low_minus))
+                term_plus = (2 + spread) * excess
+                term_minus = (2 - spread) * excess
+                contributions[point] = term_plus if plus else term_minus
+                n_plus += term_plus
+                n_minus += term_minus
         terms.append(WitnessReport(
             n_plus=n_plus,
             n_minus=n_minus,

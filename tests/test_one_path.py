@@ -3,8 +3,9 @@
 A chain link is the last term of the chain that ends at it; the strategy
 sign matrix is the enumeration read as bits; float and exact budgets share
 one weights expression; `sample` honours `--tolerance` as `verify` does; a
-model is mixed once, and every check that assembles its behavior itself
-answers as it does when handed that behavior.
+model is mixed once, the checks that assemble its behavior themselves build
+one default-tolerance behavior for it, and each answers as it does when
+handed that behavior.
 """
 
 from __future__ import annotations
@@ -190,6 +191,55 @@ def test_each_assembly_checks_its_own_tolerance():
         with pytest.raises(StructureError, match="not 1"):
             assemble_behavior(model, tolerance=0)
         assert assemble_behavior(model, tolerance=1e-9).tolerance == 1e-9
+
+
+@pytest.fixture
+def count_behaviors(monkeypatch):
+    calls = []
+    post_init = core.Behavior.__post_init__
+
+    def counted(behavior):
+        calls.append(behavior)
+        post_init(behavior)
+
+    monkeypatch.setattr(core.Behavior, "__post_init__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_the_checks_build_one_behavior_per_model(count_behaviors, exact):
+    model = chained_saturating_model(3, Fraction(1, 2) if exact else 0.5, exact=exact)
+    reports = [check_quasi_bell(model, 2), check_quasi_bell(model, 3)]
+    witness = witness_chained(model, 3)
+    assert len(count_behaviors) == 1
+    (own,) = count_behaviors
+    assert own.table is model._cells and own.tolerance == core.DEFAULT_TOLERANCE
+    assert reports[1].witness == witness
+    # A caller still gets a fresh table of its own, never the model's behavior.
+    handed = assemble_behavior(model)
+    assert handed is not own and handed.table is not model._cells
+    assert len(count_behaviors) == 2
+
+
+def test_a_refused_model_behavior_is_refused_every_time():
+    # Rows off by 9e-10 under weights 50.5 and -49.5 give behavior rows
+    # that sum to 1 + 1.8e-7: refused at the default tolerance only.
+    high, low = (0.5000000009, 0.5), (0.4999999991, 0.5)
+    table = {(0, "1"): high, (0, "2"): low, (1, "1"): high, (1, "2"): low}
+    model = Model(LocalResponse("A", 2, ("1", "2"), table),
+                  LocalResponse("B", 2, ("1", "2"), table),
+                  QuasiDist.diagonal({"1": 50.5, "2": -49.5}))
+    message = "row (0, 0) sums to 1.0000001799999954, not 1"
+    for call in (lambda: check_quasi_bell(model, 2), lambda: witness_chained(model, 2),
+                 lambda: check_quasi_bell(model, 2), lambda: assemble_behavior(model)):
+        with pytest.raises(StructureError) as refused:
+            call()
+        assert str(refused.value) == message
+    loose = assemble_behavior(model, tolerance=1e-6)
+    assert check_quasi_bell(model, 2, behavior=loose).n == 2
+    with pytest.raises(StructureError, match="not 1"):
+        check_quasi_bell(model, 2)
+    assert "_behavior" not in vars(model)
 
 
 @given(

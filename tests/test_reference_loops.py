@@ -31,6 +31,7 @@ from quasibell import (
     chained_score,
     check_quasi_bell,
     correlation,
+    mixture_score,
     validate_behavior,
     witness_chained,
     witness_chained_link,
@@ -555,3 +556,195 @@ class TestSharedRows:
         unnormalized = (0.5, 0.5, 0.5, 0.0)
         with pytest.raises(StructureError, match=r"row \(0, 0\) sums"):
             Behavior(2, 2, {(x_a, x_b): unnormalized for x_a in range(2) for x_b in range(2)})
+
+
+# -- shared rows and their unshared twins --------------------------------------
+
+def _answer(call):
+    """What `call` returns, or the type and message of the refusal it raises."""
+    try:
+        return call()
+    except (StructureError, ValueError, IndexError) as error:
+        return f"{type(error).__name__}: {error}"
+
+
+def _unshared_table(table) -> dict:
+    """`table` in the same key order with every row a distinct tuple object."""
+    twin = {pair: tuple(list(row)) for pair, row in table.items()}
+    assert len({id(row) for row in twin.values()}) == len(twin)
+    return twin
+
+
+def _assert_checks_match(model, twin_model, behavior, twin_behavior, where):
+    """Scores, witnesses and bound checks of a shared-row input and its twin."""
+    n_max = min(model.n_settings, behavior.n_settings_A, behavior.n_settings_B)
+    for n in range(2, n_max + 1):
+        at = f"{where} n={n}"
+        assert_identical(chained_score(behavior, n), chained_score(twin_behavior, n), at)
+        for selection in ("link", "zero"):
+            assert_identical(witness_chained(model, n, behavior, selection),
+                             witness_chained(twin_model, n, twin_behavior, selection),
+                             f"{at} witness {selection}")
+        report = check_quasi_bell(model, n, behavior=behavior)
+        twin_report = check_quasi_bell(twin_model, n, behavior=twin_behavior)
+        assert_identical(report, twin_report, f"{at} check")
+        assert_identical(report.witness, twin_report.witness, f"{at} check witness")
+
+
+@st.composite
+def pooled_behaviors(draw):
+    """Behaviors whose rows come from a pool of a few row objects.
+
+    Pool rows are float or `Fraction`, usually normalized with entries that
+    may leave [0, 1]; some are not normalized, some have three entries, and
+    float rows may hold a non-finite entry.  They sit at random setting
+    pairs of a table whose key order is random too.
+    """
+    exact = draw(st.booleans())
+    if exact:
+        entry = st.integers(-3, 15).map(lambda k: Fraction(k, 12))
+    else:
+        entry = st.one_of(st.floats(-0.25, 1.25),
+                          st.sampled_from([math.nan, math.inf, -math.inf]))
+
+    def row():
+        head = draw(st.lists(entry, min_size=3, max_size=3))
+        kind = draw(st.sampled_from(["normalized"] * 6 + ["loose", "short"]))
+        if kind == "short":
+            return tuple(head)
+        last = draw(entry) if kind == "loose" else 1 - sum(head)
+        return (*head, last)
+
+    pool = [row() for _ in range(draw(st.integers(1, 3)))]
+    n_a, n_b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pairs = draw(st.permutations([(x_a, x_b) for x_a in range(n_a) for x_b in range(n_b)]))
+    table = {pair: pool[draw(st.integers(0, len(pool) - 1))] for pair in pairs}
+    return n_a, n_b, table
+
+
+class TestUnsharedTwins:
+    """Every check answers for shared row objects as for distinct copies of them."""
+
+    @staticmethod
+    def _assert_model_matches_twin(model):
+        twin = _unshared(model)
+        for tolerance in (1e-9, 0):
+            assert_identical(_answer(lambda: assemble_behavior(model, tolerance)),
+                             _answer(lambda: assemble_behavior(twin, tolerance)),
+                             f"assemble tol={tolerance}")
+        behavior, twin_behavior = assemble_behavior(model), assemble_behavior(twin)
+        assert_identical(validate_behavior(behavior), validate_behavior(twin_behavior),
+                         "validity")
+        for n in range(2, model.n_settings + 1):
+            assert_identical(mixture_score(model, n), mixture_score(twin, n),
+                             f"mixture n={n}")
+            for selection in ("link", "zero"):
+                assert_identical(witness_chained(model, n, None, selection),
+                                 witness_chained(twin, n, None, selection),
+                                 f"own witness n={n} {selection}")
+            report, twin_report = check_quasi_bell(model, n), check_quasi_bell(twin, n)
+            assert_identical(report, twin_report, f"own check n={n}")
+            assert_identical(report.witness, twin_report.witness, f"own check witness n={n}")
+        _assert_checks_match(model, twin, behavior, twin_behavior, "handed")
+
+    @given(model=shared_row_models())
+    @settings(max_examples=300, deadline=None)
+    def test_shared_row_models(self, model):
+        self._assert_model_matches_twin(model)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 12])
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "fraction"])
+    def test_families(self, n, exact):
+        for budget in (Fraction(0), Fraction(1, 2), Fraction(2), Fraction(3)):
+            self._assert_model_matches_twin(chained_saturating_model(
+                n, budget if exact else float(budget), exact=exact, force=True))
+
+    @given(
+        drawn=pooled_behaviors(),
+        # Shared model rows too, so witness links can reuse figures.
+        model=st.one_of(
+            shared_row_models(),
+            st.tuples(st.integers(2, 4), st.integers(0, 2), st.booleans()).map(
+                lambda args: chained_saturating_model(*args)),
+        ),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_pooled_behaviors(self, drawn, model):
+        n_a, n_b, table = drawn
+        twin_table = _unshared_table(table)
+        built = _answer(lambda: Behavior(n_a, n_b, table))
+        twin_built = _answer(lambda: Behavior(n_a, n_b, twin_table))
+        if isinstance(built, str) or isinstance(twin_built, str):
+            assert built == twin_built
+            return
+        assert_identical(built, twin_built, "behavior")
+        for tol in (1e-9, 0.5):
+            assert_identical(validate_behavior(built, tol), validate_behavior(twin_built, tol),
+                             f"validity tol={tol}")
+        _assert_checks_match(model, _unshared(model), built, twin_built, "pooled")
+
+    @pytest.mark.parametrize("selection", ["link", "zero"])
+    @pytest.mark.parametrize("changed", [None, "disc high", "disc low", "alice", "bob high",
+                                         "bob low"])
+    def test_a_link_reuses_figures_only_when_every_row_repeats(self, selection, changed):
+        # One row object per party and one behavior row everywhere, so link 2
+        # may reuse link 1; `changed` replaces the one row that tells them apart.
+        labels = ("1", "2")
+        row_a, row_b = (0.25, 0.75), (0.375, 0.625)
+        table_a = {(x, lam): row_a for x in range(3) for lam in labels}
+        table_b = {(x, lam): row_b for x in range(3) for lam in labels}
+        cell = (0.125, 0.25, 0.375, 0.25)
+        cells = {(x_a, x_b): cell for x_a in range(3) for x_b in range(3)}
+        # Link 2's discriminant high row, and link 1's low row.
+        if changed == "disc high":
+            cells[(0 if selection == "zero" else 2, 2)] = (0.5, 0.125, 0.125, 0.25)
+        elif changed == "disc low":
+            cells[(0 if selection == "zero" else 1, 0)] = (0.5, 0.125, 0.125, 0.25)
+        elif changed == "alice":
+            table_a[(2, "2")] = (0.875, 0.125)
+        elif changed == "bob high":
+            table_b[(2, "2")] = (0.875, 0.125)
+        elif changed == "bob low":  # link 2's low row is link 1's high; its low moves
+            table_b[(0, "2")] = (0.875, 0.125)
+        model = Model(LocalResponse("A", 3, labels, table_a), LocalResponse("B", 3, labels, table_b),
+                      QuasiDist.diagonal({"1": 1.5, "2": -0.5}))
+        behavior = Behavior(3, 3, cells)
+        report = witness_chained(model, 3, behavior, selection)
+        assert_identical(report, _ref_witness_chained(model, 3, behavior, selection))
+        assert_identical(report, witness_chained(_unshared(model), 3,
+                                                 Behavior(3, 3, _unshared_table(cells)),
+                                                 selection))
+        first, second = report.terms
+        assert second.per_lambda_contributions is not first.per_lambda_contributions
+        if changed is None:
+            assert second.n_plus is first.n_plus and second.n_minus is first.n_minus
+        else:
+            assert (second.n_plus, second.n_minus, second.branch_discriminant) != (
+                first.n_plus, first.n_minus, first.branch_discriminant)
+
+    def test_lines_that_share_only_some_rows_are_each_folded(self):
+        # Alice's lines (c, c, c) and (c, c, d) start alike; only the second
+        # spreads, and so does Bob's line (c, d).
+        c, d = (0.25, 0.25, 0.25, 0.25), (0.5, 0.25, 0.125, 0.125)
+        behavior = Behavior(2, 3, {(0, 0): c, (0, 1): c, (0, 2): c,
+                                   (1, 0): c, (1, 1): c, (1, 2): d})
+        report = validate_behavior(behavior)
+        assert report.no_signalling_violation == 0.25
+        assert_identical(report, _ref_validate(behavior))
+        assert_identical(report, validate_behavior(Behavior(2, 3, _unshared_table(behavior.table))))
+
+    def test_a_shared_unnormalized_row_is_refused_at_its_first_key(self):
+        good = (0.25, 0.25, 0.25, 0.25)
+        other = (0.5, 0.0, 0.0, 0.5)
+        bad = (0.5, 0.5, 0.5, 0.0)
+        # Not row-major: `bad` first sits at (1, 2), then at (0, 0) and (2, 0),
+        # with other rows between them.
+        order = [((2, 1), good), ((1, 2), bad), ((0, 1), other), ((0, 0), bad),
+                 ((1, 1), good), ((2, 2), other), ((2, 0), bad), ((0, 2), good),
+                 ((1, 0), other)]
+        table = dict(order)
+        message = "row (1, 2) sums to 1.5, not 1"
+        for rows in (table, _unshared_table(table)):
+            with pytest.raises(StructureError) as refused:
+                Behavior(3, 3, rows)
+            assert str(refused.value) == message
