@@ -27,8 +27,8 @@ skipped row's figures are those of its first occurrence.  Each model's
 cells are mixed once and its default behavior is built once: the first
 `assemble_behavior` keeps the cells on the model, every later call, at any
 tolerance, copies them into a fresh table, and the checks that assemble a
-model's behavior themselves share one default-tolerance `Behavior` over
-those cells, which they never hand out.
+model's behavior themselves share one default-tolerance `Behavior` from
+such a call, which they never hand out.
 """
 
 from __future__ import annotations
@@ -218,12 +218,12 @@ class Model:
 
     @cached_property
     def _behavior(self) -> Behavior:
-        """The behavior over `_cells` itself at the default tolerance; not a field.
+        """The behavior `assemble_behavior` gives at the default tolerance; not a field.
 
         Kept for the checks that assemble the behavior themselves and never
         handed to a caller.  A refusal is not kept: each use raises again.
         """
-        return Behavior(self.response_A.n_settings, self.response_B.n_settings, self._cells)
+        return assemble_behavior(self)
 
 
 @dataclass(frozen=True)
@@ -416,7 +416,12 @@ def _mix(model: Model) -> dict[tuple[int, int], tuple]:
 
 def correlation(behavior: Behavior, x_a: int, x_b: int):
     """Correlator E(x_A, x_B) = sum_y y_A y_B P(y_A, y_B | x_A, x_B)."""
-    mm, mp, pm, pp = behavior.row(x_a, x_b)
+    return _row_correlation(behavior.row(x_a, x_b))
+
+
+def _row_correlation(row):
+    """The correlator of one behavior row (--, -+, +-, ++)."""
+    mm, mp, pm, pp = row
     return mm - mp - pm + pp
 
 

@@ -20,6 +20,7 @@ from .core import (
     Behavior,
     Model,
     Point,
+    _row_correlation,
 )
 from .witnesses import ChainedWitnessReport, witness_chained
 
@@ -86,8 +87,7 @@ def chained_score(behavior: Behavior, n: int):
     previous = None
     for row in rows:
         if row is not previous:
-            mm, mp, pm, pp = row
-            value = mm - mp - pm + pp
+            value = _row_correlation(row)
             previous = row
         terms.append(value)
     total = terms[0] - terms[1]

@@ -28,6 +28,7 @@ from .core import (
     Model,
     Point,
     QuasiDist,
+    _row_correlation,
 )
 
 
@@ -183,11 +184,8 @@ def witness_chained(
             # Link x - 1's figures, from the same objects in the same order.
             contributions = dict(contributions)
         else:
-            # E(a_disc, x) + E(a_disc, x - 1), each as `correlation` forms it.
-            mm, mp, pm, pp = high
-            discriminant = mm - mp - pm + pp
-            mm, mp, pm, pp = low
-            discriminant += mm - mp - pm + pp
+            # E(a_disc, x) + E(a_disc, x - 1).
+            discriminant = _row_correlation(high) + _row_correlation(low)
             plus = discriminant < 0
             contributions = dict(zeros)
             n_plus = n_minus = 0

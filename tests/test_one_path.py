@@ -213,11 +213,12 @@ def test_the_checks_build_one_behavior_per_model(count_behaviors, exact):
     witness = witness_chained(model, 3)
     assert len(count_behaviors) == 1
     (own,) = count_behaviors
-    assert own.table is model._cells and own.tolerance == core.DEFAULT_TOLERANCE
+    assert own is model._behavior and own.tolerance == core.DEFAULT_TOLERANCE
+    assert own.table == model._cells and own.table is not model._cells
     assert reports[1].witness == witness
     # A caller still gets a fresh table of its own, never the model's behavior.
     handed = assemble_behavior(model)
-    assert handed is not own and handed.table is not model._cells
+    assert handed is not own and handed.table is not own.table
     assert len(count_behaviors) == 2
 
 
