@@ -23,10 +23,17 @@ Each `--order` seed builds the grid afresh and makes every call once in its
 own shuffled order, across and within models, so an answer that depends on
 which call came first, such as a cell kept from an earlier call, shows as a
 mismatch: the script then exits 1.  Each seed also makes every call, in
-the same order, on each model's unshared twin, whose response rows are
-distinct copies of the model's: the library does a shared row object's
-arithmetic once, and the twin's answers must be those of the model, or the
-script exits 1.  The digest hashes the model's answers in grid order.
+the same order, on two twins, and a twin's answers must be those of its
+model, or the script exits 1:
+
+* every model's unshared twin, whose response rows are distinct copies of
+  the model's: the library does a shared row object's arithmetic once;
+* every family model's `Fraction`-row twin, whose int 0/1 response rows are
+  `Fraction` tuples, one per distinct row object, so the sharing is kept:
+  int entries must give the exact answers, of the same types, that
+  `Fraction` entries give.
+
+The digest hashes the model's answers in grid order.
 
     python scripts/model_grid_digest.py --order 1 2 3
 """
@@ -100,6 +107,21 @@ def unshared(model: Model) -> Model:
     return Model(copied(model.response_A), copied(model.response_B), model.dist)
 
 
+def fraction_rows(model: Model) -> Model:
+    """`model` with each distinct response row object one tuple of `Fraction`s."""
+    twins: dict[int, tuple] = {}
+
+    def converted(resp: LocalResponse) -> LocalResponse:
+        table = {}
+        for key, row in resp.table.items():
+            if id(row) not in twins:
+                twins[id(row)] = tuple(map(Fraction, row))
+            table[key] = twins[id(row)]
+        return LocalResponse(resp.party, resp.n_settings, resp.hidden_values, table)
+
+    return Model(converted(model.response_A), converted(model.response_B), model.dist)
+
+
 def models(max_n: int) -> list[tuple[str, Model, int]]:
     """(name, model, largest chain length) for every model, in grid order."""
     rng = random.Random(20211)
@@ -158,17 +180,24 @@ def main() -> int:
     for seed in args.order:
         grid = models(args.max_n)
         todo = calls(grid)
-        twins = calls([(name, unshared(model), n) for name, model, n in grid])
+        twins = {
+            "unshared": dict(calls([(name, unshared(model), n) for name, model, n in grid])),
+            "Fraction-row": dict(calls([(name, fraction_rows(model), n)
+                                        for name, model, n in grid
+                                        if name.startswith("family ")])),
+        }
         answers = [""] * len(todo)
         indices = list(range(len(todo)))
         random.Random(seed).shuffle(indices)
         for i in indices:
             answers[i] = f"{todo[i][0]}\n{todo[i][1]()}\n"
-        differ = [todo[i][0] for i in indices if f"{todo[i][0]}\n{twins[i][1]()}\n" != answers[i]]
-        if differ:
-            print(f"order {seed}: {len(differ)} answers differ on the unshared twins, "
-                  f"first {differ[0]}", file=sys.stderr)
-            return 1
+        for kind, twin_calls in twins.items():
+            differ = [todo[i][0] for i in indices if todo[i][0] in twin_calls
+                      and f"{todo[i][0]}\n{twin_calls[todo[i][0]]()}\n" != answers[i]]
+            if differ:
+                print(f"order {seed}: {len(differ)} answers differ on the {kind} twins, "
+                      f"first {differ[0]}", file=sys.stderr)
+                return 1
         digest = hashlib.sha256("".join(answers).encode()).hexdigest()
         print(f"order {seed}: {digest}")
         digests.append(digest)

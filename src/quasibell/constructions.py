@@ -8,16 +8,19 @@ with chained witness exactly N.  Its first chain link, n=2, is the
 Budgets above 2 stop producing valid behaviors, which is why 2 is also the
 no-signalling ceiling for these families.
 
-Build with `exact=True` to get `fractions.Fraction` weight and probability
-entries; the assembled behavior is then exact (all entries are twelfths).
+Build with `exact=True` to get `fractions.Fraction` weights over int 0/1
+response entries; the assembled behavior is then exact (every entry a
+`Fraction`, all of them twelfths).  The weights are the only non-integer
+numbers of a family: its hidden variables are deterministic strategies.
 
 Deterministic rows are shared constants: every response table entry is one
-of four module-level tuples (float or `Fraction`, outcome -1 or +1).  Rows
-and their entries are immutable, so sharing them is safe, and settings that
-answer alike share row objects.  The whole check path uses that to do each
-distinct row's arithmetic once: mixing and validation in `core`, the chained
-score, the witness links and `mixture_score`.  At n = 12 the family's 144
-behavior rows are four objects.
+of four module-level tuples, (0.0, 1.0) and (1.0, 0.0) for float families
+and (0, 1) and (1, 0) for exact ones.  Rows and their entries are
+immutable, so sharing them is safe, and settings that answer alike share
+row objects.  The whole check path uses that to do each distinct row's
+arithmetic once: mixing and validation in `core`, the chained score, the
+witness links and `mixture_score`.  At n = 12 the family's 144 behavior
+rows are four objects.
 """
 
 from __future__ import annotations
@@ -68,12 +71,15 @@ class SymbolStrategy:
         )
 
 
-#: The deterministic rows, keyed by (answers +1, exact).
+#: The deterministic rows, keyed by (answers +1, exact).  Exact rows hold the
+#: ints 0 and 1: only a product with a `Fraction` weight is a `Fraction`, so
+#: every cell, score and witness stays exact while the arithmetic on the
+#: entries themselves is int arithmetic.
 _DETERMINISTIC_ROWS = {
     (True, False): (0.0, 1.0),
     (False, False): (1.0, 0.0),
-    (True, True): (Fraction(0), Fraction(1)),
-    (False, True): (Fraction(1), Fraction(0)),
+    (True, True): (0, 1),
+    (False, True): (1, 0),
 }
 
 

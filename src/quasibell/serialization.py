@@ -8,7 +8,9 @@ Model schema::
      "dist": {"lamA,lamB": weight, ...}}
 
 parties[0] is Alice, parties[1] is Bob.  Hidden-value labels are written with
-str() and read back as strings, so labels may not contain commas.  Behavior
+str() and read back as strings, so labels may not contain commas.  A file is
+read only in the form it is written: `lambdas` must be an array of strings,
+and a table key's setting must be written as str() writes it.  Behavior
 CSV uses the fixed header ``xA,xB,P--,P-+,P+-,P++`` with one row per setting
 pair in lexicographic order.
 """
@@ -70,12 +72,16 @@ def _party_from_dict(entry: dict, party: str) -> LocalResponse:
         raise ModelFormatError(f"party {party}: unknown fields {sorted(unknown)}")
     try:
         settings = entry["settings"]
-        lambdas = tuple(str(lam) for lam in entry["lambdas"])
+        lambdas = entry["lambdas"]
         raw_table = entry["table"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ModelFormatError(f"party {party}: missing or malformed field ({exc})") from exc
     if not isinstance(settings, int) or isinstance(settings, bool):
         raise ModelFormatError(f"party {party}: 'settings' must be an integer, got {settings!r}")
+    # A string or an object would iterate as characters or keys.
+    if not (isinstance(lambdas, list) and all(isinstance(lam, str) for lam in lambdas)):
+        raise ModelFormatError(f"party {party}: 'lambdas' must be an array of strings")
+    lambdas = tuple(lambdas)
     if not isinstance(raw_table, dict):
         raise ModelFormatError(f"party {party}: 'table' must be an object")
     # Checked before LocalResponse enumerates settings x lambdas, so a huge
@@ -88,8 +94,12 @@ def _party_from_dict(entry: dict, party: str) -> LocalResponse:
     table = {}
     for key, row in raw_table.items():
         x_text, _, lam = key.partition(",")
+        # The setting is written with str(); int() alone would also take
+        # "00", "0 ", "+0" and "0_0".
         try:
             x = int(x_text)
+            if str(x) != x_text:
+                raise ValueError(f"setting {x_text!r} is not written as {str(x)!r}")
         except ValueError as exc:
             raise ModelFormatError(f"party {party}: bad table key {key!r}") from exc
         if not (isinstance(row, list) and len(row) == 2

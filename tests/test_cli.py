@@ -273,10 +273,24 @@ def _null_weight(document):
     document["dist"][next(iter(document["dist"]))] = None
 
 
+def _string_lambdas(document):
+    # Read character by character, "1234" would name the labels 1-4.
+    document["parties"][0]["lambdas"] = "".join(document["parties"][0]["lambdas"])
+
+
+def _padded_setting_key(document):
+    # int() reads "00" as setting 0.
+    table = document["parties"][0]["table"]
+    document["parties"][0]["table"] = {
+        ("0" + key if key.startswith("0,") else key): row for key, row in table.items()
+    }
+
+
 class TestMalformedModelFiles:
     @pytest.mark.parametrize("corrupt", [
         _table_as_list, _null_entry, _string_entry, _settings_mismatch, _infinite_settings,
         _fractional_settings, _string_settings, _boolean_settings, _null_weight,
+        _string_lambdas, _padded_setting_key,
     ])
     def test_exit_two_with_one_error_line(self, capsys, tmp_path, corrupt):
         document = model_to_json_dict(chsh_saturating_model(1))

@@ -31,12 +31,15 @@ from quasibell import (
     chained_score,
     check_quasi_bell,
     correlation,
+    lambda_local_score,
+    local_expectation,
     mixture_score,
     validate_behavior,
     witness_chained,
     witness_chained_link,
 )
 from quasibell.constructions import (
+    _DETERMINISTIC_ROWS,
     model_from_strategies,
     saturating_strategies,
     saturating_weights,
@@ -622,42 +625,43 @@ def pooled_behaviors(draw):
     return n_a, n_b, table
 
 
+def _assert_model_matches_twin(model, twin):
+    """Every answer on `twin` is the one on `model`, in value and type."""
+    for tolerance in (1e-9, 0):
+        assert_identical(_answer(lambda: assemble_behavior(model, tolerance)),
+                         _answer(lambda: assemble_behavior(twin, tolerance)),
+                         f"assemble tol={tolerance}")
+    behavior, twin_behavior = assemble_behavior(model), assemble_behavior(twin)
+    assert_identical(validate_behavior(behavior), validate_behavior(twin_behavior),
+                     "validity")
+    for n in range(2, model.n_settings + 1):
+        assert_identical(mixture_score(model, n), mixture_score(twin, n),
+                         f"mixture n={n}")
+        for selection in ("link", "zero"):
+            assert_identical(witness_chained(model, n, None, selection),
+                             witness_chained(twin, n, None, selection),
+                             f"own witness n={n} {selection}")
+        report, twin_report = check_quasi_bell(model, n), check_quasi_bell(twin, n)
+        assert_identical(report, twin_report, f"own check n={n}")
+        assert_identical(report.witness, twin_report.witness, f"own check witness n={n}")
+    _assert_checks_match(model, twin, behavior, twin_behavior, "handed")
+
+
 class TestUnsharedTwins:
     """Every check answers for shared row objects as for distinct copies of them."""
-
-    @staticmethod
-    def _assert_model_matches_twin(model):
-        twin = _unshared(model)
-        for tolerance in (1e-9, 0):
-            assert_identical(_answer(lambda: assemble_behavior(model, tolerance)),
-                             _answer(lambda: assemble_behavior(twin, tolerance)),
-                             f"assemble tol={tolerance}")
-        behavior, twin_behavior = assemble_behavior(model), assemble_behavior(twin)
-        assert_identical(validate_behavior(behavior), validate_behavior(twin_behavior),
-                         "validity")
-        for n in range(2, model.n_settings + 1):
-            assert_identical(mixture_score(model, n), mixture_score(twin, n),
-                             f"mixture n={n}")
-            for selection in ("link", "zero"):
-                assert_identical(witness_chained(model, n, None, selection),
-                                 witness_chained(twin, n, None, selection),
-                                 f"own witness n={n} {selection}")
-            report, twin_report = check_quasi_bell(model, n), check_quasi_bell(twin, n)
-            assert_identical(report, twin_report, f"own check n={n}")
-            assert_identical(report.witness, twin_report.witness, f"own check witness n={n}")
-        _assert_checks_match(model, twin, behavior, twin_behavior, "handed")
 
     @given(model=shared_row_models())
     @settings(max_examples=300, deadline=None)
     def test_shared_row_models(self, model):
-        self._assert_model_matches_twin(model)
+        _assert_model_matches_twin(model, _unshared(model))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 12])
     @pytest.mark.parametrize("exact", [False, True], ids=["float", "fraction"])
     def test_families(self, n, exact):
         for budget in (Fraction(0), Fraction(1, 2), Fraction(2), Fraction(3)):
-            self._assert_model_matches_twin(chained_saturating_model(
-                n, budget if exact else float(budget), exact=exact, force=True))
+            model = chained_saturating_model(
+                n, budget if exact else float(budget), exact=exact, force=True)
+            _assert_model_matches_twin(model, _unshared(model))
 
     @given(
         drawn=pooled_behaviors(),
@@ -748,3 +752,84 @@ class TestUnsharedTwins:
             with pytest.raises(StructureError) as refused:
                 Behavior(3, 3, rows)
             assert str(refused.value) == message
+
+
+# -- int 0/1 rows and their Fraction-row twins ---------------------------------
+
+def _fraction_rows(model: Model) -> Model:
+    """`model` with each distinct response row object one tuple of `Fraction`s.
+
+    Rows that are one object in `model`, across settings, hidden values and
+    parties, are one object in the twin too, so the sharing is kept.
+    """
+    twins: dict[int, tuple] = {}
+
+    def converted(response):
+        table = {}
+        for key, row in response.table.items():
+            if id(row) not in twins:
+                twins[id(row)] = tuple(map(Fraction, row))
+            table[key] = twins[id(row)]
+        return LocalResponse(response.party, response.n_settings, response.hidden_values, table)
+
+    return Model(converted(model.response_A), converted(model.response_B), model.dist)
+
+
+class TestFractionRowTwins:
+    """Exact families keep int 0/1 rows, and every answer is the `Fraction`-row one."""
+
+    @staticmethod
+    def _assert_int_rows_match_twin(model):
+        twin = _fraction_rows(model)
+        _assert_model_matches_twin(model, twin)
+        for n in range(2, model.n_settings + 1):
+            for point in model.dist.support:
+                score = lambda_local_score(model, point, n)
+                assert type(score) is int
+                assert score == lambda_local_score(twin, point, n)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("budget", [Fraction(0), Fraction(1, 12), Fraction(1, 2),
+                                        Fraction(1), Fraction(23, 12), Fraction(2)],
+                             ids=str)
+    def test_families(self, n, budget):
+        self._assert_int_rows_match_twin(chained_saturating_model(n, budget, exact=True))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("budget", [Fraction(5, 2), Fraction(3)], ids=str)
+    def test_forced_families(self, n, budget):
+        model = chained_saturating_model(n, budget, exact=True, force=True)
+        assert not validate_behavior(assemble_behavior(model)).is_valid
+        self._assert_int_rows_match_twin(model)
+
+
+class TestExactRepresentation:
+    """What an exact family holds: int rows, `Fraction` cells and figures."""
+
+    @pytest.mark.parametrize("n", [2, 3, 12])
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "fraction"])
+    def test_rows_are_the_shared_constants(self, n, exact):
+        model = chained_saturating_model(n, Fraction(1) if exact else 1.0, exact=exact)
+        entry_type = int if exact else float
+        for response in (model.response_A, model.response_B):
+            assert {id(row) for row in response.table.values()} == {
+                id(_DETERMINISTIC_ROWS[(plus, exact)]) for plus in (True, False)}
+            for row in response.table.values():
+                assert row in ((0, 1), (1, 0))
+                assert all(type(p) is entry_type for p in row)
+            for key in response.table:
+                assert type(local_expectation(response, *key)) is entry_type
+
+    @pytest.mark.parametrize("n", [2, 3, 12])
+    def test_every_twelfth_budget_gives_fraction_figures(self, n):
+        for budget in TWELFTHS:
+            model = chained_saturating_model(n, budget, exact=True)
+            cells = [value for row in assemble_behavior(model).table.values() for value in row]
+            assert all(type(value) is Fraction for value in cells), f"N={budget}"
+            report = check_quasi_bell(model, n)
+            assert type(report.score) is Fraction and type(report.margin) is Fraction
+            assert report.margin == 0
+            # No weight is negative at N = 0, so the witness is the empty
+            # sum 0 and the bound the int 2n - 2.
+            assert type(report.bound) is (Fraction if budget else int), f"N={budget}"
+            assert report.bound == 2 * n - 2 + budget

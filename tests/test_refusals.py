@@ -216,6 +216,16 @@ def test_core_refusals(call, message):
     pytest.param(lambda: model_from_json_dict(
                      model_document([party(table={"x,1": list(HALF)}), party()])),
                  "party A: bad table key 'x,1'", id="bad-table-key"),
+    *(pytest.param(lambda key=key: model_from_json_dict(
+                       model_document([party(table={key: list(HALF)}), party()])),
+                   f"party A: bad table key {key!r}", id=f"unwritten-setting-{key}")
+      # int() takes each of these setting parts, str() writes none of them.
+      for key in ("00,1", "0 ,1", "+0,1", "0_0,1", "-0,1")),
+    *(pytest.param(lambda lambdas=lambdas: model_from_json_dict(
+                       model_document([party(lambdas=lambdas), party()])),
+                   "party A: 'lambdas' must be an array of strings", id=f"lambdas-{kind}")
+      for kind, lambdas in (("string", "1"), ("object", {"1": 0}), ("numbers", [1]),
+                            ("null-entry", ["1", None]))),
     pytest.param(lambda: model_from_json_dict([]),
                  "model document must be a JSON object", id="document-not-object"),
     pytest.param(lambda: model_from_json_dict({"parties": [party(), party()], "dist": {}}),
