@@ -3,8 +3,9 @@
 
 Two versions of the library that print the same digest give byte-identical
 answers on the grid: every `LPResult.to_json_dict()` (status, score, mass,
-iterations, message, `primal_residual`, columns, rows) and every weight,
-key and order included.  The grid, 67 LPs at the default `--max-n 5`:
+iterations, HiGHS's status string, `primal_residual`, columns, rows) and
+every weight, key and order included.  The grid, 68 LPs at the default
+`--max-n 5`:
 
 * `max_score_lp(n, B)` for n = 2..max-n and B in {0, 1/2, 1, 2, inf};
 * `min_negativity_lp` of the saturating family at n = 2..max-n, N in {1/2, 1, 2};
@@ -12,7 +13,9 @@ key and order included.  The grid, 67 LPs at the default `--max-n 5`:
   or 1e-3 moved between two cells of row (1, 0), which makes it signal;
 * the Werner state at visibility 0.8, at the same angles;
 * the N = 1 family with 1e-12 moved within row (1, n-2) or (0, n-1), n >= 3;
-* a 2-setting target whose Bob marginal follows Alice's setting (INFEASIBLE).
+* a 2-setting target whose Bob marginal follows Alice's setting (INFEASIBLE);
+* a 2-setting target with every row (1e300, -1e300, 1/2, 1/2): no-signalling,
+  but HiGHS refuses its row bounds as a model error (FAILED).
 
 Each `--order` seed runs the whole grid once in its own shuffled order, so
 answers that depend on what was solved before show as a mismatch: the
@@ -89,6 +92,8 @@ def grid(max_n: int) -> list:
     signalling = Behavior(2, 2, {(0, 0): (1.0, 0.0, 0.0, 0.0), (0, 1): (1.0, 0.0, 0.0, 0.0),
                                  (1, 0): (0.0, 1.0, 0.0, 0.0), (1, 1): (0.0, 1.0, 0.0, 0.0)})
     calls.append(("signalling", lambda: min_negativity_lp(signalling)))
+    huge = Behavior(2, 2, {pair: (1e300, -1e300, 0.5, 0.5) for pair in signalling.table})
+    calls.append(("model error", lambda: min_negativity_lp(huge)))
     return calls
 
 

@@ -4,9 +4,10 @@ Every chain length, n=2 included, is scored and witnessed as a chain; the
 2-setting witness is the first chain link (x=1).
 
 Exit codes: 0 success, 1 a checked property failed (a bound violation, an
-invalid behavior where validity is required, or a min-neg LP that is not
-OPTIMAL, such as the infeasible LP of a signalling behavior), 2 usage or
-input errors, 141 stdout closed by its reader.  All randomness is seeded;
+invalid behavior where validity is required, or an `oracle lp` or `oracle
+min-neg` LP that is not OPTIMAL, such as the infeasible LP of a signalling
+behavior or a FAILED solve), 2 usage or input errors, 141 stdout closed by
+its reader.  All randomness is seeded;
 identical invocations produce identical bytes on stdout.  The default
 tolerance (1e-9) can be overridden per run with --tolerance or the
 QUASIBELL_TOLERANCE environment variable.
@@ -247,13 +248,13 @@ def _cmd_classical_bound(args, tol: float) -> int:
 
 
 def _cmd_lp(args, tol: float) -> int:
-    from .oracle import max_score_lp
+    from .oracle import LPStatus, max_score_lp
 
     result = max_score_lp(args.n, args.budget)
     payload = result.to_json_dict()
     payload["budget"] = None if math.isinf(args.budget) else args.budget
     _emit(_json_text(payload), args.output)
-    return EXIT_OK
+    return EXIT_OK if result.status is LPStatus.OPTIMAL else EXIT_CHECK_FAILED
 
 
 def _cmd_min_neg(args, tol: float) -> int:

@@ -37,7 +37,9 @@ strategy's score, and one matcher (`_relabelled`) checks that each chained
 generator and each setting swap permutes the behavior entries; building
 refuses otherwise.  Both LPs go through one helper, `_solve`, which hands
 the prepared model and its row bounds to `linprog`, this module's own call
-of the HiGHS binding that `scipy.optimize.linprog` uses (see there).
+of the HiGHS binding that `scipy.optimize.linprog` uses.  `linprog` reports
+HiGHS's model status and status string, not scipy's, and `_solve` judges
+each optimum by its `primal_residual`: one above `_MAX_RESIDUAL` is FAILED.
 Importing this module loads numpy only, so enumeration, the classical bound,
 the quantum generator and the sampler never load scipy.  The first solve
 loads `scipy` and that binding alone (`_highs_binding`), not
@@ -91,30 +93,17 @@ class LPStatus(str, Enum):
 
 _LINPROG_STATUS = {0: LPStatus.OPTIMAL, 2: LPStatus.INFEASIBLE, 3: LPStatus.UNBOUNDED}
 
-#: scipy's status code and message prefix for each HiGHS model status, as
-#: `scipy.optimize.linprog` maps them: other statuses up to 14 map to
-#: (4, ""), and later ones to `_UNRECOGNIZED_STATUS`.
-_SCIPY_STATUS = {
-    2: (2, ""),
-    7: (0, "Optimization terminated successfully. "),
-    8: (2, "The problem is infeasible. "),
-    9: (4, "The problem is unbounded or infeasible. "),
-    10: (3, "The problem is unbounded. "),
-    13: (1, "Time limit reached. "),
-    14: (1, "Iteration limit reached. "),
-}
-_UNRECOGNIZED_STATUS = (4, "The HiGHS status code was not recognized. ")
-#: How far `scipy.optimize.linprog` lets an optimum violate its bounds and
-#: rows before it reports status 4: 10 * sqrt(tol) at its default tol 1e-9.
-_SCIPY_CHECK_SLACK = 10 * math.sqrt(1e-9)
-_SCIPY_CHECK_MESSAGE = (
-    "The solution does not satisfy the constraints within the required tolerance "
-    f"of {_SCIPY_CHECK_SLACK:.2E}, yet no errors were raised and there is no "
-    "certificate of infeasibility or unboundedness. Check whether the slack and "
-    "constraint residuals are acceptable; if not, consider enabling presolve, "
-    "adjusting the tolerance option(s), and/or using a different method. Please "
-    "consider submitting a bug report."
-)
+#: `linprog`'s status code for each HiGHS model status: kOptimal (7) is 0,
+#: kInfeasible (8) is 2 and kUnbounded (10) is 3.  Every other status is 4,
+#: model error (2), unbounded or infeasible (9) and the limits included.
+_HIGHS_STATUS = {7: 0, 8: 2, 10: 3}
+
+#: Largest `primal_residual` of an OPTIMAL answer; a solution HiGHS calls
+#: optimal with a larger one is FAILED.  It is tighter than the 3.2e-4 that
+#: `scipy.optimize.linprog` lets an optimum miss its bounds and rows by, and
+#: looser than the residual, about 1e-7, of a target that signals by HiGHS's
+#: feasibility tolerance (see `min_negativity_lp`).
+_MAX_RESIDUAL = 1e-6
 
 
 #: The options `scipy.optimize.linprog(method="highs")` sets, no output,
@@ -224,7 +213,7 @@ def _highs_model(cost: np.ndarray, matrix: np.ndarray) -> _HighsModel:
 
 
 def linprog(model: _HighsModel, row_lower: np.ndarray, row_upper: np.ndarray) -> _HighsResult:
-    """Solve `model` within row bounds, as `scipy.optimize.linprog(method="highs")` would.
+    """Solve `model` within row bounds with the HiGHS binding `scipy.optimize.linprog` runs.
 
     Minimizes `model.cost @ x` over x >= 0 subject to `row_lower <= A x <=
     row_upper`, A the model's rows, with one float64 entry per row in each
@@ -235,16 +224,20 @@ def linprog(model: _HighsModel, row_lower: np.ndarray, row_upper: np.ndarray) ->
     `scipy.optimize._highspy._core`, loaded on the first solve without
     `scipy.optimize` (`_highs_binding`), with the model that function passes for
     those rows, column-wise, and the options `_HIGHS_OPTIONS`: scipy's, with
-    presolve off.  So `status` (scipy's codes), `x`, `fun`, `nit` and
-    `message` are those `scipy.optimize.linprog` returns with presolve off,
-    status 4 for an optimum that misses a bound or row by more than its
-    check allows included.  What it skips is the Python around that call
-    whose output `_solve` discards: input cleaning, the conversion through
-    `scipy.sparse` (the model is built once, `_highs_model`), a fresh option
-    checker for each option, the copy of HiGHS's whole info record (read
-    only to word a message off OPTIMAL), the loop over every column's basis
-    status and dual, and the result assembly.  At these sizes that wrapper,
-    not HiGHS, sets the cost.
+    presolve off.  So `x`, `fun` and `nit` are those `scipy.optimize.linprog`
+    returns with presolve off.  `status` is HiGHS's model status mapped by
+    `_HIGHS_STATUS`, so a model error is 4, where scipy calls it infeasible.
+    `message` is HiGHS's name of that status, and off OPTIMAL it also names
+    the primal solution status, worded as scipy's wrapper words it; scipy's
+    message quotes it.  No check of the optimum against the bounds and rows
+    is made here: `_solve` judges each optimum by its `primal_residual`.
+    What it skips is the Python around that call whose output `_solve`
+    discards: input cleaning, the conversion through `scipy.sparse` (the
+    model is built once, `_highs_model`), a fresh option checker for each
+    option, the copy of HiGHS's whole info record (read only to word a
+    message off OPTIMAL), the loop over every column's basis status and
+    dual, and the result assembly.  At these sizes that wrapper, not HiGHS,
+    sets the cost.
     Where scipy makes a HiGHS instance per call, this solves on one per
     thread (`_highs_solver`), whose options are set once when it is made.
     Each call clears its solver state (`clearSolver`) and passes the model
@@ -253,12 +246,11 @@ def linprog(model: _HighsModel, row_lower: np.ndarray, row_upper: np.ndarray) ->
     gives.  An option HiGHS refuses raises RuntimeError (`_highs_solver`),
     and so does an info value it does not know, so a binding that renamed
     one can neither fall back to HiGHS's defaults nor report a count unseen.
-    The binding is used because it is the one `scipy.optimize.linprog`
-    runs, so the answers stay scipy's.  `pyproject.toml` asks for
-    scipy >= 1.15, the release taken to be the first to ship the binding;
-    that floor is unverified, and only scipy 1.17.1, with HiGHS 1.12.0, has
-    been run against this function.  A scipy that keeps no binding where
-    `_highs_binding` looks raises ImportError rather than solving otherwise.
+    `pyproject.toml` asks for scipy >= 1.15, the release taken to be the
+    first to ship the binding; that floor is unverified, and only scipy
+    1.17.1, with HiGHS 1.12.0, has been run against this function.  A scipy
+    that keeps no binding where `_highs_binding` looks raises ImportError
+    rather than solving otherwise.
     """
     highs = _highs_binding()
     if not len(row_lower) == len(row_upper) == model.rows:
@@ -268,8 +260,8 @@ def linprog(model: _HighsModel, row_lower: np.ndarray, row_upper: np.ndarray) ->
         )
     solver = _highs_solver()
     solver.clearSolver()
-    x = fun = None
-    nit, detail = 0, None
+    x = fun = message = None
+    nit = 0
     passed = solver.passModel(
         len(model.cost), model.rows, len(model.index),
         int(highs.MatrixFormat.kColwise), int(highs.ObjSense.kMinimize), 0.0,
@@ -289,23 +281,15 @@ def linprog(model: _HighsModel, row_lower: np.ndarray, row_upper: np.ndarray) ->
             if nit:
                 break
         if model_status == highs.HighsModelStatus.kOptimal:
-            solution = solver.getSolution()
-            x, fun = np.array(solution.col_value), solver.getObjectiveValue()
-            row_value = np.array(solution.row_value)
+            x, fun = np.array(solver.getSolution().col_value), solver.getObjectiveValue()
         else:
             primal_status = solver.getInfo().primal_solution_status
-            detail = (
+            message = (
                 f"model_status is {solver.modelStatusToString(model_status)}; "
                 f"primal_status is {solver.solutionStatusToString(primal_status)}"
             )
-    code = int(model_status)
-    status, prefix = _SCIPY_STATUS.get(code, (4, "") if code <= 14 else _UNRECOGNIZED_STATUS)
-    message = f"{prefix}(HiGHS Status {code}: {detail or solver.modelStatusToString(model_status)})"
-    if x is not None:
-        gaps = np.concatenate([-x, row_value - row_upper, row_lower - row_value])
-        if math.isnan(fun) or not gaps.max() <= _SCIPY_CHECK_SLACK:
-            status, message = 4, _SCIPY_CHECK_MESSAGE
-    return _HighsResult(status, x, fun, nit, message)
+    status = _HIGHS_STATUS.get(int(model_status), 4)
+    return _HighsResult(status, x, fun, nit, message or solver.modelStatusToString(model_status))
 
 
 def _highs_solver():
@@ -331,13 +315,15 @@ class LPResult:
     """Solution of one of the strategy-mixture linear programs.
 
     `iterations` and `solver_message` are HiGHS's iteration count and
-    message, kept whatever the status; `columns` and `rows` count the columns
-    and constraint rows of the program HiGHS solved.  `primal_residual` is
-    the largest violation of the LP's constraints over all 4^n joint
-    strategies by the returned weights, computed from the behavior matrix B
-    (for `min_negativity_lp`, max|B w - target|), or None unless OPTIMAL.
-    `negative_mass` is NaN unless OPTIMAL, and for `max_score_lp` with an
-    infinite budget (see there).
+    status string (`linprog`), kept whatever the status; `columns` and
+    `rows` count the columns and constraint rows of the program HiGHS
+    solved.  `primal_residual` is the largest violation of the LP's
+    constraints over all 4^n joint strategies by the returned weights,
+    computed from the behavior matrix B (for `min_negativity_lp`,
+    max|B w - target|), or None when HiGHS returned no solution.  A solution
+    whose residual exceeds `_MAX_RESIDUAL` is FAILED, with its weights and
+    residual kept.  `negative_mass` is NaN when HiGHS returned no solution,
+    and for `max_score_lp` with an infinite budget (see there).
     """
 
     optimal_score: float
@@ -352,8 +338,9 @@ class LPResult:
     rows: int
 
     def to_json_dict(self) -> dict:
-        """JSON fields; the score is null unless OPTIMAL, the mass wherever it is NaN."""
+        """JSON fields; the score is null unless OPTIMAL, the mass and residual wherever NaN."""
         optimal = self.status is LPStatus.OPTIMAL
+        residual = self.primal_residual
         return {
             "optimal_score": self.optimal_score if optimal else None,
             "negative_mass": None if math.isnan(self.negative_mass) else self.negative_mass,
@@ -362,7 +349,7 @@ class LPResult:
             "support_size": len(self.weights),
             "iterations": self.iterations,
             "solver_message": self.solver_message,
-            "primal_residual": self.primal_residual,
+            "primal_residual": None if residual is None or math.isnan(residual) else residual,
             "columns": self.columns,
             "rows": self.rows,
         }
@@ -772,7 +759,8 @@ def _solve(
     largest of |sum w - 1|, max(-B w) and 8 sum v - `budget`, with the
     negative mass NaN for an infinite budget.  The weights are the entries
     of w above 1e-12 in absolute value, in strategy order.  The optimal
-    score is `score` when given, else -cost @ x.
+    score is `score` when given, else -cost @ x.  An optimum whose residual
+    exceeds `_MAX_RESIDUAL`, or is NaN, is FAILED (see `LPResult`).
     """
     if b_ub is None:
         row_lower = row_upper = b_eq
@@ -798,6 +786,8 @@ def _solve(
             if math.isinf(budget):
                 negative_mass = math.nan
         optimal_score = float(score) if score is not None else float(-res.fun)
+        if not residual <= _MAX_RESIDUAL:
+            status = LPStatus.FAILED
     return LPResult(
         optimal_score=optimal_score,
         weights=weights,
@@ -870,7 +860,10 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     INFEASIBLE at every n.  The reported optimal_score is the chained score the
     target itself achieves.  Note this answers "how little negative mass
     reproduces these statistics", which is related to but distinct from any
-    witness value of a particular model.  HiGHS solves once per call.
+    witness value of a particular model.  HiGHS solves once per call.  A
+    target with a NaN or infinite entry, which only a table changed after
+    construction can hold, is refused with ValueError naming the first such
+    cell before any program is built.
 
     The program is B(u - v) = t with u, v >= 0, minimizing the total of v,
     and B `_behavior_matrix(n)`'s 4n^2 rows.  They have rank (n+1)^2 only, so
@@ -942,9 +935,13 @@ def min_negativity_lp(target: Behavior) -> LPResult:
         raise ValueError("min-negativity LP needs n >= 2")
     if n > _MAX_LP_SETTINGS:
         raise ValueError(f"LP oracle limited to n <= {_MAX_LP_SETTINGS}")
+    entries = np.array([float(v) for pair in target.setting_pairs() for v in target.table[pair]])
+    if not np.isfinite(entries).all():
+        i = int(np.argmin(np.isfinite(entries)))
+        cell = (*target.setting_pairs()[i // 4], *OUTCOME_PAIRS[i % 4])
+        raise ValueError(f"target cell (x_a, x_b, y_a, y_b) {cell} is {float(entries[i])!r}")
     basis = _behavior_basis(n)
     group = _chain_group(n)
-    entries = np.array([float(v) for pair in target.setting_pairs() for v in target.table[pair]])
     signals = bool(np.abs(basis.expand @ entries[basis.rows] - entries).max() > _BASIS_SLACK)
     # How far each relabelling moves the target, gathered once: a finite
     # entry moves by 0 exactly when the relabelling fixes it exactly.

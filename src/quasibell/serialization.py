@@ -12,7 +12,7 @@ str() and read back as strings, so labels may not contain commas.  A file is
 read only in the form it is written: `lambdas` must be an array of strings,
 and a table key's setting must be written as str() writes it.  Behavior
 CSV uses the fixed header ``xA,xB,P--,P-+,P+-,P++`` with one row per setting
-pair in lexicographic order.
+pair in lexicographic order, its settings written as str() writes them too.
 """
 
 from __future__ import annotations
@@ -36,6 +36,18 @@ def _label_str(label) -> str:
     if "," in text:
         raise ModelFormatError(f"hidden-value label {label!r} may not contain a comma")
     return text
+
+
+def _setting(text: str) -> int:
+    """The setting index that `text` writes as str() does; ValueError otherwise.
+
+    int() alone would also take "00", " 1", "+1" and "0_1".  Model table
+    keys and behavior CSV columns are read through it.
+    """
+    x = int(text)
+    if str(x) != text:
+        raise ValueError(f"setting {text!r} is not written as {str(x)!r}")
+    return x
 
 
 def _party_to_dict(response: LocalResponse) -> dict:
@@ -94,12 +106,8 @@ def _party_from_dict(entry: dict, party: str) -> LocalResponse:
     table = {}
     for key, row in raw_table.items():
         x_text, _, lam = key.partition(",")
-        # The setting is written with str(); int() alone would also take
-        # "00", "0 ", "+0" and "0_0".
         try:
-            x = int(x_text)
-            if str(x) != x_text:
-                raise ValueError(f"setting {x_text!r} is not written as {str(x)!r}")
+            x = _setting(x_text)
         except ValueError as exc:
             raise ModelFormatError(f"party {party}: bad table key {key!r}") from exc
         if not (isinstance(row, list) and len(row) == 2
@@ -179,7 +187,7 @@ def behavior_from_csv(text: str, tolerance: float = DEFAULT_TOLERANCE) -> Behavi
         if len(row) != 6:
             raise ModelFormatError(f"line {line_no}: expected 6 columns")
         try:
-            x_a, x_b = int(row[0]), int(row[1])
+            x_a, x_b = _setting(row[0]), _setting(row[1])
             values = tuple(float(v) for v in row[2:])
         except ValueError as exc:
             raise ModelFormatError(f"line {line_no}: {exc}") from exc

@@ -429,6 +429,49 @@ class TestOracleCommands:
         assert payload["negative_mass"] is None
         assert payload["rows"] == 16  # all 4n^2 rows for a signalling target
 
+    def test_min_neg_model_error_is_failed(self, capsys, tmp_path):
+        # HiGHS refuses the row bounds 1e300 as a model error: no proof of
+        # infeasibility, so FAILED, not INFEASIBLE.
+        csv_path = tmp_path / "huge.csv"
+        rows = [f"{x_a},{x_b},1e300,-1e300,0.5,0.5" for x_a in range(2) for x_b in range(2)]
+        csv_path.write_text("\n".join(["xA,xB,P--,P-+,P+-,P++", *rows, ""]))
+        code, out, err = run(capsys, "oracle", "min-neg", "--behavior", str(csv_path))
+        assert (code, err) == (1, "")
+        payload = _strict_json(out)
+        assert payload["status"] == "FAILED"
+        assert payload["solver_message"] == "Model error"
+        assert payload["primal_residual"] is None
+
+    def test_lp_off_optimal_exits_one(self, capsys, monkeypatch):
+        # HiGHS's optimum moved by 1e-3 misses the program by more than the
+        # residual bound: the answer is FAILED, still printed, and exit 1.
+        solve = oracle.linprog
+
+        def perturbed(model, row_lower, row_upper):
+            res = solve(model, row_lower, row_upper)
+            return res._replace(x=res.x + 1e-3)
+
+        monkeypatch.setattr(oracle, "linprog", perturbed)
+        code, out, err = run(capsys, "oracle", "lp", "--n", "3", "--budget", "1")
+        assert (code, err) == (1, "")
+        payload = _strict_json(out)
+        assert payload["status"] == "FAILED"
+        assert payload["solver_message"] == "Optimal"
+        assert payload["optimal_score"] is None
+        assert payload["primal_residual"] > oracle._MAX_RESIDUAL
+
+    @pytest.mark.parametrize("setting", ["00", "+1", " 1", "0_1"])
+    def test_min_neg_refuses_an_unwritten_setting(self, capsys, tmp_path, setting):
+        csv_path = tmp_path / "behavior.csv"
+        text = behavior_to_csv(assemble_behavior(chsh_saturating_model(1)))
+        lines = text.splitlines()
+        lines[2] = setting + lines[2][1:]  # the row of settings (0, 1)
+        csv_path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "oracle", "min-neg", "--behavior", str(csv_path))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"error: line 3: setting {setting!r} is not written as {str(int(setting))!r}"]
+
 
 class TestSampling:
     def test_identical_seeds_identical_bytes(self, capsys, tmp_path):

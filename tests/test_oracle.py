@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -900,15 +901,17 @@ class TestSolverReport:
 class TestResidualOfAPerturbedSolution:
     """`primal_residual` against the violation recomputed from the reported weights.
 
-    `oracle.linprog` is wrapped to add 1e-3 to one orbit column of HiGHS's
-    optimum, so the weights violate the program and the residual is nonzero.
+    `oracle.linprog` is wrapped to add `size` (1e-3 unless given) to one
+    orbit column of HiGHS's optimum, so the weights violate the program and
+    the residual is nonzero.  Above `oracle._MAX_RESIDUAL` the answer is
+    FAILED, with its weights and residual kept.
     """
 
     @staticmethod
-    def _perturb(monkeypatch, column):
+    def _perturb(monkeypatch, column, size=1e-3):
         def perturbed(res):
             x = res.x.copy()
-            x[column(x)] += 1e-3
+            x[column(x)] += size
             return res._replace(x=x)
 
         _spy_linprog(monkeypatch, perturbed)
@@ -931,7 +934,8 @@ class TestResidualOfAPerturbedSolution:
         target = assemble_behavior(chained_saturating_model(n, 1.0))
         self._perturb(monkeypatch, lambda x: 0)  # u of the first orbit
         result = min_negativity_lp(target)
-        assert result.status is LPStatus.OPTIMAL
+        assert result.status is LPStatus.FAILED
+        assert result.solver_message == "Optimal"
         gap = max(abs(value - float(target.table[(x_a, x_b)][k]))
                   for (x_a, x_b, k), value in self._entries(n, result.weights).items())
         assert gap > 1e-4
@@ -943,7 +947,8 @@ class TestResidualOfAPerturbedSolution:
         # u is 0, so the budget row's 8 sum(v) is 8 times the negative mass.
         self._perturb(monkeypatch, lambda x: len(x) // 2 + int(np.argmax(x[len(x) // 2:])))
         result = max_score_lp(n, budget)
-        assert result.status is LPStatus.OPTIMAL
+        assert result.status is LPStatus.FAILED
+        assert result.to_json_dict()["optimal_score"] is None
         weights = result.weights.values()
         normalization = abs(sum(weights) - 1.0)
         negative_entry = max(-value for value in self._entries(n, result.weights).values())
@@ -951,6 +956,24 @@ class TestResidualOfAPerturbedSolution:
         assert overrun > max(normalization, negative_entry, 1e-4)
         violation = max(normalization, negative_entry, overrun)
         assert result.primal_residual == pytest.approx(violation, rel=1e-9, abs=1e-10)
+
+    @pytest.mark.parametrize("size, status", [
+        (0.5 * oracle._MAX_RESIDUAL, LPStatus.OPTIMAL),
+        (2 * oracle._MAX_RESIDUAL, LPStatus.FAILED),
+        (math.nan, LPStatus.FAILED),
+    ])
+    def test_the_residual_bound_decides_the_status(self, size, status, monkeypatch):
+        target = assemble_behavior(chained_saturating_model(3, 1.0))
+        self._perturb(monkeypatch, lambda x: 0, size)
+        result = min_negativity_lp(target)
+        assert result.status is status
+        assert result.solver_message == "Optimal"
+        if math.isnan(size):
+            assert math.isnan(result.primal_residual)
+            payload = json.loads(json.dumps(result.to_json_dict(), allow_nan=False))
+            assert payload["primal_residual"] is None
+        else:
+            assert result.primal_residual == pytest.approx(size, rel=1e-6)
 
 
 def _singlet_at_chained_angles(n: int, visibility: float = 1.0) -> Behavior:
@@ -1024,8 +1047,32 @@ class TestSolverSetting:
             assert result.status is LPStatus.INFEASIBLE
 
 
+def _highs_message() -> str:
+    """HiGHS's own account of this thread's last solve, read from its solver.
+
+    The model status's name, and off OPTIMAL also the primal solution
+    status's, worded as scipy's wrapper words them.
+    """
+    solver = oracle._highs_solver()
+    status = solver.getModelStatus()
+    name = solver.modelStatusToString(status)
+    if status == oracle._highs_binding().HighsModelStatus.kOptimal:
+        return name
+    primal = solver.solutionStatusToString(solver.getInfo().primal_solution_status)
+    return f"model_status is {name}; primal_status is {primal}"
+
+
+def _quoted_highs_message(scipy_message: str) -> str:
+    """The HiGHS string that a `scipy.optimize.linprog` message quotes, `(HiGHS Status k: ...)`."""
+    return re.fullmatch(r".*\(HiGHS Status \d+: (.+)\)", scipy_message, re.DOTALL).group(1)
+
+
 class TestDirectHighs:
-    """`oracle.linprog` calls HiGHS as `scipy.optimize.linprog` does, and answers alike."""
+    """`oracle.linprog` calls HiGHS as `scipy.optimize.linprog` does, and answers alike.
+
+    Status, x, fun and nit are scipy's; the message is HiGHS's own string,
+    the one scipy's message quotes.
+    """
 
     @pytest.mark.parametrize("presolve", [False, True], ids=["presolve-off", "presolve-on"])
     @pytest.mark.parametrize("solve", _DIRECT_CASES)
@@ -1039,6 +1086,7 @@ class TestDirectHighs:
         assert len(calls) == 1
         call = calls[0]
         got = solve_directly(call.model, call.row_lower, call.row_upper)
+        assert got.message == _highs_message()
         cost, kwargs = _scipy_program(call, presolve)
         want = linprog(cost, **kwargs)
         if presolve:
@@ -1048,7 +1096,8 @@ class TestDirectHighs:
                        if case.id in _PRESOLVE_CHANGES_THE_ANSWER]
             assert agree is (solve not in changed)
             return
-        assert (got.status, got.nit, got.message) == (want.status, want.nit, want.message)
+        assert (got.status, got.nit) == (want.status, want.nit)
+        assert got.message == _quoted_highs_message(want.message)
         assert got.fun == want.fun
         if want.x is None:
             assert got.x is None
@@ -1107,9 +1156,13 @@ def _answer(res) -> tuple:
 
 
 def _scipy_answer(call: _Solve) -> tuple:
-    """`_answer` of `scipy.optimize.linprog` on the program of `call`, see `_scipy_program`."""
+    """`_answer` of `scipy.optimize.linprog` on the program of `call`, see `_scipy_program`.
+
+    Its message is the HiGHS string that scipy's message quotes.
+    """
     cost, kwargs = _scipy_program(call)
-    return _answer(linprog(cost, **kwargs))
+    res = linprog(cost, **kwargs)
+    return (*_answer(res)[:-1], _quoted_highs_message(res.message))
 
 
 def _lp_answer(result) -> tuple:
@@ -1195,6 +1248,65 @@ class TestReusedHighs:
         solver = oracle._THREAD_HIGHS.solver
         for name, value in oracle._HIGHS_OPTIONS:
             assert solver.getOptionValue(name)[1] == value
+
+
+class _ReportsStatus:
+    """This thread's HiGHS solver, but for the model status it reports after a solve."""
+
+    def __init__(self, solver, status) -> None:
+        self._solver, self._status = solver, status
+
+    def getModelStatus(self):
+        return self._status
+
+    def __getattr__(self, name):
+        return getattr(self._solver, name)
+
+
+#: The `LPStatus` of each HiGHS model status that is not FAILED.
+_NOT_FAILED = {"kOptimal": LPStatus.OPTIMAL, "kInfeasible": LPStatus.INFEASIBLE,
+               "kUnbounded": LPStatus.UNBOUNDED}
+
+
+def _model_error_target() -> Behavior:
+    """A no-signalling 2-setting target whose every row is (1e300, -1e300, 1/2, 1/2).
+
+    HiGHS refuses its row bounds as a model error, which scipy's `linprog`
+    reports as infeasible (status 2), so it is kept out of `_DIRECT_CASES`.
+    """
+    row = (1e300, -1e300, 0.5, 0.5)
+    return Behavior(2, 2, {pair: row for pair in itertools.product(range(2), repeat=2)})
+
+
+class TestHighsStatus:
+    """HiGHS's model status decides the `LPStatus`: only three are not FAILED."""
+
+    @pytest.mark.parametrize("name", sorted(oracle._highs_binding().HighsModelStatus.__members__))
+    def test_each_model_status_has_its_lp_status(self, name, monkeypatch):
+        status = oracle._highs_binding().HighsModelStatus.__members__[name]
+        solver = oracle._highs_solver()
+        monkeypatch.setattr(oracle, "_THREAD_HIGHS", threading.local())
+        oracle._THREAD_HIGHS.solver = _ReportsStatus(solver, status)
+        calls = _spy_linprog(monkeypatch)
+        result = min_negativity_lp(_singlet_at_chained_angles(2))
+        want = _NOT_FAILED.get(name, LPStatus.FAILED)
+        assert result.status is want
+        assert calls[0].result.status == {LPStatus.OPTIMAL: 0, LPStatus.INFEASIBLE: 2,
+                                          LPStatus.UNBOUNDED: 3, LPStatus.FAILED: 4}[want]
+        assert (result.primal_residual is None) is (want is not LPStatus.OPTIMAL)
+        name_string = solver.modelStatusToString(status)
+        assert result.solver_message.startswith(
+            name_string if want is LPStatus.OPTIMAL else f"model_status is {name_string}; ")
+
+    def test_a_model_error_is_failed_not_infeasible(self, monkeypatch):
+        calls = _spy_linprog(monkeypatch)
+        result = min_negativity_lp(_model_error_target())
+        assert result.status is LPStatus.FAILED
+        assert result.solver_message == "Model error"
+        assert result.primal_residual is None
+        assert calls[0].result.status == 4
+        cost, kwargs = _scipy_program(calls[0])
+        assert linprog(cost, **kwargs).status == 2
 
 
 class TestPreparedModels:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from quasibell import (
+    OUTCOME_PAIRS,
     Behavior,
     LocalResponse,
     QuasiDist,
@@ -110,6 +111,29 @@ def test_min_negativity_lp_refuses_n1_before_solving(monkeypatch):
     monkeypatch.setattr(oracle, "linprog", fail)
     with pytest.raises(ValueError, match="^min-negativity LP needs n >= 2$"):
         min_negativity_lp(uniform_behavior(1, 1))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=repr)
+@pytest.mark.parametrize("pair, k", [((0, 0), 0), ((1, 2), 3)])
+def test_min_negativity_lp_refuses_a_non_finite_target_before_building(
+    monkeypatch, value, pair, k
+):
+    # A table changed after construction; the later cell (2, 2, +1, +1) is
+    # non-finite too, and the first one is named.
+    target = uniform_behavior(3, 3)
+    for cell_pair, cell in ((pair, k), ((2, 2), 3)):
+        row = list(target.table[cell_pair])
+        row[cell] = value
+        target.table[cell_pair] = tuple(row)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("no program should be built or solved")
+
+    monkeypatch.setattr(oracle, "_negativity_program", fail)
+    monkeypatch.setattr(oracle, "linprog", fail)
+    message = f"target cell (x_a, x_b, y_a, y_b) {(*pair, *OUTCOME_PAIRS[k])} is {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        min_negativity_lp(target)
 
 
 @pytest.mark.parametrize("seed", [None, -1, 0.5])
@@ -232,6 +256,12 @@ def test_core_refusals(call, message):
                  "'dist' must be a non-empty object", id="empty-dist"),
     pytest.param(lambda: behavior_from_csv("xA,xB,P--,P-+,P+-,P++\n"),
                  "behavior CSV has no data rows", id="csv-header-only"),
+    *(pytest.param(lambda row=row: behavior_from_csv(f"xA,xB,P--,P-+,P+-,P++\n{row},1,0,0,0"),
+                   f"line 2: setting {text!r} is not written as {str(int(text))!r}",
+                   id=f"csv-unwritten-{column}-{text}")
+      # int() takes each of these setting columns, str() writes none of them.
+      for text in ("00", "+1", " 1", "0_1", "-0")
+      for column, row in (("xA", f"{text},0"), ("xB", f"0,{text}"))),
 ])
 def test_serialization_refusals(call, message):
     with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}$"):

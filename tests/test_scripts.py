@@ -40,23 +40,24 @@ def test_saturation_sweep(monkeypatch, capsys):
 
 def test_lp_grid_digest(monkeypatch, capsys):
     # The n <= 3 grid in two call orders.  The digest pins every answer,
-    # weights and `primal_residual` included, as scipy 1.17.1 with HiGHS
-    # 1.12.0 gives them: a change that moves any of them changes it.
+    # weights, `primal_residual` and HiGHS's status string included, as
+    # scipy 1.17.1 with HiGHS 1.12.0 gives them: a change that moves any of
+    # them changes it.  The model-error target pins FAILED, not INFEASIBLE.
     assert run_script(monkeypatch, "lp_grid_digest.py", "--max-n", "3", "--order", "1", "2") == 0
     out = capsys.readouterr().out
-    assert "33 LPs, 2 orders" in out
+    assert "34 LPs, 2 orders" in out
     assert out.splitlines()[-1] == (
-        "digest 22a9c061a65b4fbf22519fcd430e0f4f0e1b576112746a56db436976a552e1a0"
+        "digest da11fe2284a6f988a7ad005c8dcecb81cf1618a775f994f720df338c0ac98180"
     )
 
 
 def test_lp_grid_digest_up_to_n5(monkeypatch, capsys):
-    # The whole 67-LP grid, n = 2..5, in one order.
+    # The whole 68-LP grid, n = 2..5, in one order.
     assert run_script(monkeypatch, "lp_grid_digest.py", "--max-n", "5", "--order", "1") == 0
     out = capsys.readouterr().out
-    assert "67 LPs, 1 orders" in out
+    assert "68 LPs, 1 orders" in out
     assert out.splitlines()[-1] == (
-        "digest c1d9a5623ce65453863d6a08158fb343c2224faa0344738598ace93cfb015c3a"
+        "digest 01a796d4aeacddf62e0a1dbf58e7d51300fea3b1f12e750b71f91c1b7f211c34"
     )
 
 
