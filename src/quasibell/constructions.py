@@ -62,14 +62,6 @@ class SymbolStrategy:
     def signs_B(self) -> tuple[int, ...]:
         return tuple(_SIGN_VALUE[s] for s in self.symbols_B)
 
-    @classmethod
-    def from_signs(cls, signs_a, signs_b) -> "SymbolStrategy":
-        to_sym = {+1: PLUS, -1: MINUS}
-        return cls(
-            symbols_A=tuple(to_sym[s] for s in signs_a),
-            symbols_B=tuple(to_sym[s] for s in signs_b),
-        )
-
 
 #: The deterministic rows, keyed by (answers +1, exact).  Exact rows hold the
 #: ints 0 and 1: only a product with a `Fraction` weight is a `Fraction`, so

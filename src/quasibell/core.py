@@ -65,6 +65,12 @@ def _row_error(party: str, key, problem: str) -> StructureError:
     return StructureError(f"party {party}, (x, lambda)={key}: {problem}")
 
 
+def _check_tolerance(tol: float) -> None:
+    """Refuse a tolerance that is negative, infinite or NaN."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be non-negative and finite, got {tol!r}")
+
+
 def _check_prob_row(row, tol: float, party: str, key) -> None:
     # Both tests of each pair are false for NaN, so NaN is refused.
     if len(row) != 2:
@@ -115,11 +121,6 @@ class LocalResponse:
             if row is not previous:
                 _check_prob_row(row, DEFAULT_TOLERANCE, self.party, key)
                 previous = row
-
-    def prob(self, y: int, x: int, lam: Label):
-        """P(y | x, lam) with y in {-1, +1}."""
-        row = self.row(x, lam)
-        return row[0] if y == -1 else row[1]
 
     def row(self, x: int, lam: Label) -> tuple:
         if not 0 <= x < self.n_settings:
@@ -208,9 +209,6 @@ class Model:
         """Settings available to both parties."""
         return min(self.response_A.n_settings, self.response_B.n_settings)
 
-    def is_diagonal(self) -> bool:
-        return all(a == b for a, b in self.dist.support)
-
     @cached_property
     def _cells(self) -> dict[tuple[int, int], tuple]:
         """The mixed behavior table, computed on first use; not a field."""
@@ -244,8 +242,7 @@ class Behavior:
     def __post_init__(self) -> None:
         if self.n_settings_A < 1 or self.n_settings_B < 1:
             raise StructureError("setting counts must be positive")
-        if not 0 <= self.tolerance < math.inf:
-            raise ValueError(f"tolerance must be non-negative and finite, got {self.tolerance!r}")
+        _check_tolerance(self.tolerance)
         # As many keys as setting pairs, and every pair a key: the key set is
         # exactly the pairs, checked without building either set.
         table, n_a, n_b = self.table, self.n_settings_A, self.n_settings_B
@@ -433,10 +430,10 @@ def validate_behavior(behavior: Behavior, tol: float = DEFAULT_TOLERANCE) -> Val
     A NaN entry is worse than any number: the report is invalid, names the
     first NaN in row order as its worst entry, and gives a NaN no-signalling
     figure, as does an infinite entry.  The answer does not depend on where
-    in the table the non-finite entry sits.
+    in the table the non-finite entry sits.  A `tol` that is negative,
+    infinite or NaN is refused with ValueError.
     """
-    if tol < 0:
-        raise ValueError("tolerance must be non-negative")
+    _check_tolerance(tol)
     # The worst excess max(-value, value - 1) belongs to the smallest or the
     # largest entry, so one comparison-only scan finds both (the first of
     # each in row order); a NaN fails both tests and is reported at once.

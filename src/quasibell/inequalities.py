@@ -20,6 +20,7 @@ from .core import (
     Behavior,
     Model,
     Point,
+    _check_tolerance,
     _row_correlation,
 )
 from .witnesses import ChainedWitnessReport, witness_chained
@@ -170,10 +171,12 @@ def check_quasi_bell(
     Every chain length, n=2 included, uses the chained score and witness.
     `behavior` is the model's assembled behavior, if the caller already has
     it; otherwise the model's own default-tolerance behavior is read, which
-    is built once per model and never handed out.
+    is built once per model and never handed out.  A `tol` that is
+    negative, infinite or NaN is refused with ValueError.
     """
     if n < 2:
         raise ValueError("bound check needs n >= 2")
+    _check_tolerance(tol)
     if behavior is None:
         behavior = model._behavior
     score = chained_score(behavior, n)

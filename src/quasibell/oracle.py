@@ -19,32 +19,28 @@ Four separate routes that never share code with the model/witness path:
   instead of drawing them, so a seed gives the same counts in every release.
 
 The LPs are solved with scipy's HiGHS backend and results are
-deterministic for fixed inputs.  Both solve over orbits of joint strategies
-under a group of relabellings of settings and outcomes that fixes the
-program, one column pair (u_O, v_O) per orbit O of the signed weights
-w = u - v: `max_score_lp` under the chained score's dihedral group of 8n
-(`_chain_group`), `min_negativity_lp` under the group that its target's
+deterministic for fixed inputs.  Each is an `_OrbitProgram`: a program over
+orbits of joint strategies under a group of relabellings of settings and
+outcomes that maps the LP to itself, built once with the column-wise model
+HiGHS takes (`_HighsModel`), so a solve builds only its row bounds.
+`max_score_lp` uses the chained score's dihedral group of 8n
+(`_chain_group`), and `min_negativity_lp` the group that its target's
 stabilizer in that group and its setting swaps (`_setting_transpositions`)
-generate.  Each LP's docstring says why its orbit program has the same
-optimum.  The solution is expanded back to all 4^n strategies and its
-`primal_residual` measured against the behavior matrix (`_behavior_matrix`).
-The per-n groups and programs are built once, and each `min_negativity_lp`
-orbit program once per symmetry of its target (`_negativity_program`), each
-program with the column-wise model HiGHS takes (`_HighsModel`), so a solve
-builds only its row bounds.  Building checks exactly that the row basis
-spans every behavior row and that each chained generator fixes every
-strategy's score, and one matcher (`_relabelled`) checks that each chained
-generator and each setting swap permutes the behavior entries; building
-refuses otherwise.  Both LPs go through one helper, `_solve`, which hands
-the prepared model and its row bounds to `linprog`, this module's own call
-of the HiGHS binding that `scipy.optimize.linprog` uses.  `linprog` reports
-HiGHS's model status and status string, not scipy's, and `_solve` judges
-each optimum by its `primal_residual`: one above `_MAX_RESIDUAL` is FAILED.
+generate, one program per symmetry of its target (`_negativity_program`).
+Building checks exactly that the row basis spans every behavior row and
+that each chained generator fixes every strategy's score, and one matcher
+(`_relabelled`) checks that each chained generator and each setting swap
+permutes the behavior entries; building refuses otherwise.  Both LPs go
+through `_solve`, which hands the program and its row bounds to `linprog`,
+this module's own call of the HiGHS binding that `scipy.optimize.linprog`
+uses, expands the solution back to all 4^n strategies, and measures its
+`primal_residual` against the behavior matrix (`_behavior_matrix`).
+`linprog` reports HiGHS's model status and status string, not scipy's, and
+an optimum whose `primal_residual` is above `_MAX_RESIDUAL` is FAILED.
 Importing this module loads numpy only, so enumeration, the classical bound,
 the quantum generator and the sampler never load scipy.  The first solve
 loads `scipy` and that binding alone (`_highs_binding`), not
-`scipy.optimize`, whose import took about 0.45 s of the 0.64 s an `oracle
-lp --n 5` command took on a 2-core machine.
+`scipy.optimize`, whose import costs far more than a solve.
 """
 
 from __future__ import annotations
@@ -178,11 +174,10 @@ class _HighsModel(NamedTuple):
 
     Minimize `cost @ x` over x >= 0 subject to row bounds given per solve
     (`linprog`).  `start`, `index` and `value` hold the nonzeros of the
-    constraint rows column by column, rows ascending within each column:
-    `scipy.sparse.csc_array` of the dense rows, `A_ub`'s first and then
-    `A_eq`'s, as `scipy.optimize.linprog` hands them to HiGHS.  `lower` and
-    `upper` are the column bounds 0 and inf, and `integrality` is all zero,
-    every column continuous, since HiGHS refuses an empty one.
+    constraint rows column by column, rows ascending within each column, as
+    `scipy.sparse.csc_array` holds them.  `lower` and `upper` are the column
+    bounds 0 and inf, and `integrality` is all zero, every column
+    continuous, since HiGHS refuses an empty one.
     """
 
     cost: np.ndarray
@@ -635,28 +630,35 @@ def _setting_transpositions(n: int) -> _Relabellings:
     return _relabelled(n, alice + bob)
 
 
-@dataclass(frozen=True)
-class _ScoreProgram:
-    """`max_score_lp`'s orbit program at one n.
+class _OrbitProgram(NamedTuple):
+    """An LP over the signed weights w = u - v of the 4^n joint strategies, taken over orbits.
 
-    `orbit_of[j]` is the orbit O of joint strategy j; the orbit program's
-    columns are (u_O, v_O), with w_j = u_O - v_O.  Its cost is (-t, t), t_O
-    being the summed score of O's strategies.  Its rows are, as `A_ub`, the
-    behavior rows summed over each orbit's columns, each distinct row kept
-    once, then the budget row, 8|O| on v_O, and, as `A_eq`, the
-    normalization row of the orbit sizes |O|.  `finite` is that program as
-    a `_HighsModel`, and `infinite` the same without its budget row.  All
-    arrays are read-only.
+    A group of relabellings of settings and outcomes, each checked to permute
+    the behavior rows (`_relabelled`), splits the joint strategies into
+    orbits, and `orbit_of[j]` is the orbit O of strategy j.  `model` has one
+    column pair (u_O, v_O) per orbit, with w_j = u_O - v_O for every j in O:
+    each column sums the program's behavior rows over O's strategies, and
+    the negative mass is sum |O| v_O.  Its inequality rows come before its
+    equality rows, the order in which `scipy.optimize.linprog` hands `A_ub`
+    and `A_eq` to HiGHS, since HiGHS's vertex and iteration count depend on
+    it.  `rows` are the behavior rows a `min_negativity_lp` program keeps,
+    None for `max_score_lp`.  All arrays are read-only.
+
+    The orbit program has the LP's optimum when every relabelling g in the
+    group maps the LP to itself: with w feasible, w composed with g is
+    feasible, with the same score, and with the same negative mass
+    sum max(-w, 0), its entries being w's, permuted.  The average of these
+    points over the group is then feasible, the feasible set being convex,
+    and constant on orbits.  It has w's score, and its negative mass is at
+    most w's, since sum max(-w, 0) is convex.  So some optimum is constant
+    on orbits, and the orbit program attains it.  Each LP's docstring names
+    its group and says why it maps that LP to itself.  The reported weights
+    are that symmetric optimum, expanded to all 4^n strategies (`_solve`).
     """
 
     orbit_of: np.ndarray
-    finite: _HighsModel
-    infinite: _HighsModel
-
-
-def _distinct_rows(matrix: np.ndarray) -> dict[bytes, np.ndarray]:
-    """Each distinct row of `matrix`, keyed by its bytes, in first-seen order."""
-    return {row.tobytes(): row for row in matrix}
+    model: _HighsModel
+    rows: np.ndarray | None = None
 
 
 def _orbit_sums(perms: np.ndarray, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -691,13 +693,17 @@ def _orbit_sums(perms: np.ndarray, matrix: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 @functools.cache
-def _score_program(n: int) -> _ScoreProgram:
-    """Build `max_score_lp`'s orbit program, checking every generator first.
+def _score_programs(n: int) -> tuple[_OrbitProgram, _OrbitProgram]:
+    """Build `max_score_lp`'s orbit programs, without and then with the budget row.
 
-    Raises RuntimeError if a generator from `_chain_generators` changes the
-    score of some joint strategy, or (in `_relabelled`) does not permute
-    the rows of the behavior matrix, since then orbit sums would not solve
-    the same LP.
+    The columns (u_O, v_O) cost (-t_O, t_O), t_O being the summed score of
+    O's strategies.  The rows are each distinct orbit-summed behavior row E
+    once, as -(E u - E v) <= 0, then the budget row, 8|O| on v_O, and the
+    normalization row of the orbit sizes |O|.  Both programs share one
+    `orbit_of`.  Raises RuntimeError if a generator from `_chain_generators`
+    changes the score of some joint strategy, or (in `_relabelled`) does not
+    permute the rows of the behavior matrix, since then orbit sums would not
+    solve the same LP.
     """
     signs = _strategy_signs(n)
     scores = (signs @ _chain_coefficients(n) @ signs.T).ravel()
@@ -705,27 +711,22 @@ def _score_program(n: int) -> _ScoreProgram:
         if not np.array_equal(scores[perm], scores):
             raise RuntimeError(f"relabelling does not fix the chained score at n={n}")
     orbit_of, summed = _orbit_sums(_chain_group(n).strategies, _behavior_matrix(n))
-    rows = np.array(list(_distinct_rows(summed).values()))
+    entries = -_split_form(np.array(list({row.tobytes(): row for row in summed}.values())))
     totals = np.bincount(orbit_of, weights=scores)
     sizes = np.bincount(orbit_of).astype(np.float64)
     cost = np.concatenate([-totals, totals])
-    a_ub, a_eq = _score_rows(rows, sizes), _split_form(sizes[None, :])
-    return _ScoreProgram(
-        orbit_of=_read_only(orbit_of),
-        finite=_highs_model(cost, np.concatenate([a_ub, a_eq])),
-        infinite=_highs_model(cost, np.concatenate([a_ub[:-1], a_eq])),
+    budget = np.concatenate([np.zeros_like(sizes), 8.0 * sizes])[None, :]
+    normalization = _split_form(sizes[None, :])
+    orbit_of = _read_only(orbit_of)
+    return (
+        _OrbitProgram(orbit_of, _highs_model(cost, np.concatenate([entries, normalization]))),
+        _OrbitProgram(orbit_of, _highs_model(cost, np.concatenate([entries, budget, normalization]))),
     )
 
 
 def _split_form(matrix: np.ndarray) -> np.ndarray:
     """[M, -M]: the rows of M applied to w = u - v."""
     return np.concatenate([matrix, -matrix], axis=1)
-
-
-def _score_rows(entry_rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Entries >= 0 as -(E u - E v) <= 0, then the budget row 8 * sizes @ v."""
-    budget_row = np.concatenate([np.zeros_like(sizes), 8.0 * sizes])
-    return np.concatenate([-_split_form(entry_rows), budget_row[None, :]])
 
 
 @functools.cache
@@ -736,37 +737,29 @@ def _joint_strategies(n: int) -> tuple[tuple[Strategy, Strategy], ...]:
 
 def _solve(
     n: int,
-    model: _HighsModel,
-    orbit_of: np.ndarray,
-    b_eq: np.ndarray,
-    b_ub: np.ndarray | None = None,
+    program: _OrbitProgram,
+    row_lower: np.ndarray,
+    row_upper: np.ndarray,
     *,
     target: np.ndarray | None = None,
     budget: float = math.inf,
     score: float | None = None,
 ) -> LPResult:
-    """Minimize `model.cost @ x` over x >= 0 subject to the orbit program, then expand x.
+    """Solve `program` within its row bounds (`linprog`), then expand x to all 4^n strategies.
 
-    `model` is the orbit program's prepared `_HighsModel`, whose rows are
-    `A_ub x <= b_ub` first, if `b_ub` is given, then `A_eq x == b_eq`; only
-    these right-hand sides are built per call, into the row bounds.
-    x = (u_O, v_O) has one column pair per orbit O, and `orbit_of[j]` is the
-    orbit of joint strategy j, so u = u_O[orbit_of] and v = v_O[orbit_of]
-    are the halves of the signed weights w = u - v of all 4^n strategies.
-    Weights, negative mass and `primal_residual` are read from them, the
-    residual through B = `_behavior_matrix(n)`: max|B w - target| when
-    `target` is given (`min_negativity_lp`), otherwise (`max_score_lp`) the
-    largest of |sum w - 1|, max(-B w) and 8 sum v - `budget`, with the
-    negative mass NaN for an infinite budget.  The weights are the entries
-    of w above 1e-12 in absolute value, in strategy order.  The optimal
-    score is `score` when given, else -cost @ x.  An optimum whose residual
-    exceeds `_MAX_RESIDUAL`, or is NaN, is FAILED (see `LPResult`).
+    x = (u_O, v_O) has one column pair per orbit O, so u = u_O[orbit_of] and
+    v = v_O[orbit_of] are the halves of the signed weights w = u - v of all
+    4^n strategies.  Weights, negative mass and `primal_residual` are read
+    from them, the residual through B = `_behavior_matrix(n)`:
+    max|B w - target| when `target` is given (`min_negativity_lp`),
+    otherwise (`max_score_lp`) the largest of |sum w - 1|, max(-B w) and
+    8 sum v - `budget`, with the negative mass NaN for an infinite budget.
+    The weights are the entries of w above 1e-12 in absolute value, in
+    strategy order.  The optimal score is `score` when given, else -cost @ x.
+    An optimum whose residual exceeds `_MAX_RESIDUAL`, or is NaN, is FAILED
+    (see `LPResult`).
     """
-    if b_ub is None:
-        row_lower = row_upper = b_eq
-    else:
-        row_lower = np.concatenate([np.full(len(b_ub), -math.inf), b_eq])
-        row_upper = np.concatenate([b_ub, b_eq])
+    model, orbit_of = program.model, program.orbit_of
     res = linprog(model, row_lower, row_upper)
     status = _LINPROG_STATUS.get(res.status, LPStatus.FAILED)
     optimal_score, weights, negative_mass, residual = math.nan, {}, math.nan, None
@@ -811,22 +804,12 @@ def max_score_lp(n: int, negativity_budget: float = math.inf) -> LPResult:
     budget 8 * sum(v) <= negativity_budget when finite.  A NaN budget is
     refused.
 
-    HiGHS solves the program over orbits of joint strategies under the
-    chained score's symmetry group, the 8n relabellings that
-    `_chain_generators` generates (see `_score_program`): one column pair
-    (u_O, v_O) per orbit O, with w_j = u_O - v_O for every j in O.  That
-    program has the same optimum.  Any relabelling g in the group fixes
-    every strategy's score and permutes the behavior entries, so with w
-    feasible, w composed with g is feasible with the same score: its entries
-    and normalization are w's, permuted, and its negative mass sum max(-w, 0)
-    is w's.  The group average of these feasible points is constant on
-    orbits.  It has the same score and total weight, every entry is an
-    average of non-negative entries, and its negative mass is at most w's,
-    since sum max(-w, 0) is convex.  So some optimum is constant on orbits,
-    and the orbit program attains it.  The reported weights are that
-    symmetric solution, expanded to all 4^n strategies, and
-    `primal_residual` is computed from them over all 4^n strategies (see
-    `_solve`).
+    HiGHS solves the program over the orbits (`_OrbitProgram`) of the
+    chained score's 8n relabellings (`_chain_group`), without the budget row
+    when the budget is infinite (`_score_programs`).  Each relabelling fixes
+    every strategy's score and permutes the behavior entries, so w composed
+    with it has w's score, total weight and negative mass, and w's entries,
+    permuted.
 
     With an infinite budget `negative_mass` is NaN (null in JSON): without a
     budget row every optimal vertex scores 2n, and which one HiGHS returns,
@@ -838,14 +821,15 @@ def max_score_lp(n: int, negativity_budget: float = math.inf) -> LPResult:
         raise ValueError(f"LP oracle limited to n <= {_MAX_LP_SETTINGS}")
     if not negativity_budget >= 0:
         raise ValueError("negativity budget must be non-negative or infinite")
-    program = _score_program(n)
-    # An infinite budget drops the budget row, the last row of `A_ub`.
-    if math.isfinite(negativity_budget):
-        model, b_ub = program.finite, np.zeros(program.finite.rows - 1)
-        b_ub[-1] = negativity_budget
-    else:
-        model, b_ub = program.infinite, np.zeros(program.infinite.rows - 1)
-    return _solve(n, model, program.orbit_of, np.ones(1), b_ub, budget=negativity_budget)
+    finite = math.isfinite(negativity_budget)
+    program = _score_programs(n)[finite]
+    # Entry rows -B w <= 0, the budget row if finite, then sum w == 1.
+    row_lower = np.full(program.model.rows, -math.inf)
+    row_upper = np.zeros(program.model.rows)
+    row_lower[-1] = row_upper[-1] = 1.0
+    if finite:
+        row_upper[-2] = negativity_budget
+    return _solve(n, program, row_lower, row_upper, budget=negativity_budget)
 
 
 def min_negativity_lp(target: Behavior) -> LPResult:
@@ -874,21 +858,14 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     max|M t_R - t| > 1e-9 is not a no-signalling behavior, and HiGHS gets
     all 4n^2 rows, so it judges that program's feasibility itself.
 
-    HiGHS solves over orbits of a group that fixes the target.  Its
-    generators are the target's stabilizer, the relabellings g of
-    `_chain_group(n)` with max|t[rows[g]] - t| <= 1e-9, i.e. those that fix
-    the target, and, when each of them fixes it exactly, the swaps of two
-    settings of one party whose target rows are exactly equal
-    (`_setting_transpositions`).  There is one column pair (u_O, v_O) per
-    orbit O of joint strategies, with w_j = u_O - v_O for every j in O; its
-    column sums the chosen rows over O's strategies, and v_O costs |O|.
-    That program has the same optimum.  Take g in the group and w feasible.
-    g permutes the behavior rows and fixes t, so w composed with g is
-    feasible, and it has the same negative mass sum max(-w, 0), its entries
-    being w's, permuted.  The average of these points over the group is
-    feasible, as the feasible set is convex, and constant on orbits, and its
-    negative mass is at most w's, since sum max(-w, 0) is convex.  So some
-    optimum is constant on orbits, and the orbit program attains it.
+    HiGHS solves over the orbits (`_OrbitProgram`) of a group that fixes
+    the target, and v_O costs |O|.  Its generators are the target's
+    stabilizer, the relabellings g of `_chain_group(n)` with
+    max|t[rows[g]] - t| <= 1e-9, i.e. those that fix the target, and, when
+    each of them fixes it exactly, the swaps of two settings of one party
+    whose target rows are exactly equal (`_setting_transpositions`).  Each
+    element permutes the behavior rows and fixes t, so it maps the feasible
+    set B w = t and the negative mass to themselves.
 
     The argument needs every element of the group to fix t.  Exact
     symmetries compose to exact ones, so a swap, which does not fix the
@@ -912,21 +889,20 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     max|B w - t| over all 4n^2 rows and 4^n strategies.
 
     The program is built once per key and cached (`_negativity_program`,
-    at most `_NEGATIVITY_PROGRAMS` of them), with the column-wise model
-    HiGHS takes (`_HighsModel`).  The key is n, whether the target signals,
-    the stabilizer as a mask over `_chain_group(n)`, and, when each
-    stabilizer element fixes the target exactly, the mask of exactly fixing
-    swaps over `_setting_transpositions(n)` (else None).  The target is
-    relabelled once by each element of `_chain_group(n)`: how far each moves
-    it decides both the stabilizer and, the entries being finite, whether
-    each of its elements fixes the target exactly, a move of exactly 0.  That is all the build reads
-    of the target: the rows, the generators, the closure check on an
-    inexact stabilizer, and so the orbits, their sums, the cost and the
-    model follow from the key alone.  The target's entries go in only as
-    the row bounds, per call, so no result is cached.  Targets that share a
-    key share a program: a family's budgets where their symmetries agree,
-    and the chained singlet with every Werner visibility, all fixed by the
-    whole group.
+    at most `_NEGATIVITY_PROGRAMS` of them).  The key is n, whether the
+    target signals, the stabilizer as a mask over `_chain_group(n)`, and,
+    when each stabilizer element fixes the target exactly, the mask of
+    exactly fixing swaps over `_setting_transpositions(n)` (else None).  The
+    target is relabelled once by each element of `_chain_group(n)`: how far
+    each moves it decides both the stabilizer and, the entries being finite,
+    whether each of its elements fixes the target exactly, a move of exactly
+    0.  That is all the build reads of the target: the rows, the generators,
+    the closure check on an inexact stabilizer, and so the orbits, their
+    sums, the cost and the model follow from the key alone.  The target's
+    entries go in only as the row bounds, per call, so no result is cached.
+    Targets that share a key share a program: a family's budgets where their
+    symmetries agree, and the chained singlet with every Werner visibility,
+    all fixed by the whole group.
     """
     if target.n_settings_A != target.n_settings_B:
         raise ValueError("the strategy grid needs equal setting counts")
@@ -951,22 +927,8 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     if not moved[stabilizer].any():
         exact_swaps = (entries[_setting_transpositions(n).rows] == entries).all(axis=1).tobytes()
     program = _negativity_program(n, signals, stabilizer.tobytes(), exact_swaps)
-    return _solve(n, program.model, program.orbit_of, entries[program.rows],
-                  target=entries, score=chained_score(target, n))
-
-
-class _NegativityProgram(NamedTuple):
-    """`min_negativity_lp`'s orbit program for one symmetry of its target, read-only.
-
-    `rows` are the behavior rows the program keeps and `orbit_of[j]` is the
-    orbit of joint strategy j.  `model` is the program as a `_HighsModel`:
-    cost (0, |O|) on the columns (u_O, v_O), and as `A_eq` the kept rows
-    summed over each orbit, in split form.
-    """
-
-    rows: np.ndarray
-    orbit_of: np.ndarray
-    model: _HighsModel
+    bounds = entries[program.rows]
+    return _solve(n, program, bounds, bounds, target=entries, score=chained_score(target, n))
 
 
 #: `_negativity_program`'s cache size.  The largest entry, a target at n = 5
@@ -979,7 +941,7 @@ _NEGATIVITY_PROGRAMS = 16
 @functools.lru_cache(maxsize=_NEGATIVITY_PROGRAMS)
 def _negativity_program(
     n: int, signals: bool, stabilizer: bytes, exact_swaps: bytes | None
-) -> _NegativityProgram:
+) -> _OrbitProgram:
     """Build `min_negativity_lp`'s orbit program from what its target decides.
 
     `signals` picks the rows: all 4n^2, or `_behavior_basis(n)`'s.
@@ -988,8 +950,9 @@ def _negativity_program(
     each of them fixes it exactly, the bool mask over
     `_setting_transpositions(n)` of the swaps that fix it exactly.  These
     decide the group, its orbits and so the whole program; the target's
-    entries enter only as `b_eq`, so the program is built once per such key
-    and shared by every target that has it.
+    entries enter only as the row bounds, so the program is built once per
+    such key and shared by every target that has it.  Its rows are the kept
+    behavior rows, summed over each orbit, as equalities.
     """
     group = _chain_group(n)
     stabilizer = np.frombuffer(stabilizer, dtype=bool)
@@ -1004,11 +967,11 @@ def _negativity_program(
     rows = np.arange(4 * n * n) if signals else _behavior_basis(n).rows
     orbit_of, summed = _orbit_sums(perms, _behavior_matrix(n)[rows])
     sizes = np.bincount(orbit_of).astype(np.float64)
-    return _NegativityProgram(
-        rows=_read_only(rows),
+    return _OrbitProgram(
         orbit_of=_read_only(orbit_of),
         # Minimize total v.
         model=_highs_model(np.concatenate([np.zeros(len(sizes)), sizes]), _split_form(summed)),
+        rows=_read_only(rows),
     )
 
 
@@ -1026,28 +989,28 @@ def singlet_state() -> np.ndarray:
     return np.outer(ket, ket)
 
 
-def quantum_behavior(
-    state: np.ndarray,
-    angles_A,
-    angles_B,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> Behavior:
+#: How far `quantum_behavior`'s state may miss being Hermitian, positive
+#: semidefinite and of unit trace.
+_STATE_SLACK = 1e-7
+
+
+def quantum_behavior(state: np.ndarray, angles_A, angles_B) -> Behavior:
     """Two-qubit behavior from projective measurements in the X-Z plane.
 
     `state` is a 4x4 density matrix; each party's settings are measurement
     angles (radians) of the observable cos(t) Z + sin(t) X.  The result is
-    valid and no-signalling by construction (up to roundoff).
+    valid and no-signalling by construction (up to roundoff), at the default
+    tolerance.
     """
     rho = np.asarray(state, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError("state must be a 4x4 density matrix")
-    scale = max(1e-7, tolerance)
-    if not np.allclose(rho, rho.conj().T, atol=scale):
+    if not np.allclose(rho, rho.conj().T, atol=_STATE_SLACK):
         raise ValueError("state must be Hermitian")
     eigenvalues = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    if eigenvalues.min() < -scale:
+    if eigenvalues.min() < -_STATE_SLACK:
         raise ValueError(f"state must be positive semidefinite (min eigenvalue {eigenvalues.min():.3e})")
-    if abs(np.trace(rho).real - 1.0) > scale:
+    if abs(np.trace(rho).real - 1.0) > _STATE_SLACK:
         raise ValueError("state must have unit trace")
     angles_a = [float(t) for t in angles_A]
     angles_b = [float(t) for t in angles_B]
@@ -1061,12 +1024,7 @@ def quantum_behavior(
                 op = np.kron(_projector(t_a, y_a), _projector(t_b, y_b))
                 row.append(float(np.trace(op @ rho).real))
             table[(x_a, x_b)] = tuple(row)
-    return Behavior(
-        n_settings_A=len(angles_a),
-        n_settings_B=len(angles_b),
-        table=table,
-        tolerance=max(tolerance, 1e-12),
-    )
+    return Behavior(n_settings_A=len(angles_a), n_settings_B=len(angles_b), table=table)
 
 
 #: Largest `shots` that `signed_sample` takes.  Every draw of a call goes

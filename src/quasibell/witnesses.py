@@ -47,10 +47,10 @@ class WitnessReport:
 
     `branch_discriminant` is the correlator sum that picked the branch
     (negative selects PLUS, anything else selects MINUS).
-    `link` is the chain link x the term belongs to.  `a_setting_bracket` is
-    Alice's setting inside the brackets (always x) and
-    `a_setting_discriminant` Alice's setting in the discriminant (x, or 0
-    under the "zero" selection of `witness_chained_link`).
+    `link` is the chain link x the term belongs to, and Alice's setting
+    inside the brackets; `a_setting_discriminant` is Alice's setting in the
+    discriminant (x, or 0 under the "zero" selection of
+    `witness_chained_link`).
     `per_lambda_contributions` breaks the selected value down by support
     point.
     """
@@ -62,7 +62,6 @@ class WitnessReport:
     branch_discriminant: object
     per_lambda_contributions: Mapping[Point, object]
     faithful: object
-    a_setting_bracket: int
     a_setting_discriminant: int
     link: int
 
@@ -77,7 +76,6 @@ class WitnessReport:
             "per_lambda_contributions": {
                 _point_key(p): float(v) for p, v in self.per_lambda_contributions.items()
             },
-            "a_setting_bracket": self.a_setting_bracket,
             "a_setting_discriminant": self.a_setting_discriminant,
             "link": self.link,
         }
@@ -208,7 +206,6 @@ def witness_chained(
             branch_discriminant=discriminant,
             per_lambda_contributions=contributions,
             faithful=faithful,
-            a_setting_bracket=x,
             a_setting_discriminant=a_disc,
             link=x,
         ))

@@ -51,8 +51,8 @@ class TestLocalExpectation:
         # 0.75 on +1 and 0.25 on -1 averages to 0.5
         resp = two_point_response("B", [0.75])
         assert local_expectation(resp, 0, "1") == pytest.approx(0.5)
-        assert resp.prob(+1, 0, "1") == 0.75
-        assert resp.prob(-1, 0, "1") == 0.25
+        assert resp.row(0, "1")[1] == 0.75
+        assert resp.row(0, "1")[0] == 0.25
 
     def test_out_of_range_setting(self):
         resp = two_point_response("A", [0.5])
@@ -261,7 +261,7 @@ class TestJointSupport:
 
         for _ in range(25):
             model = random_joint_model(rng, n_settings=2)
-            assert not model.is_diagonal()
+            assert not all(a == b for a, b in model.dist.support)
             behavior = assemble_behavior(model)
             for row in behavior.table.values():
                 assert abs(sum(row) - 1) <= 1e-9

@@ -56,9 +56,10 @@ class TestChainedScore:
 
     def test_deterministic_strategies_respect_classical_bound(self):
         n = 3
+        symbol = {+1: "+", -1: "-"}
         for sa in enumerate_deterministic(n):
             for sb in enumerate_deterministic(n):
-                strategy = SymbolStrategy.from_signs(sa, sb)
+                strategy = SymbolStrategy(tuple(map(symbol.get, sa)), tuple(map(symbol.get, sb)))
                 model = model_from_strategies({"1": strategy}, {"1": 1.0})
                 behavior = assemble_behavior(model)
                 assert chained_score(behavior, n) <= 2 * n - 2 + 1e-12

@@ -168,7 +168,7 @@ class TestStrategyGrid:
     def test_lp_scores_match_strategy_score(self, n, monkeypatch):
         calls = _spy_linprog(monkeypatch)
         max_score_lp(n, 1.0)
-        orbit_of = oracle._score_program(n).orbit_of.tolist()
+        orbit_of = oracle._score_programs(n)[1].orbit_of.tolist()
         scores = [strategy_score(sa, sb, n) for sa, sb in _joint(n)]
         # The orbits partition all 4^n joint strategies ...
         assert len(orbit_of) == 4**n
@@ -342,10 +342,10 @@ class TestScoreOrbits:
 
     @pytest.mark.parametrize("n,orbits", [(2, 2), (3, 5), (4, 12), (5, 34)])
     def test_group_order_and_orbit_count(self, n, orbits):
-        program = oracle._score_program(n)
+        unbudgeted, budgeted = oracle._score_programs(n)
         assert len(oracle._chain_group(n).strategies) == 8 * n
-        assert len(set(program.orbit_of.tolist())) == orbits
-        assert len(program.finite.cost) == len(program.infinite.cost) == 2 * orbits
+        assert len(set(budgeted.orbit_of.tolist())) == orbits
+        assert len(budgeted.model.cost) == len(unbudgeted.model.cost) == 2 * orbits
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_generators_match_their_loop_form(self, n):
@@ -359,17 +359,18 @@ class TestScoreOrbits:
     def test_orbits_are_closed_under_the_generators(self, n):
         joint = _joint(n)
         index = {pair: j for j, pair in enumerate(joint)}
-        orbit_of = oracle._score_program(n).orbit_of
+        orbit_of = oracle._score_programs(n)[1].orbit_of
         for j, (sa, sb) in enumerate(joint):
             for image in (_half_step(sa, sb), _reflection(sa, sb)):
                 assert orbit_of[index[image]] == orbit_of[j]
 
     def test_cached_program_is_read_only(self):
-        program = oracle._score_program(3)
-        assert oracle._score_program(3) is program
-        models = [a for model in (program.finite, program.infinite) for a in model
+        programs = oracle._score_programs(3)
+        assert oracle._score_programs(3) is programs
+        models = [a for program in programs for a in program.model
                   if isinstance(a, np.ndarray)]
-        for array in (program.orbit_of, *models, oracle._behavior_matrix(3)):
+        for array in (*(program.orbit_of for program in programs), *models,
+                      oracle._behavior_matrix(3)):
             with pytest.raises(ValueError):
                 array[0] = 1
 
@@ -382,7 +383,7 @@ class TestScoreOrbits:
         shift = np.array([index[(sb, sa[1:] + sa[:1])] for sa, sb in joint])
         monkeypatch.setattr(oracle, "_chain_generators", lambda n: [shift])
         with pytest.raises(RuntimeError, match="chained score"):
-            oracle._score_program.__wrapped__(n)
+            oracle._score_programs.__wrapped__(n)
 
     def test_guard_refuses_a_swap_of_two_equal_scores(self, monkeypatch):
         # Swapping two joint strategies of equal score fixes the score vector,
@@ -598,7 +599,7 @@ class TestChainGroup:
         assert group.rows.shape == (8 * n, 4 * n * n)
         assert group.strategies[0].tolist() == list(range(4**n))
         assert len({perm.tobytes() for perm in group.strategies}) == 8 * n
-        cell_of = {key: c for c, key in enumerate(oracle._distinct_rows(behavior_matrix))}
+        cell_of = {key: c for c, key in enumerate({row.tobytes(): row for row in behavior_matrix})}
         for strategies, rows in zip(group.strategies, group.rows):
             assert sorted(strategies.tolist()) == list(range(4**n))
             assert rows.tolist() == [cell_of[row.tobytes()]
@@ -1326,7 +1327,7 @@ class TestPreparedModels:
         monkeypatch.setattr(oracle, "_highs_model", record)
         _build_every_program(monkeypatch)
         for n in range(2, 6):
-            oracle._score_program.__wrapped__(n)
+            oracle._score_programs.__wrapped__(n)
         for case in _DIRECT_CASES:
             if not case.id.startswith("score-"):
                 case.values[0]()
@@ -1355,7 +1356,7 @@ class TestPreparedModels:
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_infinite_budget_model_drops_the_budget_row(self, n):
-        finite, infinite = oracle._score_program(n).finite, oracle._score_program(n).infinite
+        infinite, finite = [program.model for program in oracle._score_programs(n)]
         # The budget row is the last row of `A_ub`; the normalization row follows it.
         rows = np.delete(_dense(finite), finite.rows - 2, axis=0)
         csc = scipy.sparse.csc_array(rows)
@@ -1365,7 +1366,7 @@ class TestPreparedModels:
         assert np.array_equal(infinite.index, csc.indices)
         assert np.array_equal(infinite.value, csc.data)
         assert _dense(finite)[finite.rows - 2].tolist() == [0.0] * (len(finite.cost) // 2) + [
-            8.0 * size for size in np.bincount(oracle._score_program(n).orbit_of).tolist()]
+            8.0 * size for size in np.bincount(oracle._score_programs(n)[1].orbit_of).tolist()]
 
 
 class TestReadout:
@@ -1376,9 +1377,9 @@ class TestReadout:
         solves = []
         inner = oracle._solve
 
-        def record(n, model, orbit_of, *args, **kwargs):
-            solves.append((n, orbit_of, kwargs))
-            return inner(n, model, orbit_of, *args, **kwargs)
+        def record(n, program, *args, **kwargs):
+            solves.append((n, program.orbit_of, kwargs))
+            return inner(n, program, *args, **kwargs)
 
         monkeypatch.setattr(oracle, "_solve", record)
         calls = _spy_linprog(monkeypatch)

@@ -154,7 +154,6 @@ def _ref_link(model, behavior, a_bracket, a_disc, b_high, b_low, link):
         branch_discriminant=discriminant,
         per_lambda_contributions=contributions,
         faithful=_ref_faithful(model.dist),
-        a_setting_bracket=a_bracket,
         a_setting_discriminant=a_disc,
         link=link,
     )

@@ -6,6 +6,7 @@ reaches one `raise` line.
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -21,6 +22,7 @@ from quasibell import (
     chsh_saturating_model,
     check_quasi_bell,
     lambda_local_score,
+    validate_behavior,
     witness_chained,
     witness_chained_link,
 )
@@ -172,6 +174,21 @@ def test_witness_refusals(call, message):
 def test_inequality_refusals(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("check", [
+    # The family at N = 1/2 has margin 0, so a tolerance that is let through
+    # decides whether the bound holds.
+    pytest.param(lambda tol: check_quasi_bell(chained_saturating_model(2, 0.5), 2, tol=tol),
+                 id="check_quasi_bell"),
+    pytest.param(lambda tol: validate_behavior(uniform_behavior(2, 2), tol),
+                 id="validate_behavior"),
+])
+def test_tolerance_refusals(check, tol):
+    message = f"tolerance must be non-negative and finite, got {tol!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check(tol)
 
 
 @pytest.mark.parametrize("call, message", [

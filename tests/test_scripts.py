@@ -72,3 +72,29 @@ def test_model_grid_digest(monkeypatch, capsys):
     assert out.splitlines()[-1] == (
         "digest fac6695a0071c07bcdaa6cb58925a5da8b364abd186b7ae8247898a215b66551"
     )
+
+
+def test_code_lines(monkeypatch, capsys, tmp_path):
+    # Docstrings, comments and blank lines count 0; a code line counts once
+    # however many tokens it holds, and a multi-line string that is no
+    # docstring counts each of its lines.
+    (tmp_path / "small.py").write_text(
+        '"""Module docstring,\n\non three lines."""\n'
+        "# a comment\n"
+        "\n"
+        "def f(x):  # a trailing comment\n"
+        '    """Function docstring."""\n'
+        "    return x + 1\n"
+        "\n"
+        "class C:\n"
+        "    '''Class docstring.'''\n"
+        "    text = '''two\n"
+        "    lines'''\n"
+    )
+    (tmp_path / "only_docs.py").write_text('"""Nothing but a docstring."""\n# and a comment\n')
+    assert run_script(monkeypatch, "code_lines.py", str(tmp_path)) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"     0  {tmp_path / 'only_docs.py'}",
+        f"     5  {tmp_path / 'small.py'}",
+        "     5  total",
+    ]

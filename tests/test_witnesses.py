@@ -221,10 +221,10 @@ class TestChained:
     def test_report_records_both_alice_settings(self):
         model = chained_saturating_model(3, 1.0)
         link = witness_chained_link(model, 2, discriminant_alice_setting="link")
-        assert link.a_setting_bracket == 2
+        assert link.link == 2
         assert link.a_setting_discriminant == 2
         zero = witness_chained_link(model, 2, discriminant_alice_setting="zero")
-        assert zero.a_setting_bracket == 2
+        assert zero.link == 2
         assert zero.a_setting_discriminant == 0
 
 
