@@ -2,9 +2,9 @@
 """Print one SHA-256 over the answers of a fixed grid of model checks.
 
 The model-side twin of `lp_grid_digest.py`.  Two versions of the library
-that print the same digest give byte-identical answers on the grid: every
-behavior table's `repr` (entry bits, types and row order), every
-`validate_behavior(...).to_json_dict()`, and every
+that print the same digest give byte-identical answers on the grid: the
+`repr` of every behavior table as a dict (entry bits, types and row
+order), every `validate_behavior(...).to_json_dict()`, and every
 `check_quasi_bell(...).to_json_dict()` with the `repr` of its score, bound
 and margin, which keeps exact answers exact.  The grid, 124 models at the
 default `--max-n 12`:
@@ -134,7 +134,7 @@ def models(max_n: int) -> list[tuple[str, Model, int]]:
 
 def assembled(model: Model, tolerance: float) -> str:
     try:
-        return repr(assemble_behavior(model, tolerance).table)
+        return repr(dict(assemble_behavior(model, tolerance).table))
     except StructureError as error:
         return f"StructureError: {error}"
 
@@ -143,7 +143,7 @@ def validated(model: Model) -> str:
     behavior = assemble_behavior(model)
     report = json.dumps(validate_behavior(behavior).to_json_dict(), sort_keys=True,
                         allow_nan=False)
-    return f"{report}\n{behavior.table!r}"
+    return f"{report}\n{dict(behavior.table)!r}"
 
 
 def checked(model: Model, n: int) -> str:

@@ -9,8 +9,7 @@ min-neg` LP that is not OPTIMAL, such as the infeasible LP of a signalling
 behavior or a FAILED solve), 2 usage or input errors, 141 stdout closed by
 its reader.  All randomness is seeded;
 identical invocations produce identical bytes on stdout.  The default
-tolerance (1e-9) can be overridden per run with --tolerance or the
-QUASIBELL_TOLERANCE environment variable.
+tolerance (1e-9) can be overridden per run with --tolerance.
 """
 
 from __future__ import annotations
@@ -41,17 +40,6 @@ EXIT_USAGE = 2
 EXIT_BROKEN_PIPE = 128 + 13  # killed by SIGPIPE, as `yes | head -1` reports
 
 FORMATS = ("json", "csv", "pretty-table")
-
-
-def _default_tolerance() -> float:
-    raw = os.environ.get("QUASIBELL_TOLERANCE")
-    if raw is None:
-        return DEFAULT_TOLERANCE
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ValueError(f"QUASIBELL_TOLERANCE={raw!r} is not a number") from exc
-    return value
 
 
 def _emit(text: str, output: Path | None) -> None:
@@ -122,7 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bell models over signed hidden-variable mixtures: "
         "scores, negativity witnesses, saturating families, and oracles.",
     )
-    parser.add_argument("--tolerance", type=float, default=None, help="numeric tolerance")
+    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+                        help="numeric tolerance")
     commands = parser.add_subparsers(dest="command", required=True)
 
     build = commands.add_parser("build", help="write a saturating model as JSON")
@@ -197,8 +186,7 @@ def _cmd_saturate(args, tol: float) -> int:
     report = check_quasi_bell(model, args.n, tol=tol, behavior=behavior)
     payload = {
         "model": model_to_json_dict(model),
-        "behavior": {f"{xa},{xb}": [float(v) for v in row]
-                     for (xa, xb), row in sorted(behavior.table.items())},
+        "behavior": behavior.to_json_dict(),
         "report": report.to_json_dict(),
         "witness": report.witness.to_json_dict(),
         "validity": validate_behavior(behavior, tol).to_json_dict(),
@@ -288,8 +276,8 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_attach_dash_values(argv))
+    tol = args.tolerance
     try:
-        tol = args.tolerance if args.tolerance is not None else _default_tolerance()
         if not 0 < tol < math.inf:
             raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
         return args.handler(args, tol)

@@ -24,11 +24,13 @@ skips a row that is the same object as any row before it.  Identity, not
 value equality, decides this, so a shared cell is computed from the same
 operands in the same order as each of its copies would have been, and a
 skipped row's figures are those of its first occurrence.  Each model's
-cells are mixed once and its default behavior is built once: the first
-`assemble_behavior` keeps the cells on the model, every later call, at any
-tolerance, copies them into a fresh table, and the checks that assemble a
-model's behavior themselves share one default-tolerance `Behavior` from
-such a call, which they never hand out.
+cells are mixed once and its default-tolerance behavior is built once:
+`assemble_behavior` at the default tolerance, and every check that
+assembles the behavior itself, gets that one `Behavior`, and any other
+tolerance gets a new one over the same cells.  Sharing it is safe because
+`LocalResponse`, `QuasiDist` and `Behavior` are values: each keeps a
+read-only copy of the table it was given, so no table changes after it
+was checked.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from types import MappingProxyType
 from typing import Hashable, Mapping
 
 DEFAULT_TOLERANCE = 1e-9
@@ -87,9 +90,9 @@ def _check_prob_row(row, tol: float, party: str, key) -> None:
 class LocalResponse:
     """Per-hidden-value conditional outcome tables for one party.
 
-    `table` maps (setting, hidden value) to a probability row
+    `table` maps (setting, hidden value) to a probability row, a tuple
     (P(y=-1), P(y=+1)).  Every setting in range(n_settings) must be paired
-    with every hidden value.
+    with every hidden value.  The table is kept as a read-only copy.
     """
 
     party: str
@@ -108,17 +111,23 @@ class LocalResponse:
             raise StructureError("hidden_values must be non-empty and finite")
         if len(set(self.hidden_values)) != len(self.hidden_values):
             raise StructureError("hidden_values contains duplicates")
-        expected = {(x, lam) for x in range(self.n_settings) for lam in self.hidden_values}
-        if set(self.table.keys()) != expected:
-            missing = expected - set(self.table.keys())
-            extra = set(self.table.keys()) - expected
+        table = dict(self.table)
+        object.__setattr__(self, "table", MappingProxyType(table))
+        if len(table) != self.n_settings * len(self.hidden_values) or not all(
+            map(table.__contains__, product(range(self.n_settings), self.hidden_values))
+        ):
+            expected = set(product(range(self.n_settings), self.hidden_values))
+            missing = expected - set(table)
+            extra = set(table) - expected
             raise StructureError(
                 f"response table keys mismatch (missing {sorted(map(str, missing))[:4]}, "
                 f"extra {sorted(map(str, extra))[:4]})"
             )
         previous = None
-        for key, row in self.table.items():
+        for key, row in table.items():
             if row is not previous:
+                if not isinstance(row, tuple):
+                    raise _row_error(self.party, key, f"expected a tuple row, got {row!r}")
                 _check_prob_row(row, DEFAULT_TOLERANCE, self.party, key)
                 previous = row
 
@@ -145,12 +154,14 @@ class QuasiDist:
 
     Weights must sum to 1 but may be negative.  Single-hidden-variable models
     are represented with a diagonal support (lam, lam); see `diagonal`.
+    The weights are kept as a read-only copy.
     """
 
     support: tuple[Point, ...]
     weights: Mapping[Point, object]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
         if not self.support:
             raise StructureError("support must be non-empty")
         if len(set(self.support)) != len(self.support):
@@ -183,12 +194,10 @@ class QuasiDist:
 class Model:
     """Two local response tables mixed by a signed weight table.
 
-    A model, its response tables and its weights must not be mutated after
-    construction: the mixed cells, and the default-tolerance behavior over
-    them that `check_quasi_bell` and `witness_chained` read when no
-    behavior is passed, are kept on the model the first time they are
-    needed, and a changed table would not reach them.  To change one, build
-    a new model, for example with `dataclasses.replace`.
+    A model is a value: its response tables and weights are read-only, so
+    the mixed cells and the default-tolerance behavior over them are kept
+    on the model the first time they are needed.  To change a model, build
+    a new one, for example with `dataclasses.replace`.
     """
 
     response_A: LocalResponse
@@ -216,22 +225,24 @@ class Model:
 
     @cached_property
     def _behavior(self) -> Behavior:
-        """The behavior `assemble_behavior` gives at the default tolerance; not a field.
+        """The model's behavior at the default tolerance; not a field.
 
-        Kept for the checks that assemble the behavior themselves and never
-        handed to a caller.  A refusal is not kept: each use raises again.
+        `assemble_behavior(model)` returns it, and the checks that assemble
+        the behavior themselves read it.  A refusal is not kept: each use
+        raises again.
         """
-        return assemble_behavior(self)
+        return Behavior(self.response_A.n_settings, self.response_B.n_settings, self._cells)
 
 
 @dataclass(frozen=True)
 class Behavior:
     """Observable table P(y_A, y_B | x_A, x_B), rows ordered (--, -+, +-, ++).
 
-    Rows must be normalized within `tolerance`, which must be non-negative
-    and finite; entry positivity is checked separately by `validate_behavior`
-    because signed mixtures can produce normalized rows with entries outside
-    [0, 1].
+    Rows are tuples and must be normalized within `tolerance`, which must be
+    non-negative and finite, so no entry is NaN or infinite; entry positivity
+    is checked separately by `validate_behavior` because signed mixtures can
+    produce normalized rows with entries outside [0, 1].  The table is kept
+    as a read-only copy.
     """
 
     n_settings_A: int
@@ -243,9 +254,11 @@ class Behavior:
         if self.n_settings_A < 1 or self.n_settings_B < 1:
             raise StructureError("setting counts must be positive")
         _check_tolerance(self.tolerance)
+        table = dict(self.table)
+        object.__setattr__(self, "table", MappingProxyType(table))
         # As many keys as setting pairs, and every pair a key: the key set is
         # exactly the pairs, checked without building either set.
-        table, n_a, n_b = self.table, self.n_settings_A, self.n_settings_B
+        n_a, n_b = self.n_settings_A, self.n_settings_B
         if len(table) != n_a * n_b or not all(
             map(table.__contains__, product(range(n_a), range(n_b)))
         ):
@@ -254,6 +267,8 @@ class Behavior:
         if _shares_rows(table.values()):
             items = _first_occurrences(items)
         for pair, row in items:
+            if not isinstance(row, tuple):
+                raise StructureError(f"row {pair}: expected a tuple, got {row!r}")
             if len(row) != 4:
                 raise StructureError(f"row {pair}: expected 4 outcome entries")
             total = sum(row)
@@ -269,6 +284,11 @@ class Behavior:
         return [
             (xa, xb) for xa in range(self.n_settings_A) for xb in range(self.n_settings_B)
         ]
+
+    def to_json_dict(self) -> dict:
+        """Rows as float lists keyed "x_a,x_b", in setting-pair order."""
+        return {f"{xa},{xb}": [float(v) for v in self.table[(xa, xb)]]
+                for xa, xb in self.setting_pairs()}
 
 
 @dataclass(frozen=True)
@@ -325,16 +345,15 @@ def _setting_reps(points: list, side: int) -> list[int] | None:
 def assemble_behavior(model: Model, tolerance: float = DEFAULT_TOLERANCE) -> Behavior:
     """Mix the per-hidden-value response tables into the observable behavior.
 
-    The cells are mixed once per model (see `_mix`) and kept on it.  Each
-    call returns a fresh table over those shared row tuples, so writing into
-    one behavior's table changes no other, and checks row normalization at
-    its own `tolerance`.
+    The cells are mixed once per model (see `_mix`) and kept on it.  At the
+    default tolerance every call returns the model's one behavior over them
+    (`Model._behavior`); any other `tolerance` gets a new `Behavior` over
+    the same row tuples, with row normalization checked at that tolerance.
     """
+    if tolerance == DEFAULT_TOLERANCE:
+        return model._behavior
     return Behavior(
-        n_settings_A=model.response_A.n_settings,
-        n_settings_B=model.response_B.n_settings,
-        table=dict(model._cells),
-        tolerance=tolerance,
+        model.response_A.n_settings, model.response_B.n_settings, model._cells, tolerance
     )
 
 
@@ -427,18 +446,14 @@ def validate_behavior(behavior: Behavior, tol: float = DEFAULT_TOLERANCE) -> Val
 
     The no-signalling figure is the largest change of any single-party
     marginal outcome probability when the other party switches settings.
-    A NaN entry is worse than any number: the report is invalid, names the
-    first NaN in row order as its worst entry, and gives a NaN no-signalling
-    figure, as does an infinite entry.  The answer does not depend on where
-    in the table the non-finite entry sits.  A `tol` that is negative,
-    infinite or NaN is refused with ValueError.
+    A `tol` that is negative, infinite or NaN is refused with ValueError.
     """
     _check_tolerance(tol)
     # The worst excess max(-value, value - 1) belongs to the smallest or the
     # largest entry, so one comparison-only scan finds both (the first of
-    # each in row order); a NaN fails both tests and is reported at once.
-    # A row that is the same object as an earlier one holds entries the scan
-    # has already compared, and could only tie them later, so it is skipped.
+    # each in row order).  A row that is the same object as an earlier one
+    # holds entries the scan has already compared, and could only tie them
+    # later, so it is skipped.
     table = behavior.table
     pairs = behavior.setting_pairs()
     rows = list(map(table.__getitem__, pairs))
@@ -448,15 +463,9 @@ def validate_behavior(behavior: Behavior, tol: float = DEFAULT_TOLERANCE) -> Val
     scan = _first_occurrences(zip(pairs, rows)) if shared else zip(pairs, rows)
     for pair, row in scan:
         for k, value in enumerate(row):
-            if not lo <= value:
-                if not value < lo:
-                    return ValidityReport(
-                        is_valid=False,
-                        worst_entry=(pair, OUTCOME_PAIRS[k], value),
-                        no_signalling_violation=math.nan,
-                    )
+            if value < lo:
                 lo, lo_at = value, (pair, k)
-            elif not value <= hi:
+            elif value > hi:
                 hi, hi_at = value, (pair, k)
     low_excess, high_excess = -lo, hi - 1
     worst_excess = max(low_excess, high_excess)
@@ -474,11 +483,6 @@ def validate_behavior(behavior: Behavior, tol: float = DEFAULT_TOLERANCE) -> Val
             if max(-value, value - 1) == worst_excess
         )
     is_valid = worst_excess <= tol
-    if not worst_excess < math.inf:
-        # Infinite entries leave the marginals undefined.
-        return ValidityReport(
-            is_valid=False, worst_entry=worst_entry, no_signalling_violation=math.nan
-        )
 
     # Alice's marginal P(y_A | x_A) must not depend on x_B: each of her lines
     # fixes x_A and sums outcome pairs (0, 1) and (2, 3).  Bob's marginal

@@ -170,9 +170,9 @@ def check_quasi_bell(
 
     Every chain length, n=2 included, uses the chained score and witness.
     `behavior` is the model's assembled behavior, if the caller already has
-    it; otherwise the model's own default-tolerance behavior is read, which
-    is built once per model and never handed out.  A `tol` that is
-    negative, infinite or NaN is refused with ValueError.
+    it; otherwise the model's own default-tolerance behavior is read, the
+    one `assemble_behavior(model)` returns.  A `tol` that is negative,
+    infinite or NaN is refused with ValueError.
     """
     if n < 2:
         raise ValueError("bound check needs n >= 2")

@@ -368,19 +368,16 @@ class SampleEstimate:
     effective_shots: float
 
     def to_json_dict(self) -> dict:
-        rows = {}
-        errs = {}
-        for (xa, xb), row in sorted(self.empirical_behavior.table.items()):
-            rows[f"{xa},{xb}"] = [float(v) for v in row]
-            errs[f"{xa},{xb}"] = [
-                self.standard_errors[(xa, xb, k)] for k in range(4)
-            ]
+        errs = {
+            f"{xa},{xb}": [self.standard_errors[(xa, xb, k)] for k in range(4)]
+            for xa, xb in self.empirical_behavior.setting_pairs()
+        }
         return {
             "shots": self.shots,
             "seed": self.seed,
             "total_variation_weight": self.total_variation_weight,
             "effective_shots": self.effective_shots,
-            "behavior": rows,
+            "behavior": self.empirical_behavior.to_json_dict(),
             "standard_errors": errs,
         }
 
@@ -844,10 +841,7 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     INFEASIBLE at every n.  The reported optimal_score is the chained score the
     target itself achieves.  Note this answers "how little negative mass
     reproduces these statistics", which is related to but distinct from any
-    witness value of a particular model.  HiGHS solves once per call.  A
-    target with a NaN or infinite entry, which only a table changed after
-    construction can hold, is refused with ValueError naming the first such
-    cell before any program is built.
+    witness value of a particular model.  HiGHS solves once per call.
 
     The program is B(u - v) = t with u, v >= 0, minimizing the total of v,
     and B `_behavior_matrix(n)`'s 4n^2 rows.  They have rank (n+1)^2 only, so
@@ -912,10 +906,6 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     if n > _MAX_LP_SETTINGS:
         raise ValueError(f"LP oracle limited to n <= {_MAX_LP_SETTINGS}")
     entries = np.array([float(v) for pair in target.setting_pairs() for v in target.table[pair]])
-    if not np.isfinite(entries).all():
-        i = int(np.argmin(np.isfinite(entries)))
-        cell = (*target.setting_pairs()[i // 4], *OUTCOME_PAIRS[i % 4])
-        raise ValueError(f"target cell (x_a, x_b, y_a, y_b) {cell} is {float(entries[i])!r}")
     basis = _behavior_basis(n)
     group = _chain_group(n)
     signals = bool(np.abs(basis.expand @ entries[basis.rows] - entries).max() > _BASIS_SLACK)

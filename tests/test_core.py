@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -12,13 +13,13 @@ from hypothesis import strategies as st
 
 from quasibell import (
     DEFAULT_TOLERANCE,
-    OUTCOME_PAIRS,
     Behavior,
     LocalResponse,
     Model,
     QuasiDist,
     StructureError,
     assemble_behavior,
+    check_quasi_bell,
     chsh_saturating_model,
     correlation,
     local_expectation,
@@ -137,6 +138,60 @@ class TestNonFinite:
             Behavior(1, 2, {(0, 0): row, (0, 1): (0.5, math.nan, 0.25, 0.25)})
 
 
+class TestReadOnly:
+    """Tables are read-only copies of the caller's, so a checked table stays checked."""
+
+    def test_tables_cannot_be_written(self):
+        model = chsh_saturating_model(1)
+        behavior = assemble_behavior(model)
+        cells = [
+            (behavior.table, (0, 0), (math.nan, 0.5, 0.25, 0.25)),
+            (behavior.table, (0, 0), (2.0, 0.0, 0.0, 0.0)),
+            (model.response_A.table, (0, "1"), (math.nan, 1.0)),
+            (model.dist.weights, ("1", "1"), math.nan),
+        ]
+        for table, key, value in cells:
+            before = table[key]
+            with pytest.raises(TypeError):
+                table[key] = value
+            with pytest.raises(TypeError):
+                del table[key]
+            assert table[key] is before
+        assert validate_behavior(behavior).is_valid
+        assert check_quasi_bell(model, 2).score == 3.0
+
+    def test_later_writes_to_the_callers_dicts_change_no_answer(self):
+        rows = {(x, lam): (1.0 - p, p) for x, p in enumerate((1.0, 0.0))
+                for lam in ("1", "2")}
+        weights = {"1": 0.75, "2": 0.25}
+        behavior_rows = {(0, 0): (0.25, 0.25, 0.25, 0.25), (0, 1): (0.5, 0.0, 0.0, 0.5)}
+        model = Model(LocalResponse("A", 2, ("1", "2"), rows),
+                      LocalResponse("B", 2, ("1", "2"), rows),
+                      QuasiDist.diagonal(weights))
+        behavior = Behavior(1, 2, behavior_rows)
+        report, table = check_quasi_bell(model, 2), dict(assemble_behavior(model).table)
+        validity = validate_behavior(behavior)
+        rows[(0, "1")] = (math.nan, 1.0)
+        weights["1"] = math.nan
+        behavior_rows[(0, 0)] = (2.0, 0.0, 0.0, 0.0)
+        del behavior_rows[(0, 1)]
+        assert model.response_A.table[(0, "1")] == (0.0, 1.0)
+        assert model.dist.weights[("1", "1")] == 0.75
+        assert behavior.table[(0, 0)] == (0.25, 0.25, 0.25, 0.25)
+        assert len(behavior.table) == 2
+        assert check_quasi_bell(model, 2) == report
+        assert dict(assemble_behavior(model).table) == table
+        assert validate_behavior(behavior) == validity
+
+    def test_list_rows_are_refused(self):
+        with pytest.raises(StructureError, match=r"^row \(0, 1\): expected a tuple"):
+            Behavior(1, 2, {(0, 0): (0.25,) * 4, (0, 1): [0.25] * 4})
+        table = {(0, "1"): (0.5, 0.5), (0, "2"): [0.5, 0.5]}
+        refusal = r"^party B, \(x, lambda\)=\(0, '2'\): expected a tuple"
+        with pytest.raises(StructureError, match=refusal):
+            LocalResponse("B", 1, ("1", "2"), table)
+
+
 class TestAssemble:
     def test_deterministic_positive_model_is_zero_one(self):
         strategy = SymbolStrategy(("+", "-"), ("-", "+"))
@@ -188,10 +243,6 @@ class TestCorrelation:
             correlation(behavior, 1, 0)
 
 
-def _same_number(a, b):
-    return a == b or (math.isnan(a) and math.isnan(b))
-
-
 class TestValidate:
     @pytest.mark.parametrize("budget", [0.0, 0.5, 1.0, 1.5, 2.0])
     def test_saturating_budget_range_is_valid(self, budget):
@@ -222,35 +273,28 @@ class TestValidate:
     @pytest.mark.parametrize("pair", [(0, 0), (0, 1), (1, 0), (1, 1)])
     @pytest.mark.parametrize("k", range(4))
     def test_nan_anywhere_is_invalid(self, pair, k):
-        # A NaN written into the table after construction is found wherever it sits.
+        # A NaN is refused wherever it sits, at any finite tolerance, and
+        # cannot be written into a checked table, so no report ever holds one.
         behavior = assemble_behavior(chsh_saturating_model(1))
         row = list(behavior.table[pair])
         row[k] = math.nan
-        behavior.table[pair] = tuple(row)
-        report = validate_behavior(behavior)
-        assert not report.is_valid
-        where, outcomes, value = report.worst_entry
-        assert (where, outcomes) == (pair, OUTCOME_PAIRS[k])
-        assert math.isnan(value)
-        assert math.isnan(report.no_signalling_violation)
+        for tolerance in (DEFAULT_TOLERANCE, sys.float_info.max):
+            with pytest.raises(StructureError, match=f"^{re.escape(f'row {pair} sums to nan')}"):
+                Behavior(2, 2, {**behavior.table, pair: tuple(row)}, tolerance=tolerance)
+        with pytest.raises(TypeError):
+            behavior.table[pair] = tuple(row)
+        assert validate_behavior(behavior).is_valid
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf])
     def test_infinite_entry_is_invalid(self, value):
         behavior = assemble_behavior(chsh_saturating_model(1))
-        behavior.table[(1, 0)] = (0.25, value, 0.25, 0.25)
-        report = validate_behavior(behavior)
-        assert not report.is_valid
-        assert report.worst_entry == ((1, 0), OUTCOME_PAIRS[1], value)
-        assert math.isnan(report.no_signalling_violation)
-
-    def test_nan_outranks_infinity_in_either_order(self):
-        for nan_pair, inf_pair in (((0, 0), (1, 1)), ((1, 1), (0, 0))):
-            behavior = assemble_behavior(chsh_saturating_model(1))
-            behavior.table[nan_pair] = (math.nan, 0.25, 0.25, 0.25)
-            behavior.table[inf_pair] = (math.inf, 0.25, 0.25, 0.25)
-            where, _, value = validate_behavior(behavior).worst_entry
-            assert where == nan_pair
-            assert math.isnan(value)
+        row = (0.25, value, 0.25, 0.25)
+        for tolerance in (DEFAULT_TOLERANCE, sys.float_info.max):
+            with pytest.raises(StructureError, match=f"^row \\(1, 0\\) sums to {value!r}, not 1$"):
+                Behavior(2, 2, {**behavior.table, (1, 0): row}, tolerance=tolerance)
+        with pytest.raises(TypeError):
+            behavior.table[(1, 0)] = row
+        assert validate_behavior(behavior).is_valid
 
 
 class TestJointSupport:
@@ -345,17 +389,21 @@ class TestProperties:
             tolerance=behavior.tolerance,
         )
         if nan_at is not None:
+            # A NaN is refused under either labelling, at the row it sits in.
             x_a, x_b, k = nan_at
             row = list(behavior.table[(x_a, x_b)])
             row[k] = math.nan
-            behavior.table[(x_a, x_b)] = tuple(row)
-            relabelled.table[(perm_a[x_a], perm_b[x_b])] = tuple(row)
+            for table, pair in ((behavior.table, (x_a, x_b)),
+                                (relabelled.table, (perm_a[x_a], perm_b[x_b]))):
+                with pytest.raises(StructureError, match=re.escape(f"row {pair} sums to nan")):
+                    Behavior(3, 3, {**table, pair: tuple(row)}, tolerance=sys.float_info.max)
+            return
         report = validate_behavior(behavior)
         permuted = validate_behavior(relabelled)
         assert permuted.is_valid == report.is_valid
-        assert _same_number(permuted.no_signalling_violation, report.no_signalling_violation)
+        assert permuted.no_signalling_violation == report.no_signalling_violation
         excess = [max(-r.worst_entry[2], r.worst_entry[2] - 1) for r in (report, permuted)]
-        assert _same_number(*excess)
+        assert excess[0] == excess[1]
 
     @given(model=diagonal_models(n_settings=2, signed=True))
     @example(model=_valid_model_with_correlator_above_one())

@@ -32,7 +32,6 @@ def run_python(code: str, pythonpath: Path | None = None) -> str:
     """Run `code` in a fresh interpreter with `src`, after `pythonpath` if given, on the path."""
     paths = [str(pythonpath)] if pythonpath is not None else []
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([*paths, str(SRC)]))
-    env.pop("QUASIBELL_TOLERANCE", None)
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert done.returncode == 0, done.stderr

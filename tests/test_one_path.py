@@ -3,9 +3,9 @@
 A chain link is the last term of the chain that ends at it; the strategy
 sign matrix is the enumeration read as bits; float and exact budgets share
 one weights expression; `sample` honours `--tolerance` as `verify` does; a
-model is mixed once, the checks that assemble its behavior themselves build
-one default-tolerance behavior for it, and each answers as it does when
-handed that behavior.
+model is mixed once, its one default-tolerance behavior is what
+`assemble_behavior` returns and what the checks read, and each check answers
+as it does when handed a behavior.
 """
 
 from __future__ import annotations
@@ -127,15 +127,22 @@ def test_sample_assembles_at_the_given_tolerance(capsys, tmp_path):
 # -- each model is mixed once ------------------------------------------------
 
 def test_each_assembly_gets_its_own_table():
+    # The default tolerance always gets the model's one behavior; any other
+    # tolerance gets a new behavior, with its own table over the same rows.
+    # No table can be written, so sharing them changes no answer.
     model = chained_saturating_model(3, 1.0)
     first, second = assemble_behavior(model), assemble_behavior(model)
-    assert first.table is not second.table
-    assert first.table[(1, 1)] is second.table[(1, 1)]  # the rows are shared
-    original = second.table[(0, 0)]
-    first.table[(0, 0)] = (1.0, 0.0, 0.0, 0.0)
-    assert second.table[(0, 0)] is original
+    assert first is second is model._behavior
+    loose, exact = assemble_behavior(model, 1e-6), assemble_behavior(model, tolerance=0)
+    assert len({id(first), id(loose), id(exact)}) == 3
+    assert len({id(first.table), id(loose.table), id(exact.table)}) == 3
+    assert (loose.tolerance, exact.tolerance) == (1e-6, 0)
+    assert loose.table == first.table == exact.table
+    original = first.table[(0, 0)]
+    assert loose.table[(0, 0)] is original and exact.table[(0, 0)] is original  # shared rows
+    with pytest.raises(TypeError):
+        first.table[(0, 0)] = (1.0, 0.0, 0.0, 0.0)
     assert assemble_behavior(model).table[(0, 0)] is original
-    assert assemble_behavior(model, tolerance=0).table[(0, 0)] is original
 
 
 @pytest.fixture
@@ -216,10 +223,13 @@ def test_the_checks_build_one_behavior_per_model(count_behaviors, exact):
     assert own is model._behavior and own.tolerance == core.DEFAULT_TOLERANCE
     assert own.table == model._cells and own.table is not model._cells
     assert reports[1].witness == witness
-    # A caller still gets a fresh table of its own, never the model's behavior.
-    handed = assemble_behavior(model)
-    assert handed is not own and handed.table is not own.table
-    assert len(count_behaviors) == 2
+    # A caller at the default tolerance gets that same behavior; any other
+    # tolerance builds one more.
+    assert assemble_behavior(model) is own
+    assert len(count_behaviors) == 1
+    loose = assemble_behavior(model, 1e-6)
+    assert loose is not own and loose.table == own.table
+    assert count_behaviors == [own, loose]
 
 
 def test_a_refused_model_behavior_is_refused_every_time():

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
+import sys
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +54,10 @@ from conftest import diagonal_models, random_joint_model
 
 TWELFTHS = tuple(Fraction(k, 12) for k in range(25))
 
+#: The loosest finite tolerance: a `Behavior` built at it admits every row
+#: whose sum is finite, and still refuses one holding NaN or an infinity.
+LOOSEST = sys.float_info.max
+
 
 # -- the loop forms ----------------------------------------------------------
 
@@ -70,7 +77,7 @@ def _ref_assemble(model: Model) -> dict:
                 pm += a_plus * b_minus * w
                 pp += a_plus * b_plus * w
             table[(x_a, x_b)] = (mm, mp, pm, pp)
-    return table
+    return MappingProxyType(table)
 
 
 def _ref_validate(behavior: Behavior, tol: float = 1e-9) -> ValidityReport:
@@ -80,14 +87,10 @@ def _ref_validate(behavior: Behavior, tol: float = 1e-9) -> ValidityReport:
         row = behavior.table[pair]
         for outcomes, value in zip(OUTCOME_PAIRS, row):
             excess = max(-value, value - 1)
-            if not excess <= worst_excess and worst_excess == worst_excess:
+            if excess > worst_excess:
                 worst_excess = excess
                 worst_entry = (pair, outcomes, value)
     is_valid = worst_excess <= tol
-    if not worst_excess < math.inf:
-        return ValidityReport(
-            is_valid=False, worst_entry=worst_entry, no_signalling_violation=math.nan
-        )
     violation = 0
     for x_a in range(behavior.n_settings_A):
         for y_index in (0, 1):
@@ -231,7 +234,7 @@ def assert_identical(got, want, where="$"):
         assert len(got) == len(want), f"{where}: length {len(got)} vs {len(want)}"
         for i, (g, w) in enumerate(zip(got, want)):
             assert_identical(g, w, f"{where}[{i}]")
-    elif isinstance(want, dict):
+    elif isinstance(want, (dict, MappingProxyType)):
         assert list(got) == list(want), f"{where}: keys {list(got)} vs {list(want)}"
         for key in want:
             assert_identical(got[key], want[key], f"{where}[{key!r}]")
@@ -357,13 +360,11 @@ class TestEntryScan:
 
     @staticmethod
     def _behavior(entries, n_b=2):
-        """A behavior whose table is then overwritten with `entries` in row order."""
+        """A behavior with `entries` in row order, built at the loosest finite tolerance."""
         n_a = len(entries) // (4 * n_b)
         pairs = [(x_a, x_b) for x_a in range(n_a) for x_b in range(n_b)]
-        behavior = Behavior(n_a, n_b, {pair: (0.25,) * 4 for pair in pairs})
-        for i, pair in enumerate(pairs):
-            behavior.table[pair] = tuple(entries[4 * i:4 * i + 4])
-        return behavior
+        table = {pair: tuple(entries[4 * i:4 * i + 4]) for i, pair in enumerate(pairs)}
+        return Behavior(n_a, n_b, table, tolerance=LOOSEST)
 
     @staticmethod
     def _assert_scan_matches(behavior):
@@ -373,17 +374,26 @@ class TestEntryScan:
     @pytest.mark.parametrize("budget", [Fraction(1), Fraction(0), Fraction(3)])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_one_non_finite_entry_anywhere(self, budget, bad):
+        # Refused where it enters, at any finite tolerance, and an assembled
+        # table cannot be written: no check ever scans a non-finite entry.
         model = chained_saturating_model(2, budget, exact=True, force=True)
-        for pair in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+        behavior = assemble_behavior(model)
+        for pair in behavior.setting_pairs():
             for k in range(4):
-                behavior = assemble_behavior(model)
                 row = list(behavior.table[pair])
                 row[k] = bad
-                behavior.table[pair] = tuple(row)
+                refusal = re.escape(f"row {pair} sums to {sum(row)!r}, not 1")
+                with pytest.raises(StructureError, match=f"^{refusal}$"):
+                    Behavior(2, 2, {**behavior.table, pair: tuple(row)}, tolerance=LOOSEST)
+                with pytest.raises(TypeError):
+                    behavior.table[pair] = tuple(row)
                 self._assert_scan_matches(behavior)
 
     def test_two_non_finite_entries_in_every_order(self):
+        # A table holding a non-finite entry is refused at the first row, in
+        # row order, that holds one; every finite pair of entries is scanned.
         values = [math.nan, math.inf, -math.inf, 2.0, -1.0]
+        pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
         for first in values:
             for second in values:
                 for i in range(16):
@@ -392,7 +402,14 @@ class TestEntryScan:
                             continue
                         entries = [0.25] * 16
                         entries[i], entries[j] = first, second
-                        self._assert_scan_matches(self._behavior(entries))
+                        bad_rows = [r for r in range(4)
+                                    if not all(map(math.isfinite, entries[4 * r:4 * r + 4]))]
+                        if not bad_rows:
+                            self._assert_scan_matches(self._behavior(entries))
+                            continue
+                        with pytest.raises(StructureError,
+                                           match=re.escape(f"row {pairs[bad_rows[0]]} sums")):
+                            self._behavior(entries)
 
     def test_ties_pick_the_first_entry_in_row_order(self):
         # -(-0.25) == 1.25 - 1: the low and the high entry tie on excess.
@@ -530,8 +547,10 @@ class TestSharedRows:
         model = chained_saturating_model(n, Fraction(1) if exact else 1.0, exact=exact)
         zero, half = (Fraction(0), Fraction(1, 2)) if exact else (0.0, 0.5)
         bad_entries = [math.nan, math.inf, -math.inf, 3 * half]
-        for pair in assemble_behavior(model).setting_pairs():
-            original = assemble_behavior(model).table[pair]
+        behavior = assemble_behavior(model)
+        assert _distinct_cells(behavior) == 4
+        for pair in behavior.setting_pairs():
+            original = behavior.table[pair]
             replacements = [(3 * half, -half, zero, zero), tuple(-v for v in original)]
             for k in range(4):
                 for bad in bad_entries:
@@ -539,13 +558,17 @@ class TestSharedRows:
                     row[k] = bad
                     replacements.append(tuple(row))
             for row in replacements:
-                behavior = assemble_behavior(model)
-                assert _distinct_cells(behavior) == 4
-                behavior.table[pair] = row
-                assert_identical(validate_behavior(behavior), _ref_validate(behavior),
+                # Every other row is still one of the model's four shared cells.
+                table = {**behavior.table, pair: row}
+                if not all(map(math.isfinite, row)):
+                    with pytest.raises(StructureError, match=re.escape(f"row {pair} sums")):
+                        Behavior(n, n, table, tolerance=LOOSEST)
+                    continue
+                edited = Behavior(n, n, table, tolerance=LOOSEST)
+                assert_identical(validate_behavior(edited), _ref_validate(edited),
                                  f"{pair} <- {row}")
-                assert_identical(validate_behavior(behavior, 0.5),
-                                 _ref_validate(behavior, 0.5), f"{pair} <- {row}")
+                assert_identical(validate_behavior(edited, 0.5),
+                                 _ref_validate(edited, 0.5), f"{pair} <- {row}")
 
     def test_shared_bad_rows_are_refused_at_their_first_key(self):
         bad = (1.5, -0.5)

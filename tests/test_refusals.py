@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 
 from quasibell import (
-    OUTCOME_PAIRS,
     Behavior,
     LocalResponse,
     QuasiDist,
@@ -117,25 +117,22 @@ def test_min_negativity_lp_refuses_n1_before_solving(monkeypatch):
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=repr)
 @pytest.mark.parametrize("pair, k", [((0, 0), 0), ((1, 2), 3)])
-def test_min_negativity_lp_refuses_a_non_finite_target_before_building(
-    monkeypatch, value, pair, k
-):
-    # A table changed after construction; the later cell (2, 2, +1, +1) is
-    # non-finite too, and the first one is named.
+def test_min_negativity_lp_refuses_a_non_finite_target_before_building(value, pair, k):
+    # No non-finite target reaches the LP: a table holding one is refused at
+    # its first such row, at any finite tolerance, and a checked target
+    # cannot be written.  The later cell (2, 2, +1, +1) is non-finite too.
     target = uniform_behavior(3, 3)
+    table = dict(target.table)
     for cell_pair, cell in ((pair, k), ((2, 2), 3)):
-        row = list(target.table[cell_pair])
+        row = list(table[cell_pair])
         row[cell] = value
-        target.table[cell_pair] = tuple(row)
-
-    def fail(*args, **kwargs):
-        raise AssertionError("no program should be built or solved")
-
-    monkeypatch.setattr(oracle, "_negativity_program", fail)
-    monkeypatch.setattr(oracle, "linprog", fail)
-    message = f"target cell (x_a, x_b, y_a, y_b) {(*pair, *OUTCOME_PAIRS[k])} is {value!r}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        min_negativity_lp(target)
+        table[cell_pair] = tuple(row)
+    message = f"row {pair} sums to {value!r}, not 1"
+    with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+        Behavior(3, 3, table, tolerance=sys.float_info.max)
+    with pytest.raises(TypeError):
+        target.table[pair] = table[pair]
+    assert target.table[pair] == UNIFORM
 
 
 @pytest.mark.parametrize("seed", [None, -1, 0.5])
