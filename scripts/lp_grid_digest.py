@@ -21,7 +21,13 @@ Each `--order` seed runs the whole grid once in its own shuffled order, so
 answers that depend on what was solved before show as a mismatch: the
 script then exits 1.  The digest hashes the answers in grid order.
 
+`--dump PATH` also writes the first order's answers to PATH as JSON lines,
+one per LP in grid order: its name, its `to_json_dict()` and its weights as
+`[[s_a, s_b], w]` pairs, so two versions that print different digests can
+be diffed field by field.
+
     python scripts/lp_grid_digest.py --order 1 2 3
+    python scripts/lp_grid_digest.py --dump grid.jsonl
 """
 
 import argparse
@@ -103,11 +109,22 @@ def answer(result) -> bytes:
     return f"{payload}\n{sorted(result.weights.items())!r}\n".encode()
 
 
+def dump_line(name: str, result) -> str:
+    """One JSON line: the LP's name, its JSON fields and its weights in key order."""
+    return json.dumps({
+        "name": name,
+        "result": result.to_json_dict(),
+        "weights": sorted(result.weights.items()),
+    }, sort_keys=True, allow_nan=False) + "\n"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-n", type=int, default=5, help="largest setting count, 2..5")
     parser.add_argument("--order", type=int, nargs="+", default=[0],
                         help="seeds of the call orders; the grid runs once per seed")
+    parser.add_argument("--dump", metavar="PATH",
+                        help="write the first order's answers to PATH as JSON lines")
     args = parser.parse_args()
     if not 2 <= args.max_n <= 5:
         parser.error("--max-n must be 2..5")
@@ -115,10 +132,13 @@ def main() -> int:
     calls = grid(args.max_n)
     digests = []
     for seed in args.order:
-        answers = [b""] * len(calls)
+        results = [None] * len(calls)
         for i in np.random.default_rng(seed).permutation(len(calls)).tolist():
-            answers[i] = answer(calls[i][1]())
-        digest = hashlib.sha256(b"".join(answers)).hexdigest()
+            results[i] = calls[i][1]()
+        if args.dump is not None and not digests:
+            with open(args.dump, "w") as out:
+                out.writelines(dump_line(name, r) for (name, _), r in zip(calls, results))
+        digest = hashlib.sha256(b"".join(map(answer, results))).hexdigest()
         print(f"order {seed}: {digest}")
         digests.append(digest)
     print(f"{len(calls)} LPs, {len(args.order)} orders")

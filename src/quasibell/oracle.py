@@ -638,8 +638,11 @@ class _OrbitProgram(NamedTuple):
     the negative mass is sum |O| v_O.  Its inequality rows come before its
     equality rows, the order in which `scipy.optimize.linprog` hands `A_ub`
     and `A_eq` to HiGHS, since HiGHS's vertex and iteration count depend on
-    it.  `rows` are the behavior rows a `min_negativity_lp` program keeps,
-    None for `max_score_lp`.  All arrays are read-only.
+    it.  `rows` are the behavior rows whose target entries bound the rows of
+    a `min_negativity_lp` program, one per row, None for `max_score_lp`.
+    Both LPs drop repeated orbit-summed rows (`_distinct_rows`):
+    `max_score_lp` always, `min_negativity_lp` when the bounds of the copies
+    agree (`_negativity_program`).  All arrays are read-only.
 
     The orbit program has the LP's optimum when every relabelling g in the
     group maps the LP to itself: with w feasible, w composed with g is
@@ -689,18 +692,31 @@ def _orbit_sums(perms: np.ndarray, matrix: np.ndarray) -> tuple[np.ndarray, np.n
     return orbit_of, summed.reshape(len(matrix), size)
 
 
+def _distinct_rows(summed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which orbit-summed rows a program keeps: the first copy of each distinct row.
+
+    Returns `kept`, the indices of those first copies, ascending, so the
+    kept rows are in the order of their first copies, and `first`, the
+    index of each row's first copy.  Rows are the same when their
+    coefficients are the same bits.
+    """
+    copies: dict[bytes, int] = {}
+    first = np.array([copies.setdefault(row.tobytes(), i) for i, row in enumerate(summed)])
+    return np.flatnonzero(first == np.arange(len(first))), first
+
+
 @functools.cache
 def _score_programs(n: int) -> tuple[_OrbitProgram, _OrbitProgram]:
     """Build `max_score_lp`'s orbit programs, without and then with the budget row.
 
     The columns (u_O, v_O) cost (-t_O, t_O), t_O being the summed score of
     O's strategies.  The rows are each distinct orbit-summed behavior row E
-    once, as -(E u - E v) <= 0, then the budget row, 8|O| on v_O, and the
-    normalization row of the orbit sizes |O|.  Both programs share one
-    `orbit_of`.  Raises RuntimeError if a generator from `_chain_generators`
-    changes the score of some joint strategy, or (in `_relabelled`) does not
-    permute the rows of the behavior matrix, since then orbit sums would not
-    solve the same LP.
+    once (`_distinct_rows`), as -(E u - E v) <= 0, then the budget row,
+    8|O| on v_O, and the normalization row of the orbit sizes |O|.  Both
+    programs share one `orbit_of`.  Raises RuntimeError if a generator from
+    `_chain_generators` changes the score of some joint strategy, or (in
+    `_relabelled`) does not permute the rows of the behavior matrix, since
+    then orbit sums would not solve the same LP.
     """
     signs = _strategy_signs(n)
     scores = (signs @ _chain_coefficients(n) @ signs.T).ravel()
@@ -708,7 +724,7 @@ def _score_programs(n: int) -> tuple[_OrbitProgram, _OrbitProgram]:
         if not np.array_equal(scores[perm], scores):
             raise RuntimeError(f"relabelling does not fix the chained score at n={n}")
     orbit_of, summed = _orbit_sums(_chain_group(n).strategies, _behavior_matrix(n))
-    entries = -_split_form(np.array(list({row.tobytes(): row for row in summed}.values())))
+    entries = -_split_form(summed[_distinct_rows(summed)[0]])
     totals = np.bincount(orbit_of, weights=scores)
     sizes = np.bincount(orbit_of).astype(np.float64)
     cost = np.concatenate([-totals, totals])
@@ -841,16 +857,25 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     INFEASIBLE at every n.  The reported optimal_score is the chained score the
     target itself achieves.  Note this answers "how little negative mass
     reproduces these statistics", which is related to but distinct from any
-    witness value of a particular model.  HiGHS solves once per call.
+    witness value of a particular model.  HiGHS solves once per call.  An
+    entry no float holds, such as a `Fraction` beyond float range, raises
+    ValueError naming its setting pair.
 
     The program is B(u - v) = t with u, v >= 0, minimizing the total of v,
     and B `_behavior_matrix(n)`'s 4n^2 rows.  They have rank (n+1)^2 only, so
-    HiGHS gets the (n+1)^2 rows B_R of `_behavior_basis(n)` and the matching
-    entries t_R of the target, with B = M @ B_R for an integer M.  Then
-    B_R w = t_R gives B w = M t_R, which is t for a no-signalling target:
-    there the two programs have the same feasible set.  A target with
-    max|M t_R - t| > 1e-9 is not a no-signalling behavior, and HiGHS gets
-    all 4n^2 rows, so it judges that program's feasibility itself.
+    the program keeps the (n+1)^2 rows B_R of `_behavior_basis(n)` and the
+    matching entries t_R of the target, with B = M @ B_R for an integer M.
+    Then B_R w = t_R gives B w = M t_R, which is t for a no-signalling
+    target: there the two programs have the same feasible set.  A target
+    with max|M t_R - t| > 1e-9 is not a no-signalling behavior, and the
+    program keeps all 4n^2 rows, so HiGHS judges that program's feasibility
+    itself.  Summed over the orbits below, kept rows may coincide.  HiGHS
+    gets each distinct row once when every copy's target entry equals its
+    first copy's, which leaves the feasible set as it is, and all the kept
+    rows otherwise, so a target whose copies differ by any amount has the
+    status the kept rows give it.  The N = 1/2 and N = 1 families get 8
+    rows at every n, the N = 2 family 6 (2 at n = 2); the chained singlet's
+    copies differ by round-off, and it gets all (n+1)^2.
 
     HiGHS solves over the orbits (`_OrbitProgram`) of a group that fixes
     the target, and v_O costs |O|.  Its generators are the target's
@@ -882,8 +907,10 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     counts whole orbits of the larger group, and `primal_residual` is
     max|B w - t| over all 4n^2 rows and 4^n strategies.
 
-    The program is built once per key and cached (`_negativity_program`,
-    at most `_NEGATIVITY_PROGRAMS` of them).  The key is n, whether the
+    The programs, on the kept rows and on their distinct orbit sums, are
+    built once per key and cached (`_negativity_program`, at most
+    `_NEGATIVITY_PROGRAMS` keys); each call picks one by comparing the
+    target's entries at the copies once.  The key is n, whether the
     target signals, the stabilizer as a mask over `_chain_group(n)`, and,
     when each stabilizer element fixes the target exactly, the mask of
     exactly fixing swaps over `_setting_transpositions(n)` (else None).  The
@@ -892,8 +919,9 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     whether each of its elements fixes the target exactly, a move of exactly
     0.  That is all the build reads of the target: the rows, the generators,
     the closure check on an inexact stabilizer, and so the orbits, their
-    sums, the cost and the model follow from the key alone.  The target's
-    entries go in only as the row bounds, per call, so no result is cached.
+    sums, the cost and the models follow from the key alone.  The target's
+    entries go in only as the row bounds and the choice between the two
+    models, per call, so no result is cached.
     Targets that share a key share a program: a family's budgets where their
     symmetries agree, and the chained singlet with every Werner visibility,
     all fixed by the whole group.
@@ -905,7 +933,13 @@ def min_negativity_lp(target: Behavior) -> LPResult:
         raise ValueError("min-negativity LP needs n >= 2")
     if n > _MAX_LP_SETTINGS:
         raise ValueError(f"LP oracle limited to n <= {_MAX_LP_SETTINGS}")
-    entries = np.array([float(v) for pair in target.setting_pairs() for v in target.table[pair]])
+    values = []
+    for pair in target.setting_pairs():
+        try:
+            values.extend(map(float, target.table[pair]))
+        except OverflowError:
+            raise ValueError(f"setting pair {pair} has an entry beyond float range") from None
+    entries = np.array(values)
     basis = _behavior_basis(n)
     group = _chain_group(n)
     signals = bool(np.abs(basis.expand @ entries[basis.rows] - entries).max() > _BASIS_SLACK)
@@ -916,7 +950,8 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     exact_swaps = None
     if not moved[stabilizer].any():
         exact_swaps = (entries[_setting_transpositions(n).rows] == entries).all(axis=1).tobytes()
-    program = _negativity_program(n, signals, stabilizer.tobytes(), exact_swaps)
+    full, distinct, copy_of = _negativity_program(n, signals, stabilizer.tobytes(), exact_swaps)
+    program = distinct if np.array_equal(entries[full.rows], entries[copy_of]) else full
     bounds = entries[program.rows]
     return _solve(n, program, bounds, bounds, target=entries, score=chained_score(target, n))
 
@@ -924,14 +959,17 @@ def min_negativity_lp(target: Behavior) -> LPResult:
 #: `_negativity_program`'s cache size.  The largest entry, a target at n = 5
 #: that signals and is fixed by the identity alone, has 100 rows of 512
 #: nonzeros each in split form, so its model holds 51200 nonzeros at 12
-#: bytes (614 KB) and 75 KB more; a full cache holds at most about 11 MB.
+#: bytes (614 KB) and 75 KB more.  It has no repeated rows, so its distinct
+#: program is the same object; an entry with repeated rows holds a second
+#: model on fewer rows over the same columns, so no larger than the first.
+#: A full cache holds at most about 22 MB.
 _NEGATIVITY_PROGRAMS = 16
 
 
 @functools.lru_cache(maxsize=_NEGATIVITY_PROGRAMS)
 def _negativity_program(
     n: int, signals: bool, stabilizer: bytes, exact_swaps: bytes | None
-) -> _OrbitProgram:
+) -> tuple[_OrbitProgram, _OrbitProgram, np.ndarray]:
     """Build `min_negativity_lp`'s orbit program from what its target decides.
 
     `signals` picks the rows: all 4n^2, or `_behavior_basis(n)`'s.
@@ -940,9 +978,16 @@ def _negativity_program(
     each of them fixes it exactly, the bool mask over
     `_setting_transpositions(n)` of the swaps that fix it exactly.  These
     decide the group, its orbits and so the whole program; the target's
-    entries enter only as the row bounds, so the program is built once per
-    such key and shared by every target that has it.  Its rows are the kept
-    behavior rows, summed over each orbit, as equalities.
+    entries enter only as the row bounds, so the programs are built once per
+    such key and shared by every target that has it.
+
+    Returns `(full, distinct, copy_of)`.  `full` has the kept behavior rows,
+    summed over each orbit, as equalities; `distinct` has each distinct one
+    of those once, in the order of first copies (`_distinct_rows`), and is
+    `full` itself when none repeats.  `copy_of` is the cell whose target
+    entry bounds each row of `full` in `distinct`: a target whose entries
+    at `full.rows` equal those at `copy_of` gives both the same feasible
+    set, and `min_negativity_lp` then solves `distinct`.
     """
     group = _chain_group(n)
     stabilizer = np.frombuffer(stabilizer, dtype=bool)
@@ -957,12 +1002,17 @@ def _negativity_program(
     rows = np.arange(4 * n * n) if signals else _behavior_basis(n).rows
     orbit_of, summed = _orbit_sums(perms, _behavior_matrix(n)[rows])
     sizes = np.bincount(orbit_of).astype(np.float64)
-    return _OrbitProgram(
-        orbit_of=_read_only(orbit_of),
-        # Minimize total v.
-        model=_highs_model(np.concatenate([np.zeros(len(sizes)), sizes]), _split_form(summed)),
-        rows=_read_only(rows),
-    )
+    # Minimize total v.
+    cost = np.concatenate([np.zeros(len(sizes)), sizes])
+    orbit_of = _read_only(orbit_of)
+    full = _OrbitProgram(orbit_of, _highs_model(cost, _split_form(summed)), _read_only(rows))
+    kept, first = _distinct_rows(summed)
+    distinct = full
+    if len(kept) < len(rows):
+        distinct = _OrbitProgram(
+            orbit_of, _highs_model(cost, _split_form(summed[kept])), _read_only(rows[kept])
+        )
+    return full, distinct, _read_only(rows[first])
 
 
 def _projector(angle: float, outcome: int) -> np.ndarray:

@@ -160,14 +160,18 @@ def witness_chained(
     # template in support order and the (point, excess) pairs whose excess
     # is not zero; only those points contribute a term.
     weights = model.dist.weights
+    table_a, table_b = model.response_A.table, model.response_B.table
     zeros = dict.fromkeys(model.dist.support, 0)
+    # The sums start at the zero of the first support point's arithmetic, as
+    # `_mix`'s cells do, so an empty sum has the type a full one would have.
+    lam_a, lam_b = model.dist.support[0]
+    zero = 0 + table_a[(0, lam_a)][0] * table_b[(0, lam_b)][0] * weights[(lam_a, lam_b)] * 0
     negative = []
     for point in model.dist.support:
         w = weights[point]
         excess = abs(w) - w
         if excess != 0:
             negative.append((point, excess))
-    table_a, table_b = model.response_A.table, model.response_B.table
     terms = []
     high = low = None
     for x in range(1, n):
@@ -186,7 +190,7 @@ def witness_chained(
             discriminant = _row_correlation(high) + _row_correlation(low)
             plus = discriminant < 0
             contributions = dict(zeros)
-            n_plus = n_minus = 0
+            n_plus = n_minus = zero
             for point, excess in negative:
                 lam_a, lam_b = point
                 a_minus, a_plus = table_a[(x, lam_a)]
@@ -209,5 +213,5 @@ def witness_chained(
             a_setting_discriminant=a_disc,
             link=x,
         ))
-    total = sum(term.selected for term in terms)
+    total = sum((term.selected for term in terms), zero)
     return ChainedWitnessReport(terms=tuple(terms), total=total)

@@ -416,7 +416,7 @@ class TestOracleCommands:
         payload = json.loads(out)
         assert payload["status"] == "OPTIMAL"
         assert payload["negative_mass"] <= 0.5 + 1e-8
-        assert payload["rows"] == 9  # (n+1)^2 at n = 2
+        assert payload["rows"] == 2  # the distinct orbit sums of the N = 2 family at n = 2
 
     def test_min_neg_infeasible_is_strict_json(self, capsys, tmp_path):
         csv_path = tmp_path / "signalling.csv"
@@ -427,7 +427,7 @@ class TestOracleCommands:
         assert payload["status"] == "INFEASIBLE"
         assert payload["optimal_score"] is None
         assert payload["negative_mass"] is None
-        assert payload["rows"] == 16  # all 4n^2 rows for a signalling target
+        assert payload["rows"] == 8  # the distinct orbit sums of all 4n^2 rows
 
     def test_min_neg_model_error_is_failed(self, capsys, tmp_path):
         # HiGHS refuses the row bounds 1e300 as a model error: no proof of

@@ -6,9 +6,11 @@ import itertools
 import json
 import math
 import re
+import runpy
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +43,8 @@ from quasibell import oracle
 from quasibell.constructions import SymbolStrategy, model_from_strategies
 
 from conftest import random_model, stochastic_responses
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def strategy_score(strategy_a, strategy_b, n: int) -> int:
@@ -428,15 +432,17 @@ class TestScoreOrbits:
         for budget, want in zip((1.0, 2.0), columns):
             result = min_negativity_lp(assemble_behavior(chained_saturating_model(n, budget)))
             assert result.columns == result.to_json_dict()["columns"] == want
-        target = assemble_behavior(chained_saturating_model(n, 1.0))
-        result = min_negativity_lp(target)
-        # HiGHS gets the (n+1)^2 basis rows, and all 4n^2 for a signalling target.
-        assert result.rows == (n + 1) ** 2
-        assert result.to_json_dict()["rows"] == (n + 1) ** 2
+        # HiGHS gets each distinct orbit sum of the (n+1)^2 basis rows once,
+        # and of all 4n^2 rows for a signalling target.
+        for budget, rows in ((0.5, 8), (1.0, 8), (2.0, 6 if n >= 3 else 2)):
+            result = min_negativity_lp(assemble_behavior(chained_saturating_model(n, budget)))
+            assert result.rows == result.to_json_dict()["rows"] == rows
         signalling = min_negativity_lp(_signalling_target())
-        # Bob's two settings are interchangeable there: 12 orbits of 16.
+        # Bob's two settings are interchangeable there: 12 orbits of 16, and
+        # the 16 rows sum to 8 distinct ones.
         assert signalling.columns == 2 * 12
-        assert signalling.rows == signalling.to_json_dict()["rows"] == 4 * 2 * 2
+        assert signalling.rows == signalling.to_json_dict()["rows"] == 8
+        # The singlet's rows that sum alike differ by round-off: all 4n^2 stay.
         assert min_negativity_lp(_signalling_perturbation(n, 1e-3)).rows == 4 * n * n
 
 
@@ -1335,8 +1341,12 @@ class TestPreparedModels:
 
     def test_models_are_the_csc_form_of_the_dense_rows(self, monkeypatch):
         built = self._built(monkeypatch)
-        # Two models per score program, one per min-negativity solve.
-        assert len(built) == 2 * 4 + sum(not case.id.startswith("score-") for case in _DIRECT_CASES)
+        # Two models per score program, one per min-negativity solve, and a
+        # second on the distinct rows for the 17 solves whose orbit sums
+        # repeat a row: the 12 family targets, the 4 singlets and the
+        # signalling target.
+        min_negativity = sum(not case.id.startswith("score-") for case in _DIRECT_CASES)
+        assert len(built) == 2 * 4 + min_negativity + 17
         for cost, matrix, model in built:
             csc = scipy.sparse.csc_array(matrix)
             assert model.rows == len(matrix)
@@ -1413,13 +1423,18 @@ class TestNegativityProgramCache:
     """`min_negativity_lp` builds each orbit program once per symmetry of its target."""
 
     def test_cached_program_is_read_only(self):
-        program = oracle._negativity_program(3, False, np.ones(24, dtype=bool).tobytes(), None)
-        assert oracle._negativity_program(3, False, np.ones(24, dtype=bool).tobytes(), None) is program
-        model = [a for a in program.model if isinstance(a, np.ndarray)]
-        assert len(model) == 7
-        for array in (program.rows, program.orbit_of, *model):
-            with pytest.raises(ValueError):
-                array[0] = 1
+        key = (3, False, np.ones(24, dtype=bool).tobytes(), None)
+        programs = oracle._negativity_program(*key)
+        assert oracle._negativity_program(*key) is programs
+        full, distinct, copy_of = programs
+        for program in (full, distinct):
+            model = [a for a in program.model if isinstance(a, np.ndarray)]
+            assert len(model) == 7
+            for array in (program.rows, program.orbit_of, *model):
+                with pytest.raises(ValueError):
+                    array[0] = 1
+        with pytest.raises(ValueError):
+            copy_of[0] = 1
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_werner_targets_share_the_singlet_program(self, n, monkeypatch):
@@ -1442,6 +1457,71 @@ class TestNegativityProgramCache:
             reference = _full_min_negativity_lp(target)
             assert result.negative_mass == pytest.approx(reference.fun, abs=1e-9)
             assert result.primal_residual <= 1e-9
+
+
+def _full_rows_only(monkeypatch) -> None:
+    """Make `min_negativity_lp` solve every target on its program's full rows, for this test only."""
+    build = oracle._negativity_program
+
+    def full_only(*key):
+        full, _, copy_of = build(*key)
+        return full, full, copy_of
+
+    monkeypatch.setattr(oracle, "_negativity_program", full_only)
+
+
+class TestDistinctRows:
+    """`min_negativity_lp` solves on each distinct orbit-summed row once when their bounds agree."""
+
+    def test_kept_rows_are_first_copies(self):
+        summed = np.array([[1.0, 2.0], [0.0, 1.0], [1.0, 2.0], [3.0, 0.0], [0.0, 1.0]])
+        kept, first = oracle._distinct_rows(summed)
+        assert kept.tolist() == [0, 1, 3]
+        assert first.tolist() == [0, 1, 0, 3, 1]
+
+    def test_grid_answers_as_on_the_full_rows(self, monkeypatch):
+        # Every min-negativity LP of `scripts/lp_grid_digest.py`'s grid at n <= 5.
+        grid = runpy.run_path(str(SCRIPTS / "lp_grid_digest.py"))["grid"](5)
+        calls = [(name, call) for name, call in grid if not name.startswith("score ")]
+        merged = [call() for _, call in calls]
+        _full_rows_only(monkeypatch)
+        fewer = 0
+        for (name, call), got in zip(calls, merged):
+            want = call()
+            assert got.status is want.status, name
+            assert got.rows <= want.rows, name
+            fewer += got.rows < want.rows
+            if want.status is LPStatus.OPTIMAL:
+                assert got.optimal_score == pytest.approx(want.optimal_score, abs=1e-9), name
+                assert got.negative_mass == pytest.approx(want.negative_mass, abs=1e-9), name
+        # The 12 family targets, the 6 N = 1 family targets moved by 1e-12
+        # within a row, the signalling target and the model-error target.
+        assert fewer == 20
+
+    @pytest.mark.parametrize("n, budget, moves, status, rows", [
+        # 1e-12 moved within row (0, 0): the target's relabellings still fix
+        # it within the slack, but rows that sum alike get bounds 1e-12 apart.
+        *((n, budget, [((0, 0), 1e-12)], LPStatus.OPTIMAL, (n + 1) ** 2)
+          for n in range(2, 6) for budget in (0.5, 1.0, 2.0)),
+        # The PR box made to signal by 1e-3 in row (0, 0) keeps 10 distinct
+        # rows of 16 until 1e-12 moves within another row.
+        *((2, 2.0, [((0, 0), 1e-3), (pair, 1e-12)], LPStatus.INFEASIBLE, 16)
+          for pair in ((0, 1), (1, 0), (1, 1))),
+    ])
+    def test_unequal_bounds_take_the_full_rows(self, n, budget, moves, status, rows, monkeypatch):
+        target = assemble_behavior(chained_saturating_model(n, budget))
+        for pair, size in moves[:-1]:
+            target = _move_within_row(target, pair, 0, 3, size)
+        # Without the 1e-12 move, equal bounds let the same rows merge.
+        assert min_negativity_lp(target).rows < rows
+        pair, size = moves[-1]
+        target = _move_within_row(target, pair, 0, 3, size)
+        result = min_negativity_lp(target)
+        assert (result.status, result.rows) == (status, rows)
+        _full_rows_only(monkeypatch)
+        full = min_negativity_lp(target)
+        assert (full.status, full.rows, full.iterations) == (status, rows, result.iterations)
+        assert full.weights == result.weights
 
 
 def _no_signalling_max_score(n: int) -> float:

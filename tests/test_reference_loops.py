@@ -117,22 +117,22 @@ def _ref_expectation(response: LocalResponse, x: int, lam):
 
 
 def _ref_brackets(model: Model, sign: int, a_setting: int, b_high: int, b_low: int):
+    # Every point's term enters the total, a zero excess's too, so an empty
+    # witness is a zero of the model's arithmetic; a point of zero excess
+    # contributes the int 0.
     contributions = {}
     total = 0
     for point in model.dist.support:
         lam_a, lam_b = point
         w = model.dist.weights[point]
         excess = abs(w) - w
-        if excess == 0:
-            contributions[point] = 0
-            continue
         exp_a = _ref_expectation(model.response_A, a_setting, lam_a)
         bracket = 2 + sign * exp_a * (
             _ref_expectation(model.response_B, b_high, lam_b)
             + _ref_expectation(model.response_B, b_low, lam_b)
         )
         term = bracket * excess
-        contributions[point] = term
+        contributions[point] = term if excess != 0 else 0
         total += term
     return total, contributions
 
@@ -851,7 +851,8 @@ class TestExactRepresentation:
             report = check_quasi_bell(model, n)
             assert type(report.score) is Fraction and type(report.margin) is Fraction
             assert report.margin == 0
-            # No weight is negative at N = 0, so the witness is the empty
-            # sum 0 and the bound the int 2n - 2.
-            assert type(report.bound) is (Fraction if budget else int), f"N={budget}"
+            # No weight is negative at N = 0, so the witness is an empty sum:
+            # it starts at the weights' Fraction zero, and so does the bound.
+            assert type(report.bound) is Fraction, f"N={budget}"
+            assert type(report.witness_total) is Fraction, f"N={budget}"
             assert report.bound == 2 * n - 2 + budget

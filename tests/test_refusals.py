@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -52,6 +53,16 @@ def uniform_behavior(n_a: int, n_b: int) -> Behavior:
     return Behavior(n_a, n_b, table)
 
 
+def beyond_float_range(pair) -> Behavior:
+    """The uniform 2x2 behavior in `Fraction`s, with row `pair` (10^400, 1 - 10^400, 0, 0).
+
+    Every row sums to 1 exactly, so it is admitted, but no float holds 10^400.
+    """
+    table = {key: tuple(map(Fraction, UNIFORM)) for key in uniform_behavior(2, 2).table}
+    table[pair] = (Fraction(10**400), 1 - Fraction(10**400), Fraction(0), Fraction(0))
+    return Behavior(2, 2, table)
+
+
 def party(**changes) -> dict:
     entry = {"settings": 1, "lambdas": ["1"], "table": {"0,1": list(HALF)}}
     entry.update(changes)
@@ -86,6 +97,10 @@ def test_cli_refusals(capsys, argv, message):
                  "min-negativity LP needs n >= 2", id="min-neg-n1"),
     pytest.param(lambda: min_negativity_lp(uniform_behavior(6, 6)),
                  "LP oracle limited to n <= 5", id="min-neg-n6"),
+    *(pytest.param(lambda pair=pair: min_negativity_lp(beyond_float_range(pair)),
+                   f"setting pair {pair} has an entry beyond float range",
+                   id=f"min-neg-beyond-float-{pair[0]}{pair[1]}")
+      for pair in [(0, 0), (1, 0)]),
     pytest.param(lambda: classical_bound_bruteforce(1),
                  "chained score needs n >= 2", id="classical-bound-n1"),
     pytest.param(lambda: enumerate_deterministic(0),

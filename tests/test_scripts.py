@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -47,7 +49,7 @@ def test_lp_grid_digest(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "34 LPs, 2 orders" in out
     assert out.splitlines()[-1] == (
-        "digest da11fe2284a6f988a7ad005c8dcecb81cf1618a775f994f720df338c0ac98180"
+        "digest 138fbf6191396c8db1b431a3a01b2c8447f76d3faca29fcba25afa603da8e838"
     )
 
 
@@ -57,8 +59,41 @@ def test_lp_grid_digest_up_to_n5(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "68 LPs, 1 orders" in out
     assert out.splitlines()[-1] == (
-        "digest 01a796d4aeacddf62e0a1dbf58e7d51300fea3b1f12e750b71f91c1b7f211c34"
+        "digest a71e1d87868cc266b7d1f48d31b18d6fd3d84a53031fe10617a2276de26cf968"
     )
+
+
+def test_lp_grid_digest_dump(monkeypatch, capsys, tmp_path):
+    # One JSON line per LP in grid order, the first order's answers: its
+    # name, `to_json_dict()` and weights as [[s_a, s_b], w] pairs in key order.
+    path = tmp_path / "grid.jsonl"
+    args = ("--max-n", "3", "--order", "2", "1", "--dump", str(path))
+    assert run_script(monkeypatch, "lp_grid_digest.py", *args) == 0
+    digest = capsys.readouterr().out.splitlines()[-1]
+    lines = path.read_text().splitlines()
+    assert len(lines) == 34
+    entries = [json.loads(line) for line in lines]
+    assert [sorted(entry) for entry in entries] == [["name", "result", "weights"]] * 34
+    assert entries[0]["name"] == "score n=2 B=0.0"
+    assert entries[-1]["name"] == "model error"
+    assert entries[-1]["result"]["status"] == "FAILED" and entries[-1]["weights"] == []
+    for entry in entries:
+        weights = entry["weights"]
+        assert [key for key, _ in weights] == sorted(key for key, _ in weights)
+        assert all(len(key) == 2 and len(key[0]) == len(key[1]) for key, _ in weights)
+    family = entries[10]
+    assert family["name"] == "family n=2 N=0.5"
+    assert (family["result"]["status"], family["result"]["rows"]) == ("OPTIMAL", 8)
+    assert sum(w for _, w in family["weights"] if w < 0) == pytest.approx(-0.125, abs=1e-9)
+    # The `max_score_lp` lines, pinned byte for byte: merging repeated
+    # min-negativity rows left them as they were.
+    scores = "".join(line + "\n" for line in lines if line.startswith('{"name": "score '))
+    assert hashlib.sha256(scores.encode()).hexdigest() == (
+        "9a281f5f354cc28cb5c2d97c479319e5d6dacc182b6a51391799f4289a9d0a49"
+    )
+    # The dump does not change the digest.
+    assert run_script(monkeypatch, "lp_grid_digest.py", "--max-n", "3", "--order", "1") == 0
+    assert capsys.readouterr().out.splitlines()[-1] == digest
 
 
 def test_model_grid_digest(monkeypatch, capsys):
@@ -70,7 +105,7 @@ def test_model_grid_digest(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "92 models, 456 calls, 2 orders" in out
     assert out.splitlines()[-1] == (
-        "digest fac6695a0071c07bcdaa6cb58925a5da8b364abd186b7ae8247898a215b66551"
+        "digest a1d1b98d25887b71a9c9fbc2dcaa37ec8f0974ed205b50e6f5aa9ad384c010ca"
     )
 
 
