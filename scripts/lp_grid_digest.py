@@ -21,6 +21,9 @@ Each `--order` seed runs the whole grid once in its own shuffled order, so
 answers that depend on what was solved before show as a mismatch: the
 script then exits 1.  The digest hashes the answers in grid order.
 
+Before the digest it prints the total rows and columns handed to HiGHS
+over the grid, so a change of program size shows without a dump.
+
 `--dump PATH` also writes the first order's answers to PATH as JSON lines,
 one per LP in grid order: its name, its `to_json_dict()` and its weights as
 `[[s_a, s_b], w]` pairs, so two versions that print different digests can
@@ -145,6 +148,8 @@ def main() -> int:
     if len(set(digests)) != 1:
         print("answers depend on the call order", file=sys.stderr)
         return 1
+    # Every order gave the same answers, so the last order's sizes are all orders'.
+    print(f"HiGHS rows {sum(r.rows for r in results)}, columns {sum(r.columns for r in results)}")
     print(f"digest {digests[0]}")
     return 0
 

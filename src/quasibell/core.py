@@ -286,9 +286,21 @@ class Behavior:
         ]
 
     def to_json_dict(self) -> dict:
-        """Rows as float lists keyed "x_a,x_b", in setting-pair order."""
-        return {f"{xa},{xb}": [float(v) for v in self.table[(xa, xb)]]
+        """Rows as float lists keyed "x_a,x_b", in setting-pair order.
+
+        An entry no float holds, such as a `Fraction` beyond float range,
+        raises ValueError naming its setting pair.
+        """
+        return {f"{xa},{xb}": _floats(self.table[(xa, xb)], (xa, xb))
                 for xa, xb in self.setting_pairs()}
+
+
+def _floats(values, pair) -> list[float]:
+    """`values` as floats; ValueError naming `pair` if one is beyond float range."""
+    try:
+        return [float(v) for v in values]
+    except OverflowError:
+        raise ValueError(f"setting pair {pair} has an entry beyond float range") from None
 
 
 @dataclass(frozen=True)
@@ -300,15 +312,25 @@ class ValidityReport:
     no_signalling_violation: object
 
     def to_json_dict(self) -> dict:
+        """The report with float figures.
+
+        A worst entry beyond float range raises ValueError naming its setting
+        pair, and a no-signalling figure beyond it ValueError too.
+        """
         (pair, outcomes, value) = self.worst_entry
+        (value,) = _floats([value], pair)
+        try:
+            violation = float(self.no_signalling_violation)
+        except OverflowError:
+            raise ValueError("the no-signalling violation is beyond float range") from None
         return {
             "is_valid": self.is_valid,
             "worst_entry": {
                 "settings": list(pair),
                 "outcomes": list(outcomes),
-                "value": float(value),
+                "value": value,
             },
-            "no_signalling_violation": float(self.no_signalling_violation),
+            "no_signalling_violation": violation,
         }
 
 

@@ -65,6 +65,7 @@ from .core import (
     Behavior,
     Model,
     ValidityReport,
+    _floats,
     assemble_behavior,
     validate_behavior,
 )
@@ -640,9 +641,9 @@ class _OrbitProgram(NamedTuple):
     and `A_eq` to HiGHS, since HiGHS's vertex and iteration count depend on
     it.  `rows` are the behavior rows whose target entries bound the rows of
     a `min_negativity_lp` program, one per row, None for `max_score_lp`.
-    Both LPs drop repeated orbit-summed rows (`_distinct_rows`):
-    `max_score_lp` always, `min_negativity_lp` when the bounds of the copies
-    agree (`_negativity_program`).  All arrays are read-only.
+    `max_score_lp` keeps each distinct orbit-summed row once
+    (`_distinct_rows`), and so does `min_negativity_lp` for a target that
+    does not signal (`_negativity_program`).  All arrays are read-only.
 
     The orbit program has the LP's optimum when every relabelling g in the
     group maps the LP to itself: with w feasible, w composed with g is
@@ -692,17 +693,12 @@ def _orbit_sums(perms: np.ndarray, matrix: np.ndarray) -> tuple[np.ndarray, np.n
     return orbit_of, summed.reshape(len(matrix), size)
 
 
-def _distinct_rows(summed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Which orbit-summed rows a program keeps: the first copy of each distinct row.
+def _distinct_rows(summed: np.ndarray) -> np.ndarray:
+    """The indices of the first copy of each distinct orbit-summed row, ascending.
 
-    Returns `kept`, the indices of those first copies, ascending, so the
-    kept rows are in the order of their first copies, and `first`, the
-    index of each row's first copy.  Rows are the same when their
-    coefficients are the same bits.
+    A program that keeps them keeps its rows in the order of their first copies.
     """
-    copies: dict[bytes, int] = {}
-    first = np.array([copies.setdefault(row.tobytes(), i) for i, row in enumerate(summed)])
-    return np.flatnonzero(first == np.arange(len(first))), first
+    return np.sort(np.unique(summed, axis=0, return_index=True)[1])
 
 
 @functools.cache
@@ -724,7 +720,7 @@ def _score_programs(n: int) -> tuple[_OrbitProgram, _OrbitProgram]:
         if not np.array_equal(scores[perm], scores):
             raise RuntimeError(f"relabelling does not fix the chained score at n={n}")
     orbit_of, summed = _orbit_sums(_chain_group(n).strategies, _behavior_matrix(n))
-    entries = -_split_form(summed[_distinct_rows(summed)[0]])
+    entries = -_split_form(summed[_distinct_rows(summed)])
     totals = np.bincount(orbit_of, weights=scores)
     sizes = np.bincount(orbit_of).astype(np.float64)
     cost = np.concatenate([-totals, totals])
@@ -869,13 +865,17 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     target: there the two programs have the same feasible set.  A target
     with max|M t_R - t| > 1e-9 is not a no-signalling behavior, and the
     program keeps all 4n^2 rows, so HiGHS judges that program's feasibility
-    itself.  Summed over the orbits below, kept rows may coincide.  HiGHS
-    gets each distinct row once when every copy's target entry equals its
-    first copy's, which leaves the feasible set as it is, and all the kept
-    rows otherwise, so a target whose copies differ by any amount has the
-    status the kept rows give it.  The N = 1/2 and N = 1 families get 8
-    rows at every n, the N = 2 family 6 (2 at n = 2); the chained singlet's
-    copies differ by round-off, and it gets all (n+1)^2.
+    itself.  Summed over the orbits below, rows may coincide.  A target
+    that does not signal gets each distinct row once, bounded by its first
+    copy's entry: some signed mixture reproduces it, and that mixture
+    averaged over the group is constant on orbits, so it gives copies equal
+    entries, and it reproduces the target up to the target's distance from
+    a symmetric behavior, within the 1e-9 slack.  `primal_residual` reports
+    any gap that is left.  A signalling target keeps every row apart, since
+    copies that no group element maps onto each other may differ for a
+    reason.  The N = 1/2 and N = 1 families get 8 rows at every n, the
+    N = 2 family 6 (2 at n = 2), and the chained singlet and Werner
+    targets n.
 
     HiGHS solves over the orbits (`_OrbitProgram`) of a group that fixes
     the target, and v_O costs |O|.  Its generators are the target's
@@ -907,10 +907,8 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     counts whole orbits of the larger group, and `primal_residual` is
     max|B w - t| over all 4n^2 rows and 4^n strategies.
 
-    The programs, on the kept rows and on their distinct orbit sums, are
-    built once per key and cached (`_negativity_program`, at most
-    `_NEGATIVITY_PROGRAMS` keys); each call picks one by comparing the
-    target's entries at the copies once.  The key is n, whether the
+    The program is built once per key and cached (`_negativity_program`,
+    at most `_NEGATIVITY_PROGRAMS` keys).  The key is n, whether the
     target signals, the stabilizer as a mask over `_chain_group(n)`, and,
     when each stabilizer element fixes the target exactly, the mask of
     exactly fixing swaps over `_setting_transpositions(n)` (else None).  The
@@ -919,9 +917,8 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     whether each of its elements fixes the target exactly, a move of exactly
     0.  That is all the build reads of the target: the rows, the generators,
     the closure check on an inexact stabilizer, and so the orbits, their
-    sums, the cost and the models follow from the key alone.  The target's
-    entries go in only as the row bounds and the choice between the two
-    models, per call, so no result is cached.
+    sums, the cost and the model follow from the key alone.  The target's
+    entries go in only as the row bounds, per call, so no result is cached.
     Targets that share a key share a program: a family's budgets where their
     symmetries agree, and the chained singlet with every Werner visibility,
     all fixed by the whole group.
@@ -933,13 +930,7 @@ def min_negativity_lp(target: Behavior) -> LPResult:
         raise ValueError("min-negativity LP needs n >= 2")
     if n > _MAX_LP_SETTINGS:
         raise ValueError(f"LP oracle limited to n <= {_MAX_LP_SETTINGS}")
-    values = []
-    for pair in target.setting_pairs():
-        try:
-            values.extend(map(float, target.table[pair]))
-        except OverflowError:
-            raise ValueError(f"setting pair {pair} has an entry beyond float range") from None
-    entries = np.array(values)
+    entries = np.array([_floats(target.table[pair], pair) for pair in target.setting_pairs()]).ravel()
     basis = _behavior_basis(n)
     group = _chain_group(n)
     signals = bool(np.abs(basis.expand @ entries[basis.rows] - entries).max() > _BASIS_SLACK)
@@ -950,8 +941,7 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     exact_swaps = None
     if not moved[stabilizer].any():
         exact_swaps = (entries[_setting_transpositions(n).rows] == entries).all(axis=1).tobytes()
-    full, distinct, copy_of = _negativity_program(n, signals, stabilizer.tobytes(), exact_swaps)
-    program = distinct if np.array_equal(entries[full.rows], entries[copy_of]) else full
+    program = _negativity_program(n, signals, stabilizer.tobytes(), exact_swaps)
     bounds = entries[program.rows]
     return _solve(n, program, bounds, bounds, target=entries, score=chained_score(target, n))
 
@@ -959,35 +949,25 @@ def min_negativity_lp(target: Behavior) -> LPResult:
 #: `_negativity_program`'s cache size.  The largest entry, a target at n = 5
 #: that signals and is fixed by the identity alone, has 100 rows of 512
 #: nonzeros each in split form, so its model holds 51200 nonzeros at 12
-#: bytes (614 KB) and 75 KB more.  It has no repeated rows, so its distinct
-#: program is the same object; an entry with repeated rows holds a second
-#: model on fewer rows over the same columns, so no larger than the first.
-#: A full cache holds at most about 22 MB.
+#: bytes (614 KB) and 75 KB more.  A full cache holds at most about 11 MB.
 _NEGATIVITY_PROGRAMS = 16
 
 
 @functools.lru_cache(maxsize=_NEGATIVITY_PROGRAMS)
 def _negativity_program(
     n: int, signals: bool, stabilizer: bytes, exact_swaps: bytes | None
-) -> tuple[_OrbitProgram, _OrbitProgram, np.ndarray]:
+) -> _OrbitProgram:
     """Build `min_negativity_lp`'s orbit program from what its target decides.
 
-    `signals` picks the rows: all 4n^2, or `_behavior_basis(n)`'s.
-    `stabilizer` is the bool mask over `_chain_group(n)` of the relabellings
-    that fix the target within the slack, and `exact_swaps`, given only when
-    each of them fixes it exactly, the bool mask over
-    `_setting_transpositions(n)` of the swaps that fix it exactly.  These
-    decide the group, its orbits and so the whole program; the target's
-    entries enter only as the row bounds, so the programs are built once per
-    such key and shared by every target that has it.
-
-    Returns `(full, distinct, copy_of)`.  `full` has the kept behavior rows,
-    summed over each orbit, as equalities; `distinct` has each distinct one
-    of those once, in the order of first copies (`_distinct_rows`), and is
-    `full` itself when none repeats.  `copy_of` is the cell whose target
-    entry bounds each row of `full` in `distinct`: a target whose entries
-    at `full.rows` equal those at `copy_of` gives both the same feasible
-    set, and `min_negativity_lp` then solves `distinct`.
+    `signals` picks the rows: all 4n^2, each kept as it is, or the distinct
+    orbit sums of `_behavior_basis(n)`'s, each once, in the order of their
+    first copies (`_distinct_rows`).  `stabilizer` is the bool mask over
+    `_chain_group(n)` of the relabellings that fix the target within the
+    slack, and `exact_swaps`, given only when each of them fixes it exactly,
+    the bool mask over `_setting_transpositions(n)` of the swaps that fix it
+    exactly.  These decide the group, its orbits and so the whole program;
+    the target's entries enter only as the row bounds, at `rows`, so one
+    program is built per such key and shared by every target that has it.
     """
     group = _chain_group(n)
     stabilizer = np.frombuffer(stabilizer, dtype=bool)
@@ -1001,18 +981,15 @@ def _negativity_program(
             perms = group.strategies[:1]
     rows = np.arange(4 * n * n) if signals else _behavior_basis(n).rows
     orbit_of, summed = _orbit_sums(perms, _behavior_matrix(n)[rows])
+    if not signals:
+        kept = _distinct_rows(summed)
+        rows, summed = rows[kept], summed[kept]
     sizes = np.bincount(orbit_of).astype(np.float64)
     # Minimize total v.
     cost = np.concatenate([np.zeros(len(sizes)), sizes])
-    orbit_of = _read_only(orbit_of)
-    full = _OrbitProgram(orbit_of, _highs_model(cost, _split_form(summed)), _read_only(rows))
-    kept, first = _distinct_rows(summed)
-    distinct = full
-    if len(kept) < len(rows):
-        distinct = _OrbitProgram(
-            orbit_of, _highs_model(cost, _split_form(summed[kept])), _read_only(rows[kept])
-        )
-    return full, distinct, _read_only(rows[first])
+    return _OrbitProgram(
+        _read_only(orbit_of), _highs_model(cost, _split_form(summed)), _read_only(rows)
+    )
 
 
 def _projector(angle: float, outcome: int) -> np.ndarray:

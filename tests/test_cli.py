@@ -427,7 +427,7 @@ class TestOracleCommands:
         assert payload["status"] == "INFEASIBLE"
         assert payload["optimal_score"] is None
         assert payload["negative_mass"] is None
-        assert payload["rows"] == 8  # the distinct orbit sums of all 4n^2 rows
+        assert payload["rows"] == 16  # all 4n^2 rows: a signalling target merges none
 
     def test_min_neg_model_error_is_failed(self, capsys, tmp_path):
         # HiGHS refuses the row bounds 1e300 as a model error: no proof of

@@ -16,6 +16,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from quasibell import (
@@ -433,16 +435,19 @@ class TestScoreOrbits:
             result = min_negativity_lp(assemble_behavior(chained_saturating_model(n, budget)))
             assert result.columns == result.to_json_dict()["columns"] == want
         # HiGHS gets each distinct orbit sum of the (n+1)^2 basis rows once,
-        # and of all 4n^2 rows for a signalling target.
+        # and all 4n^2 rows, none merged, for a signalling target.
         for budget, rows in ((0.5, 8), (1.0, 8), (2.0, 6 if n >= 3 else 2)):
             result = min_negativity_lp(assemble_behavior(chained_saturating_model(n, budget)))
             assert result.rows == result.to_json_dict()["rows"] == rows
+        # The singlet's and the Werner target's copies differ by round-off
+        # and merge all the same: n distinct orbit sums.
+        for visibility in (1.0, 0.8):
+            result = min_negativity_lp(_singlet_at_chained_angles(n, visibility))
+            assert result.rows == result.to_json_dict()["rows"] == n
         signalling = min_negativity_lp(_signalling_target())
-        # Bob's two settings are interchangeable there: 12 orbits of 16, and
-        # the 16 rows sum to 8 distinct ones.
+        # Bob's two settings are interchangeable there: 12 orbits of 16.
         assert signalling.columns == 2 * 12
-        assert signalling.rows == signalling.to_json_dict()["rows"] == 8
-        # The singlet's rows that sum alike differ by round-off: all 4n^2 stay.
+        assert signalling.rows == signalling.to_json_dict()["rows"] == 16
         assert min_negativity_lp(_signalling_perturbation(n, 1e-3)).rows == 4 * n * n
 
 
@@ -1341,12 +1346,9 @@ class TestPreparedModels:
 
     def test_models_are_the_csc_form_of_the_dense_rows(self, monkeypatch):
         built = self._built(monkeypatch)
-        # Two models per score program, one per min-negativity solve, and a
-        # second on the distinct rows for the 17 solves whose orbit sums
-        # repeat a row: the 12 family targets, the 4 singlets and the
-        # signalling target.
+        # Two models per score program and one per min-negativity solve.
         min_negativity = sum(not case.id.startswith("score-") for case in _DIRECT_CASES)
-        assert len(built) == 2 * 4 + min_negativity + 17
+        assert len(built) == 2 * 4 + min_negativity
         for cost, matrix, model in built:
             csc = scipy.sparse.csc_array(matrix)
             assert model.rows == len(matrix)
@@ -1424,17 +1426,13 @@ class TestNegativityProgramCache:
 
     def test_cached_program_is_read_only(self):
         key = (3, False, np.ones(24, dtype=bool).tobytes(), None)
-        programs = oracle._negativity_program(*key)
-        assert oracle._negativity_program(*key) is programs
-        full, distinct, copy_of = programs
-        for program in (full, distinct):
-            model = [a for a in program.model if isinstance(a, np.ndarray)]
-            assert len(model) == 7
-            for array in (program.rows, program.orbit_of, *model):
-                with pytest.raises(ValueError):
-                    array[0] = 1
-        with pytest.raises(ValueError):
-            copy_of[0] = 1
+        program = oracle._negativity_program(*key)
+        assert oracle._negativity_program(*key) is program
+        model = [a for a in program.model if isinstance(a, np.ndarray)]
+        assert len(model) == 7
+        for array in (program.rows, program.orbit_of, *model):
+            with pytest.raises(ValueError):
+                array[0] = 1
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_werner_targets_share_the_singlet_program(self, n, monkeypatch):
@@ -1460,24 +1458,32 @@ class TestNegativityProgramCache:
 
 
 def _full_rows_only(monkeypatch) -> None:
-    """Make `min_negativity_lp` solve every target on its program's full rows, for this test only."""
-    build = oracle._negativity_program
+    """Make `min_negativity_lp` keep every orbit-summed row apart, for this test only.
 
-    def full_only(*key):
-        full, _, copy_of = build(*key)
-        return full, full, copy_of
+    That is the full-row reference the merged programs answer as.
+    `_score_programs` caches what it builds, so it is built first, with the
+    real `_distinct_rows`.
+    """
+    for n in range(2, 6):
+        oracle._score_programs(n)
+    _build_every_program(monkeypatch)
+    monkeypatch.setattr(oracle, "_distinct_rows", lambda summed: np.arange(len(summed)))
 
-    monkeypatch.setattr(oracle, "_negativity_program", full_only)
+
+def _mixture(first: Behavior, second: Behavior, weight: float) -> Behavior:
+    """The convex mixture weight * first + (1 - weight) * second, entry by entry."""
+    table = {pair: tuple(weight * p + (1 - weight) * q
+                         for p, q in zip(first.table[pair], second.table[pair]))
+             for pair in first.setting_pairs()}
+    return Behavior(first.n_settings_A, first.n_settings_B, table)
 
 
 class TestDistinctRows:
-    """`min_negativity_lp` solves on each distinct orbit-summed row once when their bounds agree."""
+    """A no-signalling target's copied orbit-summed rows merge, bounded by the first copy's entry."""
 
     def test_kept_rows_are_first_copies(self):
         summed = np.array([[1.0, 2.0], [0.0, 1.0], [1.0, 2.0], [3.0, 0.0], [0.0, 1.0]])
-        kept, first = oracle._distinct_rows(summed)
-        assert kept.tolist() == [0, 1, 3]
-        assert first.tolist() == [0, 1, 0, 3, 1]
+        assert oracle._distinct_rows(summed).tolist() == [0, 1, 3]
 
     def test_grid_answers_as_on_the_full_rows(self, monkeypatch):
         # Every min-negativity LP of `scripts/lp_grid_digest.py`'s grid at n <= 5.
@@ -1495,33 +1501,69 @@ class TestDistinctRows:
                 assert got.optimal_score == pytest.approx(want.optimal_score, abs=1e-9), name
                 assert got.negative_mass == pytest.approx(want.negative_mass, abs=1e-9), name
         # The 12 family targets, the 6 N = 1 family targets moved by 1e-12
-        # within a row, the signalling target and the model-error target.
-        assert fewer == 20
+        # within a row, the singlet moved by 0 or 1e-12 and the Werner target
+        # at each n, and the model-error target.  The signalling target and
+        # the singlets moved by 1e-9 or more keep every row.
+        assert fewer == 12 + 6 + 3 * 4 + 1
 
     @pytest.mark.parametrize("n, budget, moves, status, rows", [
         # 1e-12 moved within row (0, 0): the target's relabellings still fix
-        # it within the slack, but rows that sum alike get bounds 1e-12 apart.
+        # it within the slack, and rows that sum alike get bounds 1e-12 apart.
         *((n, budget, [((0, 0), 1e-12)], LPStatus.OPTIMAL, (n + 1) ** 2)
           for n in range(2, 6) for budget in (0.5, 1.0, 2.0)),
-        # The PR box made to signal by 1e-3 in row (0, 0) keeps 10 distinct
-        # rows of 16 until 1e-12 moves within another row.
+        # The PR box made to signal by 1e-3 in row (0, 0), and 1e-12 moved
+        # within another row.
         *((2, 2.0, [((0, 0), 1e-3), (pair, 1e-12)], LPStatus.INFEASIBLE, 16)
           for pair in ((0, 1), (1, 0), (1, 1))),
     ])
     def test_unequal_bounds_take_the_full_rows(self, n, budget, moves, status, rows, monkeypatch):
+        """Copies with unequal bounds merge when the target does not signal, and not when it does.
+
+        `rows` is the full-row reference's count, all (n+1)^2 basis rows, or
+        all 4n^2 for a signalling target.
+        """
         target = assemble_behavior(chained_saturating_model(n, budget))
-        for pair, size in moves[:-1]:
+        for pair, size in moves:
             target = _move_within_row(target, pair, 0, 3, size)
-        # Without the 1e-12 move, equal bounds let the same rows merge.
-        assert min_negativity_lp(target).rows < rows
-        pair, size = moves[-1]
-        target = _move_within_row(target, pair, 0, 3, size)
         result = min_negativity_lp(target)
-        assert (result.status, result.rows) == (status, rows)
         _full_rows_only(monkeypatch)
         full = min_negativity_lp(target)
-        assert (full.status, full.rows, full.iterations) == (status, rows, result.iterations)
-        assert full.weights == result.weights
+        assert (result.status, full.status, full.rows) == (status, status, rows)
+        if status is LPStatus.OPTIMAL:
+            # Merged, each row bounded by its first copy: the 1e-12 gap is
+            # what `primal_residual`, over all 4n^2 rows, reports.
+            assert result.rows < rows
+            assert 1e-13 < result.primal_residual < 1e-11
+            assert result.negative_mass == pytest.approx(full.negative_mass, abs=1e-9)
+        else:
+            assert (result.rows, result.iterations) == (rows, full.iterations)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 4), budget=st.sampled_from((0.5, 1.0, 2.0)),
+           visibility=st.floats(0.0, 1.0), weight=st.floats(0.0, 1.0))
+    # Near-degenerate mixtures: a part of weight about 1e-7 moves the optimum
+    # by about HiGHS's 1e-7 tolerances, on either program.
+    @example(n=3, budget=1.0, visibility=1.0, weight=1.192092896e-07)
+    @example(n=3, budget=0.5, visibility=0.0, weight=1.192092896e-07)
+    @example(n=4, budget=2.0, visibility=0.37073279482625254, weight=1.540857017490392e-05)
+    @example(n=4, budget=2.0, visibility=0.5, weight=0.9999999)
+    def test_werner_family_mixtures_answer_as_on_the_full_rows(self, n, budget, visibility,
+                                                                weight):
+        """The merged program has the full-row reference's status, and its mass within 1e-6.
+
+        Both programs have the same feasible set, but HiGHS's primal and dual
+        feasibility tolerances of 1e-7 let them stop at optima whose masses
+        differ by up to about 3e-7, with `primal_residual` up to about 1e-7,
+        on mixtures with a part of weight 1e-8 to 1e-5 (the examples above).
+        """
+        family = assemble_behavior(chained_saturating_model(n, budget))
+        target = _mixture(_singlet_at_chained_angles(n, visibility), family, weight)
+        result = min_negativity_lp(target)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _full_rows_only(monkeypatch)
+            full = min_negativity_lp(target)
+        assert result.status is full.status is LPStatus.OPTIMAL
+        assert result.negative_mass == pytest.approx(full.negative_mass, abs=1e-6)
 
 
 def _no_signalling_max_score(n: int) -> float:

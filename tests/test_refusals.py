@@ -259,6 +259,33 @@ def test_core_refusals(call, message):
         call()
 
 
+def signalling_beyond_float_range() -> Behavior:
+    """Entries within float range whose Alice marginals at x_a = 0 differ by about 3.4e308."""
+    big = Fraction(17 * 10**307)
+    table = {key: tuple(map(Fraction, UNIFORM)) for key in uniform_behavior(2, 2).table}
+    table[(0, 0)] = (big, Fraction(0), 1 - big, Fraction(0))
+    table[(0, 1)] = (-big, Fraction(0), 1 + big, Fraction(0))
+    return Behavior(2, 2, table)
+
+
+@pytest.mark.parametrize("call, message", [
+    *(pytest.param(lambda pair=pair: beyond_float_range(pair).to_json_dict(),
+                   f"setting pair {pair} has an entry beyond float range",
+                   id=f"behavior-json-beyond-float-{pair[0]}{pair[1]}")
+      for pair in [(0, 0), (1, 0)]),
+    *(pytest.param(lambda pair=pair: validate_behavior(beyond_float_range(pair)).to_json_dict(),
+                   f"setting pair {pair} has an entry beyond float range",
+                   id=f"validity-json-beyond-float-{pair[0]}{pair[1]}")
+      for pair in [(0, 0), (1, 0)]),
+    pytest.param(lambda: validate_behavior(signalling_beyond_float_range()).to_json_dict(),
+                 "the no-signalling violation is beyond float range",
+                 id="validity-json-signalling-beyond-float"),
+])
+def test_json_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: model_from_json_dict(model_document([1, party()])),
                  "party A: expected an object", id="party-not-object"),
