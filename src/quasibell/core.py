@@ -8,7 +8,10 @@ guaranteed to be a valid probability table, which is why validity is a check
 (`validate_behavior`) rather than a construction-time requirement.
 
 All arithmetic is duck-typed: tables built from `float` entries stay in float,
-tables built from `fractions.Fraction` entries stay exact.  Outcomes are
+tables built from `fractions.Fraction` entries stay exact.  A weight table
+holds one of the two: `QuasiDist` refuses weights that mix `float` and
+`Fraction` (ints go with either), since the mixed sums' types and float
+rounding would depend on the order of the points.  Outcomes are
 y in {-1, +1}; index 0 maps to -1 and index 1 to +1, so four-outcome rows are
 ordered (--, -+, +-, ++).
 
@@ -36,6 +39,7 @@ was checked.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -148,13 +152,24 @@ def local_expectation(response: LocalResponse, x: int, lam: Label):
     return p_plus - p_minus
 
 
+def _refuse_mixed_arithmetic(kinds: set[type]) -> None:
+    """Refuse weight types that mix inexact (`float`) and exact non-integer
+    (`Fraction`) numbers; integers go with either."""
+    inexact = sorted(k.__name__ for k in kinds if not issubclass(k, numbers.Rational))
+    exact = sorted(k.__name__ for k in kinds
+                   if issubclass(k, numbers.Rational) and not issubclass(k, numbers.Integral))
+    if inexact and exact:
+        raise StructureError(f"weights mix {inexact[0]} and {exact[0]} arithmetic")
+
+
 @dataclass(frozen=True)
 class QuasiDist:
     """Signed, normalized weight table over joint hidden-variable points.
 
-    Weights must sum to 1 but may be negative.  Single-hidden-variable models
-    are represented with a diagonal support (lam, lam); see `diagonal`.
-    The weights are kept as a read-only copy.
+    Weights must sum to 1 but may be negative, and must not mix `float`
+    and `Fraction` (StructureError names both types; ints go with either).
+    Single-hidden-variable models are represented with a diagonal support
+    (lam, lam); see `diagonal`.  The weights are kept as a read-only copy.
     """
 
     support: tuple[Point, ...]
@@ -168,6 +183,9 @@ class QuasiDist:
             raise StructureError("support contains duplicate points")
         if set(self.weights.keys()) != set(self.support):
             raise StructureError("weights keys must match support exactly")
+        kinds = set(map(type, self.weights.values()))
+        if len(kinds) > 1:
+            _refuse_mixed_arithmetic(kinds)
         total = sum(self.weights[p] for p in self.support)
         if not (total == 1 or abs(total - 1) <= DEFAULT_TOLERANCE):
             raise StructureError(f"weights sum to {total!r}, not 1")

@@ -12,11 +12,10 @@ Four separate routes that never share code with the model/witness path:
 * a two-qubit projective-measurement generator for quantum reference
   behaviors,
 * a sign-weighted Monte Carlo sampler demonstrating that signed mixtures
-  still produce ordinary observable statistics.  Its draws follow a fixed
-  contract (see `signed_sample`): setting pairs row-major, each drawing
-  `shots` uniforms for the hidden value, then Alice's, then Bob's, and an
-  outcome that the hidden value fixes advances the stream past its uniforms
-  instead of drawing them, so a seed gives the same counts in every release.
+  still produce ordinary observable statistics.  It draws each setting
+  pair's signed cell counts as one multinomial, setting pairs row-major
+  (see `signed_sample`), so a seed fixes every count for a given numpy
+  version and a call costs the same at any number of shots.
 
 The LPs are solved with scipy's HiGHS backend and results are
 deterministic for fixed inputs.  Each is an `_OrbitProgram`: a program over
@@ -63,6 +62,7 @@ from .core import (
     DEFAULT_TOLERANCE,
     OUTCOME_PAIRS,
     Behavior,
+    LocalResponse,
     Model,
     ValidityReport,
     _floats,
@@ -358,7 +358,11 @@ class SampleEstimate:
     Noise scales with the total variation weight: per-shot estimates take
     values in {-S, 0, +S} with S = sum |w|, so per-cell standard errors are
     at most S / sqrt(shots).  `effective_shots = shots / S**2` is the number
-    of unsigned shots with that error bound.
+    of unsigned shots with that error bound.  The estimate is a function of
+    each setting pair's counts of shots by cell and weight sign, which
+    `signed_sample` draws as one multinomial per pair; `seed` fixes them for
+    a given numpy version.  This release changed every per-seed estimate
+    once, from the per-shot draws of earlier releases.
     """
 
     shots: int
@@ -1044,18 +1048,12 @@ def quantum_behavior(state: np.ndarray, angles_A, angles_B) -> Behavior:
     return Behavior(n_settings_A=len(angles_a), n_settings_B=len(angles_b), table=table)
 
 
-#: Largest `shots` that `signed_sample` takes.  Every draw of a call goes
-#: through one shot-sized buffer, and a model with a setting whose outcome
-#: the hidden value does not fix gets four more per call (see there).  At
-#: 4e6 shots, peak RSS in a fresh process grew by 34 MB (9 bytes per shot)
-#: for the n = 2 family, whose outcomes the hidden value fixes, and by 73 MB
-#: (19 bytes per shot) for stochastic models on 3 and on 70 points.  So the
-#: cap needs at most about 1.9 GB.
+#: Largest `shots` that `signed_sample` takes.  It bounds no resource: a
+#: call draws 8 counts per setting pair, so its time and memory do not grow
+#: with `shots`.  It is kept so that the library and `sample --shots` refuse
+#: the counts that earlier releases refused; at the cap every standard error
+#: is already at most S / 10**4, with S = sum |w|.
 _MAX_SHOTS = 10**8
-
-#: Largest support for which `_inverse_cdf` counts thresholds instead of
-#: bisecting; the two took the same time at about 50 points.
-_COUNTED_SUPPORT = 32
 
 
 class InvalidBehaviorError(ValueError):
@@ -1069,69 +1067,12 @@ class InvalidBehaviorError(ValueError):
         self.validity = validity
 
 
-def _inverse_cdf(cdf: np.ndarray, uniform: np.ndarray, out: np.ndarray, mask: np.ndarray) -> None:
-    """Write into `out` the index i with cdf[i-1] <= u < cdf[i] for each u in `uniform`.
-
-    `cdf` is non-decreasing and ends in 1.0 exactly, and each u < 1, so i is
-    the number of entries of cdf[:-1] at most u:
-    `cdf.searchsorted(uniform, side="right")`, as `Generator.choice` does
-    it.  On small supports counting is 4-6 times faster; it compares into
-    `mask`, a bool buffer as long as `uniform`, and adds that in place, so
-    no per-shot array is made.  `out` needs an integer type that holds
-    len(cdf) - 1.
-    """
-    if len(cdf) > _COUNTED_SUPPORT:
-        for block in _blocks(len(uniform)):
-            out[block] = cdf.searchsorted(uniform[block], side="right")
-        return
-    out.fill(0)
-    for threshold in cdf[:-1]:
-        out += np.greater_equal(uniform, threshold, out=mask)
-
-
-#: Shots per block where a per-shot array of intp indices is made, so that
-#: such an array never takes more than 512 KB.
-_BLOCK = 2**16
-
-
-def _blocks(length: int) -> list[slice]:
-    """Slices of `_BLOCK` consecutive shots that cover `length` shots."""
-    return [slice(start, start + _BLOCK) for start in range(0, length, _BLOCK)]
-
-
-def _take(values: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
-    """`np.take(values, index, out=out)`, one block of shots at a time.
-
-    `np.take` widens its indices to intp, so a narrow `index` would cost an
-    intp array as long as itself; in blocks, that array stays small.  The
-    indices are in range, so `mode="clip"` changes no value, and it spares
-    the copy of `out` that the default mode makes.
-    """
-    for block in _blocks(len(index)):
-        np.take(values, index[block], out=out[block], mode="clip")
-
-
-def _point_counts(cdf: np.ndarray, uniform: np.ndarray) -> np.ndarray:
-    """How many u in `uniform` `_inverse_cdf` sends to each point.
-
-    On small supports the count of u sent to point i or beyond is the count
-    of u >= cdf[i-1], so no per-shot index is built.
-    """
-    if len(cdf) > _COUNTED_SUPPORT:
-        return np.bincount(cdf.searchsorted(uniform, side="right"), minlength=len(cdf))
-    at_least = [len(uniform)] + [np.count_nonzero(uniform >= t) for t in cdf[:-1]] + [0]
-    return -np.diff(at_least)
-
-
-def _outcome_fixed(plus: np.ndarray) -> np.ndarray:
-    """Whether each row of `plus` probabilities fixes its outcome at every point.
-
-    A row is fixed when each of its entries p has p <= 0 or p >= 1: then
-    `u < p` has one value for every uniform u in [0, 1), whose largest value
-    1 - 2**-53 is not below p = 1 - 2**-53.  Works on float and `Fraction`
-    (object) arrays alike.
-    """
-    return np.all((plus <= 0) | (plus >= 1), axis=-1)
+def _outcome_probabilities(response: LocalResponse, hidden: list) -> np.ndarray:
+    """[x, j, y]: the probability of outcome y (0 for -, 1 for +) at setting x
+    and hidden value hidden[j], with the + probability clipped to [0, 1]."""
+    plus = np.array([[float(response.table[(x, lam)][1]) for lam in hidden]
+                     for x in range(response.n_settings)]).clip(0.0, 1.0)
+    return np.stack([1.0 - plus, plus], axis=-1)
 
 
 def signed_sample(
@@ -1148,20 +1089,23 @@ def signed_sample(
     refused with `InvalidBehaviorError`, since their negative cells cannot be
     reproduced by any frequency estimate.
 
-    The draws follow one contract, so a seed gives the same counts in every
-    release.  Setting pairs (x_a, x_b) run row-major.  Each pair draws
-    `shots` uniforms from `numpy.random.default_rng(seed)` for the hidden
-    value, which `Generator.choice(p=|w| / sum|w|)` would pick from them,
-    then `shots` for Alice's outcome, then `shots` for Bob's; an outcome is
-    + when its uniform is below the response's + probability.  Where that
-    probability is 0 or 1 at every hidden value, the outcome is fixed by the
-    hidden value and the stream is advanced past its `shots` uniforms
-    instead of drawing them, which leaves every later draw unchanged.  When
-    both outcomes of a pair are fixed, hidden values are counted without a
-    per-shot array; otherwise the per-shot arrays are buffers made once per
-    call.  A seed that is not a non-negative integer (None included, which
-    would draw from the operating system and could not be replayed) is
-    refused with ValueError before anything is assembled.
+    The estimate reads only how many shots land in each cell with each
+    sign, and those 8 counts per setting pair are drawn directly: setting
+    pairs run row-major, and each is one `Generator.multinomial(shots, q)`
+    on `numpy.random.default_rng(seed)`, with
+    q[4 * s + 2 * [Alice +] + [Bob +]] the sum, over the points j whose
+    weight has sign s (0 for w >= 0, 1 for w < 0), of
+    |w_j| / S * P_A(y_a | x_a, lam_j) * P_B(y_b | x_b, lam_j), S = sum |w|.
+    Each party's + probability is its response row's, clipped to [0, 1],
+    and the - probability is 1 minus that.  Those counts have the law of
+    drawing a hidden value and both outcomes shot by shot (an outcome + when
+    a uniform is below its + probability), so a call costs the same at any
+    `shots`.  A seed fixes every count for a given numpy version.  This
+    release changed every per-seed output once: earlier releases drew
+    `shots` uniforms per pair for the hidden value and per outcome.  A seed
+    that is not a non-negative integer (None included, which would draw
+    from the operating system and could not be replayed) is refused with
+    ValueError before anything is assembled.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
@@ -1173,78 +1117,28 @@ def signed_sample(
     report = validate_behavior(behavior, tolerance)
     if not report.is_valid:
         raise InvalidBehaviorError(report)
-    points = list(model.dist.support)
+    points = model.dist.support
     weights = np.array([float(model.dist.weights[p]) for p in points])
-    total_variation = float(np.sum(np.abs(weights)))
-    cdf = (np.abs(weights) / total_variation).cumsum()
-    cdf /= cdf[-1]
+    magnitude = np.abs(weights)
+    total_variation = float(magnitude.sum())
     negative = weights < 0
-
-    rng = np.random.default_rng(seed)
+    # by_sign[s, j]: point j's share |w_j| / S if its weight has sign s.
+    by_sign = np.where([~negative, negative], magnitude / total_variation, 0.0)
     n_a = model.response_A.n_settings
     n_b = model.response_B.n_settings
-    plus_a = np.empty((n_a, len(points)))
-    plus_b = np.empty((n_b, len(points)))
-    for j, (lam_a, lam_b) in enumerate(points):
-        for x_a in range(n_a):
-            plus_a[x_a, j] = float(model.response_A.table[(x_a, lam_a)][1])
-        for x_b in range(n_b):
-            plus_b[x_b, j] = float(model.response_B.table[(x_b, lam_b)][1])
-    fixed_a = _outcome_fixed(plus_a)
-    fixed_b = _outcome_fixed(plus_b)
-    # Cell code 4 * point + 2 * [Alice +] + [Bob +], with the outcome bits
-    # filled in where the setting fixes them.
-    point_code = 4 * np.arange(len(points))
-    fixed_bits_a = 2 * (fixed_a[:, None] & (plus_a >= 1))
-    fixed_bits_b = fixed_b[:, None] & (plus_b >= 1)
-
-    uniform = np.empty(shots)
-    if not (fixed_a.all() and fixed_b.all()):
-        # The per-shot buffers of pairs whose outcomes the hidden value does
-        # not fix, made once: hidden values `lam`, in the narrowest type that
-        # holds them; `gathered`, each shot's + probability and then, viewed
-        # as integers, its cell code; `hits`, its drawn outcome bits; `mask`,
-        # a comparison.  19 bytes per shot with `uniform`, up to 256 points.
-        lam = np.empty(shots, dtype=np.min_scalar_type(len(points) - 1))
-        gathered = np.empty(shots)
-        code = gathered.view(np.intp)
-        hits = np.empty(shots, dtype=np.uint8)
-        mask = np.empty(shots, dtype=bool)
-    advance = rng.bit_generator.advance
-    table: dict[tuple[int, int], tuple] = {}
-    standard_errors: dict[tuple[int, int, int], float] = {}
-    for x_a in range(n_a):
-        for x_b in range(n_b):
-            rng.random(out=uniform)
-            codes = point_code + fixed_bits_a[x_a] + fixed_bits_b[x_b]
-            if fixed_a[x_a] and fixed_b[x_b]:
-                advance(2 * shots)
-                by_code = np.zeros(4 * len(points), dtype=np.intp)
-                by_code[codes] = _point_counts(cdf, uniform)
-            else:
-                _inverse_cdf(cdf, uniform, lam, mask)
-                hits.fill(0)
-                for fixed, plus in ((fixed_a[x_a], plus_a[x_a]), (fixed_b[x_b], plus_b[x_b])):
-                    hits <<= 1  # Alice's bit ends up worth 2, Bob's 1
-                    if fixed:
-                        advance(shots)
-                    else:
-                        _take(plus, lam, gathered)
-                        hits |= np.less(rng.random(out=uniform), gathered, out=mask)
-                _take(codes, lam, code)
-                code += hits
-                by_code = np.bincount(code, minlength=4 * len(points))
-            by_point = by_code.reshape(-1, 4)
-            counts = by_point.sum(axis=0)
-            signed_counts = counts - 2 * by_point[negative].sum(axis=0)
-            row = []
-            for k in range(4):
-                mean = total_variation * float(signed_counts[k]) / shots
-                abs_fraction = float(counts[k]) / shots
-                variance = max(total_variation**2 * abs_fraction - mean**2, 0.0)
-                row.append(mean)
-                standard_errors[(x_a, x_b, k)] = math.sqrt(variance / shots)
-            table[(x_a, x_b)] = tuple(row)
+    outcome_a = _outcome_probabilities(model.response_A, [lam for lam, _ in points])
+    outcome_b = _outcome_probabilities(model.response_B, [lam for _, lam in points])
+    q = np.einsum("sj,ajy,bjz->absyz", by_sign, outcome_a, outcome_b)
+    counts = np.random.default_rng(seed).multinomial(shots, q.reshape(n_a * n_b, 8))
+    counts = counts.reshape(n_a, n_b, 2, 4)
+    mean = total_variation * (counts[:, :, 0] - counts[:, :, 1]) / shots
+    abs_fraction = counts.sum(axis=2) / shots
+    variance = np.maximum(total_variation**2 * abs_fraction - mean * mean, 0.0)
+    errors = np.sqrt(variance / shots).tolist()
+    table = {(x_a, x_b): tuple(row) for x_a, rows in enumerate(mean.tolist())
+             for x_b, row in enumerate(rows)}
+    standard_errors = {(x_a, x_b, k): error for x_a, rows in enumerate(errors)
+                       for x_b, row in enumerate(rows) for k, error in enumerate(row)}
     empirical = Behavior(
         n_settings_A=n_a,
         n_settings_B=n_b,

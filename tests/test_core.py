@@ -88,6 +88,20 @@ class TestStructure:
         assert dist.negative_mass() == pytest.approx(0.5)
         assert dist.total_variation() == pytest.approx(2.0)
 
+    def test_dist_rejects_float_mixed_with_fraction(self):
+        weights = {"1": Fraction(1, 2), "2": 0.25, "3": Fraction(1, 4), "4": Fraction(0)}
+        with pytest.raises(StructureError, match="^weights mix float and Fraction arithmetic$"):
+            QuasiDist.diagonal(weights)
+
+    @pytest.mark.parametrize("weights", [
+        {"1": 0.5, "2": 0.75, "3": -0.25},
+        {"1": Fraction(1, 2), "2": Fraction(3, 4), "3": Fraction(-1, 4)},
+        {"1": 1, "2": 0.25, "3": -0.25},
+        {"1": 1, "2": Fraction(1, 4), "3": Fraction(-1, 4)},
+    ], ids=["float", "fraction", "int-float", "int-fraction"])
+    def test_dist_accepts_one_arithmetic(self, weights):
+        assert dict(QuasiDist.diagonal(weights).weights) == {(k, k): w for k, w in weights.items()}
+
     def test_model_rejects_mismatched_support(self):
         resp = two_point_response("A", [0.5])
         other = two_point_response("B", [0.5])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -9,6 +10,7 @@ import re
 import runpy
 import sys
 import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -44,7 +46,7 @@ from quasibell import (
 from quasibell import oracle
 from quasibell.constructions import SymbolStrategy, model_from_strategies
 
-from conftest import random_model, stochastic_responses
+from conftest import random_joint_model, random_model, stochastic_responses
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -1709,9 +1711,9 @@ def _mixed_model(fixed_a=(True, False, True), fixed_b=(False, True, False),
     """A valid model whose settings are deterministic where `fixed_a`/`fixed_b` say.
 
     Deterministic settings give every point a 0/1 row.  Stochastic ones give
-    points 2 and 3 the rows (0, 1) and (1, 0), which must not make them count
-    as fixed.  Point 0 carries weight -0.05 and point 1's rows, so the
-    behavior is valid.
+    points 2 and 3 the 0/1 rows (0, 1) and (1, 0) among stochastic rows.
+    Point 0 carries weight -0.05 and point 1's rows, so the behavior is
+    valid.
     """
     rng = np.random.default_rng(seed)
     labels = tuple(str(i) for i in range(points))
@@ -1736,8 +1738,24 @@ def _mixed_model(fixed_a=(True, False, True), fixed_b=(False, True, False),
     return Model(tables[0], tables[1], dist)
 
 
-# Supports on both sides of `oracle._COUNTED_SUPPORT` points; settings whose
-# outcomes the hidden value fixes, ones it does not, and both in one model.
+def _joint_sampled_model() -> Model:
+    """A valid model on the product of two Alice and three Bob hidden values.
+
+    Point (a1, b1) weighs -0.05 and the other five share 1.05, which keeps
+    the behavior valid; the parties index their tables by different labels.
+    """
+    rng = np.random.default_rng(4)
+    model = random_joint_model(rng)
+    weights = rng.random(len(model.dist.support)) + 0.5
+    weights = 1.05 * weights / weights[1:].sum()
+    weights[0] = -0.05
+    dist = QuasiDist(model.dist.support, {p: float(w) for p, w in zip(model.dist.support, weights)})
+    return Model(model.response_A, model.response_B, dist)
+
+
+# Small and large supports, a zero weight, a joint support; settings whose
+# outcomes the hidden value fixes, ones it does not, and both in one model;
+# float and `Fraction` weights.
 _SAMPLED_MODELS = [
     pytest.param(lambda: chsh_saturating_model(1), 5000, id="chsh-4-points"),
     *(pytest.param(lambda k=k: _sampled_model(k), 5000, id=f"stochastic-{k}-points")
@@ -1748,7 +1766,79 @@ _SAMPLED_MODELS = [
     pytest.param(lambda: chained_saturating_model(2, Fraction(1), exact=True), 5000,
                  id="chained-2-exact"),
     pytest.param(_mixed_model, 5000, id="mixed-3-settings"),
+    pytest.param(_joint_sampled_model, 5000, id="joint-2x3-points"),
 ]
+
+
+def _plus(response: LocalResponse, x: int, lam) -> float:
+    """The response's + probability at (x, lam), clipped to [0, 1]."""
+    return min(max(float(response.table[(x, lam)][1]), 0.0), 1.0)
+
+
+def _total_variation(model: Model) -> float:
+    """S = sum |w|, summed in support order as `signed_sample` sums it."""
+    return float(np.sum(np.abs([float(model.dist.weights[p]) for p in model.dist.support])))
+
+
+def _draw_probabilities(model: Model, x_a: int, x_b: int) -> list[float]:
+    """q for one setting pair, built with plain loops: entry 4 * s + k sums
+    |w| / S * P_A * P_B over the points of sign s (1 for w < 0) whose
+    outcome pair is OUTCOME_PAIRS[k]."""
+    total_variation = _total_variation(model)
+    q = [0.0] * 8
+    for lam_a, lam_b in model.dist.support:
+        w = float(model.dist.weights[(lam_a, lam_b)])
+        share = abs(w) / total_variation
+        p_a = _plus(model.response_A, x_a, lam_a)
+        p_b = _plus(model.response_B, x_b, lam_b)
+        for k, (y_a, y_b) in enumerate(OUTCOME_PAIRS):
+            q[4 * (w < 0) + k] += (
+                share * (p_a if y_a > 0 else 1.0 - p_a) * (p_b if y_b > 0 else 1.0 - p_b)
+            )
+    return q
+
+
+def _setting_pairs(model: Model):
+    return itertools.product(range(model.response_A.n_settings),
+                             range(model.response_B.n_settings))
+
+
+def _per_shot_means(model: Model, shots: int, seed: int) -> dict:
+    """Each cell's estimate from the per-shot sampler, the reference for the
+    multinomial draw's law: per setting pair, `shots` hidden values from
+    |w| / S, then one uniform per shot and party, whose outcome is + when the
+    uniform is below the row's + probability."""
+    points = list(model.dist.support)
+    weights = np.array([float(model.dist.weights[p]) for p in points])
+    total_variation = _total_variation(model)
+    signs = np.where(weights < 0, -1.0, 1.0)
+    rng = np.random.default_rng(seed)
+    means = {}
+    for x_a, x_b in _setting_pairs(model):
+        plus_a = np.array([float(model.response_A.table[(x_a, la)][1]) for la, _ in points])
+        plus_b = np.array([float(model.response_B.table[(x_b, lb)][1]) for _, lb in points])
+        lam = rng.choice(len(points), size=shots, p=np.abs(weights) / total_variation)
+        cell = 2 * (rng.random(shots) < plus_a[lam]) + (rng.random(shots) < plus_b[lam])
+        for k in range(4):
+            means[(x_a, x_b, k)] = total_variation * float(signs[lam][cell == k].sum()) / shots
+    return means
+
+
+def _capture_draw_probabilities(monkeypatch) -> list:
+    """Record the q of every `multinomial` call that `signed_sample` makes."""
+    captured = []
+    default_rng = np.random.default_rng
+
+    class Recording:
+        def __init__(self, seed):
+            self._rng = default_rng(seed)
+
+        def multinomial(self, n, pvals):
+            captured.append(np.array(pvals))
+            return self._rng.multinomial(n, pvals)
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    return captured
 
 
 class TestSignedSampling:
@@ -1821,41 +1911,113 @@ class TestSignedSampling:
 
     @pytest.mark.parametrize("make_model, shots", _SAMPLED_MODELS)
     def test_matches_masked_reduce(self, make_model, shots):
-        # Reference: the per-cell masked reduce, replayed on the same seeded
-        # draws, every outcome drawn whether or not the hidden value fixes it.
+        # Reference: q built with plain loops, one multinomial per setting
+        # pair, row-major, on the same seed, then the per-cell reduce of the
+        # counts masked by sign.
         model = make_model()
         seed = 17
         estimate = signed_sample(model, shots=shots, seed=seed)
-        points = list(model.dist.support)
-        weights = np.array([float(model.dist.weights[p]) for p in points])
-        total_variation = float(np.sum(np.abs(weights)))
-        signs = np.sign(weights)
-        signs[signs == 0] = 1.0
+        total_variation = _total_variation(model)
         rng = np.random.default_rng(seed)
-        for x_a in range(model.response_A.n_settings):
-            for x_b in range(model.response_B.n_settings):
-                plus_a = np.array([float(model.response_A.table[(x_a, la)][1]) for la, _ in points])
-                plus_b = np.array([float(model.response_B.table[(x_b, lb)][1]) for _, lb in points])
-                lam_idx = rng.choice(len(points), size=shots, p=np.abs(weights) / total_variation)
-                draw_signs = signs[lam_idx]
-                y_a_plus = rng.random(shots) < plus_a[lam_idx]
-                y_b_plus = rng.random(shots) < plus_b[lam_idx]
-                cell_idx = 2 * y_a_plus.astype(np.int64) + y_b_plus.astype(np.int64)
-                for k in range(4):
-                    mask = cell_idx == k
-                    mean = total_variation * float(draw_signs[mask].sum()) / shots
-                    abs_fraction = float(mask.sum()) / shots
-                    variance = max(total_variation**2 * abs_fraction - mean**2, 0.0)
-                    assert estimate.empirical_behavior.table[(x_a, x_b)][k] == mean
-                    assert estimate.standard_errors[(x_a, x_b, k)] == math.sqrt(variance / shots)
+        for x_a, x_b in _setting_pairs(model):
+            counts = rng.multinomial(shots, _draw_probabilities(model, x_a, x_b)).tolist()
+            for k in range(4):
+                plus, minus = counts[k], counts[4 + k]
+                mean = total_variation * (plus - minus) / shots
+                abs_fraction = (plus + minus) / shots
+                variance = max(total_variation**2 * abs_fraction - mean * mean, 0.0)
+                assert estimate.empirical_behavior.table[(x_a, x_b)][k] == mean
+                assert estimate.standard_errors[(x_a, x_b, k)] == math.sqrt(variance / shots)
+
+    @pytest.mark.parametrize("make_model, shots", _SAMPLED_MODELS)
+    def test_draw_probabilities_are_the_per_shot_ones(self, make_model, shots, monkeypatch):
+        # Exact law of one shot: point j with |w_j| / sum |w|, then each
+        # outcome + with the row's + probability clipped to [0, 1].
+        model = make_model()
+        captured = _capture_draw_probabilities(monkeypatch)
+        signed_sample(model, shots=shots, seed=3)
+        (q,) = captured
+        pairs = list(_setting_pairs(model))
+        assert q.shape == (len(pairs), 8)
+        weights = {p: Fraction(w) for p, w in model.dist.weights.items()}
+        total_variation = sum(abs(w) for w in weights.values())
+        for row, (x_a, x_b) in zip(q, pairs):
+            exact = [Fraction(0)] * 8
+            for (lam_a, lam_b), w in weights.items():
+                p_a = Fraction(_plus(model.response_A, x_a, lam_a))
+                p_b = Fraction(_plus(model.response_B, x_b, lam_b))
+                for k, (y_a, y_b) in enumerate(OUTCOME_PAIRS):
+                    exact[4 * (w < 0) + k] += (abs(w) / total_variation
+                                               * (p_a if y_a > 0 else 1 - p_a)
+                                               * (p_b if y_b > 0 else 1 - p_b))
+            for got, want in zip(row.tolist(), exact):
+                assert abs(Fraction(got) - want) <= Fraction(1, 10**15)
+
+    @pytest.mark.parametrize("make_model, shots", _SAMPLED_MODELS)
+    def test_cell_moments_match_the_per_shot_sampler(self, make_model, shots):
+        # Over 200 seeds at 400 shots, each cell's mean and variance from the
+        # multinomial draw and from the per-shot reference.  An estimate's
+        # variance is sigma**2 = (S**2 P|cell| - P**2) / shots, so the two
+        # means differ by at most 5 sqrt(2 / 200) sigma, five standard
+        # deviations of their difference; each sample variance has a standard
+        # deviation of about sqrt(2 / 199) sigma**2 for near-normal counts,
+        # more for rare cells, so the two may differ by 0.75 sigma**2.
+        model = make_model()
+        seeds, shots = range(200), 400
+        exact = assemble_behavior(model)
+        total_variation = _total_variation(model)
+        drawn = [signed_sample(model, shots, seed).empirical_behavior.table for seed in seeds]
+        reference = [_per_shot_means(model, shots, 10**6 + seed) for seed in seeds]
+        for x_a, x_b in _setting_pairs(model):
+            q = _draw_probabilities(model, x_a, x_b)
+            for k in range(4):
+                entry = float(exact.table[(x_a, x_b)][k])
+                variance = (total_variation**2 * (q[k] + q[4 + k]) - entry**2) / shots
+                sigma2 = max(variance, 0.0)
+                ours = np.array([table[(x_a, x_b)][k] for table in drawn])
+                theirs = np.array([means[(x_a, x_b, k)] for means in reference])
+                spread = 5 * math.sqrt(2 / len(seeds) * sigma2)
+                assert abs(ours.mean() - theirs.mean()) <= spread + 1e-12
+                assert abs(ours.var(ddof=1) - theirs.var(ddof=1)) <= 0.75 * sigma2 + 1e-12
 
     def test_outcome_fixed_at_the_edges(self):
-        # The largest uniform is 1 - 2**-53, which is not below 1 - 2**-53:
-        # only rows of 0s and 1s give one outcome for every uniform.
-        rows = np.array([[0.0, 1.0], [1.0, 1.0], [2.0**-53, 1.0], [0.0, 1 - 2.0**-53]])
-        assert oracle._outcome_fixed(rows).tolist() == [True, True, False, False]
-        exact = np.array([[Fraction(0), Fraction(1)], [Fraction(1, 2), Fraction(1)]])
-        assert oracle._outcome_fixed(exact).tolist() == [True, False]
+        # A row up to the tolerance outside [0, 1] is clipped, so it samples
+        # as the fixed outcome it is within round-off.
+        model = chained_saturating_model(3, 1)
+        edges = {(0.0, 1.0): (-1e-10, 1 + 1e-10), (1.0, 0.0): (1 + 1e-10, -1e-10)}
+
+        def blurred(response: LocalResponse) -> LocalResponse:
+            table = {key: edges[row] for key, row in response.table.items()}
+            return LocalResponse(response.party, response.n_settings,
+                                 response.hidden_values, table)
+
+        edge_model = Model(blurred(model.response_A), blurred(model.response_B), model.dist)
+        assert edge_model.response_A.table[(0, "1")] != model.response_A.table[(0, "1")]
+        for seed in (0, 5):
+            assert (signed_sample(edge_model, 10_000, seed).to_json_dict()
+                    == signed_sample(model, 10_000, seed).to_json_dict())
+
+    def test_shots_at_the_cap_are_drawn_within_a_second(self):
+        model = chained_saturating_model(3, 1)
+        exact = assemble_behavior(model)
+        start = time.perf_counter()
+        estimate = signed_sample(model, oracle._MAX_SHOTS, seed=29)
+        assert time.perf_counter() - start < 1.0
+        for x_a, x_b in exact.setting_pairs():
+            for k in range(4):
+                diff = abs(estimate.empirical_behavior.table[(x_a, x_b)][k]
+                           - float(exact.table[(x_a, x_b)][k]))
+                assert diff <= 5 * estimate.standard_errors[(x_a, x_b, k)] + 1e-12
+
+    def test_outputs_are_pinned(self):
+        # Any change to the draw contract, or a numpy whose
+        # `Generator.multinomial` consumes the stream differently, moves this.
+        models = [chsh_saturating_model(1), chained_saturating_model(3, 1),
+                  _sampled_model(6, zero_weight=True), _mixed_model(), _joint_sampled_model()]
+        estimates = [signed_sample(model, shots, seed).to_json_dict()
+                     for model in models for seed in (0, 7, 2**70) for shots in (1, 1000, 10**6)]
+        digest = hashlib.sha256(json.dumps(estimates, sort_keys=True).encode()).hexdigest()
+        assert digest == "bc4bb40d60c3642f2650cc02256062e13735a58d80b9276db706548996c9087a"
 
     def test_rejects_non_positive_shots(self):
         with pytest.raises(ValueError):

@@ -531,15 +531,21 @@ class TestSharedRows:
             assert_model_matches_loops(model, chains=(n,))
 
     def test_mixed_weights_share_identically(self):
-        # Weights that mix Fraction and float across points: the kernel need
-        # not match the plain loop here, but shared and unshared rows agree.
-        weights = {"1": Fraction(1, 2), "2": 0.25, "3": Fraction(1, 4), "4": Fraction(0)}
-        for n in (2, 3, 6):
-            model = model_from_strategies(saturating_strategies(n), weights)
-            shared = assemble_behavior(model)
-            unshared = assemble_behavior(_unshared(model))
-            assert_identical(shared.table, unshared.table)
-            assert_identical(validate_behavior(shared), validate_behavior(unshared))
+        # Weights whose types differ across points: ints with `Fraction`s or
+        # with floats.  Shared and unshared rows agree.  `Fraction` with
+        # float is refused before any row is mixed.
+        mixes = [{"1": Fraction(1, 2), "2": 0, "3": Fraction(3, 4), "4": Fraction(-1, 4)},
+                 {"1": 1, "2": 0.25, "3": 0, "4": -0.25}]
+        for weights in mixes:
+            for n in (2, 3, 6):
+                model = model_from_strategies(saturating_strategies(n), weights)
+                shared = assemble_behavior(model)
+                unshared = assemble_behavior(_unshared(model))
+                assert_identical(shared.table, unshared.table)
+                assert_identical(validate_behavior(shared), validate_behavior(unshared))
+        refused = {"1": Fraction(1, 2), "2": 0.25, "3": Fraction(1, 4), "4": Fraction(0)}
+        with pytest.raises(StructureError, match="weights mix float and Fraction"):
+            model_from_strategies(saturating_strategies(2), refused)
 
     @pytest.mark.parametrize("n", [3, 5])
     @pytest.mark.parametrize("exact", [False, True], ids=["float", "fraction"])
