@@ -4,13 +4,18 @@
 Two versions of the library that print the same digest give byte-identical
 answers on the grid: every `LPResult.to_json_dict()` (status, score, mass,
 iterations, HiGHS's status string, `primal_residual`, columns, rows) and
-every weight, key and order included.  The grid, 68 LPs at the default
+every weight, key and order included.  The grid, 72 LPs at the default
 `--max-n 5`:
 
 * `max_score_lp(n, B)` for n = 2..max-n and B in {0, 1/2, 1, 2, inf};
 * `min_negativity_lp` of the saturating family at n = 2..max-n, N in {1/2, 1, 2};
 * the singlet at the chained-optimal angles with 0, 1e-12, 1e-9, 1e-7, 2e-7
-  or 1e-3 moved between two cells of row (1, 0), which makes it signal;
+  or 1e-3 moved between two cells of row (1, 0), which makes it signal, so
+  that from 1e-9 on it is INFEASIBLE before HiGHS;
+* the singlet with 1e-9 moved into the correlator of row (0, 0), from -+ to
+  -- and from +- to ++: no-signalling, and fixed by some relabellings only
+  within the slack.  At n = 3 and 5 those are no group, so HiGHS gets all
+  2 * 4^n columns;
 * the Werner state at visibility 0.8, at the same angles;
 * the N = 1 family with 1e-12 moved within row (1, n-2) or (0, n-1), n >= 3;
 * a 2-setting target whose Bob marginal follows Alice's setting (INFEASIBLE);
@@ -89,6 +94,10 @@ def grid(max_n: int) -> list:
         for size in MOVES:
             target = move(base, (1, 0), 2, 3, size, base.tolerance)
             calls.append((f"singlet n={n} moved={size:g}", lambda t=target: min_negativity_lp(t)))
+        target = move(base, (0, 0), 1, 0, 1e-9, base.tolerance)
+        target = move(target, (0, 0), 2, 3, 1e-9, base.tolerance)
+        calls.append((f"singlet n={n} correlator moved=1e-09",
+                      lambda t=target: min_negativity_lp(t)))
     for n in chains:
         calls.append((f"werner n={n} v=0.8", lambda t=singlet(n, 0.8): min_negativity_lp(t)))
     for n in chains:

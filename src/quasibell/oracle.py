@@ -25,7 +25,8 @@ HiGHS takes (`_HighsModel`), so a solve builds only its row bounds.
 `max_score_lp` uses the chained score's dihedral group of 8n
 (`_chain_group`), and `min_negativity_lp` the group that its target's
 stabilizer in that group and its setting swaps (`_setting_transpositions`)
-generate, one program per symmetry of its target (`_negativity_program`).
+generate, one program per symmetry of its target (`_negativity_program`),
+for a target that does not signal: one that signals is INFEASIBLE unsolved.
 Building checks exactly that the row basis spans every behavior row and
 that each chained generator fixes every strategy's score, and one matcher
 (`_relabelled`) checks that each chained generator and each setting swap
@@ -76,8 +77,8 @@ Strategy = tuple[int, ...]
 _MAX_ENUMERATION_SETTINGS = 16
 _MAX_BRUTEFORCE_SETTINGS = 12
 _MAX_LP_SETTINGS = 5
-#: Largest max|M t_R - t| for which `min_negativity_lp` solves on the row basis,
-#: and largest max|t[rows[g]] - t| for which relabelling g fixes its target.
+#: Largest max|M t_R - t| of a target that `min_negativity_lp` takes as
+#: no-signalling, and largest max|t[rows[g]] - t| for which relabelling g fixes it.
 _BASIS_SLACK = 1e-9
 
 
@@ -98,8 +99,8 @@ _HIGHS_STATUS = {7: 0, 8: 2, 10: 3}
 #: Largest `primal_residual` of an OPTIMAL answer; a solution HiGHS calls
 #: optimal with a larger one is FAILED.  It is tighter than the 3.2e-4 that
 #: `scipy.optimize.linprog` lets an optimum miss its bounds and rows by, and
-#: looser than the residual, about 1e-7, of a target that signals by HiGHS's
-#: feasibility tolerance (see `min_negativity_lp`).
+#: looser than HiGHS's primal feasibility tolerance of 1e-7, within which an
+#: optimum may miss its rows.
 _MAX_RESIDUAL = 1e-6
 
 
@@ -108,7 +109,7 @@ _MAX_RESIDUAL = 1e-6
 #: programs presolve cost more than it saved: without it the n = 2..5 LPs
 #: solved in about 0.5-0.6 of the time on a 2-core machine.  It is one fixed
 #: value because the answer depends on it: at a degenerate optimum the
-#: weights may name another optimal vertex, and on a target that signals by
+#: weights may name another optimal vertex, and on a program infeasible by
 #: about HiGHS's feasibility tolerance of 1e-7, presolve on moves the optimum
 #: or flips OPTIMAL and INFEASIBLE.
 _HIGHS_OPTIONS = (
@@ -313,9 +314,11 @@ class LPResult:
     `iterations` and `solver_message` are HiGHS's iteration count and
     status string (`linprog`), kept whatever the status; `columns` and
     `rows` count the columns and constraint rows of the program HiGHS
-    solved.  `primal_residual` is the largest violation of the LP's
-    constraints over all 4^n joint strategies by the returned weights,
-    computed from the behavior matrix B (for `min_negativity_lp`,
+    solved.  When no program was solved, because `min_negativity_lp`'s
+    target signals, `iterations`, `columns` and `rows` are 0 and
+    `solver_message` says why.  `primal_residual` is the largest violation
+    of the LP's constraints over all 4^n joint strategies by the returned
+    weights, computed from the behavior matrix B (for `min_negativity_lp`,
     max|B w - target|), or None when HiGHS returned no solution.  A solution
     whose residual exceeds `_MAX_RESIDUAL` is FAILED, with its weights and
     residual kept.  `negative_mass` is NaN when HiGHS returned no solution,
@@ -645,9 +648,8 @@ class _OrbitProgram(NamedTuple):
     and `A_eq` to HiGHS, since HiGHS's vertex and iteration count depend on
     it.  `rows` are the behavior rows whose target entries bound the rows of
     a `min_negativity_lp` program, one per row, None for `max_score_lp`.
-    `max_score_lp` keeps each distinct orbit-summed row once
-    (`_distinct_rows`), and so does `min_negativity_lp` for a target that
-    does not signal (`_negativity_program`).  All arrays are read-only.
+    Both LPs keep each distinct orbit-summed row once (`_distinct_rows`).
+    All arrays are read-only.
 
     The orbit program has the LP's optimum when every relabelling g in the
     group maps the LP to itself: with w feasible, w composed with g is
@@ -848,38 +850,33 @@ def max_score_lp(n: int, negativity_budget: float = math.inf) -> LPResult:
 def min_negativity_lp(target: Behavior) -> LPResult:
     """Minimize negative mass among signed mixtures reproducing `target` exactly.
 
-    Infeasible exactly when no signed mixture reproduces the target, i.e. when
-    the target signals, up to HiGHS's primal feasibility tolerance of 1e-7:
-    for a target that signals by less than about 1e-7 that tolerance, not
-    the library's, decides OPTIMAL against INFEASIBLE.  Moving 1e-7 between
-    two cells of the chained singlet gives OPTIMAL at n = 2, 3 and 5 (with a
-    `primal_residual` of about 1e-7) and INFEASIBLE at n = 4; 2e-7 gives
-    INFEASIBLE at every n.  The reported optimal_score is the chained score the
-    target itself achieves.  Note this answers "how little negative mass
-    reproduces these statistics", which is related to but distinct from any
-    witness value of a particular model.  HiGHS solves once per call.  An
-    entry no float holds, such as a `Fraction` beyond float range, raises
-    ValueError naming its setting pair.
+    A target with max|M t_R - t| > `_BASIS_SLACK` signals, so no
+    signed mixture reproduces it: it is INFEASIBLE before any program is
+    built, with that distance in `solver_message` and `iterations`,
+    `columns` and `rows` 0, and a distance that overflows is FAILED.  The
+    reported optimal_score is the chained score the target itself achieves.
+    Note this answers "how little negative mass reproduces these
+    statistics", which is related to but distinct from any witness value of
+    a particular model.  HiGHS solves at most once per call.  An entry no
+    float holds, such as a `Fraction` beyond float range, raises ValueError
+    naming its setting pair.
 
     The program is B(u - v) = t with u, v >= 0, minimizing the total of v,
     and B `_behavior_matrix(n)`'s 4n^2 rows.  They have rank (n+1)^2 only, so
     the program keeps the (n+1)^2 rows B_R of `_behavior_basis(n)` and the
     matching entries t_R of the target, with B = M @ B_R for an integer M.
-    Then B_R w = t_R gives B w = M t_R, which is t for a no-signalling
-    target: there the two programs have the same feasible set.  A target
-    with max|M t_R - t| > 1e-9 is not a no-signalling behavior, and the
-    program keeps all 4n^2 rows, so HiGHS judges that program's feasibility
-    itself.  Summed over the orbits below, rows may coincide.  A target
-    that does not signal gets each distinct row once, bounded by its first
-    copy's entry: some signed mixture reproduces it, and that mixture
-    averaged over the group is constant on orbits, so it gives copies equal
-    entries, and it reproduces the target up to the target's distance from
-    a symmetric behavior, within the 1e-9 slack.  `primal_residual` reports
-    any gap that is left.  A signalling target keeps every row apart, since
-    copies that no group element maps onto each other may differ for a
-    reason.  The N = 1/2 and N = 1 families get 8 rows at every n, the
-    N = 2 family 6 (2 at n = 2), and the chained singlet and Werner
-    targets n.
+    B_R has full row rank, so B w = t has a solution exactly when
+    t = M t_R, and then B_R w = t_R gives B w = t: every two-outcome
+    no-signalling behavior is an affine mix of deterministic ones (Collins
+    and Gisin; Al-Safi and Short, Phys. Rev. Lett. 111, 170403, 2013).
+    Summed over the orbits below, rows may coincide, and each distinct row
+    is kept once, bounded by its first copy's entry: some signed mixture
+    reproduces the target, and that mixture averaged over the group is
+    constant on orbits, so it gives copies equal entries, and it reproduces
+    the target up to the target's distance from a symmetric behavior,
+    within the 1e-9 slack.  `primal_residual` reports any gap that is left.
+    The N = 1/2 and N = 1 families get 8 rows at every n, the N = 2 family
+    6 (2 at n = 2), and the chained singlet and Werner targets n.
 
     HiGHS solves over the orbits (`_OrbitProgram`) of a group that fixes
     the target, and v_O costs |O|.  Its generators are the target's
@@ -912,10 +909,10 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     max|B w - t| over all 4n^2 rows and 4^n strategies.
 
     The program is built once per key and cached (`_negativity_program`,
-    at most `_NEGATIVITY_PROGRAMS` keys).  The key is n, whether the
-    target signals, the stabilizer as a mask over `_chain_group(n)`, and,
-    when each stabilizer element fixes the target exactly, the mask of
-    exactly fixing swaps over `_setting_transpositions(n)` (else None).  The
+    at most `_NEGATIVITY_PROGRAMS` keys).  The key is n, the stabilizer as
+    a mask over `_chain_group(n)`, and, when each stabilizer element fixes
+    the target exactly, the mask of exactly fixing swaps over
+    `_setting_transpositions(n)` (else None).  The
     target is relabelled once by each element of `_chain_group(n)`: how far
     each moves it decides both the stabilizer and, the entries being finite,
     whether each of its elements fixes the target exactly, a move of exactly
@@ -937,41 +934,52 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     entries = np.array([_floats(target.table[pair], pair) for pair in target.setting_pairs()]).ravel()
     basis = _behavior_basis(n)
     group = _chain_group(n)
-    signals = bool(np.abs(basis.expand @ entries[basis.rows] - entries).max() > _BASIS_SLACK)
-    # How far each relabelling moves the target, gathered once: a finite
-    # entry moves by 0 exactly when the relabelling fixes it exactly.
-    moved = np.abs(entries[group.rows] - entries).max(axis=1)
+    # Entries near float's limits may overflow either difference: a distance
+    # that is not finite is FAILED, and a relabelling that moves the target
+    # by inf is no symmetry of it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        distance = float(np.abs(basis.expand @ entries[basis.rows] - entries).max())
+        # How far each relabelling moves the target, gathered once: a finite
+        # entry moves by 0 exactly when the relabelling fixes it exactly.
+        moved = np.abs(entries[group.rows] - entries).max(axis=1)
+    if not distance <= _BASIS_SLACK:
+        if math.isfinite(distance):
+            status = LPStatus.INFEASIBLE
+            message = (f"infeasible: the target signals by {distance!r} "
+                       f"(max|M t_R - t| > {_BASIS_SLACK!r})")
+        else:
+            status = LPStatus.FAILED
+            message = f"the no-signalling check overflowed: max|M t_R - t| is {distance!r}"
+        return LPResult(math.nan, {}, math.nan, status, n, 0, message, None, 0, 0)
     stabilizer = moved <= _BASIS_SLACK
     exact_swaps = None
     if not moved[stabilizer].any():
         exact_swaps = (entries[_setting_transpositions(n).rows] == entries).all(axis=1).tobytes()
-    program = _negativity_program(n, signals, stabilizer.tobytes(), exact_swaps)
+    program = _negativity_program(n, stabilizer.tobytes(), exact_swaps)
     bounds = entries[program.rows]
     return _solve(n, program, bounds, bounds, target=entries, score=chained_score(target, n))
 
 
 #: `_negativity_program`'s cache size.  The largest entry, a target at n = 5
-#: that signals and is fixed by the identity alone, has 100 rows of 512
-#: nonzeros each in split form, so its model holds 51200 nonzeros at 12
-#: bytes (614 KB) and 75 KB more.  A full cache holds at most about 11 MB.
+#: fixed by the identity alone, has 36 rows of 512 nonzeros each in split
+#: form, so its model holds 18432 nonzeros at 12 bytes (221 KB) and 74 KB
+#: more.  A full cache holds at most about 4.7 MB.
 _NEGATIVITY_PROGRAMS = 16
 
 
 @functools.lru_cache(maxsize=_NEGATIVITY_PROGRAMS)
-def _negativity_program(
-    n: int, signals: bool, stabilizer: bytes, exact_swaps: bytes | None
-) -> _OrbitProgram:
+def _negativity_program(n: int, stabilizer: bytes, exact_swaps: bytes | None) -> _OrbitProgram:
     """Build `min_negativity_lp`'s orbit program from what its target decides.
 
-    `signals` picks the rows: all 4n^2, each kept as it is, or the distinct
-    orbit sums of `_behavior_basis(n)`'s, each once, in the order of their
-    first copies (`_distinct_rows`).  `stabilizer` is the bool mask over
-    `_chain_group(n)` of the relabellings that fix the target within the
-    slack, and `exact_swaps`, given only when each of them fixes it exactly,
-    the bool mask over `_setting_transpositions(n)` of the swaps that fix it
-    exactly.  These decide the group, its orbits and so the whole program;
-    the target's entries enter only as the row bounds, at `rows`, so one
-    program is built per such key and shared by every target that has it.
+    The rows are the distinct orbit sums of `_behavior_basis(n)`'s rows,
+    each once, in the order of their first copies (`_distinct_rows`).
+    `stabilizer` is the bool mask over `_chain_group(n)` of the relabellings
+    that fix the target within the slack, and `exact_swaps`, given only
+    when each of them fixes it exactly, the bool mask over
+    `_setting_transpositions(n)` of the swaps that fix it exactly.  These
+    decide the group, its orbits and so the whole program; the target's
+    entries enter only as the row bounds, at `rows`, so one program is
+    built per such key and shared by every target that has it.
     """
     group = _chain_group(n)
     stabilizer = np.frombuffer(stabilizer, dtype=bool)
@@ -983,11 +991,10 @@ def _negativity_program(
         smallest = perms.min(axis=0)
         if not np.array_equal((smallest[group.strategies] == smallest).all(axis=1), stabilizer):
             perms = group.strategies[:1]
-    rows = np.arange(4 * n * n) if signals else _behavior_basis(n).rows
+    rows = _behavior_basis(n).rows
     orbit_of, summed = _orbit_sums(perms, _behavior_matrix(n)[rows])
-    if not signals:
-        kept = _distinct_rows(summed)
-        rows, summed = rows[kept], summed[kept]
+    kept = _distinct_rows(summed)
+    rows, summed = rows[kept], summed[kept]
     sizes = np.bincount(orbit_of).astype(np.float64)
     # Minimize total v.
     cost = np.concatenate([np.zeros(len(sizes)), sizes])

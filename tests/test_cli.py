@@ -427,7 +427,9 @@ class TestOracleCommands:
         assert payload["status"] == "INFEASIBLE"
         assert payload["optimal_score"] is None
         assert payload["negative_mass"] is None
-        assert payload["rows"] == 16  # all 4n^2 rows: a signalling target merges none
+        # Decided by the no-signalling test, before any program is built.
+        assert (payload["iterations"], payload["columns"], payload["rows"]) == (0, 0, 0)
+        assert payload["solver_message"].startswith("infeasible: the target signals by 1.0 ")
 
     def test_min_neg_model_error_is_failed(self, capsys, tmp_path):
         # HiGHS refuses the row bounds 1e300 as a model error: no proof of
@@ -440,6 +442,22 @@ class TestOracleCommands:
         payload = _strict_json(out)
         assert payload["status"] == "FAILED"
         assert payload["solver_message"] == "Model error"
+        assert payload["primal_residual"] is None
+
+    @pytest.mark.filterwarnings("error")
+    def test_min_neg_overflowing_check_is_failed(self, capsys, tmp_path):
+        # No-signalling, but the no-signalling test overflows to inf on
+        # entries 1.7e308: no verdict, so FAILED, not INFEASIBLE, and no
+        # numpy warning, which would reach stderr outside the tests.
+        csv_path = tmp_path / "huge.csv"
+        rows = [f"{x_a},{x_b},1.7e308,-1.7e308,0.5,0.5" for x_a in range(2) for x_b in range(2)]
+        csv_path.write_text("\n".join(["xA,xB,P--,P-+,P+-,P++", *rows, ""]))
+        code, out, err = run(capsys, "oracle", "min-neg", "--behavior", str(csv_path))
+        assert (code, err) == (1, "")
+        payload = _strict_json(out)
+        assert payload["status"] == "FAILED"
+        assert payload["solver_message"] == (
+            "the no-signalling check overflowed: max|M t_R - t| is inf")
         assert payload["primal_residual"] is None
 
     def test_lp_off_optimal_exits_one(self, capsys, monkeypatch):

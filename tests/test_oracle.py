@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -11,6 +12,7 @@ import runpy
 import sys
 import threading
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -436,8 +438,7 @@ class TestScoreOrbits:
         for budget, want in zip((1.0, 2.0), columns):
             result = min_negativity_lp(assemble_behavior(chained_saturating_model(n, budget)))
             assert result.columns == result.to_json_dict()["columns"] == want
-        # HiGHS gets each distinct orbit sum of the (n+1)^2 basis rows once,
-        # and all 4n^2 rows, none merged, for a signalling target.
+        # HiGHS gets each distinct orbit sum of the (n+1)^2 basis rows once.
         for budget, rows in ((0.5, 8), (1.0, 8), (2.0, 6 if n >= 3 else 2)):
             result = min_negativity_lp(assemble_behavior(chained_saturating_model(n, budget)))
             assert result.rows == result.to_json_dict()["rows"] == rows
@@ -446,11 +447,9 @@ class TestScoreOrbits:
         for visibility in (1.0, 0.8):
             result = min_negativity_lp(_singlet_at_chained_angles(n, visibility))
             assert result.rows == result.to_json_dict()["rows"] == n
-        signalling = min_negativity_lp(_signalling_target())
-        # Bob's two settings are interchangeable there: 12 orbits of 16.
-        assert signalling.columns == 2 * 12
-        assert signalling.rows == signalling.to_json_dict()["rows"] == 16
-        assert min_negativity_lp(_signalling_perturbation(n, 1e-3)).rows == 4 * n * n
+        # A signalling target gets no program at all.
+        signalling = min_negativity_lp(_signalling_perturbation(n, 1e-3)).to_json_dict()
+        assert (signalling["columns"], signalling["rows"]) == (0, 0)
 
 
 class TestMinNegativityLP:
@@ -499,7 +498,7 @@ class TestMinNegativityLP:
         target = Behavior(2, 2, table)
         result = min_negativity_lp(target)
         assert result.status is LPStatus.INFEASIBLE
-        # The solver's account survives a non-optimal status.
+        # The no-signalling test's account, in the solver's fields.
         assert isinstance(result.iterations, int) and result.iterations >= 0
         assert "infeasible" in result.solver_message.lower()
         payload = result.to_json_dict()
@@ -520,7 +519,12 @@ def _signalling_perturbation(n: int, size: float) -> Behavior:
 
 
 def _full_min_negativity_lp(target: Behavior):
-    """`min_negativity_lp`'s program on all 4n^2 rows of the behavior matrix."""
+    """`min_negativity_lp`'s program on all 4n^2 rows of the behavior matrix.
+
+    Solved at HiGHS's tightest primal feasibility tolerance, 1e-10, below
+    `oracle._BASIS_SLACK`, so that a target signalling by 1e-9 or more is
+    infeasible here too, not met within HiGHS's default tolerance of 1e-7.
+    """
     n = target.n_settings_A
     m = 4**n
     behavior_matrix = oracle._behavior_matrix(n)
@@ -531,7 +535,7 @@ def _full_min_negativity_lp(target: Behavior):
         b_eq=entries,
         bounds=(0, None),
         method="highs",
-        options={"presolve": False},
+        options={"presolve": False, "primal_feasibility_tolerance": 1e-10},
     )
 
 
@@ -596,6 +600,117 @@ class TestBehaviorBasis:
             assert result.primal_residual <= signalling + 1e-9
 
 
+def _signalled(result) -> float:
+    """The signalling distance an INFEASIBLE `min_negativity_lp` answer states."""
+    return float(re.fullmatch(r"infeasible: the target signals by (\S+) \(.*\)",
+                              result.solver_message).group(1))
+
+
+def _no_solve(monkeypatch) -> list:
+    """Record `oracle.linprog` calls, and refuse any build of a min-negativity program."""
+    def refuse(*key):
+        raise AssertionError(f"a min-negativity program was built for key {key!r}")
+
+    monkeypatch.setattr(oracle, "_negativity_program", refuse)
+    return _spy_linprog(monkeypatch)
+
+
+class TestNoSignallingCheck:
+    """A target that signals by more than `oracle._BASIS_SLACK` is INFEASIBLE before HiGHS.
+
+    Every no-signalling behavior is an affine mix of deterministic ones, so
+    B w = t has a solution exactly when t = M t_R.  The answer states
+    max|M t_R - t| and reaches no program: no columns, rows or iterations.
+    """
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_near_signalling_target_is_infeasible_at_every_n(self, n, monkeypatch):
+        # HiGHS alone, within its primal feasibility tolerance of 1e-7, calls
+        # the 1e-9 moves, and the 1e-7 move at n = 2, 3 and 5, OPTIMAL on
+        # all 4n^2 rows (`_full_rows_lp`).
+        calls = _no_solve(monkeypatch)
+        for size in (1e-9, 1e-7, 2e-7, 1e-3):
+            result = min_negativity_lp(_signalling_perturbation(n, size))
+            assert result.status is LPStatus.INFEASIBLE
+            payload = json.loads(json.dumps(result.to_json_dict(), allow_nan=False))
+            assert {key: payload[key] for key in ("optimal_score", "negative_mass", "support_size",
+                                                  "iterations", "primal_residual", "columns",
+                                                  "rows")} == {
+                "optimal_score": None, "negative_mass": None, "support_size": 0,
+                "iterations": 0, "primal_residual": None, "columns": 0, "rows": 0}
+            assert oracle._BASIS_SLACK < _signalled(result) == pytest.approx(size, rel=1e-6)
+        assert calls == []
+
+    @pytest.mark.parametrize("rows, status, words", [
+        # Every row no-signalling, but M t_R overflows to inf: no verdict.
+        pytest.param(dict.fromkeys(itertools.product(range(2), repeat=2),
+                                   (1.7e308, -1.7e308, 0.5, 0.5)),
+                     LPStatus.FAILED, "the no-signalling check overflowed", id="overflowing-check"),
+        # Rows (1, 0) and (1, 1) are huge and signal: max|M t_R - t| is
+        # 9e307, while a relabelling moves one row onto the other by inf.
+        pytest.param({(1, 0): (-9e307, 9e307, 0.5, 0.5), (1, 1): (9e307, -9e307, 0.5, 0.5)},
+                     LPStatus.INFEASIBLE, "infeasible: the target signals by 9e+307",
+                     id="overflowing-moves"),
+    ])
+    def test_overflow_is_refused_without_a_warning(self, rows, status, words, monkeypatch):
+        table = {pair: (0.25,) * 4 for pair in itertools.product(range(2), repeat=2)}
+        table.update(rows)
+        calls = _no_solve(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = min_negativity_lp(Behavior(2, 2, table))
+        assert result.status is status
+        assert result.solver_message.startswith(words)
+        assert (result.iterations, result.columns, result.rows) == (0, 0, 0)
+        assert calls == []
+
+    def test_every_program_solves_on_basis_rows(self, monkeypatch):
+        # Every min-negativity program of `scripts/lp_grid_digest.py`'s grid
+        # at n <= 5, each built afresh: its rows are Collins-Gisin basis rows.
+        programs = []
+        build = oracle._negativity_program.__wrapped__
+
+        def record(n, *key):
+            programs.append((n, build(n, *key)))
+            return programs[-1][1]
+
+        monkeypatch.setattr(oracle, "_negativity_program", record)
+        grid = runpy.run_path(str(SCRIPTS / "lp_grid_digest.py"))["grid"](5)
+        for name, call in grid:
+            if not name.startswith("score "):
+                call()
+        # All 72 LPs but the 20 score LPs and the 17 signalling targets.
+        assert len(programs) == 72 - 20 - 17
+        for n, program in programs:
+            assert np.isin(program.rows, oracle._behavior_basis(n).rows).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 5),
+           angles=st.lists(st.floats(0.0, 2 * math.pi), min_size=10, max_size=10),
+           pair=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+           cells=st.permutations(range(4)),
+           above=st.floats(1e-9 * (1 + 1e-6), 1e-3),
+           below=st.floats(0.0, 2.5e-10))
+    def test_a_move_within_a_row_is_decided_by_its_size(self, n, angles, pair, cells, above,
+                                                         below):
+        """A no-signalling target with d moved between two cells of one row signals by d or 2d.
+
+        Above the slack, by more than round-off, it is INFEASIBLE with no
+        solve; at d <= 2.5e-10 it signals by at most 5e-10 and is OPTIMAL.
+        """
+        target = quantum_behavior(singlet_state(), angles[:n], angles[5:5 + n])
+        pair, (source, sink) = (pair[0] % n, pair[1] % n), cells[:2]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = _no_solve(monkeypatch)
+            result = min_negativity_lp(_move_within_row(target, pair, source, sink, above))
+            assert calls == []
+        assert result.status is LPStatus.INFEASIBLE
+        distance = _signalled(result)
+        assert min(abs(distance - above), abs(distance - 2 * above)) <= 1e-6 * above
+        assert min_negativity_lp(_move_within_row(target, pair, source, sink, below)).status is (
+            LPStatus.OPTIMAL)
+
+
 def _entries(target: Behavior) -> np.ndarray:
     """The target's 4n^2 entries in behavior-matrix row order."""
     return np.array([float(v) for pair in target.setting_pairs() for v in target.table[pair]])
@@ -637,12 +752,13 @@ class TestChainGroup:
 
 
 def _build_every_program(monkeypatch) -> None:
-    """Make `min_negativity_lp` build its program on every call, for this test only.
+    """Make `min_negativity_lp` and `_full_rows_lp` build programs on every call, for this test only.
 
     A spy on the build then sees every call, none served from the program
     cache, and what the spied build returns never enters that cache.
     """
     monkeypatch.setattr(oracle, "_negativity_program", oracle._negativity_program.__wrapped__)
+    monkeypatch.setitem(globals(), "_full_rows_program", _full_rows_program.__wrapped__)
 
 
 def _record_orbit_groups(monkeypatch) -> list:
@@ -693,28 +809,32 @@ class TestStabilizerOrbits:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_changing_one_cell_drops_the_relabellings_that_move_it(self, n, monkeypatch):
+        # The cell and its twin with both outcomes flipped gain 1e-6, the
+        # row's other two cells lose it: no marginal moves, so the target
+        # stays no-signalling, and the relabellings that fix it are those
+        # that map the cell onto itself or onto its twin.
         target = _singlet_at_chained_angles(n)
         group = oracle._chain_group(n)
         used = _record_orbit_groups(monkeypatch)
         min_negativity_lp(target)
         assert np.array_equal(used[-1], group.strategies)
         for cell in range(4 * n * n):
-            table = dict(target.table)
-            pair = divmod(cell // 4, n)
-            row = list(table[pair])
-            row[cell % 4] += 1e-6
-            table[pair] = tuple(row)
-            min_negativity_lp(Behavior(n, n, table, tolerance=1e-5))
-            keep = group.rows[:, cell] == cell
+            pair, k = divmod(cell // 4, n), cell % 4
+            source, other = (j for j in range(4) if j not in (k, 3 - k))
+            moved = _correlator_move(target, pair, 1e-6, (source, k), (other, 3 - k))
+            assert min_negativity_lp(moved).status is LPStatus.OPTIMAL
+            raised = np.isin(np.arange(4 * n * n), (cell, cell - k + 3 - k))
+            keep = (raised[group.rows] == raised).all(axis=1)
             assert 1 < keep.sum() < 8 * n
             assert np.array_equal(used[-1], group.strategies[keep])
 
     def test_relabellings_that_are_not_a_group_are_not_used(self):
-        # Moving 1e-9 between two cells leaves some relabellings just inside
-        # the slack and others just outside it.  Those inside are not closed
-        # under composition, so HiGHS gets one column pair per strategy.
+        # Moving 1e-9 into the correlator of row (0, 0), no-signalling,
+        # leaves some relabellings just inside the slack and others just
+        # outside it.  Those inside are not closed under composition, so
+        # HiGHS gets one column pair per strategy.
         n = 5
-        target = _signalling_perturbation(n, 1e-9)
+        target = _correlator_move(_singlet_at_chained_angles(n), (0, 0), 1e-9, (1, 0), (2, 3))
         entries = _entries(target)
         rows = oracle._chain_group(n).rows
         within = rows[np.abs(entries[rows] - entries).max(axis=1) <= oracle._BASIS_SLACK]
@@ -742,6 +862,17 @@ def _move_within_row(target: Behavior, pair, source: int, sink: int, size: float
     row[sink] += size
     table[pair] = tuple(row)
     return Behavior(target.n_settings_A, target.n_settings_B, table, tolerance=1e-9)
+
+
+def _correlator_move(target: Behavior, pair, size: float, *moves) -> Behavior:
+    """`target` with `size` moved within row `pair` along each (source, sink) of `moves`.
+
+    Moving it from -+ to -- and from +- to ++, or back, changes the row's
+    correlator and neither marginal, so a no-signalling target stays one.
+    """
+    for source, sink in moves:
+        target = _move_within_row(target, pair, source, sink, size)
+    return target
 
 
 def _family_swaps(n: int) -> np.ndarray:
@@ -1008,6 +1139,27 @@ def _signalling_target() -> Behavior:
     return Behavior(2, 2, table)
 
 
+@functools.cache
+def _full_rows_program(n: int) -> oracle._OrbitProgram:
+    """A hand-made min-negativity program on all 4n^2 rows and 2 * 4^n columns, one per strategy."""
+    cost = np.concatenate([np.zeros(4**n), np.ones(4**n)])
+    model = oracle._highs_model(cost, oracle._split_form(oracle._behavior_matrix(n)))
+    return oracle._OrbitProgram(np.arange(4**n), model, np.arange(4 * n * n))
+
+
+def _full_rows_lp(target: Behavior):
+    """`target` solved by `oracle._solve` on `_full_rows_program`, signalling or not.
+
+    `min_negativity_lp` answers a signalling target before HiGHS, so this is
+    how HiGHS still gets infeasible programs, and programs whose target
+    signals by about its primal feasibility tolerance of 1e-7.
+    """
+    n = target.n_settings_A
+    entries = _entries(target)
+    return oracle._solve(n, _full_rows_program(n), entries, entries, target=entries,
+                         score=chained_score(target, n))
+
+
 _DIRECT_CASES = [
     *(pytest.param(lambda n=n, b=b: max_score_lp(n, b), id=f"score-n{n}-budget{b}")
       for n in range(2, 6) for b in (0.0, 0.5, 1.0, 2.0, math.inf)),
@@ -1018,18 +1170,19 @@ _DIRECT_CASES = [
     *(pytest.param(lambda n=n: min_negativity_lp(_singlet_at_chained_angles(n)),
                    id=f"singlet-n{n}")
       for n in range(2, 6)),
-    pytest.param(lambda: min_negativity_lp(_signalling_target()), id="signalling"),
-    *(pytest.param(lambda n=n, size=size: min_negativity_lp(_signalling_perturbation(n, size)),
+    pytest.param(lambda: _full_rows_lp(_signalling_target()), id="signalling"),
+    *(pytest.param(lambda n=n, size=size: _full_rows_lp(_signalling_perturbation(n, size)),
                    id=f"signalling-n{n}-{size:g}")
       for n in range(2, 6) for size in (1e-7, 2e-7)),
 ]
 
 
 #: The `_DIRECT_CASES` on which HiGHS with presolve on gives another answer:
-#: targets that signal by about its feasibility tolerance of 1e-7.  At n = 2
-#: the optimum moves, at n = 3 OPTIMAL becomes INFEASIBLE and at n = 4
-#: INFEASIBLE becomes OPTIMAL.  That is why `_HIGHS_OPTIONS` fixes presolve
-#: at one value rather than letting a caller choose.
+#: the hand-made full-row programs (`_full_rows_lp`) of targets that signal
+#: by about its feasibility tolerance of 1e-7.  At n = 2 the optimum moves,
+#: at n = 3 OPTIMAL becomes INFEASIBLE and at n = 4 INFEASIBLE becomes
+#: OPTIMAL.  `min_negativity_lp` hands HiGHS no such program, but
+#: `oracle.linprog` solves whatever program it gets with presolve off.
 _PRESOLVE_CHANGES_THE_ANSWER = ("signalling-n2-1e-07", "signalling-n3-1e-07", "signalling-n4-1e-07")
 
 
@@ -1118,20 +1271,6 @@ class TestDirectHighs:
         else:
             assert np.array_equal(got.x, want.x)
 
-    @pytest.mark.parametrize("n, status", [
-        (2, LPStatus.OPTIMAL),
-        (3, LPStatus.OPTIMAL),
-        (4, LPStatus.INFEASIBLE),
-        (5, LPStatus.OPTIMAL),
-    ])
-    def test_near_signalling_status_is_highs_feasibility_tolerance(self, n, status):
-        # A target that signals by about HiGHS's primal feasibility tolerance
-        # (1e-7) is OPTIMAL or INFEASIBLE as HiGHS's pivots fall; pinned so
-        # that a change of HiGHS's configuration shows.  Pinned on scipy
-        # 1.17.1 with HiGHS 1.12.0: another HiGHS may pivot otherwise.
-        assert min_negativity_lp(_signalling_perturbation(n, 1e-7)).status is status
-        assert min_negativity_lp(_signalling_perturbation(n, 2e-7)).status is LPStatus.INFEASIBLE
-
     @pytest.mark.parametrize("lower, upper, message", [
         pytest.param([1.0], [1.0, 1.0], "^row bounds of 1 and 2 entries for a model of 2 rows$",
                      id="short-lower"),
@@ -1188,9 +1327,10 @@ class TestReusedHighs:
     """`oracle.linprog` reuses one HiGHS instance per thread and carries nothing between solves."""
 
     def test_no_state_leaks_between_solves(self, monkeypatch):
-        # Forward, then reversed, with the infeasible signalling program
-        # between solves: each answer is what a fresh HiGHS instance, the one
-        # scipy's `linprog` makes per call, gives.
+        # Forward, then reversed, with the hand-made infeasible program of
+        # the signalling target (`_full_rows_lp`) between solves: each answer
+        # is what a fresh HiGHS instance, the one scipy's `linprog` makes per
+        # call, gives.
         programs = _direct_programs(monkeypatch)
         signalling = programs[[case.id for case in _DIRECT_CASES].index("signalling")]
         infeasible = _scipy_answer(signalling)
@@ -1427,7 +1567,7 @@ class TestNegativityProgramCache:
     """`min_negativity_lp` builds each orbit program once per symmetry of its target."""
 
     def test_cached_program_is_read_only(self):
-        key = (3, False, np.ones(24, dtype=bool).tobytes(), None)
+        key = (3, np.ones(24, dtype=bool).tobytes(), None)
         program = oracle._negativity_program(*key)
         assert oracle._negativity_program(*key) is program
         model = [a for a in program.model if isinstance(a, np.ndarray)]
@@ -1504,9 +1644,11 @@ class TestDistinctRows:
                 assert got.negative_mass == pytest.approx(want.negative_mass, abs=1e-9), name
         # The 12 family targets, the 6 N = 1 family targets moved by 1e-12
         # within a row, the singlet moved by 0 or 1e-12 and the Werner target
-        # at each n, and the model-error target.  The signalling target and
-        # the singlets moved by 1e-9 or more keep every row.
-        assert fewer == 12 + 6 + 3 * 4 + 1
+        # at each n, the model-error target, and the singlet moved by 1e-9 in
+        # its correlator at n = 2 and 4.  At n = 3 and 5 that singlet keeps
+        # every row, since its relabellings within the slack are no group;
+        # the signalling targets reach no program.
+        assert fewer == 12 + 6 + 3 * 4 + 1 + 2
 
     @pytest.mark.parametrize("n, budget, moves, status, rows", [
         # 1e-12 moved within row (0, 0): the target's relabellings still fix
@@ -1514,15 +1656,15 @@ class TestDistinctRows:
         *((n, budget, [((0, 0), 1e-12)], LPStatus.OPTIMAL, (n + 1) ** 2)
           for n in range(2, 6) for budget in (0.5, 1.0, 2.0)),
         # The PR box made to signal by 1e-3 in row (0, 0), and 1e-12 moved
-        # within another row.
-        *((2, 2.0, [((0, 0), 1e-3), (pair, 1e-12)], LPStatus.INFEASIBLE, 16)
+        # within another row: no program, on either side.
+        *((2, 2.0, [((0, 0), 1e-3), (pair, 1e-12)], LPStatus.INFEASIBLE, 0)
           for pair in ((0, 1), (1, 0), (1, 1))),
     ])
     def test_unequal_bounds_take_the_full_rows(self, n, budget, moves, status, rows, monkeypatch):
-        """Copies with unequal bounds merge when the target does not signal, and not when it does.
+        """Copies with unequal bounds merge when the target does not signal.
 
         `rows` is the full-row reference's count, all (n+1)^2 basis rows, or
-        all 4n^2 for a signalling target.
+        0 for a signalling target, which is answered before any program.
         """
         target = assemble_behavior(chained_saturating_model(n, budget))
         for pair, size in moves:

@@ -47,21 +47,21 @@ def test_lp_grid_digest(monkeypatch, capsys):
     # them changes it.  The model-error target pins FAILED, not INFEASIBLE.
     assert run_script(monkeypatch, "lp_grid_digest.py", "--max-n", "3", "--order", "1", "2") == 0
     out = capsys.readouterr().out
-    assert "34 LPs, 2 orders" in out
+    assert "36 LPs, 2 orders" in out
     assert out.splitlines()[-2:] == [
-        "HiGHS rows 352, columns 1090",
-        "digest ac38310c8a02fd3ed0c3779103d82bbf27f1b1746f0f80f893444eb0446872e7",
+        "HiGHS rows 149, columns 566",
+        "digest cedb4c58263ba694aa4f4f8c74148bd1f6f79c0c6f7b46d69557378c444190e4",
     ]
 
 
 def test_lp_grid_digest_up_to_n5(monkeypatch, capsys):
-    # The whole 68-LP grid, n = 2..5, in one order.
+    # The whole 72-LP grid, n = 2..5, in one order.
     assert run_script(monkeypatch, "lp_grid_digest.py", "--max-n", "5", "--order", "1") == 0
     out = capsys.readouterr().out
-    assert "68 LPs, 1 orders" in out
+    assert "72 LPs, 1 orders" in out
     assert out.splitlines()[-2:] == [
-        "HiGHS rows 1213, columns 14046",
-        "digest ee52f1dda2ea066294b0f8483395062bd3fc2a9d0312907f6d3f063a1d37152f",
+        "HiGHS rows 404, columns 5714",
+        "digest cd999d40b07064fda6a1c202a3c736cc398f96bbbac651f4931fcc0d5d4eec60",
     ]
 
 
@@ -73,9 +73,9 @@ def test_lp_grid_digest_dump(monkeypatch, capsys, tmp_path):
     assert run_script(monkeypatch, "lp_grid_digest.py", *args) == 0
     digest = capsys.readouterr().out.splitlines()[-1]
     lines = path.read_text().splitlines()
-    assert len(lines) == 34
+    assert len(lines) == 36
     entries = [json.loads(line) for line in lines]
-    assert [sorted(entry) for entry in entries] == [["name", "result", "weights"]] * 34
+    assert [sorted(entry) for entry in entries] == [["name", "result", "weights"]] * 36
     assert entries[0]["name"] == "score n=2 B=0.0"
     assert entries[-1]["name"] == "model error"
     assert entries[-1]["result"]["status"] == "FAILED" and entries[-1]["weights"] == []
