@@ -32,10 +32,15 @@ over the grid, so a change of program size shows without a dump.
 `--dump PATH` also writes the first order's answers to PATH as JSON lines,
 one per LP in grid order: its name, its `to_json_dict()` and its weights as
 `[[s_a, s_b], w]` pairs, so two versions that print different digests can
-be diffed field by field.
+be diffed field by field.  `--compare OLD` diffs them here: it prints
+each LP of the first order whose dump line differs from OLD's, such a dump
+of another version, with each field that differs, old value first, and
+`weights` when any weight differs.  It counts the LPs that differ and
+exits 0 whatever they are.
 
     python scripts/lp_grid_digest.py --order 1 2 3
     python scripts/lp_grid_digest.py --dump grid.jsonl
+    python scripts/lp_grid_digest.py --compare grid.jsonl
 """
 
 import argparse
@@ -130,6 +135,32 @@ def dump_line(name: str, result) -> str:
     }, sort_keys=True, allow_nan=False) + "\n"
 
 
+def differences(old: dict | None, new: dict | None) -> list[str]:
+    """What differs between two parsed dump lines of one LP: JSON fields, then weights."""
+    if old is None or new is None:
+        return ["only in OLD" if new is None else "not in OLD"]
+    fields = [f"{key} {old['result'].get(key)!r} -> {new['result'].get(key)!r}"
+              for key in sorted(old["result"].keys() | new["result"].keys())
+              if old["result"].get(key) != new["result"].get(key)]
+    if old["weights"] != new["weights"]:
+        fields.append(f"weights ({len(old['weights'])} -> {len(new['weights'])} entries)")
+    return fields
+
+
+def compare(path: str, calls: list, results: list) -> None:
+    """Print each LP whose dump line differs from the one of its name in the dump at `path`."""
+    with open(path) as lines:
+        old = {entry["name"]: entry for entry in map(json.loads, lines)}
+    new = {name: json.loads(dump_line(name, r)) for (name, _), r in zip(calls, results)}
+    differing = 0
+    for name in [*new, *(name for name in old if name not in new)]:
+        fields = differences(old.get(name), new.get(name))
+        if fields:
+            differing += 1
+            print(f"{name}: {'; '.join(fields)}")
+    print(f"{differing} of {len(new)} LPs differ from {path}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-n", type=int, default=5, help="largest setting count, 2..5")
@@ -137,6 +168,8 @@ def main() -> int:
                         help="seeds of the call orders; the grid runs once per seed")
     parser.add_argument("--dump", metavar="PATH",
                         help="write the first order's answers to PATH as JSON lines")
+    parser.add_argument("--compare", metavar="OLD",
+                        help="print the first order's answers that differ from the dump OLD")
     args = parser.parse_args()
     if not 2 <= args.max_n <= 5:
         parser.error("--max-n must be 2..5")
@@ -147,9 +180,12 @@ def main() -> int:
         results = [None] * len(calls)
         for i in np.random.default_rng(seed).permutation(len(calls)).tolist():
             results[i] = calls[i][1]()
-        if args.dump is not None and not digests:
-            with open(args.dump, "w") as out:
-                out.writelines(dump_line(name, r) for (name, _), r in zip(calls, results))
+        if not digests:
+            if args.compare is not None:
+                compare(args.compare, calls, results)
+            if args.dump is not None:
+                with open(args.dump, "w") as out:
+                    out.writelines(dump_line(name, r) for (name, _), r in zip(calls, results))
         digest = hashlib.sha256(b"".join(map(answer, results))).hexdigest()
         print(f"order {seed}: {digest}")
         digests.append(digest)

@@ -33,14 +33,16 @@ that each chained generator fixes every strategy's score, and one matcher
 permutes the behavior entries; building refuses otherwise.  Both LPs go
 through `_solve`, which hands the program and its row bounds to `linprog`,
 this module's own call of the HiGHS binding that `scipy.optimize.linprog`
-uses, expands the solution back to all 4^n strategies, and measures its
-`primal_residual` against the behavior matrix (`_behavior_matrix`).
+uses, and reads the answer off the orbit solution: its `primal_residual`
+from the behavior matrix (`_behavior_matrix`) summed over the program's
+orbits, built once with the program (`_OrbitProgram.cells`), and its
+weights, expanded to all 4^n strategies, only when they are first read.
 `linprog` reports HiGHS's model status and status string, not scipy's, and
 an optimum whose `primal_residual` is above `_MAX_RESIDUAL` is FAILED.
 Importing this module loads numpy only, so enumeration, the classical bound,
 the quantum generator and the sampler never load scipy.  The first solve
-loads `scipy` and that binding alone (`_highs_binding`), not
-`scipy.optimize`, whose import costs far more than a solve.
+loads that binding alone (`_highs_binding`), neither `scipy` nor
+`scipy.optimize`, whose imports cost more than a solve.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ import math
 import os
 import sys
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -132,14 +135,15 @@ _BINDING_LOCK = threading.Lock()
 def _highs_binding():
     """scipy's HiGHS binding, `scipy.optimize._highspy._core`, loaded without `scipy.optimize`.
 
-    The module in `sys.modules` if it is there; otherwise this imports
-    `scipy` alone, loads `_core` from scipy's `optimize/_highspy` folder
-    under its full name and registers it there, so a later
-    `import scipy.optimize` gets this same module.  Until something imports
-    its package, the binding is reached through `sys.modules` or an import
-    statement, not as an attribute of `scipy.optimize._highspy`.  A scipy
-    without it raises ImportError naming the folder searched, and registers
-    nothing.
+    The module in `sys.modules` if it is there; otherwise this finds
+    scipy's folder without importing `scipy` (`importlib.util.find_spec`),
+    loads `_core` from its `optimize/_highspy` folder under its full name
+    and registers it there, so a later `import scipy.optimize` gets this
+    same module.  Until something imports its packages, `scipy` among them,
+    the binding is reached through `sys.modules` or an import statement, not
+    as an attribute of `scipy.optimize._highspy`.  Without scipy this raises
+    ModuleNotFoundError; a scipy without the binding raises ImportError
+    naming the folder searched.  Either registers nothing.
     """
     binding = sys.modules.get(_HIGHS_BINDING)
     if binding is not None:
@@ -147,9 +151,10 @@ def _highs_binding():
     with _BINDING_LOCK:
         binding = sys.modules.get(_HIGHS_BINDING)
         if binding is None:
-            import scipy
-
-            folder = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+            scipy = importlib.util.find_spec("scipy")
+            if scipy is None:
+                raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+            folder = os.path.join(scipy.submodule_search_locations[0], "optimize", "_highspy")
             found = importlib.machinery.PathFinder.find_spec("_core", [folder])
             if found is None or found.origin is None:
                 raise ImportError(f"scipy's HiGHS binding _core is not in {folder}",
@@ -307,6 +312,43 @@ def _highs_solver():
     return solver
 
 
+class _StrategyWeights(Mapping):
+    """`LPResult.weights`: each joint strategy's signed weight above 1e-12 in absolute value.
+
+    A read-only mapping from (s_a, s_b) to its weight, in strategy order
+    (`_joint_strategies`), over the weights `w` of all 4^n strategies that
+    `_solve` expands from the orbit solution, or empty without them.  The
+    mapping is built from `w` the first time it is read, so a solve whose
+    weights are never read builds none.  It compares equal to the dict of
+    its items, and prints as that dict.
+    """
+
+    __slots__ = ("_n", "_w", "_items")
+
+    def __init__(self, n: int, w: np.ndarray | None = None) -> None:
+        self._n, self._w = n, w
+        self._items = {} if w is None else None
+
+    def _dict(self) -> dict[tuple[Strategy, Strategy], float]:
+        if self._items is None:
+            joint = _joint_strategies(self._n)
+            support = (np.abs(self._w) > 1e-12).nonzero()[0]
+            self._items = dict(zip([joint[j] for j in support.tolist()], self._w[support].tolist()))
+        return self._items
+
+    def __getitem__(self, key: tuple[Strategy, Strategy]) -> float:
+        return self._dict()[key]
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def __len__(self) -> int:
+        return len(self._dict())
+
+    def __repr__(self) -> str:
+        return repr(self._dict())
+
+
 @dataclass(frozen=True)
 class LPResult:
     """Solution of one of the strategy-mixture linear programs.
@@ -316,17 +358,22 @@ class LPResult:
     `rows` count the columns and constraint rows of the program HiGHS
     solved.  When no program was solved, because `min_negativity_lp`'s
     target signals, `iterations`, `columns` and `rows` are 0 and
-    `solver_message` says why.  `primal_residual` is the largest violation
-    of the LP's constraints over all 4^n joint strategies by the returned
-    weights, computed from the behavior matrix B (for `min_negativity_lp`,
-    max|B w - target|), or None when HiGHS returned no solution.  A solution
-    whose residual exceeds `_MAX_RESIDUAL` is FAILED, with its weights and
-    residual kept.  `negative_mass` is NaN when HiGHS returned no solution,
-    and for `max_score_lp` with an infinite budget (see there).
+    `solver_message` says why.  `weights` is a read-only mapping of the
+    symmetric optimum's nonzero weights by joint strategy, built from the
+    orbit solution when first read (`_StrategyWeights`), and empty when
+    HiGHS returned no solution.  `primal_residual` is the largest violation
+    of the LP's constraints over all 4^n joint strategies by those weights
+    (for `min_negativity_lp`, max|B w - target|, B the behavior matrix),
+    read off the orbit solution through the program's orbit-summed
+    behavior rows (`_OrbitProgram.cells`), or None when HiGHS returned no
+    solution.  A solution whose residual exceeds `_MAX_RESIDUAL` is FAILED,
+    with its weights and residual kept.  `negative_mass` is NaN when HiGHS
+    returned no solution, and for `max_score_lp` with an infinite budget
+    (see there).
     """
 
     optimal_score: float
-    weights: dict[tuple[Strategy, Strategy], float]
+    weights: Mapping[tuple[Strategy, Strategy], float]
     negative_mass: float
     status: LPStatus
     n_settings: int
@@ -402,15 +449,19 @@ def enumerate_deterministic(n: int) -> tuple[Strategy, ...]:
     return tuple(itertools.product((-1, +1), repeat=n))
 
 
+@functools.cache
 def _chain_coefficients(n: int) -> np.ndarray:
-    """Matrix C with strategy score M(a, b) = a @ C @ b for sign vectors a, b."""
+    """Matrix C with strategy score M(a, b) = a @ C @ b for sign vectors a, b.
+
+    Cached per n and read-only, as `_strategy_signs` is.
+    """
     coeff = np.zeros((n, n))
     for i in range(n):
         coeff[i, i] += 1.0
     for i in range(1, n):
         coeff[i, i - 1] += 1.0
     coeff[0, n - 1] -= 1.0
-    return coeff
+    return _read_only(coeff)
 
 
 def classical_bound_bruteforce(n: int) -> float:
@@ -421,14 +472,15 @@ def classical_bound_bruteforce(n: int) -> float:
     sign((a C)_j), or its negation for the most negative score, gives
     max_b |a C b| = ||a C||_1.  Maximizing that over Alice's 2^n strategies
     is therefore the exact maximum over all 4^n pairs, at O(2^n * n^2) cost
-    and O(2^n * n) memory.  The result is the classical bound 2n-2, but it
-    is computed, not assumed.
+    and O(2^n * n) memory.  Each 1-norm is one matrix-vector product with
+    the ones vector, exact on these integers.  The result is the classical
+    bound 2n-2, but it is computed, not assumed.
     """
     if n < 2:
         raise ValueError("chained score needs n >= 2")
     if n > _MAX_BRUTEFORCE_SETTINGS:
         raise ValueError(f"brute force limited to n <= {_MAX_BRUTEFORCE_SETTINGS}")
-    best_replies = np.abs(_strategy_signs(n) @ _chain_coefficients(n)).sum(axis=1)
+    best_replies = np.abs(_strategy_signs(n) @ _chain_coefficients(n)) @ np.ones(n)
     return float(best_replies.max())
 
 
@@ -646,8 +698,12 @@ class _OrbitProgram(NamedTuple):
     the negative mass is sum |O| v_O.  Its inequality rows come before its
     equality rows, the order in which `scipy.optimize.linprog` hands `A_ub`
     and `A_eq` to HiGHS, since HiGHS's vertex and iteration count depend on
-    it.  `rows` are the behavior rows whose target entries bound the rows of
-    a `min_negativity_lp` program, one per row, None for `max_score_lp`.
+    it.  `cells` is `_behavior_matrix(n)` summed over each orbit, all 4n^2
+    behavior rows by one column per orbit: small integers, held exactly as
+    float64, so `cells @ w_O` is the behavior B w of the signed weights
+    w_O = u_O - v_O without expanding them to all 4^n strategies.  `rows`
+    are the behavior rows whose target entries bound the rows of a
+    `min_negativity_lp` program, one per row, None for `max_score_lp`.
     Both LPs keep each distinct orbit-summed row once (`_distinct_rows`).
     All arrays are read-only.
 
@@ -660,11 +716,13 @@ class _OrbitProgram(NamedTuple):
     most w's, since sum max(-w, 0) is convex.  So some optimum is constant
     on orbits, and the orbit program attains it.  Each LP's docstring names
     its group and says why it maps that LP to itself.  The reported weights
-    are that symmetric optimum, expanded to all 4^n strategies (`_solve`).
+    are that symmetric optimum, expanded to all 4^n strategies when first
+    read (`_solve`).
     """
 
     orbit_of: np.ndarray
     model: _HighsModel
+    cells: np.ndarray
     rows: np.ndarray | None = None
 
 
@@ -715,27 +773,27 @@ def _score_programs(n: int) -> tuple[_OrbitProgram, _OrbitProgram]:
     O's strategies.  The rows are each distinct orbit-summed behavior row E
     once (`_distinct_rows`), as -(E u - E v) <= 0, then the budget row,
     8|O| on v_O, and the normalization row of the orbit sizes |O|.  Both
-    programs share one `orbit_of`.  Raises RuntimeError if a generator from
-    `_chain_generators` changes the score of some joint strategy, or (in
-    `_relabelled`) does not permute the rows of the behavior matrix, since
-    then orbit sums would not solve the same LP.
+    programs share one `orbit_of` and one `cells`.  Raises RuntimeError if
+    a generator from `_chain_generators` changes the score of some joint
+    strategy, or (in `_relabelled`) does not permute the rows of the
+    behavior matrix, since then orbit sums would not solve the same LP.
     """
     signs = _strategy_signs(n)
     scores = (signs @ _chain_coefficients(n) @ signs.T).ravel()
     for perm in _chain_generators(n):
         if not np.array_equal(scores[perm], scores):
             raise RuntimeError(f"relabelling does not fix the chained score at n={n}")
-    orbit_of, summed = _orbit_sums(_chain_group(n).strategies, _behavior_matrix(n))
-    entries = -_split_form(summed[_distinct_rows(summed)])
+    orbit_of, cells = _orbit_sums(_chain_group(n).strategies, _behavior_matrix(n))
+    entries = -_split_form(cells[_distinct_rows(cells)])
     totals = np.bincount(orbit_of, weights=scores)
     sizes = np.bincount(orbit_of).astype(np.float64)
     cost = np.concatenate([-totals, totals])
     budget = np.concatenate([np.zeros_like(sizes), 8.0 * sizes])[None, :]
     normalization = _split_form(sizes[None, :])
-    orbit_of = _read_only(orbit_of)
-    return (
-        _OrbitProgram(orbit_of, _highs_model(cost, np.concatenate([entries, normalization]))),
-        _OrbitProgram(orbit_of, _highs_model(cost, np.concatenate([entries, budget, normalization]))),
+    orbit_of, cells = _read_only(orbit_of), _read_only(cells)
+    return tuple(
+        _OrbitProgram(orbit_of, _highs_model(cost, np.concatenate(rows)), cells)
+        for rows in ([entries, normalization], [entries, budget, normalization])
     )
 
 
@@ -760,32 +818,32 @@ def _solve(
     budget: float = math.inf,
     score: float | None = None,
 ) -> LPResult:
-    """Solve `program` within its row bounds (`linprog`), then expand x to all 4^n strategies.
+    """Solve `program` within its row bounds (`linprog`), then read the answer off the orbits.
 
-    x = (u_O, v_O) has one column pair per orbit O, so u = u_O[orbit_of] and
-    v = v_O[orbit_of] are the halves of the signed weights w = u - v of all
-    4^n strategies.  Weights, negative mass and `primal_residual` are read
-    from them, the residual through B = `_behavior_matrix(n)`:
+    x = (u_O, v_O) has one column pair per orbit O, and w_O = u_O - v_O.
+    So u = u_O[orbit_of] and v = v_O[orbit_of] are the halves of the signed
+    weights w = w_O[orbit_of] of all 4^n strategies.  The negative mass is
+    read from w, and the behavior B w, B = `_behavior_matrix(n)`, as
+    `program.cells @ w_O`, without B.  `primal_residual` is
     max|B w - target| when `target` is given (`min_negativity_lp`),
     otherwise (`max_score_lp`) the largest of |sum w - 1|, max(-B w) and
     8 sum v - `budget`, with the negative mass NaN for an infinite budget.
     The weights are the entries of w above 1e-12 in absolute value, in
-    strategy order.  The optimal score is `score` when given, else -cost @ x.
-    An optimum whose residual exceeds `_MAX_RESIDUAL`, or is NaN, is FAILED
-    (see `LPResult`).
+    strategy order, built when first read (`_StrategyWeights`).  The
+    optimal score is `score` when given, else -cost @ x.  An optimum whose
+    residual exceeds `_MAX_RESIDUAL`, or is NaN, is FAILED (see `LPResult`).
     """
     model, orbit_of = program.model, program.orbit_of
     res = linprog(model, row_lower, row_upper)
     status = _LINPROG_STATUS.get(res.status, LPStatus.FAILED)
-    optimal_score, weights, negative_mass, residual = math.nan, {}, math.nan, None
+    optimal_score, weights, negative_mass, residual = math.nan, _StrategyWeights(n), math.nan, None
     if status is LPStatus.OPTIMAL:
         k = len(model.cost) // 2
-        w = (res.x[:k] - res.x[k:])[orbit_of]
-        joint = _joint_strategies(n)
-        support = (np.abs(w) > 1e-12).nonzero()[0]
-        weights = dict(zip([joint[j] for j in support.tolist()], w[support].tolist()))
+        w_orbits = res.x[:k] - res.x[k:]
+        w = w_orbits[orbit_of]
+        weights = _StrategyWeights(n, w)
         negative_mass = float(sum((-w[w < 0]).tolist()))
-        entries = _behavior_matrix(n) @ w
+        entries = program.cells @ w_orbits
         if target is not None:
             residual = float(np.abs(entries - target).max())
         else:
@@ -904,9 +962,10 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     for N = 1 (and N = 1/2), and 4, 24, 40 and 60 for N = 2.  A target fixed
     by the identity alone, with no equal rows, gets the program over all
     2 * 4^n columns, column for column.  The reported weights are the
-    symmetric optimum, expanded to all 4^n strategies, so `support_size`
-    counts whole orbits of the larger group, and `primal_residual` is
-    max|B w - t| over all 4n^2 rows and 4^n strategies.
+    symmetric optimum, expanded to all 4^n strategies when first read, so
+    `support_size` counts whole orbits of the larger group, and
+    `primal_residual` is max|B w - t| over all 4n^2 rows, B w read off the
+    orbit solution through the program's `cells`.
 
     The program is built once per key and cached (`_negativity_program`,
     at most `_NEGATIVITY_PROGRAMS` keys).  The key is n, the stabilizer as
@@ -950,7 +1009,7 @@ def min_negativity_lp(target: Behavior) -> LPResult:
         else:
             status = LPStatus.FAILED
             message = f"the no-signalling check overflowed: max|M t_R - t| is {distance!r}"
-        return LPResult(math.nan, {}, math.nan, status, n, 0, message, None, 0, 0)
+        return LPResult(math.nan, _StrategyWeights(n), math.nan, status, n, 0, message, None, 0, 0)
     stabilizer = moved <= _BASIS_SLACK
     exact_swaps = None
     if not moved[stabilizer].any():
@@ -963,7 +1022,8 @@ def min_negativity_lp(target: Behavior) -> LPResult:
 #: `_negativity_program`'s cache size.  The largest entry, a target at n = 5
 #: fixed by the identity alone, has 36 rows of 512 nonzeros each in split
 #: form, so its model holds 18432 nonzeros at 12 bytes (221 KB) and 74 KB
-#: more.  A full cache holds at most about 4.7 MB.
+#: more, and its `cells` are 100 x 1024 float64 (819 KB).  A full cache
+#: holds at most about 18 MB.
 _NEGATIVITY_PROGRAMS = 16
 
 
@@ -972,7 +1032,8 @@ def _negativity_program(n: int, stabilizer: bytes, exact_swaps: bytes | None) ->
     """Build `min_negativity_lp`'s orbit program from what its target decides.
 
     The rows are the distinct orbit sums of `_behavior_basis(n)`'s rows,
-    each once, in the order of their first copies (`_distinct_rows`).
+    each once, in the order of their first copies (`_distinct_rows`), taken
+    from the orbit sums of all 4n^2 behavior rows, the program's `cells`.
     `stabilizer` is the bool mask over `_chain_group(n)` of the relabellings
     that fix the target within the slack, and `exact_swaps`, given only
     when each of them fixes it exactly, the bool mask over
@@ -991,16 +1052,14 @@ def _negativity_program(n: int, stabilizer: bytes, exact_swaps: bytes | None) ->
         smallest = perms.min(axis=0)
         if not np.array_equal((smallest[group.strategies] == smallest).all(axis=1), stabilizer):
             perms = group.strategies[:1]
+    orbit_of, cells = _orbit_sums(perms, _behavior_matrix(n))
     rows = _behavior_basis(n).rows
-    orbit_of, summed = _orbit_sums(perms, _behavior_matrix(n)[rows])
-    kept = _distinct_rows(summed)
-    rows, summed = rows[kept], summed[kept]
+    rows = rows[_distinct_rows(cells[rows])]
     sizes = np.bincount(orbit_of).astype(np.float64)
     # Minimize total v.
     cost = np.concatenate([np.zeros(len(sizes)), sizes])
-    return _OrbitProgram(
-        _read_only(orbit_of), _highs_model(cost, _split_form(summed)), _read_only(rows)
-    )
+    return _OrbitProgram(_read_only(orbit_of), _highs_model(cost, _split_form(cells[rows])),
+                         _read_only(cells), _read_only(rows))
 
 
 def _projector(angle: float, outcome: int) -> np.ndarray:

@@ -1,6 +1,6 @@
-"""numpy loads only on the oracle paths, and scipy only when an LP is solved.
+"""numpy loads only on the oracle paths, and scipy's HiGHS binding only when an LP is solved.
 
-An LP solve loads `scipy` and its HiGHS binding, never `scipy.optimize`.
+An LP solve loads that binding alone, neither `scipy` nor `scipy.optimize`.
 
 Each check runs in a fresh interpreter, because this test process has long
 since imported numpy itself.
@@ -61,10 +61,11 @@ def test_non_oracle_commands_are_pure_python(tmp_path, command):
     assert heavy_modules_after(code) == []
 
 
-def test_oracle_command_loads_scipy(tmp_path):
+def test_oracle_command_loads_the_binding_without_scipy(tmp_path):
     argv = ["oracle", "lp", "--n", "2", "--output", str(tmp_path / "out")]
-    code = f"from quasibell.cli import main\nassert main({argv!r}) == 0\n"
-    assert heavy_modules_after(code) == ["numpy", "scipy"]
+    code = (f"import sys\nfrom quasibell.cli import main\nassert main({argv!r}) == 0\n"
+            f"assert {BINDING!r} in sys.modules\n")
+    assert heavy_modules_after(code) == ["numpy"]
 
 
 def test_oracle_module_loads_numpy_but_not_scipy():
@@ -97,7 +98,7 @@ def test_lp_commands_load_the_highs_binding_but_not_scipy_optimize(tmp_path, com
         f"assert {BINDING!r} in sys.modules\n"
         "assert 'scipy.optimize' not in sys.modules\n"
     )
-    assert heavy_modules_after(code) == ["numpy", "scipy"]
+    assert heavy_modules_after(code) == ["numpy"]
 
 
 def test_oracle_linprog_is_its_own_and_its_first_solve_loads_only_the_binding():
@@ -109,9 +110,35 @@ def test_oracle_linprog_is_its_own_and_its_first_solve_loads_only_the_binding():
         "model = oracle._highs_model(np.ones(1), np.ones((1, 1)))\n"
         "res = solve(model, np.full(1, 2.0), np.full(1, 2.0))\n"
         "print(res.status, res.x.tolist())\n"
-        f"print({BINDING!r} in sys.modules, 'scipy.optimize' in sys.modules)"
+        f"print({BINDING!r} in sys.modules, 'scipy' in sys.modules,\n"
+        "      'scipy.optimize' in sys.modules)"
     )
-    assert out.split() == ["quasibell.oracle", "True", "False", "0", "[2.0]", "True", "False"]
+    assert out.split() == ["quasibell.oracle", "True", "False", "0", "[2.0]", "True", "False",
+                           "False"]
+
+
+def test_a_score_lp_solves_without_scipy_in_sys_modules():
+    out = run_python(
+        "import sys, quasibell.oracle as oracle\n"
+        "res = oracle.max_score_lp(3, 1.0)\n"
+        "print(res.status.value, round(res.optimal_score, 9), 'scipy' in sys.modules,\n"
+        f"      {BINDING!r} in sys.modules)"
+    )
+    assert out.split() == ["OPTIMAL", "5.0", "False", "True"]
+
+
+def test_without_scipy_a_solve_raises_module_not_found():
+    # A None entry in `sys.modules` is how Python marks a module as absent.
+    out = run_python(
+        "import sys, quasibell.oracle as oracle\n"
+        "sys.modules['scipy'] = None\n"
+        "try:\n"
+        "    oracle.max_score_lp(2)\n"
+        "except ModuleNotFoundError as exc:\n"
+        "    print(exc.name, '|', exc)\n"
+        f"print({BINDING!r} in sys.modules)"
+    )
+    assert out.splitlines() == ["scipy | No module named 'scipy'", "False"]
 
 
 @pytest.mark.parametrize("scipy_optimize_first", [False, True], ids=["solve_first", "import_first"])
@@ -170,11 +197,11 @@ def test_a_scipy_without_the_binding_fails_loudly(tmp_path):
         "        load()\n"
         "    except ImportError as exc:\n"
         "        print(str(exc))\n"
-        f"print({BINDING!r} in sys.modules, sys.modules['scipy'].__file__)",
+        f"print({BINDING!r} in sys.modules, 'scipy' in sys.modules)",
         pythonpath=tmp_path,
     )
     message = f"scipy's HiGHS binding _core is not in {folder}"
-    assert out.splitlines() == [message, message, f"False {tmp_path / 'scipy' / '__init__.py'}"]
+    assert out.splitlines() == [message, message, "False False"]
 
 
 def test_unknown_oracle_name_raises_attribute_error():

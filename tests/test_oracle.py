@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -93,6 +94,12 @@ class TestBruteForce:
     def test_resource_guard(self):
         with pytest.raises(ValueError):
             classical_bound_bruteforce(13)
+
+    def test_cached_coefficients_are_read_only(self):
+        coefficients = oracle._chain_coefficients(5)
+        assert oracle._chain_coefficients(5) is coefficients
+        with pytest.raises(ValueError):
+            coefficients[0, 0] = 2.0
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_separable_maximum_equals_exhaustive(self, n):
@@ -379,7 +386,8 @@ class TestScoreOrbits:
         assert oracle._score_programs(3) is programs
         models = [a for program in programs for a in program.model
                   if isinstance(a, np.ndarray)]
-        for array in (*(program.orbit_of for program in programs), *models,
+        for array in (*(program.orbit_of for program in programs),
+                      *(program.cells for program in programs), *models,
                       oracle._behavior_matrix(3)):
             with pytest.raises(ValueError):
                 array[0] = 1
@@ -1143,8 +1151,9 @@ def _signalling_target() -> Behavior:
 def _full_rows_program(n: int) -> oracle._OrbitProgram:
     """A hand-made min-negativity program on all 4n^2 rows and 2 * 4^n columns, one per strategy."""
     cost = np.concatenate([np.zeros(4**n), np.ones(4**n)])
-    model = oracle._highs_model(cost, oracle._split_form(oracle._behavior_matrix(n)))
-    return oracle._OrbitProgram(np.arange(4**n), model, np.arange(4 * n * n))
+    behavior_matrix = oracle._behavior_matrix(n)
+    model = oracle._highs_model(cost, oracle._split_form(behavior_matrix))
+    return oracle._OrbitProgram(np.arange(4**n), model, behavior_matrix, np.arange(4 * n * n))
 
 
 def _full_rows_lp(target: Behavior):
@@ -1523,34 +1532,47 @@ class TestPreparedModels:
             8.0 * size for size in np.bincount(oracle._score_programs(n)[1].orbit_of).tolist()]
 
 
+def _record_solves(monkeypatch) -> list:
+    """Record every `oracle._solve` call as (n, program, keywords, HiGHS's x, result)."""
+    solves = []
+    calls = _spy_linprog(monkeypatch)
+    inner = oracle._solve
+
+    def record(n, program, *args, **kwargs):
+        result = inner(n, program, *args, **kwargs)
+        solves.append((n, program, kwargs, calls[-1].result.x, result))
+        return result
+
+    monkeypatch.setattr(oracle, "_solve", record)
+    return solves
+
+
+def _hex_items(weights) -> list:
+    """The (key, weight) pairs of a weights mapping in order, each weight as its exact bits."""
+    return [(key, float(w).hex()) for key, w in weights.items()]
+
+
 class TestReadout:
     """`_solve` reads its answer off HiGHS's x as a plain recomputation from that x does."""
 
     @pytest.mark.parametrize("solve", _DIRECT_CASES)
     def test_matches_a_plain_recomputation(self, solve, monkeypatch):
-        solves = []
-        inner = oracle._solve
-
-        def record(n, program, *args, **kwargs):
-            solves.append((n, program.orbit_of, kwargs))
-            return inner(n, program, *args, **kwargs)
-
-        monkeypatch.setattr(oracle, "_solve", record)
-        calls = _spy_linprog(monkeypatch)
-        result = solve()
-        (n, orbit_of, kwargs), = solves
-        x = calls[0].result.x
+        solves = _record_solves(monkeypatch)
+        solve()
+        (n, program, kwargs, x, result), = solves
         if x is None:
             assert result.weights == {} and result.primal_residual is None
             assert math.isnan(result.negative_mass)
             return
         k = len(x) // 2
-        u, v = x[:k][orbit_of], x[k:][orbit_of]
+        w_orbits = x[:k] - x[k:]
+        u, v = x[:k][program.orbit_of], x[k:][program.orbit_of]
         w = u - v
         joint = _joint(n)
         weights = {joint[j]: float(w[j]) for j in np.flatnonzero(np.abs(w) > 1e-12)}
-        assert list(result.weights.items()) == list(weights.items())
-        entries = oracle._behavior_matrix(n) @ w
+        assert _hex_items(result.weights) == _hex_items(weights)
+        # The behavior of the orbit solution, B w, through the orbit-summed rows.
+        entries = program.cells @ w_orbits
         target, budget = kwargs.get("target"), kwargs.get("budget", math.inf)
         if target is not None:
             assert result.primal_residual == float(np.abs(entries - target).max())
@@ -1562,6 +1584,79 @@ class TestReadout:
         else:
             assert result.negative_mass == sum(-weight for weight in w.tolist() if weight < 0)
 
+    def test_grid_programs_and_residuals(self, monkeypatch):
+        # Every solve of `scripts/lp_grid_digest.py`'s 72-LP grid, programs
+        # built afresh.  Each program's `cells` is B summed over its orbits,
+        # exactly, and each residual is the dense max|B w - t| recomputation
+        # on all 4^n strategies up to round-off.
+        _build_every_program(monkeypatch)
+        monkeypatch.setattr(oracle, "_score_programs",
+                            functools.cache(oracle._score_programs.__wrapped__))
+        solves = _record_solves(monkeypatch)
+        for _, call in runpy.run_path(str(SCRIPTS / "lp_grid_digest.py"))["grid"](5):
+            call()
+        # All 72 LPs but the 17 signalling targets, which are answered unsolved.
+        assert len(solves) == 72 - 17
+        for n, program, kwargs, x, result in solves:
+            behavior_matrix = oracle._behavior_matrix(n)
+            orbits = np.arange(program.orbit_of.max() + 1)
+            members = (program.orbit_of[:, None] == orbits).astype(np.float64)
+            assert np.array_equal(program.cells, behavior_matrix @ members)
+            assert program.cells.dtype == np.float64 and not program.cells.flags.writeable
+            assert result.to_json_dict()["support_size"] == len(result.weights)
+            if x is None:
+                assert result.primal_residual is None
+                continue
+            k = len(x) // 2
+            w, v = (x[:k] - x[k:])[program.orbit_of], x[k:][program.orbit_of]
+            entries = behavior_matrix @ w
+            target, budget = kwargs.get("target"), kwargs.get("budget", math.inf)
+            if target is not None:
+                dense = np.abs(entries - target).max()
+            else:
+                dense = max(abs(w.sum() - 1.0), -entries.min(), 8.0 * v.sum() - budget)
+            assert abs(result.primal_residual - dense) <= 1e-15
+
+    def test_a_solve_builds_no_weights_until_they_are_read(self, monkeypatch):
+        joint = oracle._joint_strategies
+        reads = []
+
+        def record(n):
+            reads.append(n)
+            return joint(n)
+
+        monkeypatch.setattr(oracle, "_joint_strategies", record)
+        results = [max_score_lp(4, 1.0),
+                   min_negativity_lp(assemble_behavior(chained_saturating_model(5, 1.0)))]
+        for result in results:
+            assert result.status is LPStatus.OPTIMAL
+        assert reads == []
+        assert len(results[1].weights) > 0
+        assert reads == [5]
+        # Built once: later reads reuse the same mapping.
+        assert sorted(results[1].weights.items()) == sorted(results[1].weights.items())
+        assert reads == [5]
+
+    def test_weights_are_read_only_and_print_as_a_dict(self):
+        result = max_score_lp(3, 1.0)
+        weights = result.weights
+        key = next(iter(weights))
+        with pytest.raises(TypeError):
+            weights[key] = 0.0
+        with pytest.raises(TypeError):
+            del weights[key]
+        for name in ("pop", "clear", "update", "setdefault", "popitem"):
+            assert not hasattr(weights, name)
+        plain = dict(weights)
+        assert weights == plain and plain == weights and weights != {}
+        assert repr(weights) == repr(plain)
+        assert repr(result).count(repr(plain)) == 1
+        assert result == dataclasses.replace(result, weights=plain)
+        assert len(weights) == result.to_json_dict()["support_size"] == len(plain)
+        unsolved = min_negativity_lp(_signalling_target())
+        assert unsolved.weights == {} and repr(unsolved.weights) == "{}"
+        assert len(unsolved.weights) == unsolved.to_json_dict()["support_size"] == 0
+
 
 class TestNegativityProgramCache:
     """`min_negativity_lp` builds each orbit program once per symmetry of its target."""
@@ -1572,7 +1667,7 @@ class TestNegativityProgramCache:
         assert oracle._negativity_program(*key) is program
         model = [a for a in program.model if isinstance(a, np.ndarray)]
         assert len(model) == 7
-        for array in (program.rows, program.orbit_of, *model):
+        for array in (program.rows, program.orbit_of, program.cells, *model):
             with pytest.raises(ValueError):
                 array[0] = 1
 

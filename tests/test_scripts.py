@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from quasibell import max_score_lp
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -50,7 +52,7 @@ def test_lp_grid_digest(monkeypatch, capsys):
     assert "36 LPs, 2 orders" in out
     assert out.splitlines()[-2:] == [
         "HiGHS rows 149, columns 566",
-        "digest cedb4c58263ba694aa4f4f8c74148bd1f6f79c0c6f7b46d69557378c444190e4",
+        "digest 4e3ad8c2ab2084945ce2d02b8c7d5a68f273a322b01c1b44b7b2a5b3a144ec8a",
     ]
 
 
@@ -61,7 +63,7 @@ def test_lp_grid_digest_up_to_n5(monkeypatch, capsys):
     assert "72 LPs, 1 orders" in out
     assert out.splitlines()[-2:] == [
         "HiGHS rows 404, columns 5714",
-        "digest cd999d40b07064fda6a1c202a3c736cc398f96bbbac651f4931fcc0d5d4eec60",
+        "digest e5efff528c0fa6c58914685ae0eab160feb01c07fd2e9367aa93716595f77e5d",
     ]
 
 
@@ -96,6 +98,46 @@ def test_lp_grid_digest_dump(monkeypatch, capsys, tmp_path):
     # The dump does not change the digest.
     assert run_script(monkeypatch, "lp_grid_digest.py", "--max-n", "3", "--order", "1") == 0
     assert capsys.readouterr().out.splitlines()[-1] == digest
+
+
+def test_lp_grid_digest_compare(monkeypatch, capsys, tmp_path):
+    # `--compare OLD` prints each LP whose dump line differs from OLD's, with
+    # the fields that differ, counts them and exits 0.
+    path = tmp_path / "grid.jsonl"
+    assert run_script(monkeypatch, "lp_grid_digest.py", "--max-n", "2", "--dump", str(path)) == 0
+    digest = capsys.readouterr().out.splitlines()[-1]
+    compare = ("--max-n", "2", "--compare", str(path))
+    assert run_script(monkeypatch, "lp_grid_digest.py", *compare) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"0 of 18 LPs differ from {path}"
+    assert out[-1] == digest
+
+    entries = [json.loads(line) for line in path.read_text().splitlines()]
+    first, family = entries[0], entries[5]
+    assert (first["name"], family["name"]) == ("score n=2 B=0.0", "family n=2 N=0.5")
+    first["result"]["primal_residual"] = 0.5
+    first["result"]["iterations"] += 1
+    family["weights"] = family["weights"][1:]
+    entries.append({**first, "name": "gone"})
+    path.write_text("".join(json.dumps(entry) + "\n" for entry in entries[1:]))
+    residual = json.loads(json.dumps(max_score_lp(2, 0.0).to_json_dict()))["primal_residual"]
+    assert run_script(monkeypatch, "lp_grid_digest.py", *compare) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:4] == [
+        "score n=2 B=0.0: not in OLD",
+        f"family n=2 N=0.5: weights ({len(family['weights'])} -> "
+        f"{len(family['weights']) + 1} entries)",
+        "gone: only in OLD",
+        f"3 of 18 LPs differ from {path}",
+    ]
+    assert out[-1] == digest
+
+    path.write_text("".join(json.dumps(entry) + "\n" for entry in entries[:1]))
+    assert run_script(monkeypatch, "lp_grid_digest.py", *compare) == 0
+    out = capsys.readouterr().out.splitlines()
+    iterations = first["result"]["iterations"]
+    assert out[0] == (f"score n=2 B=0.0: iterations {iterations} -> {iterations - 1}; "
+                      f"primal_residual 0.5 -> {residual!r}")
 
 
 def test_model_grid_digest(monkeypatch, capsys):
