@@ -35,8 +35,11 @@ one per LP in grid order: its name, its `to_json_dict()` and its weights as
 be diffed field by field.  `--compare OLD` diffs them here: it prints
 each LP of the first order whose dump line differs from OLD's, such a dump
 of another version, with each field that differs, old value first, and
-`weights` when any weight differs.  It counts the LPs that differ and
-exits 0 whatever they are.
+`weights` when any weight differs.  It counts the LPs that differ, then
+ends with one line for each numeric `to_json_dict()` field that moved on
+some LP present in both, with the number of LPs it moved on and its largest
+|new - old| over the grid, fields in name order.  It exits 0 whatever they
+are.
 
     python scripts/lp_grid_digest.py --order 1 2 3
     python scripts/lp_grid_digest.py --dump grid.jsonl
@@ -159,6 +162,19 @@ def compare(path: str, calls: list, results: list) -> None:
             differing += 1
             print(f"{name}: {'; '.join(fields)}")
     print(f"{differing} of {len(new)} LPs differ from {path}")
+    moved = {}
+    for name in new.keys() & old.keys():
+        for key, value in new[name]["result"].items():
+            before = old[name]["result"].get(key)
+            if number(value) and number(before) and value != before:
+                moved.setdefault(key, []).append(abs(value - before))
+    for key, deltas in sorted(moved.items()):
+        print(f"{key} moved on {len(deltas)} LPs, largest |delta| {max(deltas)!r}")
+
+
+def number(value) -> bool:
+    """Whether a parsed JSON value is a number, not a bool or null."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def main() -> int:

@@ -33,10 +33,12 @@ that each chained generator fixes every strategy's score, and one matcher
 permutes the behavior entries; building refuses otherwise.  Both LPs go
 through `_solve`, which hands the program and its row bounds to `linprog`,
 this module's own call of the HiGHS binding that `scipy.optimize.linprog`
-uses, and reads the answer off the orbit solution: its `primal_residual`
-from the behavior matrix (`_behavior_matrix`) summed over the program's
-orbits, built once with the program (`_OrbitProgram.cells`), and its
-weights, expanded to all 4^n strategies, only when they are first read.
+uses, and reads the answer off the orbit solution: its negative mass,
+sum w and sum v weighted by the orbit sizes (`_OrbitProgram.sizes`), its
+`primal_residual` from the behavior matrix (`_behavior_matrix`) summed
+over the program's orbits, built once with the program
+(`_OrbitProgram.cells`), and its weights, expanded to all 4^n strategies,
+only when they are first read.
 `linprog` reports HiGHS's model status and status string, not scipy's, and
 an optimum whose `primal_residual` is above `_MAX_RESIDUAL` is FAILED.
 Importing this module loads numpy only, so enumeration, the classical bound,
@@ -316,24 +318,27 @@ class _StrategyWeights(Mapping):
     """`LPResult.weights`: each joint strategy's signed weight above 1e-12 in absolute value.
 
     A read-only mapping from (s_a, s_b) to its weight, in strategy order
-    (`_joint_strategies`), over the weights `w` of all 4^n strategies that
-    `_solve` expands from the orbit solution, or empty without them.  The
-    mapping is built from `w` the first time it is read, so a solve whose
-    weights are never read builds none.  It compares equal to the dict of
-    its items, and prints as that dict.
+    (`_joint_strategies`), over the signed weights w = w_O[orbit_of] of all
+    4^n strategies, w_O being the orbit solution that `_solve` keeps with
+    its program's `orbit_of`, or empty without them.  The mapping expands
+    w_O to w the first time it is read, so a solve whose weights are never
+    read builds no 4^n array.  It compares equal to the dict of its items,
+    and prints as that dict.
     """
 
-    __slots__ = ("_n", "_w", "_items")
+    __slots__ = ("_n", "_w_orbits", "_orbit_of", "_items")
 
-    def __init__(self, n: int, w: np.ndarray | None = None) -> None:
-        self._n, self._w = n, w
-        self._items = {} if w is None else None
+    def __init__(self, n: int, w_orbits: np.ndarray | None = None,
+                 orbit_of: np.ndarray | None = None) -> None:
+        self._n, self._w_orbits, self._orbit_of = n, w_orbits, orbit_of
+        self._items = {} if w_orbits is None else None
 
     def _dict(self) -> dict[tuple[Strategy, Strategy], float]:
         if self._items is None:
             joint = _joint_strategies(self._n)
-            support = (np.abs(self._w) > 1e-12).nonzero()[0]
-            self._items = dict(zip([joint[j] for j in support.tolist()], self._w[support].tolist()))
+            w = self._w_orbits[self._orbit_of]
+            support = (np.abs(w) > 1e-12).nonzero()[0]
+            self._items = dict(zip([joint[j] for j in support.tolist()], w[support].tolist()))
         return self._items
 
     def __getitem__(self, key: tuple[Strategy, Strategy]) -> float:
@@ -359,17 +364,17 @@ class LPResult:
     solved.  When no program was solved, because `min_negativity_lp`'s
     target signals, `iterations`, `columns` and `rows` are 0 and
     `solver_message` says why.  `weights` is a read-only mapping of the
-    symmetric optimum's nonzero weights by joint strategy, built from the
-    orbit solution when first read (`_StrategyWeights`), and empty when
-    HiGHS returned no solution.  `primal_residual` is the largest violation
-    of the LP's constraints over all 4^n joint strategies by those weights
-    (for `min_negativity_lp`, max|B w - target|, B the behavior matrix),
-    read off the orbit solution through the program's orbit-summed
-    behavior rows (`_OrbitProgram.cells`), or None when HiGHS returned no
-    solution.  A solution whose residual exceeds `_MAX_RESIDUAL` is FAILED,
-    with its weights and residual kept.  `negative_mass` is NaN when HiGHS
-    returned no solution, and for `max_score_lp` with an infinite budget
-    (see there).
+    symmetric optimum's nonzero weights by joint strategy, expanded from
+    the orbit solution to all 4^n strategies only when first read
+    (`_StrategyWeights`), and empty when HiGHS returned no solution.
+    `primal_residual` is the largest violation of the LP's constraints over
+    all 4^n joint strategies by those weights (for `min_negativity_lp`,
+    max|B w - target|, B the behavior matrix), or None when HiGHS returned
+    no solution.  It and `negative_mass` are read off the orbit solution,
+    without the weights (`_solve`).  A solution whose residual exceeds
+    `_MAX_RESIDUAL` is FAILED, with its weights and residual kept.
+    `negative_mass` is NaN when HiGHS returned no solution, and for
+    `max_score_lp` with an infinite budget (see there).
     """
 
     optimal_score: float
@@ -520,7 +525,9 @@ class _BehaviorBasis(NamedTuple):
 
     `rows` picks (n+1)^2 cells of `_behavior_matrix(n)` whose rows B_R span
     its row space, and `expand` is the matrix M with B = M @ B_R: small
-    integers, held exactly as float64, the dtype of the targets it multiplies.
+    integers, held exactly as float64, the dtype of the targets it
+    multiplies, and C-contiguous, the layout `min_negativity_lp`'s
+    `expand @ t_R` has always been computed in.
     """
 
     rows: np.ndarray
@@ -534,31 +541,27 @@ def _behavior_basis(n: int) -> _BehaviorBasis:
     The rows are the Collins-Gisin coordinates (Collins and Gisin, J. Phys.
     A 37, 1775, 2004) written as cells (x_a, x_b, y_a, y_b): every
     (x_a, x_b, +, +), then (x_a, 0, +, -), (0, x_b, -, +) and (0, 0, -, -).
-    On every joint strategy, Alice's marginal p_A(x_a) is
-    (x_a, 0, +, +) + (x_a, 0, +, -), Bob's p_B(x_b) is
-    (0, x_b, +, +) + (0, x_b, -, +), and 1 is the sum of setting pair
-    (0, 0)'s four cells.  So M writes every cell in the basis rows:
-    (x_a, x_b, +, -) = p_A(x_a) - (x_a, x_b, +, +),
-    (x_a, x_b, -, +) = p_B(x_b) - (x_a, x_b, +, +) and (x_a, x_b, -, -) =
-    1 - p_A(x_a) - p_B(x_b) + (x_a, x_b, +, +).  Raises RuntimeError unless
-    M @ B_R equals B exactly.
+    Every other cell is an integer combination of these on every joint
+    strategy, through the marginals and normalization.  B_R has full row
+    rank, so M is the solution of the normal equations
+    M (B_R B_R^T) = B B_R^T, rounded to integers; the exact check is what
+    makes it M.  Raises RuntimeError unless M @ B_R equals B exactly, a
+    B_R whose rows are dependent included.
     """
     behavior_matrix = _behavior_matrix(n)
     cell = np.arange(4 * n * n).reshape(n, n, 4)  # cell[x_a, x_b, 2 [y_a = +] + [y_b = +]]
     rows = np.sort(np.concatenate(
         [cell[:, :, 3].ravel(), cell[:, 0, 2], cell[0, :, 1], cell[0, 0, :1]]
     ))
-    # coordinates[c] is the unit vector of basis cell c (zero for other cells).
-    coordinates = np.zeros((4 * n * n, len(rows)))
-    coordinates[rows, np.arange(len(rows))] = 1
-    both = coordinates[cell[:, :, 3]]
-    p_a = (coordinates[cell[:, 0, 3]] + coordinates[cell[:, 0, 2]])[:, None]
-    p_b = (coordinates[cell[0, :, 3]] + coordinates[cell[0, :, 1]])[None, :]
-    one = coordinates[cell[0, 0]].sum(axis=0)
-    expand = np.stack([one - p_a - p_b + both, p_b - both, p_a - both, both], axis=2)
-    expand = expand.reshape(4 * n * n, len(rows))
-    if not np.array_equal(expand @ behavior_matrix[rows], behavior_matrix):
-        raise RuntimeError(f"the row basis does not span the behavior rows at n={n}")
+    basis = behavior_matrix[rows]
+    refusal = RuntimeError(f"the row basis does not span the behavior rows at n={n}")
+    try:
+        solved = np.linalg.solve(basis @ basis.T, basis @ behavior_matrix.T)
+    except np.linalg.LinAlgError:
+        raise refusal from None
+    expand = np.ascontiguousarray(np.rint(solved.T))
+    if not np.array_equal(expand @ basis, behavior_matrix):
+        raise refusal
     return _BehaviorBasis(rows=_read_only(rows), expand=_read_only(expand))
 
 
@@ -692,20 +695,23 @@ class _OrbitProgram(NamedTuple):
 
     A group of relabellings of settings and outcomes, each checked to permute
     the behavior rows (`_relabelled`), splits the joint strategies into
-    orbits, and `orbit_of[j]` is the orbit O of strategy j.  `model` has one
-    column pair (u_O, v_O) per orbit, with w_j = u_O - v_O for every j in O:
-    each column sums the program's behavior rows over O's strategies, and
-    the negative mass is sum |O| v_O.  Its inequality rows come before its
-    equality rows, the order in which `scipy.optimize.linprog` hands `A_ub`
-    and `A_eq` to HiGHS, since HiGHS's vertex and iteration count depend on
-    it.  `cells` is `_behavior_matrix(n)` summed over each orbit, all 4n^2
-    behavior rows by one column per orbit: small integers, held exactly as
-    float64, so `cells @ w_O` is the behavior B w of the signed weights
-    w_O = u_O - v_O without expanding them to all 4^n strategies.  `rows`
-    are the behavior rows whose target entries bound the rows of a
-    `min_negativity_lp` program, one per row, None for `max_score_lp`.
-    Both LPs keep each distinct orbit-summed row once (`_distinct_rows`).
-    All arrays are read-only.
+    orbits, and `orbit_of[j]` is the orbit O of strategy j, and `sizes[O]`
+    its size |O| as float64.  `model` has one column pair (u_O, v_O) per
+    orbit, with w_j = u_O - v_O for every j in O: each column sums the
+    program's behavior rows over O's strategies, and the negative mass is
+    sum |O| v_O.  Its inequality rows come before its equality rows, the
+    order in which `scipy.optimize.linprog` hands `A_ub` and `A_eq` to
+    HiGHS, since HiGHS's vertex and iteration count depend on it.  `cells`
+    is `_behavior_matrix(n)` summed over each orbit, all 4n^2 behavior rows
+    by one column per orbit: small integers, held exactly as float64, so
+    `cells @ w_O` is the behavior B w of the signed weights w_O = u_O - v_O
+    without expanding them to all 4^n strategies, as `sizes @ w_O` is
+    sum w.  `rows` are the cells whose orbit-summed rows the model's first
+    rows are, one per row, in order: the first copy of each distinct row of
+    `cells` for `max_score_lp`, whose budget and normalization rows follow,
+    and of each distinct Collins-Gisin row for `min_negativity_lp`, whose
+    target entries at `rows` bound them (`_orbit_fields`).  All arrays are
+    read-only.
 
     The orbit program has the LP's optimum when every relabelling g in the
     group maps the LP to itself: with w feasible, w composed with g is
@@ -715,15 +721,16 @@ class _OrbitProgram(NamedTuple):
     and constant on orbits.  It has w's score, and its negative mass is at
     most w's, since sum max(-w, 0) is convex.  So some optimum is constant
     on orbits, and the orbit program attains it.  Each LP's docstring names
-    its group and says why it maps that LP to itself.  The reported weights
-    are that symmetric optimum, expanded to all 4^n strategies when first
-    read (`_solve`).
+    its group and says why it maps that LP to itself.  `_solve` reads the
+    answer off that symmetric optimum's orbit solution, and the reported
+    weights are it expanded to all 4^n strategies, only when first read.
     """
 
     orbit_of: np.ndarray
-    model: _HighsModel
+    sizes: np.ndarray
     cells: np.ndarray
-    rows: np.ndarray | None = None
+    rows: np.ndarray
+    model: _HighsModel
 
 
 def _orbit_sums(perms: np.ndarray, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -757,12 +764,18 @@ def _orbit_sums(perms: np.ndarray, matrix: np.ndarray) -> tuple[np.ndarray, np.n
     return orbit_of, summed.reshape(len(matrix), size)
 
 
-def _distinct_rows(summed: np.ndarray) -> np.ndarray:
-    """The indices of the first copy of each distinct orbit-summed row, ascending.
+def _orbit_fields(n: int, perms: np.ndarray, candidates: np.ndarray) -> tuple[np.ndarray, ...]:
+    """`_OrbitProgram`'s `orbit_of`, `sizes`, `cells` and `rows` under the group of `perms`.
 
-    A program that keeps them keeps its rows in the order of their first copies.
+    `orbit_of` and `cells` are `_orbit_sums`'s over `_behavior_matrix(n)`,
+    and `rows` keeps, of the cells `candidates`, the first copy of each
+    distinct row of `cells[candidates]`, in the order of `candidates`.  All
+    four are read-only.
     """
-    return np.sort(np.unique(summed, axis=0, return_index=True)[1])
+    orbit_of, cells = _orbit_sums(perms, _behavior_matrix(n))
+    rows = candidates[np.sort(np.unique(cells[candidates], axis=0, return_index=True)[1])]
+    sizes = np.bincount(orbit_of).astype(np.float64)
+    return tuple(map(_read_only, (orbit_of, sizes, cells, rows)))
 
 
 @functools.cache
@@ -771,9 +784,9 @@ def _score_programs(n: int) -> tuple[_OrbitProgram, _OrbitProgram]:
 
     The columns (u_O, v_O) cost (-t_O, t_O), t_O being the summed score of
     O's strategies.  The rows are each distinct orbit-summed behavior row E
-    once (`_distinct_rows`), as -(E u - E v) <= 0, then the budget row,
-    8|O| on v_O, and the normalization row of the orbit sizes |O|.  Both
-    programs share one `orbit_of` and one `cells`.  Raises RuntimeError if
+    once, at the cells `rows` (`_orbit_fields`), as -(E u - E v) <= 0, then
+    the budget row, 8|O| on v_O, and the normalization row of the orbit
+    sizes |O|.  Both programs share every field but `model`.  Raises RuntimeError if
     a generator from `_chain_generators` changes the score of some joint
     strategy, or (in `_relabelled`) does not permute the rows of the
     behavior matrix, since then orbit sums would not solve the same LP.
@@ -783,17 +796,16 @@ def _score_programs(n: int) -> tuple[_OrbitProgram, _OrbitProgram]:
     for perm in _chain_generators(n):
         if not np.array_equal(scores[perm], scores):
             raise RuntimeError(f"relabelling does not fix the chained score at n={n}")
-    orbit_of, cells = _orbit_sums(_chain_group(n).strategies, _behavior_matrix(n))
-    entries = -_split_form(cells[_distinct_rows(cells)])
+    orbit_of, sizes, cells, rows = _orbit_fields(n, _chain_group(n).strategies,
+                                                 np.arange(4 * n * n))
+    entries = -_split_form(cells[rows])
     totals = np.bincount(orbit_of, weights=scores)
-    sizes = np.bincount(orbit_of).astype(np.float64)
     cost = np.concatenate([-totals, totals])
     budget = np.concatenate([np.zeros_like(sizes), 8.0 * sizes])[None, :]
     normalization = _split_form(sizes[None, :])
-    orbit_of, cells = _read_only(orbit_of), _read_only(cells)
     return tuple(
-        _OrbitProgram(orbit_of, _highs_model(cost, np.concatenate(rows)), cells)
-        for rows in ([entries, normalization], [entries, budget, normalization])
+        _OrbitProgram(orbit_of, sizes, cells, rows, _highs_model(cost, np.concatenate(parts)))
+        for parts in ([entries, normalization], [entries, budget, normalization])
     )
 
 
@@ -822,50 +834,42 @@ def _solve(
 
     x = (u_O, v_O) has one column pair per orbit O, and w_O = u_O - v_O.
     So u = u_O[orbit_of] and v = v_O[orbit_of] are the halves of the signed
-    weights w = w_O[orbit_of] of all 4^n strategies.  The negative mass is
-    read from w, and the behavior B w, B = `_behavior_matrix(n)`, as
-    `program.cells @ w_O`, without B.  `primal_residual` is
-    max|B w - target| when `target` is given (`min_negativity_lp`),
+    weights w = w_O[orbit_of] of all 4^n strategies, and every figure is
+    read off the orbit vectors, weighted by the orbit sizes, without w: the
+    negative mass sum max(-w, 0) as `sizes @ max(-w_O, 0)`, sum w as
+    `sizes @ w_O`, sum v as `sizes @ v_O`, and the behavior B w,
+    B = `_behavior_matrix(n)`, as `program.cells @ w_O`.  `primal_residual`
+    is max|B w - target| when `target` is given (`min_negativity_lp`),
     otherwise (`max_score_lp`) the largest of |sum w - 1|, max(-B w) and
     8 sum v - `budget`, with the negative mass NaN for an infinite budget.
     The weights are the entries of w above 1e-12 in absolute value, in
-    strategy order, built when first read (`_StrategyWeights`).  The
-    optimal score is `score` when given, else -cost @ x.  An optimum whose
-    residual exceeds `_MAX_RESIDUAL`, or is NaN, is FAILED (see `LPResult`).
+    strategy order, expanded from w_O only when first read
+    (`_StrategyWeights`).  The optimal score is `score` when given, else
+    -cost @ x.  An optimum whose residual exceeds `_MAX_RESIDUAL`, or is
+    NaN, is FAILED (see `LPResult`).
     """
-    model, orbit_of = program.model, program.orbit_of
+    model, sizes = program.model, program.sizes
     res = linprog(model, row_lower, row_upper)
     status = _LINPROG_STATUS.get(res.status, LPStatus.FAILED)
     optimal_score, weights, negative_mass, residual = math.nan, _StrategyWeights(n), math.nan, None
     if status is LPStatus.OPTIMAL:
         k = len(model.cost) // 2
         w_orbits = res.x[:k] - res.x[k:]
-        w = w_orbits[orbit_of]
-        weights = _StrategyWeights(n, w)
-        negative_mass = float(sum((-w[w < 0]).tolist()))
+        weights = _StrategyWeights(n, w_orbits, program.orbit_of)
+        negative_mass = float(sizes @ np.maximum(-w_orbits, 0.0))
         entries = program.cells @ w_orbits
         if target is not None:
             residual = float(np.abs(entries - target).max())
         else:
-            v = res.x[k:][orbit_of]
-            residual = float(max(abs(w.sum() - 1.0), -entries.min(), 8.0 * v.sum() - budget))
+            residual = float(max(abs(sizes @ w_orbits - 1.0), -entries.min(),
+                                 8.0 * (sizes @ res.x[k:]) - budget))
             if math.isinf(budget):
                 negative_mass = math.nan
         optimal_score = float(score) if score is not None else float(-res.fun)
         if not residual <= _MAX_RESIDUAL:
             status = LPStatus.FAILED
-    return LPResult(
-        optimal_score=optimal_score,
-        weights=weights,
-        negative_mass=negative_mass,
-        status=status,
-        n_settings=n,
-        iterations=int(res.nit),
-        solver_message=str(res.message),
-        primal_residual=residual,
-        columns=len(model.cost),
-        rows=model.rows,
-    )
+    return LPResult(optimal_score, weights, negative_mass, status, n, int(res.nit),
+                    str(res.message), residual, len(model.cost), model.rows)
 
 
 def max_score_lp(n: int, negativity_budget: float = math.inf) -> LPResult:
@@ -1032,8 +1036,9 @@ def _negativity_program(n: int, stabilizer: bytes, exact_swaps: bytes | None) ->
     """Build `min_negativity_lp`'s orbit program from what its target decides.
 
     The rows are the distinct orbit sums of `_behavior_basis(n)`'s rows,
-    each once, in the order of their first copies (`_distinct_rows`), taken
-    from the orbit sums of all 4n^2 behavior rows, the program's `cells`.
+    each once, in the order of their first copies, at the cells `rows`
+    (`_orbit_fields`), taken from the orbit sums of all 4n^2 behavior rows,
+    the program's `cells`.
     `stabilizer` is the bool mask over `_chain_group(n)` of the relabellings
     that fix the target within the slack, and `exact_swaps`, given only
     when each of them fixes it exactly, the bool mask over
@@ -1052,14 +1057,11 @@ def _negativity_program(n: int, stabilizer: bytes, exact_swaps: bytes | None) ->
         smallest = perms.min(axis=0)
         if not np.array_equal((smallest[group.strategies] == smallest).all(axis=1), stabilizer):
             perms = group.strategies[:1]
-    orbit_of, cells = _orbit_sums(perms, _behavior_matrix(n))
-    rows = _behavior_basis(n).rows
-    rows = rows[_distinct_rows(cells[rows])]
-    sizes = np.bincount(orbit_of).astype(np.float64)
+    orbit_of, sizes, cells, rows = _orbit_fields(n, perms, _behavior_basis(n).rows)
     # Minimize total v.
     cost = np.concatenate([np.zeros(len(sizes)), sizes])
-    return _OrbitProgram(_read_only(orbit_of), _highs_model(cost, _split_form(cells[rows])),
-                         _read_only(cells), _read_only(rows))
+    return _OrbitProgram(orbit_of, sizes, cells, rows,
+                         _highs_model(cost, _split_form(cells[rows])))
 
 
 def _projector(angle: float, outcome: int) -> np.ndarray:
@@ -1087,7 +1089,8 @@ def quantum_behavior(state: np.ndarray, angles_A, angles_B) -> Behavior:
     `state` is a 4x4 density matrix; each party's settings are measurement
     angles (radians) of the observable cos(t) Z + sin(t) X.  The result is
     valid and no-signalling by construction (up to roundoff), at the default
-    tolerance.
+    tolerance.  An angle that is NaN or infinite is refused with ValueError
+    naming the party, the setting and the angle.
     """
     rho = np.asarray(state, dtype=complex)
     if rho.shape != (4, 4):
@@ -1103,6 +1106,10 @@ def quantum_behavior(state: np.ndarray, angles_A, angles_B) -> Behavior:
     angles_b = [float(t) for t in angles_B]
     if not angles_a or not angles_b:
         raise ValueError("each party needs at least one measurement angle")
+    for party, angles in (("Alice", angles_a), ("Bob", angles_b)):
+        for x, angle in enumerate(angles):
+            if not math.isfinite(angle):
+                raise ValueError(f"{party}'s angle {angle!r} at setting {x} is not finite")
     table: dict[tuple[int, int], tuple] = {}
     for x_a, t_a in enumerate(angles_a):
         for x_b, t_b in enumerate(angles_b):
@@ -1168,11 +1175,15 @@ def signed_sample(
     a uniform is below its + probability), so a call costs the same at any
     `shots`.  A seed fixes every count for a given numpy version.  This
     release changed every per-seed output once: earlier releases drew
-    `shots` uniforms per pair for the hidden value and per outcome.  A seed
-    that is not a non-negative integer (None included, which would draw
-    from the operating system and could not be replayed) is refused with
-    ValueError before anything is assembled.
+    `shots` uniforms per pair for the hidden value and per outcome.  A
+    `shots` that is not an integer (a bool, a float such as 2.0 or 2.5, None
+    or a string) is refused with ValueError first, and so is a seed that is
+    not a non-negative integer (None included, which would draw from the
+    operating system and could not be replayed), both before anything is
+    assembled.
     """
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise ValueError("shots must be an integer")
     if shots < 1:
         raise ValueError("shots must be at least 1")
     if shots > _MAX_SHOTS:

@@ -387,7 +387,9 @@ class TestScoreOrbits:
         models = [a for program in programs for a in program.model
                   if isinstance(a, np.ndarray)]
         for array in (*(program.orbit_of for program in programs),
-                      *(program.cells for program in programs), *models,
+                      *(program.sizes for program in programs),
+                      *(program.cells for program in programs),
+                      *(program.rows for program in programs), *models,
                       oracle._behavior_matrix(3)):
             with pytest.raises(ValueError):
                 array[0] = 1
@@ -591,6 +593,16 @@ class TestBehaviorBasis:
         # only: no combination of the basis rows gives that.
         broken = oracle._behavior_matrix(2).copy()
         broken[12] = np.eye(16)[0]
+        monkeypatch.setattr(oracle, "_behavior_matrix", lambda n: broken)
+        with pytest.raises(RuntimeError, match="row basis"):
+            oracle._behavior_basis.__wrapped__(2)
+
+    def test_guard_refuses_dependent_basis_rows(self, monkeypatch):
+        # Basis cell (0, 0, -, -) made a copy of basis cell (0, 0, +, -): the
+        # normal equations are singular, and that is refused as a basis that
+        # does not span, not passed on as numpy's LinAlgError.
+        broken = oracle._behavior_matrix(2).copy()
+        broken[0] = broken[2]
         monkeypatch.setattr(oracle, "_behavior_matrix", lambda n: broken)
         with pytest.raises(RuntimeError, match="row basis"):
             oracle._behavior_basis.__wrapped__(2)
@@ -1153,7 +1165,8 @@ def _full_rows_program(n: int) -> oracle._OrbitProgram:
     cost = np.concatenate([np.zeros(4**n), np.ones(4**n)])
     behavior_matrix = oracle._behavior_matrix(n)
     model = oracle._highs_model(cost, oracle._split_form(behavior_matrix))
-    return oracle._OrbitProgram(np.arange(4**n), model, behavior_matrix, np.arange(4 * n * n))
+    return oracle._OrbitProgram(orbit_of=np.arange(4**n), sizes=np.ones(4**n),
+                                cells=behavior_matrix, rows=np.arange(4 * n * n), model=model)
 
 
 def _full_rows_lp(target: Behavior):
@@ -1531,6 +1544,27 @@ class TestPreparedModels:
         assert _dense(finite)[finite.rows - 2].tolist() == [0.0] * (len(finite.cost) // 2) + [
             8.0 * size for size in np.bincount(oracle._score_programs(n)[1].orbit_of).tolist()]
 
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_model_rows_map_to_the_kept_cells(self, n, monkeypatch):
+        # Row i of each model, the entry rows first, is the orbit-summed row
+        # of cell `rows[i]`, the first copy of each distinct one among all
+        # cells for `max_score_lp`, as -E and followed by its budget and
+        # normalization rows, and among the basis rows for
+        # `min_negativity_lp`, as E.
+        solves = _record_solves(monkeypatch)
+        max_score_lp(n)
+        max_score_lp(n, 1.0)
+        min_negativity_lp(assemble_behavior(chained_saturating_model(n, 1.0)))
+        every_cell, basis = np.arange(4 * n * n), oracle._behavior_basis(n).rows
+        cases = [(-1.0, every_cell, 1), (-1.0, every_cell, 2), (1.0, basis, 0)]
+        assert len(solves) == len(cases)
+        for (_, program, _, _, _), (sign, candidates, more) in zip(solves, cases):
+            kept = oracle._split_form(program.cells[program.rows])
+            assert np.array_equal(_dense(program.model)[:len(program.rows)], sign * kept)
+            assert program.model.rows == len(program.rows) + more
+            _, first = np.unique(program.cells[candidates], axis=0, return_index=True)
+            assert program.rows.tolist() == sorted(candidates[first].tolist())
+
 
 def _record_solves(monkeypatch) -> list:
     """Record every `oracle._solve` call as (n, program, keywords, HiGHS's x, result)."""
@@ -1553,7 +1587,7 @@ def _hex_items(weights) -> list:
 
 
 class TestReadout:
-    """`_solve` reads its answer off HiGHS's x as a plain recomputation from that x does."""
+    """`_solve` reads its answer off HiGHS's x, weighted by the orbit sizes, as a plain recomputation does."""
 
     @pytest.mark.parametrize("solve", _DIRECT_CASES)
     def test_matches_a_plain_recomputation(self, solve, monkeypatch):
@@ -1565,12 +1599,20 @@ class TestReadout:
             assert math.isnan(result.negative_mass)
             return
         k = len(x) // 2
-        w_orbits = x[:k] - x[k:]
-        u, v = x[:k][program.orbit_of], x[k:][program.orbit_of]
+        w_orbits, v_orbits = x[:k] - x[k:], x[k:]
+        u, v = x[:k][program.orbit_of], v_orbits[program.orbit_of]
         w = u - v
         joint = _joint(n)
         weights = {joint[j]: float(w[j]) for j in np.flatnonzero(np.abs(w) > 1e-12)}
         assert _hex_items(result.weights) == _hex_items(weights)
+        # Mass, sum w and sum v are orbit-size dot products, within 1e-15 of
+        # the dense sums over all 4^n strategies.
+        sizes = program.sizes
+        assert np.array_equal(sizes, np.bincount(program.orbit_of))
+        mass = float(sizes @ np.maximum(-w_orbits, 0.0))
+        total, negative = sizes @ w_orbits, sizes @ v_orbits
+        assert abs(mass - sum(-weight for weight in w.tolist() if weight < 0)) <= 1e-15
+        assert abs(total - w.sum()) <= 1e-15 and abs(negative - v.sum()) <= 1e-15
         # The behavior of the orbit solution, B w, through the orbit-summed rows.
         entries = program.cells @ w_orbits
         target, budget = kwargs.get("target"), kwargs.get("budget", math.inf)
@@ -1578,11 +1620,11 @@ class TestReadout:
             assert result.primal_residual == float(np.abs(entries - target).max())
         else:
             assert result.primal_residual == float(
-                max(abs(w.sum() - 1.0), -entries.min(), 8.0 * v.sum() - budget))
+                max(abs(total - 1.0), -entries.min(), 8.0 * negative - budget))
         if target is None and math.isinf(budget):
             assert math.isnan(result.negative_mass)
         else:
-            assert result.negative_mass == sum(-weight for weight in w.tolist() if weight < 0)
+            assert result.negative_mass == mass
 
     def test_grid_programs_and_residuals(self, monkeypatch):
         # Every solve of `scripts/lp_grid_digest.py`'s 72-LP grid, programs
@@ -1637,6 +1679,24 @@ class TestReadout:
         assert sorted(results[1].weights.items()) == sorted(results[1].weights.items())
         assert reads == [5]
 
+    def test_both_lps_answer_without_expanding_the_weights(self, monkeypatch):
+        # Status, score, mass and residual come off the orbit solution: a
+        # result whose weights are never read expands nothing to 4^n.
+        def fail(n):
+            raise AssertionError("the weights were expanded")
+
+        monkeypatch.setattr(oracle, "_joint_strategies", fail)
+        score = max_score_lp(5, 0.5)
+        family = min_negativity_lp(assemble_behavior(chained_saturating_model(5, 2.0)))
+        for result, optimum, mass in ((score, 9.0, 0.0625), (family, 10.0, 0.5)):
+            assert result.status is LPStatus.OPTIMAL
+            assert result.optimal_score == pytest.approx(optimum, abs=1e-9)
+            assert result.negative_mass == pytest.approx(mass, abs=1e-9)
+            assert result.primal_residual <= 1e-9
+            assert result.weights._w_orbits.shape == (result.columns // 2,)
+            with pytest.raises(AssertionError, match="expanded"):
+                len(result.weights)
+
     def test_weights_are_read_only_and_print_as_a_dict(self):
         result = max_score_lp(3, 1.0)
         weights = result.weights
@@ -1667,7 +1727,7 @@ class TestNegativityProgramCache:
         assert oracle._negativity_program(*key) is program
         model = [a for a in program.model if isinstance(a, np.ndarray)]
         assert len(model) == 7
-        for array in (program.rows, program.orbit_of, program.cells, *model):
+        for array in (program.rows, program.orbit_of, program.sizes, program.cells, *model):
             with pytest.raises(ValueError):
                 array[0] = 1
 
@@ -1699,12 +1759,14 @@ def _full_rows_only(monkeypatch) -> None:
 
     That is the full-row reference the merged programs answer as.
     `_score_programs` caches what it builds, so it is built first, with the
-    real `_distinct_rows`.
+    real `_orbit_fields`.
     """
     for n in range(2, 6):
         oracle._score_programs(n)
     _build_every_program(monkeypatch)
-    monkeypatch.setattr(oracle, "_distinct_rows", lambda summed: np.arange(len(summed)))
+    orbit_fields = oracle._orbit_fields
+    monkeypatch.setattr(oracle, "_orbit_fields", lambda n, perms, candidates: (
+        *orbit_fields(n, perms, candidates)[:3], candidates))
 
 
 def _mixture(first: Behavior, second: Behavior, weight: float) -> Behavior:
@@ -1718,9 +1780,13 @@ def _mixture(first: Behavior, second: Behavior, weight: float) -> Behavior:
 class TestDistinctRows:
     """A no-signalling target's copied orbit-summed rows merge, bounded by the first copy's entry."""
 
-    def test_kept_rows_are_first_copies(self):
+    def test_kept_rows_are_first_copies(self, monkeypatch):
         summed = np.array([[1.0, 2.0], [0.0, 1.0], [1.0, 2.0], [3.0, 0.0], [0.0, 1.0]])
-        assert oracle._distinct_rows(summed).tolist() == [0, 1, 3]
+        monkeypatch.setattr(oracle, "_orbit_sums", lambda perms, matrix: (np.arange(2), summed))
+        rows = oracle._orbit_fields(2, None, np.arange(5))[3]
+        assert rows.tolist() == [0, 1, 3]
+        # Kept as cells of `candidates`, in their order.
+        assert oracle._orbit_fields(2, None, np.array([1, 2, 3, 4]))[3].tolist() == [1, 2, 3]
 
     def test_grid_answers_as_on_the_full_rows(self, monkeypatch):
         # Every min-negativity LP of `scripts/lp_grid_digest.py`'s grid at n <= 5.

@@ -113,6 +113,19 @@ def test_cli_refusals(capsys, argv, message):
                    "seed must be a non-negative integer", id=f"seed-{name}")
       for name, seed in [("none", None), ("true", True), ("float", 1.5), ("whole-float", 2.0),
                          ("string", "3"), ("negative", -1), ("numpy-negative", np.int64(-1))]),
+    # A float count was drawn rounded down but divided by as given; True drew one shot.
+    *(pytest.param(lambda shots=shots: signed_sample(chsh_saturating_model(1), shots, 0),
+                   "shots must be an integer", id=f"shots-{name}")
+      for name, shots in [("float", 2.5), ("whole-float", 2.0), ("true", True), ("none", None),
+                          ("string", "10")]),
+    pytest.param(lambda: signed_sample(chsh_saturating_model(1), 2.5, None),
+                 "shots must be an integer", id="shots-before-seed"),
+    *(pytest.param(lambda a=a, b=b: quantum_behavior(singlet_state(), a, b), message,
+                   id=f"angle-{party}-{value}")
+      for value in (math.nan, math.inf, -math.inf)
+      for party, a, b, message in [
+          ("alice", [0.0, value], [0.0], f"Alice's angle {value!r} at setting 1 is not finite"),
+          ("bob", [0.0], [value], f"Bob's angle {value!r} at setting 0 is not finite")]),
 ])
 def test_oracle_refusals(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -52,7 +52,7 @@ def test_lp_grid_digest(monkeypatch, capsys):
     assert "36 LPs, 2 orders" in out
     assert out.splitlines()[-2:] == [
         "HiGHS rows 149, columns 566",
-        "digest 4e3ad8c2ab2084945ce2d02b8c7d5a68f273a322b01c1b44b7b2a5b3a144ec8a",
+        "digest 966bffc86464eca9c57e447d1ab200eb05cfaf15d2471b74c47237742c974f24",
     ]
 
 
@@ -63,7 +63,7 @@ def test_lp_grid_digest_up_to_n5(monkeypatch, capsys):
     assert "72 LPs, 1 orders" in out
     assert out.splitlines()[-2:] == [
         "HiGHS rows 404, columns 5714",
-        "digest e5efff528c0fa6c58914685ae0eab160feb01c07fd2e9367aa93716595f77e5d",
+        "digest 47060cfa1e6a79244d67ccdede28387534c09d7be4860d55d51739758d48051d",
     ]
 
 
@@ -89,11 +89,11 @@ def test_lp_grid_digest_dump(monkeypatch, capsys, tmp_path):
     assert family["name"] == "family n=2 N=0.5"
     assert (family["result"]["status"], family["result"]["rows"]) == ("OPTIMAL", 8)
     assert sum(w for _, w in family["weights"] if w < 0) == pytest.approx(-0.125, abs=1e-9)
-    # The `max_score_lp` lines, pinned byte for byte: merging repeated
-    # min-negativity rows left them as they were.
+    # The `max_score_lp` lines, pinned byte for byte, masses and residuals
+    # as read off the orbit solution.
     scores = "".join(line + "\n" for line in lines if line.startswith('{"name": "score '))
     assert hashlib.sha256(scores.encode()).hexdigest() == (
-        "9a281f5f354cc28cb5c2d97c479319e5d6dacc182b6a51391799f4289a9d0a49"
+        "3b708802d4bb132981ceb376457f023adbd187e785e19602555d0b6bc11378af"
     )
     # The dump does not change the digest.
     assert run_script(monkeypatch, "lp_grid_digest.py", "--max-n", "3", "--order", "1") == 0
@@ -102,7 +102,8 @@ def test_lp_grid_digest_dump(monkeypatch, capsys, tmp_path):
 
 def test_lp_grid_digest_compare(monkeypatch, capsys, tmp_path):
     # `--compare OLD` prints each LP whose dump line differs from OLD's, with
-    # the fields that differ, counts them and exits 0.
+    # the fields that differ, counts them, ends with the largest |delta| of
+    # each numeric field that moved, and exits 0.
     path = tmp_path / "grid.jsonl"
     assert run_script(monkeypatch, "lp_grid_digest.py", "--max-n", "2", "--dump", str(path)) == 0
     digest = capsys.readouterr().out.splitlines()[-1]
@@ -123,12 +124,13 @@ def test_lp_grid_digest_compare(monkeypatch, capsys, tmp_path):
     residual = json.loads(json.dumps(max_score_lp(2, 0.0).to_json_dict()))["primal_residual"]
     assert run_script(monkeypatch, "lp_grid_digest.py", *compare) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[:4] == [
+    assert out[:5] == [
         "score n=2 B=0.0: not in OLD",
         f"family n=2 N=0.5: weights ({len(family['weights'])} -> "
         f"{len(family['weights']) + 1} entries)",
         "gone: only in OLD",
         f"3 of 18 LPs differ from {path}",
+        "order 0: " + digest.split()[-1],
     ]
     assert out[-1] == digest
 
@@ -138,6 +140,30 @@ def test_lp_grid_digest_compare(monkeypatch, capsys, tmp_path):
     iterations = first["result"]["iterations"]
     assert out[0] == (f"score n=2 B=0.0: iterations {iterations} -> {iterations - 1}; "
                       f"primal_residual 0.5 -> {residual!r}")
+    # The 17 LPs not in OLD move no field.
+    assert out[18:22] == [
+        f"18 of 18 LPs differ from {path}",
+        "iterations moved on 1 LPs, largest |delta| 1",
+        f"primal_residual moved on 1 LPs, largest |delta| {abs(residual - 0.5)!r}",
+        "order 0: " + digest.split()[-1],
+    ]
+
+    # Over the grid the largest |delta| is taken; a field that moved to or
+    # from null, such as the mass here, and a string field have none.
+    first["result"]["iterations"] -= 4
+    second = entries[1]
+    second["result"]["iterations"] += 2
+    second["result"]["negative_mass"] = None
+    second["result"]["status"] = "FAILED"
+    path.write_text("".join(json.dumps(entry) + "\n" for entry in entries[:-1]))
+    assert run_script(monkeypatch, "lp_grid_digest.py", *compare) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[3:7] == [
+        f"3 of 18 LPs differ from {path}",
+        "iterations moved on 2 LPs, largest |delta| 3",
+        f"primal_residual moved on 1 LPs, largest |delta| {abs(residual - 0.5)!r}",
+        "order 0: " + digest.split()[-1],
+    ]
 
 
 def test_model_grid_digest(monkeypatch, capsys):
