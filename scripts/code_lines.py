@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Count each Python module's code lines: lines that hold a code token outside docstrings.
+"""Count each Python module's code lines and docstring lines.
 
-A token is anything `tokenize` yields except comments, line breaks,
-indentation and the encoding and end markers.  A docstring is the string
-that opens a module, class or function body (`ast.get_docstring`'s), and
-its tokens do not count.  A token that spans several lines, such as a
-triple-quoted string that is not a docstring, makes each of them a code
-line.  Prints one line per module, then the total.
+A code line holds a code token outside docstrings.  A token is anything
+`tokenize` yields except comments, line breaks, indentation and the
+encoding and end markers.  A docstring is the string that opens a module,
+class or function body (`ast.get_docstring`'s); its lines are the
+docstring lines, and its tokens are no code.  A token that spans several
+lines, such as a triple-quoted string that is not a docstring, makes each
+of them a code line.  Prints one line per module, its code lines, its
+docstring lines and its path, then a line of both totals.
 
     python scripts/code_lines.py src/quasibell
     python scripts/code_lines.py src/quasibell/oracle.py scripts
@@ -38,18 +40,20 @@ def _docstring_starts(tree: ast.AST) -> set[tuple[int, int]]:
     return starts
 
 
-def code_lines(path: Path) -> int:
-    """How many lines of the Python file `path` hold a code token outside docstrings."""
+def code_lines(path: Path) -> tuple[int, int]:
+    """How many lines of the Python file `path` hold a code token, and how many a docstring."""
     source = path.read_bytes()
     docstrings = _docstring_starts(ast.parse(source))
-    lines = set()
+    code, docs = set(), set()
     for token in tokenize.tokenize(io.BytesIO(source).readline):
         if token.type in _NOT_CODE:
             continue
+        lines = range(token.start[0], token.end[0] + 1)
         if token.type == tokenize.STRING and token.start in docstrings:
-            continue
-        lines.update(range(token.start[0], token.end[0] + 1))
-    return len(lines)
+            docs.update(lines)
+        else:
+            code.update(lines)
+    return len(code), len(docs)
 
 
 def modules(paths: list[str]) -> list[Path]:
@@ -65,12 +69,13 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("paths", nargs="+", help="Python files and directories of them")
     args = parser.parse_args()
-    total = 0
+    total_code = total_docs = 0
     for path in modules(args.paths):
-        count = code_lines(path)
-        total += count
-        print(f"{count:6d}  {path}")
-    print(f"{total:6d}  total")
+        code, docs = code_lines(path)
+        total_code += code
+        total_docs += docs
+        print(f"{code:6d}  {docs:6d}  {path}")
+    print(f"{total_code:6d}  {total_docs:6d}  total")
     return 0
 
 

@@ -1,10 +1,9 @@
 """Bell-experiment models whose hidden variable carries signed weights.
 
-Builds two-party models mixed by normalized but possibly negative weight
-tables, computes negativity witnesses and the witness-augmented Bell bounds
-they enter, constructs the saturating model families, and cross-checks
-everything against brute-force enumeration, linear programming, a two-qubit
-reference generator, and sign-weighted sampling.
+Builds two-party models mixed by signed weight tables, their negativity
+witnesses and witness-augmented Bell bounds, and the saturating families,
+and checks them against enumeration, LPs, a two-qubit generator and
+sign-weighted sampling.
 """
 
 from .core import (
@@ -73,12 +72,8 @@ _ORACLE_NAMES = frozenset({
 
 
 def __getattr__(name: str):
-    """Serve the oracle names, importing `oracle` (numpy) on first use.
-
-    The name is looked up in `oracle` on every access rather than cached here,
-    so a caller that replaces an attribute of `quasibell.oracle` is seen
-    through the package too.
-    """
+    """Serve the oracle names, importing `oracle` (numpy) on first use; looked up on every
+    access, so a replaced `quasibell.oracle` attribute shows."""
     if name in _ORACLE_NAMES:
         from . import oracle
 

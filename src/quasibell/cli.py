@@ -1,15 +1,11 @@
 """Command-line front end: build, verify, saturate, export, sample, oracle.
 
-Every chain length, n=2 included, is scored and witnessed as a chain; the
-2-setting witness is the first chain link (x=1).
-
-Exit codes: 0 success, 1 a checked property failed (a bound violation, an
-invalid behavior where validity is required, or an `oracle lp` or `oracle
-min-neg` LP that is not OPTIMAL, such as the infeasible LP of a signalling
-behavior or a FAILED solve), 2 usage or input errors, 141 stdout closed by
-its reader.  All randomness is seeded;
-identical invocations produce identical bytes on stdout.  The default
-tolerance (1e-9) can be overridden per run with --tolerance.
+Every chain length, n=2 included, is scored and witnessed as a chain.  Exit
+codes: 0 success; 1 a checked property failed (a bound violation, an
+invalid behavior where validity is required, or an `oracle` LP that is not
+OPTIMAL); 2 usage or input errors; 141 stdout closed by its reader.  Runs
+are seeded, so identical invocations write identical stdout.  --tolerance
+overrides the default 1e-9.
 """
 
 from __future__ import annotations
@@ -70,7 +66,8 @@ def _pretty_table(behavior) -> str:
 
 
 def _parse_negativity(text: str):
-    """Accept decimals and fractions like 1/2; fraction input keeps exact form."""
+    """Parse a decimal as a float, or a fraction such as 1/2 as a `Fraction`, which only makes
+    the [0, 2] check exact: `build` and `saturate` build the family in floats."""
     try:
         if "/" in text:
             return Fraction(text)
@@ -257,11 +254,9 @@ def _cmd_min_neg(args, tol: float) -> int:
 def _attach_dash_values(argv: list[str]) -> list[str]:
     """Write each `--option -value` as `--option=-value`.
 
-    argparse takes a token that starts with "-" for an option unless it is a
-    plain negative number, so `--budget -inf` or `--negativity -1/2` would
-    never reach the option's own parser.  No option here is spelled with one
-    dash but -h, so such a token right after a long option is its value.
-    """
+    argparse takes a token starting with "-" for an option unless it is a negative number,
+    so `--budget -inf` would not reach its parser.  Only -h has one dash here, so such a
+    token after a long option is its value."""
     joined: list[str] = []
     for token in argv:
         option = joined[-1] if joined else ""
@@ -297,12 +292,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    """Run `main`; a reader that closes stdout early ends the run quietly.
-
-    On a closed pipe stdout is pointed at the null device, so the flush at
-    interpreter exit cannot raise again, and the exit code is the shell's
-    128 + SIGPIPE, never 1 ("bound violated").
-    """
+    """Run `main`; a reader that closes stdout early ends the run quietly, stdout pointed at the
+    null device so the exit flush cannot raise again, with exit code 128 + SIGPIPE, never 1."""
     try:
         code = main()
         sys.stdout.flush()

@@ -1,26 +1,13 @@
 """Explicit saturating model families for the witness-augmented Bell bounds.
 
-The n-setting family mixes four deterministic symbol strategies with weights
-(4+N)/12 on the three strategies scoring 2n-2 and -N/4 on the one scoring
-2n-6, where N in [0, 2] is the negativity budget.  It reaches score 2n-2+N
-with chained witness exactly N.  Its first chain link, n=2, is the
-2-setting (CHSH) family: strategy scores +2 and -2, model score 2+N.
-Budgets above 2 stop producing valid behaviors, which is why 2 is also the
-no-signalling ceiling for these families.
-
-Build with `exact=True` to get `fractions.Fraction` weights over int 0/1
-response entries; the assembled behavior is then exact (every entry a
-`Fraction`, all of them twelfths).  The weights are the only non-integer
-numbers of a family: its hidden variables are deterministic strategies.
-
-Deterministic rows are shared constants: every response table entry is one
-of four module-level tuples, (0.0, 1.0) and (1.0, 0.0) for float families
-and (0, 1) and (1, 0) for exact ones.  Rows and their entries are
-immutable, so sharing them is safe, and settings that answer alike share
-row objects.  The whole check path uses that to do each distinct row's
-arithmetic once: mixing and validation in `core`, the chained score, the
-witness links and `mixture_score`.  At n = 12 the family's 144 behavior
-rows are four objects.
+The n-setting family mixes four deterministic symbol strategies, weights
+(4+N)/12 on the three scoring 2n-2 and -N/4 on the one scoring 2n-6, for a
+budget N in [0, 2]: score 2n-2+N with chained witness exactly N.  Its n=2
+link is the CHSH family.  Budgets above 2 give invalid behaviors, so 2 is
+also the no-signalling ceiling.  With `exact=True` the weights are
+`Fraction`s over int 0/1 responses, and every behavior entry is an exact
+twelfth.  Response rows are four shared immutable tuples, so settings that
+answer alike share row objects, whose arithmetic the check path does once.
 """
 
 from __future__ import annotations
@@ -63,10 +50,8 @@ class SymbolStrategy:
         return tuple(_SIGN_VALUE[s] for s in self.symbols_B)
 
 
-#: The deterministic rows, keyed by (answers +1, exact).  Exact rows hold the
-#: ints 0 and 1: only a product with a `Fraction` weight is a `Fraction`, so
-#: every cell, score and witness stays exact while the arithmetic on the
-#: entries themselves is int arithmetic.
+#: The deterministic rows by (answers +1, exact).  Exact rows hold ints, so
+#: only products with a `Fraction` weight are `Fraction`s.
 _DETERMINISTIC_ROWS = {
     (True, False): (0.0, 1.0),
     (False, False): (1.0, 0.0),
@@ -99,11 +84,8 @@ def model_from_strategies(strategies: dict[Label, SymbolStrategy], weights: dict
 
 
 def saturating_strategies(n: int) -> dict[Label, SymbolStrategy]:
-    """The four deterministic strategies of the n-setting saturating family.
-
-    Labels "1".."3" score 2n-2 on the chained combination and carry positive
-    weight; label "4" scores 2n-6 and carries the negative weight.
-    """
+    """The n-setting family's strategies: "1".."3" score 2n-2 and carry positive weight, and
+    "4" scores 2n-6 and carries the negative weight."""
     if n < 2:
         raise ValueError("the saturating family needs n >= 2")
     if n > _MAX_SETTINGS:
@@ -121,8 +103,15 @@ def saturating_strategies(n: int) -> dict[Label, SymbolStrategy]:
 
 
 def saturating_weights(negativity, exact: bool = False) -> dict:
-    """Weights (4+N)/12 on labels "1".."3" and -N/4 on "4"; sums to 1 for any N."""
-    n_val = Fraction(negativity) if exact else float(negativity)
+    """Weights (4+N)/12 on labels "1".."3" and -N/4 on "4", summing to 1: `Fraction`s with
+    `exact`, else floats, a budget beyond float range then raising ValueError."""
+    if exact:
+        n_val = Fraction(negativity)
+    else:
+        try:
+            n_val = float(negativity)
+        except OverflowError:
+            raise ValueError("the negativity budget is beyond float range") from None
     positive = (4 + n_val) / 12
     negative = -n_val / 4
     return {"1": positive, "2": positive, "3": positive, "4": negative}
@@ -131,12 +120,8 @@ def saturating_weights(negativity, exact: bool = False) -> dict:
 def chained_saturating_model(
     n: int, negativity, exact: bool = False, force: bool = False
 ) -> Model:
-    """Four-strategy diagonal model saturating the n-setting bound at budget N.
-
-    Requires 0 <= N <= 2 (the validity ceiling) unless `force` is set, which
-    builds the out-of-range model for boundary exploration; its behavior will
-    fail `validate_behavior` for N > 2.
-    """
+    """Four-strategy diagonal model saturating the n-setting bound at budget N.  A budget
+    outside [0, 2], the validity ceiling, raises ValueError unless `force` builds it anyway."""
     if n < 2:
         raise ValueError("the saturating family needs n >= 2")
     if not force and not 0 <= negativity <= 2:

@@ -1,39 +1,22 @@
 """Core types for two-party Bell experiments with signed hidden-variable mixtures.
 
-A model consists of one local response table per party and a normalized,
-possibly signed, weight table over joint hidden-variable values.  Mixing the
-per-value response tables with those weights yields the observable behavior
-P(y_A, y_B | x_A, x_B).  Weights may be negative; the behavior is then not
-guaranteed to be a valid probability table, which is why validity is a check
-(`validate_behavior`) rather than a construction-time requirement.
+A model is one local response table per party and a normalized, possibly
+signed, weight table over joint hidden-variable values; mixing them gives
+the behavior P(y_A, y_B | x_A, x_B).  Negative weights may give entries
+outside [0, 1], so validity is a check (`validate_behavior`), not a
+construction-time requirement.  Outcomes are y in {-1, +1}, index 0 for -1,
+so four-outcome rows are ordered (--, -+, +-, ++).
 
-All arithmetic is duck-typed: tables built from `float` entries stay in float,
-tables built from `fractions.Fraction` entries stay exact.  A weight table
-holds one of the two: `QuasiDist` refuses weights that mix `float` and
-`Fraction` (ints go with either), since the mixed sums' types and float
-rounding would depend on the order of the points.  Outcomes are
-y in {-1, +1}; index 0 maps to -1 and index 1 to +1, so four-outcome rows are
-ordered (--, -+, +-, ++).
-
-Four habits keep the exact path cheap without a second code path.  Mixing
-skips every product whose Alice or Bob factor is zero (each deterministic
-row has one), which cannot change a sum's value, type or float bits.  Range
-and normalization checks test the exact condition (`0 <= p <= 1`,
-`total == 1`) first and compare against the float tolerance only when it
-fails, so exact entries are rarely converted to compare with a float.
-Shared row objects are mixed and checked once: settings whose rows are the
-same objects at every support point share one mixed cell, and every check
-skips a row that is the same object as any row before it.  Identity, not
-value equality, decides this, so a shared cell is computed from the same
-operands in the same order as each of its copies would have been, and a
-skipped row's figures are those of its first occurrence.  Each model's
-cells are mixed once and its default-tolerance behavior is built once:
-`assemble_behavior` at the default tolerance, and every check that
-assembles the behavior itself, gets that one `Behavior`, and any other
-tolerance gets a new one over the same cells.  Sharing it is safe because
-`LocalResponse`, `QuasiDist` and `Behavior` are values: each keeps a
-read-only copy of the table it was given, so no table changes after it
-was checked.
+Arithmetic is duck-typed: float tables stay float and `Fraction` tables stay
+exact; `QuasiDist` refuses weights that mix the two, since the sums' types
+and rounding would then depend on the order of the points.  The exact path
+stays cheap without a second code path: mixing skips products with a zero
+factor, which changes no sum's value, type or float bits; range checks test
+the exact condition before the tolerance; and row objects shared by identity
+are mixed and checked once, with their first occurrence's figures.
+`LocalResponse`, `QuasiDist` and `Behavior` keep read-only copies of their
+tables, so a model's cells and default-tolerance behavior are computed once
+and shared safely.
 """
 
 from __future__ import annotations
@@ -48,10 +31,8 @@ from typing import Hashable, Mapping
 
 DEFAULT_TOLERANCE = 1e-9
 
-#: Most settings a party may have.  A behavior has one row per setting pair,
-#: so its table grows as the square: `saturate --n 1000` took 18 s and
-#: peaked at 0.92 GB RSS on a 2-core machine, and a few thousand settings
-#: would exhaust memory.
+#: Most settings a party may have: a behavior has a row per setting pair, so
+#: its table grows as n^2, and a few thousand settings would exhaust memory.
 _MAX_SETTINGS = 1000
 
 #: Outcome values in row order: index 0 <-> -1, index 1 <-> +1.
@@ -92,12 +73,8 @@ def _check_prob_row(row, tol: float, party: str, key) -> None:
 
 @dataclass(frozen=True)
 class LocalResponse:
-    """Per-hidden-value conditional outcome tables for one party.
-
-    `table` maps (setting, hidden value) to a probability row, a tuple
-    (P(y=-1), P(y=+1)).  Every setting in range(n_settings) must be paired
-    with every hidden value.  The table is kept as a read-only copy.
-    """
+    """One party's outcome rows, a read-only copy: `table` maps every (setting, hidden value)
+    in range(n_settings) x `hidden_values` to a tuple (P(y=-1), P(y=+1))."""
 
     party: str
     n_settings: int
@@ -144,10 +121,7 @@ class LocalResponse:
 
 
 def local_expectation(response: LocalResponse, x: int, lam: Label):
-    """Expectation of the +-1 outcome at setting `x` in the local scenario `lam`.
-
-    Returns sum_y y * P(y | x, lam), always in [-1, 1].
-    """
+    """Expectation sum_y y P(y | x, lam) of the +-1 outcome at setting `x`, in [-1, 1]."""
     p_minus, p_plus = response.row(x, lam)
     return p_plus - p_minus
 
@@ -164,13 +138,10 @@ def _refuse_mixed_arithmetic(kinds: set[type]) -> None:
 
 @dataclass(frozen=True)
 class QuasiDist:
-    """Signed, normalized weight table over joint hidden-variable points.
+    """Signed weights summing to 1 over joint hidden-variable points, kept read-only.
 
-    Weights must sum to 1 but may be negative, and must not mix `float`
-    and `Fraction` (StructureError names both types; ints go with either).
-    Single-hidden-variable models are represented with a diagonal support
-    (lam, lam); see `diagonal`.  The weights are kept as a read-only copy.
-    """
+    They must not mix `float` and `Fraction` (ints go with either; StructureError names
+    both types).  A single hidden variable is the diagonal support (lam, lam) (`diagonal`)."""
 
     support: tuple[Point, ...]
     weights: Mapping[Point, object]
@@ -212,11 +183,8 @@ class QuasiDist:
 class Model:
     """Two local response tables mixed by a signed weight table.
 
-    A model is a value: its response tables and weights are read-only, so
-    the mixed cells and the default-tolerance behavior over them are kept
-    on the model the first time they are needed.  To change a model, build
-    a new one, for example with `dataclasses.replace`.
-    """
+    A model is a value, so its mixed cells and default-tolerance behavior are kept on it
+    when first needed; to change one, build a new one, e.g. with `dataclasses.replace`."""
 
     response_A: LocalResponse
     response_B: LocalResponse
@@ -243,25 +211,18 @@ class Model:
 
     @cached_property
     def _behavior(self) -> Behavior:
-        """The model's behavior at the default tolerance; not a field.
-
-        `assemble_behavior(model)` returns it, and the checks that assemble
-        the behavior themselves read it.  A refusal is not kept: each use
-        raises again.
-        """
+        """The default-tolerance behavior `assemble_behavior(model)` returns; not a field.
+        A refusal is not kept: each use raises again."""
         return Behavior(self.response_A.n_settings, self.response_B.n_settings, self._cells)
 
 
 @dataclass(frozen=True)
 class Behavior:
-    """Observable table P(y_A, y_B | x_A, x_B), rows ordered (--, -+, +-, ++).
+    """Observable table P(y_A, y_B | x_A, x_B), rows ordered (--, -+, +-, ++), read-only.
 
-    Rows are tuples and must be normalized within `tolerance`, which must be
-    non-negative and finite, so no entry is NaN or infinite; entry positivity
-    is checked separately by `validate_behavior` because signed mixtures can
-    produce normalized rows with entries outside [0, 1].  The table is kept
-    as a read-only copy.
-    """
+    Rows are tuples normalized within `tolerance`, which must be non-negative and finite, so
+    no entry is NaN or infinite.  Entries outside [0, 1] are allowed: signed mixtures
+    produce them, and `validate_behavior` reports them."""
 
     n_settings_A: int
     n_settings_B: int
@@ -274,8 +235,7 @@ class Behavior:
         _check_tolerance(self.tolerance)
         table = dict(self.table)
         object.__setattr__(self, "table", MappingProxyType(table))
-        # As many keys as setting pairs, and every pair a key: the key set is
-        # exactly the pairs, checked without building either set.
+        # As many keys as pairs, and each pair a key: the keys are the pairs.
         n_a, n_b = self.n_settings_A, self.n_settings_B
         if len(table) != n_a * n_b or not all(
             map(table.__contains__, product(range(n_a), range(n_b)))
@@ -304,11 +264,7 @@ class Behavior:
         ]
 
     def to_json_dict(self) -> dict:
-        """Rows as float lists keyed "x_a,x_b", in setting-pair order.
-
-        An entry no float holds, such as a `Fraction` beyond float range,
-        raises ValueError naming its setting pair.
-        """
+        """Rows as float lists keyed "x_a,x_b"; ValueError names a pair beyond float range."""
         return {f"{xa},{xb}": _floats(self.table[(xa, xb)], (xa, xb))
                 for xa, xb in self.setting_pairs()}
 
@@ -330,11 +286,7 @@ class ValidityReport:
     no_signalling_violation: object
 
     def to_json_dict(self) -> dict:
-        """The report with float figures.
-
-        A worst entry beyond float range raises ValueError naming its setting
-        pair, and a no-signalling figure beyond it ValueError too.
-        """
+        """The report with float figures; ValueError if one is beyond float range."""
         (pair, outcomes, value) = self.worst_entry
         (value,) = _floats([value], pair)
         try:
@@ -367,12 +319,8 @@ def _first_occurrences(items):
 
 
 def _setting_reps(points: list, side: int) -> list[int] | None:
-    """Each setting's first equivalent setting, or None when all differ.
-
-    `side` picks Alice's (1) or Bob's (2) rows from each `points` entry.
-    Two settings are equivalent when their rows are the same objects at
-    every support point.
-    """
+    """Each setting's first equivalent setting, or None when all differ: settings whose
+    rows, Alice's (`side` 1) or Bob's (2), are the same objects at every point."""
     # The rows stay alive in `points`, so their ids are not reused here.
     n_settings = len(points[0][side])
     reps: list[int] = []
@@ -383,13 +331,10 @@ def _setting_reps(points: list, side: int) -> list[int] | None:
 
 
 def assemble_behavior(model: Model, tolerance: float = DEFAULT_TOLERANCE) -> Behavior:
-    """Mix the per-hidden-value response tables into the observable behavior.
+    """The model's behavior over its cells, mixed once (`_mix`), at `tolerance`.
 
-    The cells are mixed once per model (see `_mix`) and kept on it.  At the
-    default tolerance every call returns the model's one behavior over them
-    (`Model._behavior`); any other `tolerance` gets a new `Behavior` over
-    the same row tuples, with row normalization checked at that tolerance.
-    """
+    At the default tolerance every call returns the model's one behavior (`Model._behavior`);
+    any other gets a new `Behavior` over the same rows, normalized at that tolerance."""
     if tolerance == DEFAULT_TOLERANCE:
         return model._behavior
     return Behavior(
@@ -400,22 +345,13 @@ def assemble_behavior(model: Model, tolerance: float = DEFAULT_TOLERANCE) -> Beh
 def _mix(model: Model) -> dict[tuple[int, int], tuple]:
     """The behavior table of `model`: one row of four cells per setting pair.
 
-    Entry (y_A, y_B | x_A, x_B) sums P_A(y_A | x_A, lam_A) *
-    P_B(y_B | x_B, lam_B) * weight over the support points.  Rows are
-    normalized automatically regardless of weight signs; entries may still
-    fall outside [0, 1], which `validate_behavior` reports.
-
-    A product with a zero Alice or Bob factor is skipped: it is a zero, and
-    adding a zero changes neither the value nor the float bits of a sum that
-    starts at +0.0.  Each sum starts at the zero of the first support point's
-    arithmetic (`0 + a * b * w * 0`), so a cell whose products are all
-    skipped has the type the full sum would have had.  This holds whenever
-    every product shares that arithmetic, as in every model this package
-    builds or reads.
-
-    Settings whose rows are the same objects at every support point give
-    the same cell from the same operands, so the cell is mixed once for the
-    first of them and every equivalent setting pair refers to that row.
+    Each cell sums the products P_A(y_A | x_A, lam_A) P_B(y_B | x_B, lam_B) w
+    over the support, so rows are normalized whatever the weights' signs.  A
+    product with a zero factor is skipped, which changes neither the value nor
+    the float bits of a sum that starts at the zero of the first point's
+    arithmetic (`0 + a * b * w * 0`); an all-skipped cell then has the full
+    sum's type whenever every product shares that arithmetic.  Settings whose
+    rows are the same objects at every point share one cell, mixed once.
     """
     resp_a, resp_b = model.response_A, model.response_B
     table_a, table_b = resp_a.table, resp_b.table
@@ -432,8 +368,8 @@ def _mix(model: Model) -> dict[tuple[int, int], tuple]:
     ]
     w, rows_a, rows_b = points[0]
     zero = 0 + rows_a[0][0] * rows_b[0][0] * w * 0
-    # Equivalent settings have one row object at the first point already, so
-    # one set of ids per party settles the case with no shared rows.
+    # Equivalent settings share a row object at the first point, so one id set per party
+    # settles the case with no shared rows.
     reps_a = reps_b = None
     if len(set(map(id, rows_a))) < len(rows_a):
         reps_a = _setting_reps(points, 1)
@@ -482,18 +418,14 @@ def _row_correlation(row):
 
 
 def validate_behavior(behavior: Behavior, tol: float = DEFAULT_TOLERANCE) -> ValidityReport:
-    """Check entry validity (all entries in [-tol, 1+tol]) and no-signalling.
+    """Check entry validity (every entry in [-tol, 1+tol]) and no-signalling.
 
-    The no-signalling figure is the largest change of any single-party
-    marginal outcome probability when the other party switches settings.
-    A `tol` that is negative, infinite or NaN is refused with ValueError.
-    """
+    The no-signalling figure is the largest change of a single-party marginal when the other
+    party switches settings.  A negative, infinite or NaN `tol` raises ValueError."""
     _check_tolerance(tol)
-    # The worst excess max(-value, value - 1) belongs to the smallest or the
-    # largest entry, so one comparison-only scan finds both (the first of
-    # each in row order).  A row that is the same object as an earlier one
-    # holds entries the scan has already compared, and could only tie them
-    # later, so it is skipped.
+    # The worst excess max(-value, value - 1) is the smallest or the largest
+    # entry's, found by one scan (first of each in row order); a repeated row
+    # object could only tie later, so it is skipped.
     table = behavior.table
     pairs = behavior.setting_pairs()
     rows = list(map(table.__getitem__, pairs))
@@ -524,16 +456,11 @@ def validate_behavior(behavior: Behavior, tol: float = DEFAULT_TOLERANCE) -> Val
         )
     is_valid = worst_excess <= tol
 
-    # Alice's marginal P(y_A | x_A) must not depend on x_B: each of her lines
-    # fixes x_A and sums outcome pairs (0, 1) and (2, 3).  Bob's marginal
-    # P(y_B | x_B) must not depend on x_A: his lines fix x_B and sum (0, 2)
-    # and (1, 3).  A repeated row would add a copy of a
-    # marginal already in its list, which moves neither the max nor the
-    # min; a line whose rows are the objects of an earlier line of its party
-    # has that line's spreads, and `max` keeps the figure already folded in.
-    # Spreads are folded into `violation` party by party, setting by
-    # setting, outcome -1 first, so ties keep the type they had with one
-    # list per outcome.
+    # Alice's lines fix x_A and sum outcome pairs (0, 1) and (2, 3); Bob's fix
+    # x_B and sum (0, 2) and (1, 3).  A repeated row or line adds copies of
+    # marginals already seen, moving no max or min, so it is skipped.  Spreads
+    # are folded party by party, setting by setting, outcome -1 first, so ties
+    # keep the type they had with one list per outcome.
     violation = 0
     n_b = behavior.n_settings_B
     alice_lines = [rows[start:start + n_b] for start in range(0, len(rows), n_b)]

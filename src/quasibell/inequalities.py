@@ -1,14 +1,9 @@
 """Bell scores, per-hidden-value scores, and the witness-augmented bounds.
 
-The chained n-setting score is
-
-    |E(0, 0) - E(0, n-1) + sum_{x>=1} (E(x, x-1) + E(x, x))|.
-
-Its first link, n=2, is the CHSH score |E(0,0) - E(0,1) + E(1,0) + E(1,1)|.
-For an all-positive mixture the score is classically bounded by 2n-2.
-Allowing signed weights relaxes the bound by the chained negativity witness,
-and `check_quasi_bell` evaluates score, bound, and margin together at every
-chain length, n=2 included.
+The chained n-setting score |E(0,0) - E(0,n-1) + sum_{x>=1} (E(x,x-1) + E(x,x))|
+is CHSH at n=2.  All-positive mixtures keep it within 2n-2; signed weights
+relax that by the chained witness, and `check_quasi_bell` evaluates score,
+bound and margin at every chain length.
 """
 
 from __future__ import annotations
@@ -30,14 +25,10 @@ from .witnesses import ChainedWitnessReport, witness_chained
 class ScoreReport:
     """A Bell score against its witness-augmented bound.
 
-    `bound` is `classical_part + witness_total`; `margin` is the slack
-    `bound - score` (zero for saturating models).  `lambda_mixture_score` is
-    the same score recomputed as |sum_lambda M(lambda) w(lambda)| from the
-    per-hidden-value scores, a cross-check that must agree with `score`.
-    `witness` is the chained witness report `witness_total` was read from,
-    when the report was built with one; it is kept outside the fields, so
-    reports compare, print and serialize by their figures alone.
-    """
+    `bound` is `classical_part + witness_total`, `margin` is `bound - score` (zero when
+    saturated), and `lambda_mixture_score` recomputes the score from the per-hidden-value
+    scores as a cross-check.  `witness`, the chained report the total came from, is kept
+    outside the fields, so reports compare, print and serialize by their figures."""
 
     n: int
     score: object
@@ -66,13 +57,9 @@ class ScoreReport:
 
 
 def chained_score(behavior: Behavior, n: int):
-    """Chained n-setting score, summed link by link.
-
-    The terms are added in the order E(0,0) - E(0,n-1), then E(x,x-1) + E(x,x)
-    for x = 1..n-1, so the n=2 instance is the CHSH expression term for term.
-    A term whose row is the same object as the previous term's reuses that
-    term's correlator, which has the same bits.
-    """
+    """Chained n-setting score, summed as E(0,0) - E(0,n-1), then E(x,x-1) + E(x,x) for
+    x = 1..n-1, so n=2 is CHSH term for term; a row that is the previous term's object
+    reuses its correlator."""
     if n < 2:
         raise ValueError("chained score needs n >= 2")
     if behavior.n_settings_A < n or behavior.n_settings_B < n:
@@ -98,11 +85,8 @@ def chained_score(behavior: Behavior, n: int):
 
 
 def _expectations(table, lam, n: int) -> list:
-    """<y>_x = P(+1) - P(-1) at settings x < n, once per run of one row object.
-
-    A run of settings that share one row shares one expectation object, so
-    `_products` can see that two terms have the same factors.
-    """
+    """<y>_x = P(+1) - P(-1) at settings x < n, one value object per run of one row object,
+    so `_products` can see that two terms have the same factors."""
     values = []
     previous = None
     for x in range(n):
@@ -128,11 +112,8 @@ def _products(left, right) -> list:
 
 
 def lambda_local_score(model: Model, lam, n: int):
-    """Score M(lambda) the chained combination assigns to one hidden value.
-
-    `lam` is a support point (lam_A, lam_B); for diagonal models a bare label
-    is accepted.  |M(lambda)| <= 2n-2 because every factor is in [-1, 1].
-    """
+    """Score M(lambda) of one support point, or of a bare label in a diagonal model;
+    |M(lambda)| <= 2n-2 because every factor is in [-1, 1]."""
     if n < 2:
         raise ValueError("lambda-local score needs n >= 2")
     point: Point
@@ -168,12 +149,8 @@ def check_quasi_bell(
 ) -> ScoreReport:
     """Evaluate score <= (2n-2) + witness for a model at chain length n.
 
-    Every chain length, n=2 included, uses the chained score and witness.
-    `behavior` is the model's assembled behavior, if the caller already has
-    it; otherwise the model's own default-tolerance behavior is read, the
-    one `assemble_behavior(model)` returns.  A `tol` that is negative,
-    infinite or NaN is refused with ValueError.
-    """
+    `behavior` is the model's assembled behavior if the caller has it, else the model's
+    default-tolerance one is read.  A negative, infinite or NaN `tol` raises ValueError."""
     if n < 2:
         raise ValueError("bound check needs n >= 2")
     _check_tolerance(tol)

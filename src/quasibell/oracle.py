@@ -1,50 +1,13 @@
-"""Independent verification machinery for the witness-augmented Bell bounds.
+"""Independent oracles for the witness-augmented Bell bounds.
 
-Four separate routes that never share code with the model/witness path:
-
-* enumeration of deterministic strategies (classical polytope vertices)
-  and the classical bound, maximized exactly over all joint strategies:
-  for each of Alice's strategies Bob's best reply separates over his
-  settings, so the maximum costs O(2^n * n^2) rather than O(4^n * n),
-* linear programs over signed strategy mixtures (maximal score under a
-  faithful-witness budget, and minimal negative mass reproducing a target
-  behavior),
-* a two-qubit projective-measurement generator for quantum reference
-  behaviors,
-* a sign-weighted Monte Carlo sampler demonstrating that signed mixtures
-  still produce ordinary observable statistics.  It draws each setting
-  pair's signed cell counts as one multinomial, setting pairs row-major
-  (see `signed_sample`), so a seed fixes every count for a given numpy
-  version and a call costs the same at any number of shots.
-
-The LPs are solved with scipy's HiGHS backend and results are
-deterministic for fixed inputs.  Each is an `_OrbitProgram`: a program over
-orbits of joint strategies under a group of relabellings of settings and
-outcomes that maps the LP to itself, built once with the column-wise model
-HiGHS takes (`_HighsModel`), so a solve builds only its row bounds.
-`max_score_lp` uses the chained score's dihedral group of 8n
-(`_chain_group`), and `min_negativity_lp` the group that its target's
-stabilizer in that group and its setting swaps (`_setting_transpositions`)
-generate, one program per symmetry of its target (`_negativity_program`),
-for a target that does not signal: one that signals is INFEASIBLE unsolved.
-Building checks exactly that the row basis spans every behavior row and
-that each chained generator fixes every strategy's score, and one matcher
-(`_relabelled`) checks that each chained generator and each setting swap
-permutes the behavior entries; building refuses otherwise.  Both LPs go
-through `_solve`, which hands the program and its row bounds to `linprog`,
-this module's own call of the HiGHS binding that `scipy.optimize.linprog`
-uses, and reads the answer off the orbit solution: its negative mass,
-sum w and sum v weighted by the orbit sizes (`_OrbitProgram.sizes`), its
-`primal_residual` from the behavior matrix (`_behavior_matrix`) summed
-over the program's orbits, built once with the program
-(`_OrbitProgram.cells`), and its weights, expanded to all 4^n strategies,
-only when they are first read.
-`linprog` reports HiGHS's model status and status string, not scipy's, and
-an optimum whose `primal_residual` is above `_MAX_RESIDUAL` is FAILED.
-Importing this module loads numpy only, so enumeration, the classical bound,
-the quantum generator and the sampler never load scipy.  The first solve
-loads that binding alone (`_highs_binding`), neither `scipy` nor
-`scipy.optimize`, whose imports cost more than a solve.
+Four routes that share no code with the model and witness path: enumeration
+of deterministic strategies and the exact classical bound; LPs over signed
+strategy mixtures, the largest chained score under a faithful-witness budget
+(`max_score_lp`) and the least negative mass reproducing a behavior
+(`min_negativity_lp`), both `_OrbitProgram`s solved by `_solve` on HiGHS;
+a two-qubit measurement generator; and a sign-weighted sampler.  Importing
+this module loads numpy only; the first solve loads scipy's HiGHS binding
+alone (`_highs_binding`).
 """
 
 from __future__ import annotations
@@ -96,27 +59,20 @@ class LPStatus(str, Enum):
 
 _LINPROG_STATUS = {0: LPStatus.OPTIMAL, 2: LPStatus.INFEASIBLE, 3: LPStatus.UNBOUNDED}
 
-#: `linprog`'s status code for each HiGHS model status: kOptimal (7) is 0,
-#: kInfeasible (8) is 2 and kUnbounded (10) is 3.  Every other status is 4,
-#: model error (2), unbounded or infeasible (9) and the limits included.
+#: `linprog`'s status for each HiGHS model status: 0 for kOptimal (7), 2 for
+#: kInfeasible (8), 3 for kUnbounded (10), and 4 for every other.
 _HIGHS_STATUS = {7: 0, 8: 2, 10: 3}
 
-#: Largest `primal_residual` of an OPTIMAL answer; a solution HiGHS calls
-#: optimal with a larger one is FAILED.  It is tighter than the 3.2e-4 that
-#: `scipy.optimize.linprog` lets an optimum miss its bounds and rows by, and
-#: looser than HiGHS's primal feasibility tolerance of 1e-7, within which an
+#: Largest `primal_residual` of an OPTIMAL answer; a larger one is FAILED.  It
+#: is above HiGHS's primal feasibility tolerance of 1e-7, within which an
 #: optimum may miss its rows.
 _MAX_RESIDUAL = 1e-6
 
 
-#: The options `scipy.optimize.linprog(method="highs")` sets, no output,
-#: debug level 0 and dual simplex, with presolve off.  On these small dense
-#: programs presolve cost more than it saved: without it the n = 2..5 LPs
-#: solved in about 0.5-0.6 of the time on a 2-core machine.  It is one fixed
-#: value because the answer depends on it: at a degenerate optimum the
-#: weights may name another optimal vertex, and on a program infeasible by
-#: about HiGHS's feasibility tolerance of 1e-7, presolve on moves the optimum
-#: or flips OPTIMAL and INFEASIBLE.
+#: The options `scipy.optimize.linprog(method="highs")` sets, presolve off.
+#: Presolve is fixed because it moves the answer: at a degenerate optimum it
+#: may name another optimal vertex, and on a program infeasible by about the
+#: 1e-7 feasibility tolerance it may flip OPTIMAL and INFEASIBLE.
 _HIGHS_OPTIONS = (
     ("highs_debug_level", 0),
     ("log_to_console", False),
@@ -137,15 +93,11 @@ _BINDING_LOCK = threading.Lock()
 def _highs_binding():
     """scipy's HiGHS binding, `scipy.optimize._highspy._core`, loaded without `scipy.optimize`.
 
-    The module in `sys.modules` if it is there; otherwise this finds
-    scipy's folder without importing `scipy` (`importlib.util.find_spec`),
-    loads `_core` from its `optimize/_highspy` folder under its full name
-    and registers it there, so a later `import scipy.optimize` gets this
-    same module.  Until something imports its packages, `scipy` among them,
-    the binding is reached through `sys.modules` or an import statement, not
-    as an attribute of `scipy.optimize._highspy`.  Without scipy this raises
-    ModuleNotFoundError; a scipy without the binding raises ImportError
-    naming the folder searched.  Either registers nothing.
+    Returns the registered module, or loads it from scipy's `optimize/_highspy`
+    folder, found without importing `scipy`, and registers it under its full
+    name, so `scipy.optimize` would get the same module.  Raises
+    ModuleNotFoundError without scipy, and ImportError naming the folder
+    without the binding, registering nothing.
     """
     binding = sys.modules.get(_HIGHS_BINDING)
     if binding is not None:
@@ -179,15 +131,9 @@ class _HighsResult(NamedTuple):
 
 
 class _HighsModel(NamedTuple):
-    """A program in the column-wise form HiGHS's `passModel` takes, built once and read-only.
-
-    Minimize `cost @ x` over x >= 0 subject to row bounds given per solve
-    (`linprog`).  `start`, `index` and `value` hold the nonzeros of the
-    constraint rows column by column, rows ascending within each column, as
-    `scipy.sparse.csc_array` holds them.  `lower` and `upper` are the column
-    bounds 0 and inf, and `integrality` is all zero, every column
-    continuous, since HiGHS refuses an empty one.
-    """
+    """A program in the column-wise form HiGHS's `passModel` takes, read-only: minimize
+    `cost @ x`, x >= 0, within row bounds given per solve.  The nonzeros are held as in
+    `scipy.sparse.csc_array`; `integrality` is all zero, since HiGHS refuses an empty one."""
 
     cost: np.ndarray
     rows: int
@@ -217,44 +163,15 @@ def _highs_model(cost: np.ndarray, matrix: np.ndarray) -> _HighsModel:
 
 
 def linprog(model: _HighsModel, row_lower: np.ndarray, row_upper: np.ndarray) -> _HighsResult:
-    """Solve `model` within row bounds with the HiGHS binding `scipy.optimize.linprog` runs.
+    """Solve `model` within the row bounds on this thread's HiGHS instance.
 
-    Minimizes `model.cost @ x` over x >= 0 subject to `row_lower <= A x <=
-    row_upper`, A the model's rows, with one float64 entry per row in each
-    bound: an inequality row `A_ub x <= b_ub` has lower bound -inf, an
-    equality row `A_eq x == b_eq` equal bounds.  Row bounds of another
-    length raise ValueError.  It calls the HiGHS binding that
-    `scipy.optimize.linprog(method="highs")` calls, scipy's private
-    `scipy.optimize._highspy._core`, loaded on the first solve without
-    `scipy.optimize` (`_highs_binding`), with the model that function passes for
-    those rows, column-wise, and the options `_HIGHS_OPTIONS`: scipy's, with
-    presolve off.  So `x`, `fun` and `nit` are those `scipy.optimize.linprog`
-    returns with presolve off.  `status` is HiGHS's model status mapped by
-    `_HIGHS_STATUS`, so a model error is 4, where scipy calls it infeasible.
-    `message` is HiGHS's name of that status, and off OPTIMAL it also names
-    the primal solution status, worded as scipy's wrapper words it; scipy's
-    message quotes it.  No check of the optimum against the bounds and rows
-    is made here: `_solve` judges each optimum by its `primal_residual`.
-    What it skips is the Python around that call whose output `_solve`
-    discards: input cleaning, the conversion through `scipy.sparse` (the
-    model is built once, `_highs_model`), a fresh option checker for each
-    option, the copy of HiGHS's whole info record (read only to word a
-    message off OPTIMAL), the loop over every column's basis status and
-    dual, and the result assembly.  At these sizes that wrapper, not HiGHS,
-    sets the cost.
-    Where scipy makes a HiGHS instance per call, this solves on one per
-    thread (`_highs_solver`), whose options are set once when it is made.
-    Each call clears its solver state (`clearSolver`) and passes the model
-    as arrays, so no basis or solution carries over from the last solve:
-    there is no warm start, and the answer is the one a fresh instance
-    gives.  An option HiGHS refuses raises RuntimeError (`_highs_solver`),
-    and so does an info value it does not know, so a binding that renamed
-    one can neither fall back to HiGHS's defaults nor report a count unseen.
-    `pyproject.toml` asks for scipy >= 1.15, the release taken to be the
-    first to ship the binding; that floor is unverified, and only scipy
-    1.17.1, with HiGHS 1.12.0, has been run against this function.  A scipy
-    that keeps no binding where `_highs_binding` looks raises ImportError
-    rather than solving otherwise.
+    Minimizes `model.cost @ x` over x >= 0 with `row_lower <= A x <= row_upper`,
+    one float64 per row in each bound (ValueError otherwise).  Binding, model
+    and options are `scipy.optimize.linprog(method="highs")`'s, presolve off
+    (`_HIGHS_OPTIONS`), so `x`, `fun` and `nit` are its.  `status` maps HiGHS's
+    model status by `_HIGHS_STATUS`; `message` names it and, off OPTIMAL, the
+    primal solution status.  Solver state is cleared first, so the answer is a
+    fresh instance's.  An info value HiGHS does not know raises RuntimeError.
     """
     highs = _highs_binding()
     if not len(row_lower) == len(row_upper) == model.rows:
@@ -297,12 +214,8 @@ def linprog(model: _HighsModel, row_lower: np.ndarray, row_upper: np.ndarray) ->
 
 
 def _highs_solver():
-    """This thread's HiGHS instance, made with `_HIGHS_OPTIONS` set on first use.
-
-    It is kept only once every option is accepted, so a refused option
-    raises RuntimeError on every solve, never leaving a solver on HiGHS's
-    defaults for the next one.
-    """
+    """This thread's HiGHS instance, kept only once it accepts every option in `_HIGHS_OPTIONS`,
+    so a refused option raises RuntimeError on every solve."""
     solver = getattr(_THREAD_HIGHS, "solver", None)
     if solver is None:
         highs = _highs_binding()
@@ -315,16 +228,9 @@ def _highs_solver():
 
 
 class _StrategyWeights(Mapping):
-    """`LPResult.weights`: each joint strategy's signed weight above 1e-12 in absolute value.
-
-    A read-only mapping from (s_a, s_b) to its weight, in strategy order
-    (`_joint_strategies`), over the signed weights w = w_O[orbit_of] of all
-    4^n strategies, w_O being the orbit solution that `_solve` keeps with
-    its program's `orbit_of`, or empty without them.  The mapping expands
-    w_O to w the first time it is read, so a solve whose weights are never
-    read builds no 4^n array.  It compares equal to the dict of its items,
-    and prints as that dict.
-    """
+    """`LPResult.weights`: each joint strategy's weight in w = w_O[orbit_of] above 1e-12 in
+    absolute value, a read-only mapping in strategy order, expanded on first read and equal
+    to its dict; empty without an orbit solution."""
 
     __slots__ = ("_n", "_w_orbits", "_orbit_of", "_items")
 
@@ -358,23 +264,13 @@ class _StrategyWeights(Mapping):
 class LPResult:
     """Solution of one of the strategy-mixture linear programs.
 
-    `iterations` and `solver_message` are HiGHS's iteration count and
-    status string (`linprog`), kept whatever the status; `columns` and
-    `rows` count the columns and constraint rows of the program HiGHS
-    solved.  When no program was solved, because `min_negativity_lp`'s
-    target signals, `iterations`, `columns` and `rows` are 0 and
-    `solver_message` says why.  `weights` is a read-only mapping of the
-    symmetric optimum's nonzero weights by joint strategy, expanded from
-    the orbit solution to all 4^n strategies only when first read
-    (`_StrategyWeights`), and empty when HiGHS returned no solution.
-    `primal_residual` is the largest violation of the LP's constraints over
-    all 4^n joint strategies by those weights (for `min_negativity_lp`,
-    max|B w - target|, B the behavior matrix), or None when HiGHS returned
-    no solution.  It and `negative_mass` are read off the orbit solution,
-    without the weights (`_solve`).  A solution whose residual exceeds
-    `_MAX_RESIDUAL` is FAILED, with its weights and residual kept.
-    `negative_mass` is NaN when HiGHS returned no solution, and for
-    `max_score_lp` with an infinite budget (see there).
+    `iterations` and `solver_message` are HiGHS's (`linprog`), whatever the
+    status; `columns` and `rows` size the program solved, all three 0 when
+    `min_negativity_lp`'s target signals.  `weights` is the symmetric optimum
+    (`_StrategyWeights`), and `primal_residual` its largest constraint
+    violation; above `_MAX_RESIDUAL` the status is FAILED.  Without a solution
+    the weights are empty, the residual None and `negative_mass` NaN, as is
+    `max_score_lp`'s mass at an infinite budget.
     """
 
     optimal_score: float
@@ -410,14 +306,9 @@ class LPResult:
 class SampleEstimate:
     """Empirical behavior estimated by sign-weighted sampling.
 
-    Noise scales with the total variation weight: per-shot estimates take
-    values in {-S, 0, +S} with S = sum |w|, so per-cell standard errors are
-    at most S / sqrt(shots).  `effective_shots = shots / S**2` is the number
-    of unsigned shots with that error bound.  The estimate is a function of
-    each setting pair's counts of shots by cell and weight sign, which
-    `signed_sample` draws as one multinomial per pair; `seed` fixes them for
-    a given numpy version.  This release changed every per-seed estimate
-    once, from the per-shot draws of earlier releases.
+    Per-shot estimates lie in {-S, 0, +S}, S = sum |w|, so each standard error
+    is at most S / sqrt(shots), the bound of `effective_shots = shots / S**2`
+    unsigned shots.  `seed` fixes the estimate for a given numpy version.
     """
 
     shots: int
@@ -443,10 +334,7 @@ class SampleEstimate:
 
 
 def enumerate_deterministic(n: int) -> tuple[Strategy, ...]:
-    """All 2^n single-party deterministic strategies as +-1 outcome tuples.
-
-    Joint strategies are pairs of these; the same list serves both parties.
-    """
+    """All 2^n single-party deterministic strategies as +-1 outcome tuples, for either party."""
     if n < 1:
         raise ValueError("need at least one setting")
     if n > _MAX_ENUMERATION_SETTINGS:
@@ -456,10 +344,7 @@ def enumerate_deterministic(n: int) -> tuple[Strategy, ...]:
 
 @functools.cache
 def _chain_coefficients(n: int) -> np.ndarray:
-    """Matrix C with strategy score M(a, b) = a @ C @ b for sign vectors a, b.
-
-    Cached per n and read-only, as `_strategy_signs` is.
-    """
+    """Matrix C with strategy score M(a, b) = a @ C @ b for sign vectors a, b; cached, read-only."""
     coeff = np.zeros((n, n))
     for i in range(n):
         coeff[i, i] += 1.0
@@ -472,14 +357,10 @@ def _chain_coefficients(n: int) -> np.ndarray:
 def classical_bound_bruteforce(n: int) -> float:
     """Maximum |chained score| over all joint deterministic strategies.
 
-    The score of a pair is the bilinear form a @ C @ b.  For a fixed Alice
-    strategy a, Bob's best reply separates over his settings: b_j =
-    sign((a C)_j), or its negation for the most negative score, gives
-    max_b |a C b| = ||a C||_1.  Maximizing that over Alice's 2^n strategies
-    is therefore the exact maximum over all 4^n pairs, at O(2^n * n^2) cost
-    and O(2^n * n) memory.  Each 1-norm is one matrix-vector product with
-    the ones vector, exact on these integers.  The result is the classical
-    bound 2n-2, but it is computed, not assumed.
+    The score of a pair is a @ C @ b.  For fixed a, Bob's best reply separates
+    over his settings, b_j = +-sign((a C)_j), so max_b |a C b| = ||a C||_1,
+    exact on these integers, and its maximum over Alice's 2^n strategies is the
+    maximum over all 4^n pairs: the classical bound 2n-2, computed, not assumed.
     """
     if n < 2:
         raise ValueError("chained score needs n >= 2")
@@ -491,13 +372,8 @@ def classical_bound_bruteforce(n: int) -> float:
 
 @functools.cache
 def _strategy_signs(n: int) -> np.ndarray:
-    """The 2^n x n matrix of +-1 strategies, rows in `enumerate_deterministic` order.
-
-    Row s holds the bits of s, most significant first, with 0 -> -1 and
-    1 -> +1: the encoding `_joint_index` reads back.  Cached per n and
-    read-only, as `_behavior_matrix` is: `classical_bound_bruteforce` reads
-    it on every call, and up to n = 12 all of them take under 1 MB.
-    """
+    """The 2^n x n matrix of +-1 strategies in `enumerate_deterministic` order, cached, read-only:
+    row s holds s's bits, most significant first, 0 -> -1 and 1 -> +1 (`_joint_index`)."""
     bits = 2 ** np.arange(n - 1, -1, -1)
     return _read_only(np.where(np.arange(2**n)[:, None] & bits, 1.0, -1.0))
 
@@ -509,10 +385,8 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _behavior_matrix(n: int) -> np.ndarray:
-    """Rows: one per cell (x_a, x_b, y_a, y_b); columns: joint strategies, s_a major.
-
-    Cached per n and read-only: both LPs build their programs from it.
-    """
+    """The cached, read-only 0/1 matrix B: a row per cell (x_a, x_b, y_a, y_b) and a column
+    per joint strategy, s_a major."""
     outcomes = np.array([-1.0, 1.0])
     onehot = (_strategy_signs(n)[:, :, None] == outcomes).astype(np.float64)
     # onehot[s, x, k]: strategy s answers outcome k at setting x.
@@ -521,14 +395,8 @@ def _behavior_matrix(n: int) -> np.ndarray:
 
 
 class _BehaviorBasis(NamedTuple):
-    """`min_negativity_lp`'s row basis at one n, read-only.
-
-    `rows` picks (n+1)^2 cells of `_behavior_matrix(n)` whose rows B_R span
-    its row space, and `expand` is the matrix M with B = M @ B_R: small
-    integers, held exactly as float64, the dtype of the targets it
-    multiplies, and C-contiguous, the layout `min_negativity_lp`'s
-    `expand @ t_R` has always been computed in.
-    """
+    """`min_negativity_lp`'s row basis: `rows` picks (n+1)^2 cells whose rows B_R span the
+    behavior rows B, and `expand` is the integer M with B = M @ B_R, as C-contiguous float64."""
 
     rows: np.ndarray
     expand: np.ndarray
@@ -538,15 +406,13 @@ class _BehaviorBasis(NamedTuple):
 def _behavior_basis(n: int) -> _BehaviorBasis:
     """Build `min_negativity_lp`'s row basis, checking B = M @ B_R exactly.
 
-    The rows are the Collins-Gisin coordinates (Collins and Gisin, J. Phys.
-    A 37, 1775, 2004) written as cells (x_a, x_b, y_a, y_b): every
-    (x_a, x_b, +, +), then (x_a, 0, +, -), (0, x_b, -, +) and (0, 0, -, -).
-    Every other cell is an integer combination of these on every joint
-    strategy, through the marginals and normalization.  B_R has full row
-    rank, so M is the solution of the normal equations
-    M (B_R B_R^T) = B B_R^T, rounded to integers; the exact check is what
-    makes it M.  Raises RuntimeError unless M @ B_R equals B exactly, a
-    B_R whose rows are dependent included.
+    The rows are the Collins-Gisin coordinates (Collins and Gisin, J. Phys. A
+    37, 1775, 2004) as cells (x_a, x_b, y_a, y_b): every (x_a, x_b, +, +),
+    then (x_a, 0, +, -), (0, x_b, -, +) and (0, 0, -, -).  On every joint
+    strategy each other cell is an integer combination of these, through the
+    marginals and normalization.  B_R has full row rank, so M solves
+    M (B_R B_R^T) = B B_R^T, rounded to integers; the exact check, which raises
+    RuntimeError when it fails, is what makes it M.
     """
     behavior_matrix = _behavior_matrix(n)
     cell = np.arange(4 * n * n).reshape(n, n, 4)  # cell[x_a, x_b, 2 [y_a = +] + [y_b = +]]
@@ -583,17 +449,12 @@ def behavior_from_strategy_weights(
 
 
 def _chain_generators(n: int) -> list[np.ndarray]:
-    """The relabellings that generate the chained score's symmetry group.
+    """The two relabellings that generate the chained score's symmetry group.
 
-    Each is a permutation `perm` of the 4^n joint strategies (s_a major):
-    strategy j is sent to strategy perm[j].  With joint strategies written
-    as sign vectors (a, b):
-
-    * the half-step rotation h: (a, b) -> (b, (a_1, ..., a_{n-1}, -a_0)),
-      which moves every setting one link along the chain and flips the
-      outcome that crosses the wrap term;
-    * the reflection r: (a, b) -> (reversed b, reversed a), which swaps the
-      parties and reverses the order of the settings.
+    Each sends joint strategy j to perm[j].  On sign vectors: the half-step
+    rotation (a, b) -> (b, (a_1, ..., a_{n-1}, -a_0)), moving every setting one
+    link and flipping the outcome crossing the wrap term, and the reflection
+    (a, b) -> (reversed b, reversed a).
     """
     a, b = _joint_signs(n)
     wrapped = np.concatenate([a[:, 1:], -a[:, :1]], axis=1)
@@ -614,25 +475,19 @@ def _joint_index(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _Relabellings(NamedTuple):
-    """Relabellings of settings and outcomes at one n, one per row, read-only.
-
-    Relabelling g sends joint strategy j to `strategies[g, j]` and permutes
-    the behavior rows by `rows[g]`: B[:, strategies[g]] == B[rows[g]] for B
-    = `_behavior_matrix(n)`.
-    """
+    """Relabellings at one n, one per row, read-only: g sends joint strategy j to
+    `strategies[g, j]`, and B[:, strategies[g]] == B[rows[g]], B = `_behavior_matrix(n)`."""
 
     strategies: np.ndarray
     rows: np.ndarray
 
 
 def _relabelled(n: int, perms) -> _Relabellings:
-    """Each permutation of the 4^n joint strategies in `perms`, with its behavior-row map.
+    """Each permutation of the joint strategies in `perms`, with its behavior-row map.
 
-    The row map of `perm` is read by matching the rows of B[:, perm] against
-    B's own by their bits, B = `_behavior_matrix(n)` being 0/1 with distinct
-    rows.  Raises RuntimeError when a row has no match, since `perm` then
-    does not permute the behavior entries; every relabelling the LPs use is
-    checked here.
+    The map matches the rows of B[:, perm] to B's own by their bits, B =
+    `_behavior_matrix(n)` being 0/1 with distinct rows.  No match raises
+    RuntimeError: `perm` does not permute the behavior entries.
     """
     bits = _behavior_matrix(n) > 0
     cell_of = {row.tobytes(): c for c, row in enumerate(bits)}
@@ -647,14 +502,9 @@ def _relabelled(n: int, perms) -> _Relabellings:
 
 @functools.cache
 def _chain_group(n: int) -> _Relabellings:
-    """Close `_chain_generators` into the chained score's 8n relabellings.
-
-    Only the two generators' row maps are matched and checked
-    (`_relabelled`); every other element's row map is composed from theirs
-    during the closure.  Distinct relabellings permute the rows differently,
-    since B's columns are distinct, so the row maps name the elements.  Row
-    0 of the result is the identity.
-    """
+    """Close `_chain_generators` into the chained score's 8n relabellings, identity first.
+    Only the generators' row maps are matched (`_relabelled`), the others composed from
+    theirs; B's columns being distinct, the row maps name the relabellings."""
     generators = list(zip(*_relabelled(n, _chain_generators(n))))
     group = {}
     frontier = [(np.arange(4**n), np.arange(4 * n * n))]
@@ -672,13 +522,11 @@ def _chain_group(n: int) -> _Relabellings:
 
 @functools.cache
 def _setting_transpositions(n: int) -> _Relabellings:
-    """The transpositions of two settings of one party, checked as relabellings (`_relabelled`).
+    """Each swap of two settings of one party, Alice's first, checked by `_relabelled`.
 
-    First Alice's swaps of settings x < x', then Bob's.  Swapping Alice's
-    settings x and x' sends (a, b) to (a with a_x and a_x' exchanged, b) and
-    exchanges the behavior rows (x, x_b, y_a, y_b) and (x', x_b, y_a, y_b);
-    Bob's swaps act on the other index alike.  These do not fix the chained
-    score; `min_negativity_lp` uses those that fix its target.
+    Swapping Alice's x and x' exchanges a_x and a_x' and the behavior rows
+    (x, x_b, y_a, y_b) and (x', x_b, y_a, y_b); Bob's act alike.  They do not
+    fix the chained score; `min_negativity_lp` uses those that fix its target.
     """
     a, b = _joint_signs(n)
     alice, bob = [], []
@@ -693,37 +541,23 @@ def _setting_transpositions(n: int) -> _Relabellings:
 class _OrbitProgram(NamedTuple):
     """An LP over the signed weights w = u - v of the 4^n joint strategies, taken over orbits.
 
-    A group of relabellings of settings and outcomes, each checked to permute
-    the behavior rows (`_relabelled`), splits the joint strategies into
-    orbits, and `orbit_of[j]` is the orbit O of strategy j, and `sizes[O]`
-    its size |O| as float64.  `model` has one column pair (u_O, v_O) per
-    orbit, with w_j = u_O - v_O for every j in O: each column sums the
-    program's behavior rows over O's strategies, and the negative mass is
-    sum |O| v_O.  Its inequality rows come before its equality rows, the
-    order in which `scipy.optimize.linprog` hands `A_ub` and `A_eq` to
-    HiGHS, since HiGHS's vertex and iteration count depend on it.  `cells`
-    is `_behavior_matrix(n)` summed over each orbit, all 4n^2 behavior rows
-    by one column per orbit: small integers, held exactly as float64, so
-    `cells @ w_O` is the behavior B w of the signed weights w_O = u_O - v_O
-    without expanding them to all 4^n strategies, as `sizes @ w_O` is
-    sum w.  `rows` are the cells whose orbit-summed rows the model's first
-    rows are, one per row, in order: the first copy of each distinct row of
-    `cells` for `max_score_lp`, whose budget and normalization rows follow,
-    and of each distinct Collins-Gisin row for `min_negativity_lp`, whose
-    target entries at `rows` bound them (`_orbit_fields`).  All arrays are
-    read-only.
+    A group of relabellings, each checked to permute the behavior rows
+    (`_relabelled`), splits the strategies into orbits: `orbit_of[j]` is j's
+    orbit O, `sizes[O]` is |O|.  `model` has a column pair (u_O, v_O) per orbit,
+    w_j = u_O - v_O for j in O, inequality rows before equality rows as
+    `scipy.optimize.linprog` orders them (HiGHS's vertex depends on it).
+    `cells` is `_behavior_matrix(n)` summed over each orbit, exact in float64,
+    so B w = `cells @ w_O`; `rows` names the cells whose orbit sums are the
+    model's first rows.  All arrays are read-only.
 
-    The orbit program has the LP's optimum when every relabelling g in the
-    group maps the LP to itself: with w feasible, w composed with g is
-    feasible, with the same score, and with the same negative mass
-    sum max(-w, 0), its entries being w's, permuted.  The average of these
-    points over the group is then feasible, the feasible set being convex,
-    and constant on orbits.  It has w's score, and its negative mass is at
-    most w's, since sum max(-w, 0) is convex.  So some optimum is constant
-    on orbits, and the orbit program attains it.  Each LP's docstring names
-    its group and says why it maps that LP to itself.  `_solve` reads the
-    answer off that symmetric optimum's orbit solution, and the reported
-    weights are it expanded to all 4^n strategies, only when first read.
+    The orbit program has the LP's optimum when each relabelling g in the group
+    maps the LP to itself: for w feasible, w composed with g is feasible, with
+    w's score and negative mass sum max(-w, 0), its entries being w's permuted.
+    Their average over the group is feasible, the feasible set being convex,
+    and constant on orbits, with w's score and, sum max(-w, 0) being convex, at
+    most w's negative mass.  So some optimum is constant on orbits, and the
+    orbit program attains it.  Each LP's docstring says why its group maps it
+    to itself.
     """
 
     orbit_of: np.ndarray
@@ -734,20 +568,15 @@ class _OrbitProgram(NamedTuple):
 
 
 def _orbit_sums(perms: np.ndarray, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The orbits of the group `perms` generate, and `matrix` summed over each orbit.
+    """The orbits of the group `perms` generate, and `matrix` summed over each.
 
-    `perms` holds permutations of the 4^n joint strategies, one per row.
-    Each strategy is labelled with the smallest strategy of its orbit: the
-    labels start as the strategies themselves, and each pass lowers every
-    label to the smallest label of its images and then to its own label's
-    label, which lies in the same orbit, until nothing changes.  A
-    permutation's inverse is one of its powers, so this reaches the whole
-    orbit; when `perms` is an enumerated group the first pass already does.
-    Orbits are numbered in the order of their smallest members, so under
-    the identity alone each strategy is its own orbit, in grid order.
-    Returns `orbit_of`, the orbit of each strategy, and the columns of
-    `matrix`, one per strategy, summed over each orbit, exactly on the 0/1
-    entries of the behavior rows.
+    `perms` holds permutations of the joint strategies, one per row.  Each
+    strategy is labelled with its orbit's least member: passes lower each label
+    to the least of its images' labels and then to its label's label, until
+    none changes; a permutation's inverse is one of its powers, so the whole
+    orbit is reached.  Orbits are numbered by least member, so the identity
+    alone keeps grid order.  Returns `orbit_of` and `matrix`'s columns summed
+    over each orbit, exact on 0/1 entries.
     """
     label = np.arange(perms.shape[1])
     while True:
@@ -765,13 +594,8 @@ def _orbit_sums(perms: np.ndarray, matrix: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _orbit_fields(n: int, perms: np.ndarray, candidates: np.ndarray) -> tuple[np.ndarray, ...]:
-    """`_OrbitProgram`'s `orbit_of`, `sizes`, `cells` and `rows` under the group of `perms`.
-
-    `orbit_of` and `cells` are `_orbit_sums`'s over `_behavior_matrix(n)`,
-    and `rows` keeps, of the cells `candidates`, the first copy of each
-    distinct row of `cells[candidates]`, in the order of `candidates`.  All
-    four are read-only.
-    """
+    """`_OrbitProgram`'s `orbit_of`, `sizes`, `cells` and `rows` under `perms`, read-only;
+    `rows` keeps, in order, each cell of `candidates` whose row of `cells` is new."""
     orbit_of, cells = _orbit_sums(perms, _behavior_matrix(n))
     rows = candidates[np.sort(np.unique(cells[candidates], axis=0, return_index=True)[1])]
     sizes = np.bincount(orbit_of).astype(np.float64)
@@ -782,14 +606,11 @@ def _orbit_fields(n: int, perms: np.ndarray, candidates: np.ndarray) -> tuple[np
 def _score_programs(n: int) -> tuple[_OrbitProgram, _OrbitProgram]:
     """Build `max_score_lp`'s orbit programs, without and then with the budget row.
 
-    The columns (u_O, v_O) cost (-t_O, t_O), t_O being the summed score of
-    O's strategies.  The rows are each distinct orbit-summed behavior row E
-    once, at the cells `rows` (`_orbit_fields`), as -(E u - E v) <= 0, then
-    the budget row, 8|O| on v_O, and the normalization row of the orbit
-    sizes |O|.  Both programs share every field but `model`.  Raises RuntimeError if
-    a generator from `_chain_generators` changes the score of some joint
-    strategy, or (in `_relabelled`) does not permute the rows of the
-    behavior matrix, since then orbit sums would not solve the same LP.
+    Columns (u_O, v_O) cost (-t_O, t_O), t_O the summed score of O.  Rows: each
+    distinct orbit-summed behavior row E once, as -(E u - E v) <= 0, then the
+    budget row 8|O| on v_O and the normalization row |O|.  RuntimeError unless
+    each generator fixes every strategy's score and permutes the behavior rows
+    (`_relabelled`), since orbit sums would then solve another LP.
     """
     signs = _strategy_signs(n)
     scores = (signs @ _chain_coefficients(n) @ signs.T).ravel()
@@ -830,23 +651,15 @@ def _solve(
     budget: float = math.inf,
     score: float | None = None,
 ) -> LPResult:
-    """Solve `program` within its row bounds (`linprog`), then read the answer off the orbits.
+    """Solve `program` (`linprog`) and read the answer off its orbit solution w_O = u_O - v_O.
 
-    x = (u_O, v_O) has one column pair per orbit O, and w_O = u_O - v_O.
-    So u = u_O[orbit_of] and v = v_O[orbit_of] are the halves of the signed
-    weights w = w_O[orbit_of] of all 4^n strategies, and every figure is
-    read off the orbit vectors, weighted by the orbit sizes, without w: the
-    negative mass sum max(-w, 0) as `sizes @ max(-w_O, 0)`, sum w as
-    `sizes @ w_O`, sum v as `sizes @ v_O`, and the behavior B w,
-    B = `_behavior_matrix(n)`, as `program.cells @ w_O`.  `primal_residual`
-    is max|B w - target| when `target` is given (`min_negativity_lp`),
-    otherwise (`max_score_lp`) the largest of |sum w - 1|, max(-B w) and
-    8 sum v - `budget`, with the negative mass NaN for an infinite budget.
-    The weights are the entries of w above 1e-12 in absolute value, in
-    strategy order, expanded from w_O only when first read
-    (`_StrategyWeights`).  The optimal score is `score` when given, else
-    -cost @ x.  An optimum whose residual exceeds `_MAX_RESIDUAL`, or is
-    NaN, is FAILED (see `LPResult`).
+    All 4^n weights are w = w_O[orbit_of], so each figure is an orbit sum: the
+    negative mass `sizes @ max(-w_O, 0)`, sum w `sizes @ w_O`, sum v
+    `sizes @ v_O`, B w `program.cells @ w_O`.  `primal_residual` is
+    max|B w - target| given `target`, else the largest of |sum w - 1|,
+    max(-B w) and 8 sum v - `budget` (the mass NaN at an infinite budget).
+    The score is `score`, else -cost @ x; a residual above `_MAX_RESIDUAL`, or
+    NaN, is FAILED.
     """
     model, sizes = program.model, program.sizes
     res = linprog(model, row_lower, row_upper)
@@ -873,24 +686,15 @@ def _solve(
 
 
 def max_score_lp(n: int, negativity_budget: float = math.inf) -> LPResult:
-    """Maximize the chained score over signed strategy mixtures.
+    """Maximize the chained score over signed strategy mixtures w = u - v, u, v >= 0.
 
-    Weights are split into non-negative halves w = u - v to keep the program
-    linear.  Constraints: total weight 1, every induced behavior entry >= 0
-    (row normalization then forces entries <= 1), and the faithful-witness
-    budget 8 * sum(v) <= negativity_budget when finite.  A NaN budget is
-    refused.
-
-    HiGHS solves the program over the orbits (`_OrbitProgram`) of the
-    chained score's 8n relabellings (`_chain_group`), without the budget row
-    when the budget is infinite (`_score_programs`).  Each relabelling fixes
-    every strategy's score and permutes the behavior entries, so w composed
-    with it has w's score, total weight and negative mass, and w's entries,
-    permuted.
-
-    With an infinite budget `negative_mass` is NaN (null in JSON): without a
-    budget row every optimal vertex scores 2n, and which one HiGHS returns,
-    not the LP, sets the mass.
+    Constraints: total weight 1, every behavior entry >= 0, and
+    8 sum v <= `negativity_budget` when finite; n outside 2..5 and a NaN or
+    negative budget raise ValueError.  HiGHS solves over the orbits
+    (`_OrbitProgram`) of the chained score's 8n relabellings (`_chain_group`),
+    each of which fixes every strategy's score and permutes the behavior
+    entries, so maps the LP to itself.  At an infinite budget `negative_mass`
+    is NaN: every optimal vertex scores 2n, and HiGHS's pick sets the mass.
     """
     if n < 2:
         raise ValueError("score maximization needs n >= 2")
@@ -910,82 +714,38 @@ def max_score_lp(n: int, negativity_budget: float = math.inf) -> LPResult:
 
 
 def min_negativity_lp(target: Behavior) -> LPResult:
-    """Minimize negative mass among signed mixtures reproducing `target` exactly.
+    """Minimize the negative mass of signed mixtures that reproduce `target` exactly.
 
-    A target with max|M t_R - t| > `_BASIS_SLACK` signals, so no
-    signed mixture reproduces it: it is INFEASIBLE before any program is
-    built, with that distance in `solver_message` and `iterations`,
-    `columns` and `rows` 0, and a distance that overflows is FAILED.  The
-    reported optimal_score is the chained score the target itself achieves.
-    Note this answers "how little negative mass reproduces these
-    statistics", which is related to but distinct from any witness value of
-    a particular model.  HiGHS solves at most once per call.  An entry no
-    float holds, such as a `Fraction` beyond float range, raises ValueError
-    naming its setting pair.
+    Unequal setting counts, n outside 2..5 and an entry no float holds (named
+    by its setting pair) raise ValueError.  A target with max|M t_R - t| >
+    `_BASIS_SLACK` signals: it is INFEASIBLE unsolved, with that distance in
+    `solver_message` and `iterations`, `columns` and `rows` 0, or FAILED if
+    the distance overflows.  Otherwise HiGHS solves once.  `optimal_score` is
+    the target's own chained score.
 
-    The program is B(u - v) = t with u, v >= 0, minimizing the total of v,
-    and B `_behavior_matrix(n)`'s 4n^2 rows.  They have rank (n+1)^2 only, so
-    the program keeps the (n+1)^2 rows B_R of `_behavior_basis(n)` and the
-    matching entries t_R of the target, with B = M @ B_R for an integer M.
-    B_R has full row rank, so B w = t has a solution exactly when
-    t = M t_R, and then B_R w = t_R gives B w = t: every two-outcome
-    no-signalling behavior is an affine mix of deterministic ones (Collins
-    and Gisin; Al-Safi and Short, Phys. Rev. Lett. 111, 170403, 2013).
-    Summed over the orbits below, rows may coincide, and each distinct row
-    is kept once, bounded by its first copy's entry: some signed mixture
-    reproduces the target, and that mixture averaged over the group is
-    constant on orbits, so it gives copies equal entries, and it reproduces
-    the target up to the target's distance from a symmetric behavior,
-    within the 1e-9 slack.  `primal_residual` reports any gap that is left.
-    The N = 1/2 and N = 1 families get 8 rows at every n, the N = 2 family
-    6 (2 at n = 2), and the chained singlet and Werner targets n.
+    The program is B(u - v) = t, u, v >= 0, minimizing sum v.  B =
+    `_behavior_matrix(n)` is M @ B_R for the full-rank rows B_R of
+    `_behavior_basis(n)` and an integer M, so B w = t is solvable exactly when
+    t = M t_R, and then B_R w = t_R gives B w = t: a two-outcome no-signalling
+    behavior is an affine mix of deterministic ones (Collins and Gisin;
+    Al-Safi and Short, Phys. Rev. Lett. 111, 170403, 2013).
 
-    HiGHS solves over the orbits (`_OrbitProgram`) of a group that fixes
-    the target, and v_O costs |O|.  Its generators are the target's
-    stabilizer, the relabellings g of `_chain_group(n)` with
-    max|t[rows[g]] - t| <= 1e-9, i.e. those that fix the target, and, when
-    each of them fixes it exactly, the swaps of two settings of one party
-    whose target rows are exactly equal (`_setting_transpositions`).  Each
-    element permutes the behavior rows and fixes t, so it maps the feasible
-    set B w = t and the negative mass to themselves.
-
-    The argument needs every element of the group to fix t.  Exact
-    symmetries compose to exact ones, so a swap, which does not fix the
-    chained score, joins only a stabilizer whose relabellings are all exact:
-    then every product of generators fixes t.  Within the 1e-9 slack two
-    relabellings that each pass may compose to one that does not.  So an
+    HiGHS solves over the orbits (`_OrbitProgram`) of a group fixing t, v_O
+    costing |O|.  Its generators are t's stabilizer, the g in `_chain_group(n)`
+    with max|t[rows[g]] - t| <= `_BASIS_SLACK`, and, when each of those fixes t
+    exactly, the swaps of two settings of one party whose target rows are
+    exactly equal (`_setting_transpositions`); each permutes the behavior rows
+    and fixes t, so it maps the feasible set and the mass to themselves.  Exact
+    symmetries compose to exact ones, but two within the slack may not, so an
     inexact stabilizer gets no swaps, and its orbits, each named by its
-    smallest image under the stabilizer, are used only when the relabellings
-    that keep every orbit in place are exactly the stabilizer, which holds
-    when it is a group and proves that it is one; otherwise HiGHS gets one
-    column pair per strategy.  The chained singlet and Werner targets are
-    fixed by all 8n relabellings and have no equal rows (68 columns at n = 5
-    instead of 2048).  The N = 1 family is fixed by 2 relabellings and the
-    N = 2 family by 4, and in both Alice's settings 1..n-1 share their rows,
-    and so do Bob's 0..n-2: at n = 2..5 that is 20, 42, 72 and 110 columns
-    for N = 1 (and N = 1/2), and 4, 24, 40 and 60 for N = 2.  A target fixed
-    by the identity alone, with no equal rows, gets the program over all
-    2 * 4^n columns, column for column.  The reported weights are the
-    symmetric optimum, expanded to all 4^n strategies when first read, so
-    `support_size` counts whole orbits of the larger group, and
-    `primal_residual` is max|B w - t| over all 4n^2 rows, B w read off the
-    orbit solution through the program's `cells`.
-
-    The program is built once per key and cached (`_negativity_program`,
-    at most `_NEGATIVITY_PROGRAMS` keys).  The key is n, the stabilizer as
-    a mask over `_chain_group(n)`, and, when each stabilizer element fixes
-    the target exactly, the mask of exactly fixing swaps over
-    `_setting_transpositions(n)` (else None).  The
-    target is relabelled once by each element of `_chain_group(n)`: how far
-    each moves it decides both the stabilizer and, the entries being finite,
-    whether each of its elements fixes the target exactly, a move of exactly
-    0.  That is all the build reads of the target: the rows, the generators,
-    the closure check on an inexact stabilizer, and so the orbits, their
-    sums, the cost and the model follow from the key alone.  The target's
-    entries go in only as the row bounds, per call, so no result is cached.
-    Targets that share a key share a program: a family's budgets where their
-    symmetries agree, and the chained singlet with every Werner visibility,
-    all fixed by the whole group.
+    smallest image, are used only when the relabellings that keep every orbit
+    in place are exactly the stabilizer, which holds when it is a group and
+    proves that it is one; otherwise each strategy is its own orbit.  Summed
+    over orbits, rows may coincide; each distinct row is kept once, bounded by
+    its first copy's entry, which the group-averaged mixture meets up to t's
+    distance from a symmetric behavior, within the slack (`primal_residual`
+    reports the gap).  Targets with one key (`_negativity_program`) share one
+    cached program, t entering each solve only as row bounds.
     """
     if target.n_settings_A != target.n_settings_B:
         raise ValueError("the strategy grid needs equal setting counts")
@@ -997,13 +757,11 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     entries = np.array([_floats(target.table[pair], pair) for pair in target.setting_pairs()]).ravel()
     basis = _behavior_basis(n)
     group = _chain_group(n)
-    # Entries near float's limits may overflow either difference: a distance
-    # that is not finite is FAILED, and a relabelling that moves the target
-    # by inf is no symmetry of it.
+    # Near float's limits either difference may overflow: an infinite
+    # distance is FAILED, and a move by inf is no symmetry.
     with np.errstate(over="ignore", invalid="ignore"):
         distance = float(np.abs(basis.expand @ entries[basis.rows] - entries).max())
-        # How far each relabelling moves the target, gathered once: a finite
-        # entry moves by 0 exactly when the relabelling fixes it exactly.
+        # A finite entry moves by exactly 0 when a relabelling fixes it exactly.
         moved = np.abs(entries[group.rows] - entries).max(axis=1)
     if not distance <= _BASIS_SLACK:
         if math.isfinite(distance):
@@ -1023,30 +781,18 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     return _solve(n, program, bounds, bounds, target=entries, score=chained_score(target, n))
 
 
-#: `_negativity_program`'s cache size.  The largest entry, a target at n = 5
-#: fixed by the identity alone, has 36 rows of 512 nonzeros each in split
-#: form, so its model holds 18432 nonzeros at 12 bytes (221 KB) and 74 KB
-#: more, and its `cells` are 100 x 1024 float64 (819 KB).  A full cache
-#: holds at most about 18 MB.
+#: `_negativity_program`'s cache size, bounding its memory: the largest
+#: program (n = 5, the identity alone) holds about 1.1 MB, a full cache 18 MB.
 _NEGATIVITY_PROGRAMS = 16
 
 
 @functools.lru_cache(maxsize=_NEGATIVITY_PROGRAMS)
 def _negativity_program(n: int, stabilizer: bytes, exact_swaps: bytes | None) -> _OrbitProgram:
-    """Build `min_negativity_lp`'s orbit program from what its target decides.
-
-    The rows are the distinct orbit sums of `_behavior_basis(n)`'s rows,
-    each once, in the order of their first copies, at the cells `rows`
-    (`_orbit_fields`), taken from the orbit sums of all 4n^2 behavior rows,
-    the program's `cells`.
-    `stabilizer` is the bool mask over `_chain_group(n)` of the relabellings
-    that fix the target within the slack, and `exact_swaps`, given only
-    when each of them fixes it exactly, the bool mask over
-    `_setting_transpositions(n)` of the swaps that fix it exactly.  These
-    decide the group, its orbits and so the whole program; the target's
-    entries enter only as the row bounds, at `rows`, so one program is
-    built per such key and shared by every target that has it.
-    """
+    """Build `min_negativity_lp`'s orbit program for the key its target decides: `stabilizer`
+    masks the relabellings of `_chain_group(n)` that fix the target within the slack, and
+    `exact_swaps`, given only when each of those fixes it exactly, the swaps of
+    `_setting_transpositions(n)` that fix it exactly.  The rows are the distinct orbit sums
+    of `_behavior_basis(n)`'s rows."""
     group = _chain_group(n)
     stabilizer = np.frombuffer(stabilizer, dtype=bool)
     perms = group.strategies[stabilizer]
@@ -1086,11 +832,10 @@ _STATE_SLACK = 1e-7
 def quantum_behavior(state: np.ndarray, angles_A, angles_B) -> Behavior:
     """Two-qubit behavior from projective measurements in the X-Z plane.
 
-    `state` is a 4x4 density matrix; each party's settings are measurement
-    angles (radians) of the observable cos(t) Z + sin(t) X.  The result is
-    valid and no-signalling by construction (up to roundoff), at the default
-    tolerance.  An angle that is NaN or infinite is refused with ValueError
-    naming the party, the setting and the angle.
+    Each setting is the angle t (radians) of the observable cos(t) Z + sin(t) X;
+    the result is valid and no-signalling up to roundoff.  A state that is not a
+    4x4 Hermitian, positive semidefinite, unit-trace matrix within
+    `_STATE_SLACK`, a party without angles and a non-finite angle raise ValueError.
     """
     rho = np.asarray(state, dtype=complex)
     if rho.shape != (4, 4):
@@ -1121,11 +866,9 @@ def quantum_behavior(state: np.ndarray, angles_A, angles_B) -> Behavior:
     return Behavior(n_settings_A=len(angles_a), n_settings_B=len(angles_b), table=table)
 
 
-#: Largest `shots` that `signed_sample` takes.  It bounds no resource: a
-#: call draws 8 counts per setting pair, so its time and memory do not grow
-#: with `shots`.  It is kept so that the library and `sample --shots` refuse
-#: the counts that earlier releases refused; at the cap every standard error
-#: is already at most S / 10**4, with S = sum |w|.
+#: Largest `shots` that `signed_sample` takes.  A call's cost does not grow
+#: with `shots`; the cap stops at counts where every standard error is
+#: already at most S / 10**4, S = sum |w|.
 _MAX_SHOTS = 10**8
 
 
@@ -1154,33 +897,20 @@ def signed_sample(
     seed: int,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> SampleEstimate:
-    """Estimate the behavior by sampling hidden values from |w| / sum|w|.
+    """Estimate the behavior by sampling hidden values from |w| / S, S = sum |w|.
 
-    Each draw carries weight sign(w) * sum|w|; averaging those signed
-    indicators per cell gives an unbiased estimate of every behavior entry.
-    Models whose behavior, assembled at `tolerance`, is invalid there are
-    refused with `InvalidBehaviorError`, since their negative cells cannot be
-    reproduced by any frequency estimate.
-
-    The estimate reads only how many shots land in each cell with each
-    sign, and those 8 counts per setting pair are drawn directly: setting
-    pairs run row-major, and each is one `Generator.multinomial(shots, q)`
-    on `numpy.random.default_rng(seed)`, with
-    q[4 * s + 2 * [Alice +] + [Bob +]] the sum, over the points j whose
-    weight has sign s (0 for w >= 0, 1 for w < 0), of
-    |w_j| / S * P_A(y_a | x_a, lam_j) * P_B(y_b | x_b, lam_j), S = sum |w|.
-    Each party's + probability is its response row's, clipped to [0, 1],
-    and the - probability is 1 minus that.  Those counts have the law of
-    drawing a hidden value and both outcomes shot by shot (an outcome + when
-    a uniform is below its + probability), so a call costs the same at any
-    `shots`.  A seed fixes every count for a given numpy version.  This
-    release changed every per-seed output once: earlier releases drew
-    `shots` uniforms per pair for the hidden value and per outcome.  A
-    `shots` that is not an integer (a bool, a float such as 2.0 or 2.5, None
-    or a string) is refused with ValueError first, and so is a seed that is
-    not a non-negative integer (None included, which would draw from the
-    operating system and could not be replayed), both before anything is
-    assembled.
+    Each draw carries weight sign(w) * S, so the signed indicators' mean per
+    cell is an unbiased estimate.  Each setting pair's 8 counts of shots by
+    cell and weight sign, all the estimate reads, are drawn directly, pairs
+    row-major, as `Generator.multinomial(shots, q)` on
+    `numpy.random.default_rng(seed)`, q[4 k + 2 [Alice +] + [Bob +]] summing
+    |w_j| / S * P_A(y_a | x_a, lam_j) * P_B(y_b | x_b, lam_j) over the points j
+    of sign k (1 for w < 0), + probabilities clipped to [0, 1].  These counts
+    have the law of shot-by-shot draws.  A non-integer `shots` (bools, floats,
+    None), one outside 1..`_MAX_SHOTS` and a seed that is not a non-negative
+    integer (None included: an unseeded draw could not be replayed) raise
+    ValueError before assembly; a behavior invalid at `tolerance` raises
+    `InvalidBehaviorError`, as no frequency estimate reproduces a negative cell.
     """
     if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
         raise ValueError("shots must be an integer")
@@ -1199,7 +929,7 @@ def signed_sample(
     magnitude = np.abs(weights)
     total_variation = float(magnitude.sum())
     negative = weights < 0
-    # by_sign[s, j]: point j's share |w_j| / S if its weight has sign s.
+    # by_sign[k, j]: point j's share |w_j| / S if its weight has sign k.
     by_sign = np.where([~negative, negative], magnitude / total_variation, 0.0)
     n_a = model.response_A.n_settings
     n_b = model.response_B.n_settings

@@ -7,12 +7,11 @@ Model schema::
                  {...}],
      "dist": {"lamA,lamB": weight, ...}}
 
-parties[0] is Alice, parties[1] is Bob.  Hidden-value labels are written with
-str() and read back as strings, so labels may not contain commas.  A file is
-read only in the form it is written: `lambdas` must be an array of strings,
-and a table key's setting must be written as str() writes it.  Behavior
-CSV uses the fixed header ``xA,xB,P--,P-+,P+-,P++`` with one row per setting
-pair in lexicographic order, its settings written as str() writes them too.
+parties[0] is Alice, parties[1] Bob.  Labels are written with str() and
+read back as strings, so they may not contain commas.  A file is read only
+in the form it is written: `lambdas` an array of strings, settings as
+str() writes them.  Behavior CSV has the header ``xA,xB,P--,P-+,P+-,P++``
+and one row per setting pair in lexicographic order.
 """
 
 from __future__ import annotations
@@ -39,11 +38,7 @@ def _label_str(label) -> str:
 
 
 def _setting(text: str) -> int:
-    """The setting index that `text` writes as str() does; ValueError otherwise.
-
-    int() alone would also take "00", " 1", "+1" and "0_1".  Model table
-    keys and behavior CSV columns are read through it.
-    """
+    """The setting that `text` writes as str() does; ValueError for "00", " 1", "+1" or "0_1"."""
     x = int(text)
     if str(x) != text:
         raise ValueError(f"setting {text!r} is not written as {str(x)!r}")
@@ -96,8 +91,7 @@ def _party_from_dict(entry: dict, party: str) -> LocalResponse:
     lambdas = tuple(lambdas)
     if not isinstance(raw_table, dict):
         raise ModelFormatError(f"party {party}: 'table' must be an object")
-    # Checked before LocalResponse enumerates settings x lambdas, so a huge
-    # 'settings' value is refused without building its key set.
+    # Checked before LocalResponse enumerates its keys, so a huge 'settings' is refused cheaply.
     if len(raw_table) != settings * len(lambdas):
         raise ModelFormatError(
             f"party {party}: table has {len(raw_table)} rows, expected "

@@ -1,20 +1,14 @@
 """Negativity witnesses for signed hidden-variable mixtures.
 
 A negativity witness maps a weight table to a non-negative number that is
-zero on every ordinary (all-positive) distribution.  The chained witness of
-length n sums one case-selected term per link x = 1 .. n-1; each term pairs
-every hidden value with the bracket
-
-    2 +- <A>^x (<B>^x + <B>^(x-1))
-
-where <k>^s is the per-hidden-value outcome expectation at setting s, and
-multiplies it by the negative excess |w| - w of the weight.  The branch
-(+ or -) is picked by the sign of an observed correlator sum, so the witness
-depends on the whole model, not on the weights alone.  The 2-setting
-witness is the chain of length 2: its single link x=1.  The faithful
-witness drops the brackets in favor of the constant 4 and is strictly
-positive whenever any weight is negative, at the cost of a looser Bell
-bound.
+zero on every all-positive distribution.  The chained witness of length n
+sums one case-selected term per link x = 1 .. n-1, pairing each hidden
+value's negative excess |w| - w with the bracket
+2 +- <A>^x (<B>^x + <B>^(x-1)), <k>^s the outcome expectation at setting
+s; the sign of an observed correlator sum picks the branch, so the witness
+depends on the whole model.  The 2-setting witness is its link x=1.  The
+faithful witness, 4 in place of each bracket, is positive whenever any
+weight is negative, at the cost of a looser bound.
 """
 
 from __future__ import annotations
@@ -43,17 +37,12 @@ def _point_key(point: Point) -> str:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Both branch values of a case-selected witness plus the chosen one.
+    """One link's case-selected witness: both branch values and the selected one.
 
-    `branch_discriminant` is the correlator sum that picked the branch
-    (negative selects PLUS, anything else selects MINUS).
-    `link` is the chain link x the term belongs to, and Alice's setting
-    inside the brackets; `a_setting_discriminant` is Alice's setting in the
-    discriminant (x, or 0 under the "zero" selection of
-    `witness_chained_link`).
-    `per_lambda_contributions` breaks the selected value down by support
-    point.
-    """
+    `branch_discriminant` is the correlator sum that picked the branch (negative: PLUS,
+    else MINUS), and `a_setting_discriminant` Alice's setting in it; `link` is the chain
+    link x, Alice's setting in the brackets.  `per_lambda_contributions` breaks the
+    selected value down by support point."""
 
     n_plus: object
     n_minus: object
@@ -96,10 +85,7 @@ class ChainedWitnessReport:
 
 
 def witness_faithful(dist: QuasiDist):
-    """Faithful witness: sum of 4 * (|w| - w), i.e. 8x the negative mass.
-
-    Strictly positive iff the distribution has at least one negative weight.
-    """
+    """Faithful witness sum 4 (|w| - w), 8x the negative mass: positive iff a weight is negative."""
     return sum(4 * (abs(w) - w) for w in dist.weights.values())
 
 
@@ -111,16 +97,9 @@ def witness_chained_link(
 ) -> WitnessReport:
     """Witness term for chain link x, bracketed with settings (x; x, x-1).
 
-    The branch discriminant is E(x, x) + E(x, x-1) by default ("link"), the
-    selection under which the chained bound is a theorem: it is what the
-    inductive proof uses, and link x=1 is the whole 2-setting witness.
-    Passing "zero" selects by E(0, x) + E(0, x-1) instead; that variant is
-    exposed for comparison only, because branch selection at Alice's
-    setting 0 does not give a universally valid bound (there are valid
-    behaviors whose score exceeds it; see the regression test).  The report
-    records which Alice setting selected the branch.  It is the last term
-    of `witness_chained(model, x + 1)`.
-    """
+    The discriminant E(x, x) + E(x, x-1) ("link") is the selection under which the chained
+    bound is a theorem; "zero" selects by E(0, x) + E(0, x-1), for comparison only, as some
+    valid behaviors exceed that bound.  It is the last term of `witness_chained(model, x + 1)`."""
     if x < 1:
         raise ValueError("link index must be at least 1")
     return witness_chained(model, x + 1, behavior, discriminant_alice_setting).terms[-1]
@@ -132,19 +111,15 @@ def witness_chained(
     behavior: Behavior | None = None,
     discriminant_alice_setting: Literal["zero", "link"] = "link",
 ) -> ChainedWitnessReport:
-    """Chained witness: sum of the per-link terms for x = 1 .. n-1.
+    """Chained witness: the sum of the per-link terms for x = 1 .. n-1.
 
-    Link x has both branches [2 +- <A>^x (<B>^x + <B>^(x-1))] * (|w| - w);
-    the discriminant picks one (see `witness_chained_link`), and only that
-    branch is broken down by support point.  The product
-    t = <A>^x (<B>^x + <B>^(x-1)) is computed once per point and shared: the
-    MINUS term `2 - t` is bit-identical to `2 + (-1 * <A>^x) * (...)`.
-
-    From link 2 on, a link whose two discriminant rows and, at every point
-    of negative weight, whose Alice row and two Bob rows are the same
-    objects as the previous link's has that link's figures, so it reuses
-    them; its report still has its own link fields and contributions dict.
-    Without `behavior`, the model's own default-tolerance behavior is read.
+    Link x has both branches [2 +- <A>^x (<B>^x + <B>^(x-1))] (|w| - w); the
+    discriminant picks one (`witness_chained_link`), broken down by point.
+    t = <A>^x (<B>^x + <B>^(x-1)) is computed once per point, `2 - t` having
+    the bits of `2 + (-1 * <A>^x) * (...)`.  From link 2 on, a link whose
+    discriminant rows, and at every negative-weight point whose Alice row and
+    two Bob rows, are the previous link's objects reuses its figures.
+    Without `behavior`, the model's default-tolerance behavior is read.
     """
     if n < 2:
         raise ValueError("chained witness needs n >= 2")
@@ -156,14 +131,11 @@ def witness_chained(
     if behavior is None:
         behavior = model._behavior
     faithful = witness_faithful(model.dist)
-    # Per-point excesses |w| - w, computed once for every link: a {point: 0}
-    # template in support order and the (point, excess) pairs whose excess
-    # is not zero; only those points contribute a term.
+    # A {point: 0} template, and the (point, excess) pairs with |w| - w != 0.
     weights = model.dist.weights
     table_a, table_b = model.response_A.table, model.response_B.table
     zeros = dict.fromkeys(model.dist.support, 0)
-    # The sums start at the zero of the first support point's arithmetic, as
-    # `_mix`'s cells do, so an empty sum has the type a full one would have.
+    # Sums start at the first point's arithmetic's zero, as in `_mix`: empty ones keep its type.
     lam_a, lam_b = model.dist.support[0]
     zero = 0 + table_a[(0, lam_a)][0] * table_b[(0, lam_b)][0] * weights[(lam_a, lam_b)] * 0
     negative = []

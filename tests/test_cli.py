@@ -133,6 +133,13 @@ class TestBuildVerifyExport:
             "pass force=True to build the invalid model anyway"
         ]
 
+    def test_forced_budget_beyond_float_range_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "build", "--n", "2", "--force",
+                             "--negativity", "1" + "0" * 400 + "/1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_build_then_verify_holds(self, capsys, tmp_path):
         path = tmp_path / "model.json"
         code, _, _ = run(capsys, "build", "--negativity", "1", "--output", str(path))

@@ -45,11 +45,12 @@ from quasibell import (
     signed_sample,
     singlet_state,
     validate_behavior,
+    witness_faithful,
 )
 from quasibell import oracle
 from quasibell.constructions import SymbolStrategy, model_from_strategies
 
-from conftest import random_joint_model, random_model, stochastic_responses
+from conftest import random_joint_model, random_model, random_valid_model, stochastic_responses
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -514,6 +515,68 @@ class TestMinNegativityLP:
         payload = result.to_json_dict()
         assert payload["iterations"] == result.iterations
         assert payload["solver_message"] == result.solver_message
+
+
+def _mixed(first: Model, second: Model, weight: float) -> Model:
+    """(1 - weight) `first` + weight `second`, `second`'s labels prefixed with "r"."""
+    def joined(mine: LocalResponse, theirs: LocalResponse) -> LocalResponse:
+        table = dict(mine.table)
+        table.update({(x, "r" + lam): row for (x, lam), row in theirs.table.items()})
+        labels = mine.hidden_values + tuple("r" + lam for lam in theirs.hidden_values)
+        return LocalResponse(mine.party, mine.n_settings, labels, table)
+
+    weights = {point: (1 - weight) * w for point, w in first.dist.weights.items()}
+    weights.update({("r" + a, "r" + b): weight * w for (a, b), w in second.dist.weights.items()})
+    return Model(joined(first.response_A, second.response_A),
+                 joined(first.response_B, second.response_B),
+                 QuasiDist(support=tuple(weights), weights=weights))
+
+
+class TestSignedModelsAgainstBothLPs:
+    """Every valid signed model lies within both LPs' answers at its faithful witness F.
+
+    Split: each support point's product of local responses is a convex
+    mixture of deterministic joint strategies, so the behavior is b =
+    sum_j c_j D_j with c_j = sum_lambda w_lambda p_lambda(j).  Merge: c
+    has total weight sum w = 1, and since each p_lambda is a probability
+    vector its negative part is at most sum max(-w, 0) = F/8.  So c
+    reproduces b with negative mass at most F/8, the bound on
+    `min_negativity_lp(b)`.  As b is valid, c also meets `max_score_lp`'s
+    rows under the budget F with score +-`chained_score(b, n)`, and flipping
+    Alice's outcomes negates the score and keeps both constraints, so the
+    LP's optimum is at least the score.  The saturating families meet the
+    score bound at n = 2 and at N = 2, so mixing a little of a random model
+    into them gives inputs close to it.
+    """
+
+    @staticmethod
+    def check(model: Model, n: int) -> None:
+        behavior = assemble_behavior(model)
+        faithful = float(witness_faithful(model.dist))
+        score = max_score_lp(n, faithful)
+        least = min_negativity_lp(behavior)
+        assert score.status is LPStatus.OPTIMAL and least.status is LPStatus.OPTIMAL
+        assert chained_score(behavior, n) <= score.optimal_score + 1e-9
+        assert least.negative_mass <= faithful / 8 + 1e-9
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_random_models(self, n):
+        rng = np.random.default_rng(n)
+        models = [random_valid_model(rng, n_settings=n)[0] for _ in range(20)]
+        while len(models) < 40:
+            model = random_joint_model(rng, n_settings=n)
+            if validate_behavior(assemble_behavior(model)).is_valid:
+                models.append(model)
+        for model in models:
+            self.check(model, n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("budget", [0.5, 1.0, 2.0])
+    def test_saturating_families_mixed_with_random_models(self, n, budget):
+        rng = np.random.default_rng(n)
+        for weight in (1e-3, 1e-2, 1e-1):
+            other, _ = random_valid_model(rng, n_settings=n)
+            self.check(_mixed(chained_saturating_model(n, budget), other, weight), n)
 
 
 def _signalling_perturbation(n: int, size: float) -> Behavior:

@@ -33,6 +33,7 @@ from quasibell.constructions import (
     SymbolStrategy,
     model_from_strategies,
     saturating_strategies,
+    saturating_weights,
 )
 from quasibell.oracle import (
     classical_bound_bruteforce,
@@ -234,6 +235,10 @@ def test_tolerance_refusals(check, tol):
                  "all strategies must share a setting count", id="mixed-settings"),
     pytest.param(lambda: SymbolStrategy((), ()),
                  "strategies need at least one setting", id="no-settings"),
+    pytest.param(lambda: saturating_weights(Fraction(10**400)),
+                 "the negativity budget is beyond float range", id="weights-beyond-float"),
+    pytest.param(lambda: chained_saturating_model(2, Fraction(10**400), force=True),
+                 "the negativity budget is beyond float range", id="family-beyond-float"),
 ])
 def test_construction_refusals(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -180,9 +180,10 @@ def test_model_grid_digest(monkeypatch, capsys):
 
 
 def test_code_lines(monkeypatch, capsys, tmp_path):
-    # Docstrings, comments and blank lines count 0; a code line counts once
-    # however many tokens it holds, and a multi-line string that is no
-    # docstring counts each of its lines.
+    # Docstrings, comments and blank lines are no code lines; a code line
+    # counts once however many tokens it holds, and a multi-line string that
+    # is no docstring counts each of its lines.  Each line a docstring spans
+    # is a docstring line.
     (tmp_path / "small.py").write_text(
         '"""Module docstring,\n\non three lines."""\n'
         "# a comment\n"
@@ -199,7 +200,7 @@ def test_code_lines(monkeypatch, capsys, tmp_path):
     (tmp_path / "only_docs.py").write_text('"""Nothing but a docstring."""\n# and a comment\n')
     assert run_script(monkeypatch, "code_lines.py", str(tmp_path)) == 0
     assert capsys.readouterr().out.splitlines() == [
-        f"     0  {tmp_path / 'only_docs.py'}",
-        f"     5  {tmp_path / 'small.py'}",
-        "     5  total",
+        f"     0       1  {tmp_path / 'only_docs.py'}",
+        f"     5       5  {tmp_path / 'small.py'}",
+        "     5       6  total",
     ]
