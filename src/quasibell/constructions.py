@@ -122,8 +122,6 @@ def chained_saturating_model(
 ) -> Model:
     """Four-strategy diagonal model saturating the n-setting bound at budget N.  A budget
     outside [0, 2], the validity ceiling, raises ValueError unless `force` builds it anyway."""
-    if n < 2:
-        raise ValueError("the saturating family needs n >= 2")
     if not force and not 0 <= negativity <= 2:
         raise ValueError(
             f"negativity budget {negativity!r} outside [0, 2]; pass force=True to "

@@ -59,6 +59,14 @@ def _check_tolerance(tol: float) -> None:
         raise ValueError(f"tolerance must be non-negative and finite, got {tol!r}")
 
 
+def _check_chain_length(name: str, n: int, holder: str, n_a: int, n_b: int) -> None:
+    """Refuse, naming the caller `name`, a chain length n below 2 or above n_a or n_b."""
+    if n < 2:
+        raise ValueError(f"{name} needs n >= 2")
+    if n_a < n or n_b < n:
+        raise ValueError(f"{name} with n={n} needs {n} settings per party, {holder} has ({n_a}, {n_b})")
+
+
 def _check_prob_row(row, tol: float, party: str, key) -> None:
     # Both tests of each pair are false for NaN, so NaN is refused.
     if len(row) != 2:

@@ -15,6 +15,7 @@ from .core import (
     Behavior,
     Model,
     Point,
+    _check_chain_length,
     _check_tolerance,
     _row_correlation,
 )
@@ -60,13 +61,8 @@ def chained_score(behavior: Behavior, n: int):
     """Chained n-setting score, summed as E(0,0) - E(0,n-1), then E(x,x-1) + E(x,x) for
     x = 1..n-1, so n=2 is CHSH term for term; a row that is the previous term's object
     reuses its correlator."""
-    if n < 2:
-        raise ValueError("chained score needs n >= 2")
-    if behavior.n_settings_A < n or behavior.n_settings_B < n:
-        raise ValueError(
-            f"chained score with n={n} needs {n} settings per party, behavior has "
-            f"({behavior.n_settings_A}, {behavior.n_settings_B})"
-        )
+    _check_chain_length("chained score", n, "behavior",
+                        behavior.n_settings_A, behavior.n_settings_B)
     table = behavior.table
     rows = [table[(0, 0)], table[(0, n - 1)]]
     for x in range(1, n):
@@ -114,8 +110,8 @@ def _products(left, right) -> list:
 def lambda_local_score(model: Model, lam, n: int):
     """Score M(lambda) of one support point, or of a bare label in a diagonal model;
     |M(lambda)| <= 2n-2 because every factor is in [-1, 1]."""
-    if n < 2:
-        raise ValueError("lambda-local score needs n >= 2")
+    _check_chain_length("lambda-local score", n, "model",
+                        model.response_A.n_settings, model.response_B.n_settings)
     point: Point
     if isinstance(lam, tuple) and lam in model.dist.weights:
         point = lam
@@ -151,8 +147,8 @@ def check_quasi_bell(
 
     `behavior` is the model's assembled behavior if the caller has it, else the model's
     default-tolerance one is read.  A negative, infinite or NaN `tol` raises ValueError."""
-    if n < 2:
-        raise ValueError("bound check needs n >= 2")
+    _check_chain_length("bound check", n, "model",
+                        model.response_A.n_settings, model.response_B.n_settings)
     _check_tolerance(tol)
     if behavior is None:
         behavior = model._behavior

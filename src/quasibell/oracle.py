@@ -170,8 +170,7 @@ def linprog(model: _HighsModel, row_lower: np.ndarray, row_upper: np.ndarray) ->
     and options are `scipy.optimize.linprog(method="highs")`'s, presolve off
     (`_HIGHS_OPTIONS`), so `x`, `fun` and `nit` are its.  `status` maps HiGHS's
     model status by `_HIGHS_STATUS`; `message` names it and, off OPTIMAL, the
-    primal solution status.  Solver state is cleared first, so the answer is a
-    fresh instance's.  An info value HiGHS does not know raises RuntimeError.
+    primal solution status.  Each solve starts from a fresh instance's state.
     """
     highs = _highs_binding()
     if not len(row_lower) == len(row_upper) == model.rows:
@@ -195,19 +194,14 @@ def linprog(model: _HighsModel, row_lower: np.ndarray, row_upper: np.ndarray) ->
         model_status = solver.getModelStatus()
     else:
         model_status = solver.getModelStatus()
-        for name in ("simplex_iteration_count", "ipm_iteration_count"):
-            known, nit = solver.getInfoValue(name)
-            if known == highs.HighsStatus.kError:
-                raise RuntimeError(f"HiGHS has no info value {name!r}")
-            if nit:
-                break
+        info = solver.getInfo()
+        nit = info.simplex_iteration_count
         if model_status == highs.HighsModelStatus.kOptimal:
             x, fun = np.array(solver.getSolution().col_value), solver.getObjectiveValue()
         else:
-            primal_status = solver.getInfo().primal_solution_status
             message = (
                 f"model_status is {solver.modelStatusToString(model_status)}; "
-                f"primal_status is {solver.solutionStatusToString(primal_status)}"
+                f"primal_status is {solver.solutionStatusToString(info.primal_solution_status)}"
             )
     status = _HIGHS_STATUS.get(int(model_status), 4)
     return _HighsResult(status, x, fun, nit, message or solver.modelStatusToString(model_status))
@@ -333,6 +327,14 @@ class SampleEstimate:
         }
 
 
+def _check_chain_length(name: str, n: int, limited: str, cap: int) -> None:
+    """Refuse a chain length n below 2, naming `name`, or above `cap`, naming `limited`."""
+    if n < 2:
+        raise ValueError(f"{name} needs n >= 2")
+    if n > cap:
+        raise ValueError(f"{limited} limited to n <= {cap}")
+
+
 def enumerate_deterministic(n: int) -> tuple[Strategy, ...]:
     """All 2^n single-party deterministic strategies as +-1 outcome tuples, for either party."""
     if n < 1:
@@ -362,10 +364,7 @@ def classical_bound_bruteforce(n: int) -> float:
     exact on these integers, and its maximum over Alice's 2^n strategies is the
     maximum over all 4^n pairs: the classical bound 2n-2, computed, not assumed.
     """
-    if n < 2:
-        raise ValueError("chained score needs n >= 2")
-    if n > _MAX_BRUTEFORCE_SETTINGS:
-        raise ValueError(f"brute force limited to n <= {_MAX_BRUTEFORCE_SETTINGS}")
+    _check_chain_length("chained score", n, "brute force", _MAX_BRUTEFORCE_SETTINGS)
     best_replies = np.abs(_strategy_signs(n) @ _chain_coefficients(n)) @ np.ones(n)
     return float(best_replies.max())
 
@@ -688,21 +687,21 @@ def _solve(
 def max_score_lp(n: int, negativity_budget: float = math.inf) -> LPResult:
     """Maximize the chained score over signed strategy mixtures w = u - v, u, v >= 0.
 
-    Constraints: total weight 1, every behavior entry >= 0, and
-    8 sum v <= `negativity_budget` when finite; n outside 2..5 and a NaN or
-    negative budget raise ValueError.  HiGHS solves over the orbits
+    Constraints: total weight 1, every behavior entry >= 0, and 8 sum v <=
+    `negativity_budget` when finite; n outside 2..5 and a NaN, negative or
+    beyond-float budget raise ValueError.  HiGHS solves over the orbits
     (`_OrbitProgram`) of the chained score's 8n relabellings (`_chain_group`),
     each of which fixes every strategy's score and permutes the behavior
     entries, so maps the LP to itself.  At an infinite budget `negative_mass`
     is NaN: every optimal vertex scores 2n, and HiGHS's pick sets the mass.
     """
-    if n < 2:
-        raise ValueError("score maximization needs n >= 2")
-    if n > _MAX_LP_SETTINGS:
-        raise ValueError(f"LP oracle limited to n <= {_MAX_LP_SETTINGS}")
+    _check_chain_length("score maximization", n, "LP oracle", _MAX_LP_SETTINGS)
     if not negativity_budget >= 0:
         raise ValueError("negativity budget must be non-negative or infinite")
-    finite = math.isfinite(negativity_budget)
+    try:
+        finite = math.isfinite(negativity_budget)
+    except OverflowError:
+        raise ValueError("the negativity budget is beyond float range") from None
     program = _score_programs(n)[finite]
     # Entry rows -B w <= 0, the budget row if finite, then sum w == 1.
     row_lower = np.full(program.model.rows, -math.inf)
@@ -750,10 +749,7 @@ def min_negativity_lp(target: Behavior) -> LPResult:
     if target.n_settings_A != target.n_settings_B:
         raise ValueError("the strategy grid needs equal setting counts")
     n = target.n_settings_A
-    if n < 2:
-        raise ValueError("min-negativity LP needs n >= 2")
-    if n > _MAX_LP_SETTINGS:
-        raise ValueError(f"LP oracle limited to n <= {_MAX_LP_SETTINGS}")
+    _check_chain_length("min-negativity LP", n, "LP oracle", _MAX_LP_SETTINGS)
     entries = np.array([_floats(target.table[pair], pair) for pair in target.setting_pairs()]).ravel()
     basis = _behavior_basis(n)
     group = _chain_group(n)
@@ -910,7 +906,8 @@ def signed_sample(
     None), one outside 1..`_MAX_SHOTS` and a seed that is not a non-negative
     integer (None included: an unseeded draw could not be replayed) raise
     ValueError before assembly; a behavior invalid at `tolerance` raises
-    `InvalidBehaviorError`, as no frequency estimate reproduces a negative cell.
+    `InvalidBehaviorError`, as no frequency estimate reproduces a negative cell,
+    and then a weight beyond float range raises ValueError.
     """
     if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
         raise ValueError("shots must be an integer")
@@ -925,7 +922,10 @@ def signed_sample(
     if not report.is_valid:
         raise InvalidBehaviorError(report)
     points = model.dist.support
-    weights = np.array([float(model.dist.weights[p]) for p in points])
+    try:
+        weights = np.array([float(model.dist.weights[p]) for p in points])
+    except OverflowError:
+        raise ValueError("a weight is beyond float range") from None
     magnitude = np.abs(weights)
     total_variation = float(magnitude.sum())
     negative = weights < 0

@@ -22,6 +22,7 @@ from .core import (
     Model,
     Point,
     QuasiDist,
+    _check_chain_length,
     _row_correlation,
 )
 
@@ -121,13 +122,8 @@ def witness_chained(
     two Bob rows, are the previous link's objects reuses its figures.
     Without `behavior`, the model's default-tolerance behavior is read.
     """
-    if n < 2:
-        raise ValueError("chained witness needs n >= 2")
-    if model.response_A.n_settings < n or model.response_B.n_settings < n:
-        raise ValueError(
-            f"witness needs at least {n} settings per party, model has "
-            f"({model.response_A.n_settings}, {model.response_B.n_settings})"
-        )
+    _check_chain_length("chained witness", n, "model",
+                        model.response_A.n_settings, model.response_B.n_settings)
     if behavior is None:
         behavior = model._behavior
     faithful = witness_faithful(model.dist)

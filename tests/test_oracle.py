@@ -1502,6 +1502,19 @@ class _ReportsStatus:
         return getattr(self._solver, name)
 
 
+class _RunFails:
+    """This thread's HiGHS solver, but for `run`, which reports an error without solving."""
+
+    def __init__(self, solver) -> None:
+        self._solver = solver
+
+    def run(self):
+        return oracle._highs_binding().HighsStatus.kError
+
+    def __getattr__(self, name):
+        return getattr(self._solver, name)
+
+
 #: The `LPStatus` of each HiGHS model status that is not FAILED.
 _NOT_FAILED = {"kOptimal": LPStatus.OPTIMAL, "kInfeasible": LPStatus.INFEASIBLE,
                "kUnbounded": LPStatus.UNBOUNDED}
@@ -1536,6 +1549,16 @@ class TestHighsStatus:
         name_string = solver.modelStatusToString(status)
         assert result.solver_message.startswith(
             name_string if want is LPStatus.OPTIMAL else f"model_status is {name_string}; ")
+
+    def test_a_failed_run_is_failed(self, monkeypatch):
+        solver = oracle._highs_solver()
+        monkeypatch.setattr(oracle, "_THREAD_HIGHS", threading.local())
+        oracle._THREAD_HIGHS.solver = _RunFails(solver)
+        calls = _spy_linprog(monkeypatch)
+        results = [max_score_lp(2, 0.5), min_negativity_lp(_singlet_at_chained_angles(2))]
+        assert [result.status for result in results] == [LPStatus.FAILED] * 2
+        message = solver.modelStatusToString(solver.getModelStatus())
+        assert [call.result for call in calls] == [(4, None, None, 0, message)] * 2
 
     def test_a_model_error_is_failed_not_infeasible(self, monkeypatch):
         calls = _spy_linprog(monkeypatch)

@@ -23,6 +23,7 @@ from quasibell import (
     chsh_saturating_model,
     check_quasi_bell,
     lambda_local_score,
+    mixture_score,
     validate_behavior,
     witness_chained,
     witness_chained_link,
@@ -38,6 +39,7 @@ from quasibell.constructions import (
 from quasibell.oracle import (
     classical_bound_bruteforce,
     enumerate_deterministic,
+    max_score_lp,
     min_negativity_lp,
     quantum_behavior,
     signed_sample,
@@ -62,6 +64,13 @@ def beyond_float_range(pair) -> Behavior:
     table = {key: tuple(map(Fraction, UNIFORM)) for key in uniform_behavior(2, 2).table}
     table[pair] = (Fraction(10**400), 1 - Fraction(10**400), Fraction(0), Fraction(0))
     return Behavior(2, 2, table)
+
+
+def weights_beyond_float_range():
+    """A valid model weighting one strategy 10^400 and its copy 1 - 10^400: no float holds either."""
+    strategy = SymbolStrategy(("+", "+"), ("+", "+"))
+    weights = {"1": Fraction(10**400), "2": 1 - Fraction(10**400)}
+    return model_from_strategies({"1": strategy, "2": strategy}, weights)
 
 
 def party(**changes) -> dict:
@@ -104,6 +113,11 @@ def test_cli_refusals(capsys, argv, message):
       for pair in [(0, 0), (1, 0)]),
     pytest.param(lambda: classical_bound_bruteforce(1),
                  "chained score needs n >= 2", id="classical-bound-n1"),
+    *(pytest.param(lambda budget=budget: max_score_lp(2, budget),
+                   "the negativity budget is beyond float range", id=f"max-score-budget-{name}")
+      for name, budget in [("int", 10**400), ("fraction", Fraction(10**400))]),
+    pytest.param(lambda: signed_sample(weights_beyond_float_range(), 10, 0),
+                 "a weight is beyond float range", id="sample-weight-beyond-float"),
     pytest.param(lambda: enumerate_deterministic(0),
                  "need at least one setting", id="enumerate-n0"),
     pytest.param(lambda: quantum_behavior(np.triu(np.full((4, 4), 0.25)), [0.0], [0.0]),
@@ -185,6 +199,9 @@ def test_signed_sample_takes_any_non_negative_integer_seed(seed):
                  "link index must be at least 1", id="link-0"),
     pytest.param(lambda: witness_chained(chsh_saturating_model(1), 1),
                  "chained witness needs n >= 2", id="chain-n1"),
+    pytest.param(lambda: witness_chained(chsh_saturating_model(1), 3),
+                 "chained witness with n=3 needs 3 settings per party, model has (2, 2)",
+                 id="chain-n3-of-2"),
 ])
 def test_witness_refusals(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -196,6 +213,15 @@ def test_witness_refusals(call, message):
                  "bound check needs n >= 2", id="check-n1"),
     pytest.param(lambda: lambda_local_score(chsh_saturating_model(1), "1", 1),
                  "lambda-local score needs n >= 2", id="lambda-local-n1"),
+    pytest.param(lambda: check_quasi_bell(chsh_saturating_model(1), 3),
+                 "bound check with n=3 needs 3 settings per party, model has (2, 2)",
+                 id="check-n3-of-2"),
+    pytest.param(lambda: lambda_local_score(chsh_saturating_model(1), "1", 3),
+                 "lambda-local score with n=3 needs 3 settings per party, model has (2, 2)",
+                 id="lambda-local-n3-of-2"),
+    pytest.param(lambda: mixture_score(chsh_saturating_model(1), 3),
+                 "lambda-local score with n=3 needs 3 settings per party, model has (2, 2)",
+                 id="mixture-n3-of-2"),
 ])
 def test_inequality_refusals(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
